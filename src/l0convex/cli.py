@@ -89,6 +89,11 @@ def _load_config(args) -> RunConfig:
         config.horizon = args.horizon
     if args.samples is not None:
         config.samples = args.samples
+    # zero samples or an empty probe horizon would make every step pass vacuously
+    for key in ("samples", "horizon"):
+        value = getattr(config, key)
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     return config
 
 
@@ -129,7 +134,11 @@ def cmd_verify(args) -> int:
     config = _load_config(args)
     base = config.base
     verdict = seminorm_induction_verdict(
-        base, horizon=config.horizon, seed=config.seed, samples=config.samples
+        base,
+        horizon=config.horizon,
+        seed=config.seed,
+        samples=config.samples,
+        tolerance=config.tolerance,
     )
     steps = [
         _step(s.name, s.inputs, s.expected, s.observed, s.passed) for s in verdict.steps

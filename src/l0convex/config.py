@@ -26,7 +26,7 @@ from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, Single
 from .l0 import EcRv
 from .concatenation import SequenceSpec
 from .seminorms import Seminorm
-from .sets import SetDescriptor
+from .sets import DEFAULT_TOLERANCE, SetDescriptor
 from .topology import CounterexampleFamily, FromSeminorms, NeighborhoodBase
 from .syntax import ParseError, Parser
 
@@ -41,7 +41,7 @@ class RunConfig:
     seed: int = 42
     horizon: int = 32
     samples: int = 200
-    tolerance: Fraction = Fraction(1, 2**20)
+    tolerance: Fraction = DEFAULT_TOLERANCE
     base: NeighborhoodBase = field(default_factory=CounterexampleFamily)
     seminorm: Optional[Seminorm] = None
     set_descriptor: Optional[SetDescriptor] = None
@@ -162,6 +162,8 @@ def parse_config(text: str) -> RunConfig:
                 config.samples = int(value)
             elif key == "tolerance":
                 config.tolerance = Fraction(_strip_quotes(value))
+                if config.tolerance <= 0:
+                    raise ValueError("tolerance must be positive")
             elif key == "space.explicit":
                 explicit = _parse_space_explicit(value, line_no)
             elif key == "space.tail_coefficient":

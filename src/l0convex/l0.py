@@ -13,8 +13,10 @@ inspecting the overrides and the tails.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from .measure import EventSet, _check_atom
@@ -29,11 +31,14 @@ class NotInvertible(ZeroDivisionError):
 class EcRv:
     """Eventually constant random variable over the positive integers.
 
-    Canonical form: no override equals the tail, so structural equality
-    coincides with pointwise equality.
+    Canonical form: every value is a Fraction and no override equals the
+    tail, so structural equality coincides with pointwise equality.  The
+    constructor enforces it on any input; kernel results that are
+    canonical by construction skip those checks (see `_canonical`).
+    `overrides` is a read-only mapping, so the cached hash stays valid.
     """
 
-    __slots__ = ("overrides", "tail")
+    __slots__ = ("overrides", "tail", "_hash")
 
     def __init__(self, overrides: Mapping[int, Rational] | None = None, tail: Rational = 0):
         t = Fraction(tail)
@@ -43,15 +48,17 @@ class EcRv:
             v = Fraction(v)
             if v != t:
                 kept[j] = v
-        self.overrides = kept
+        self.overrides = MappingProxyType(kept)
         self.tail = t
+        self._hash = None
 
     @classmethod
     def constant(cls, value: Rational) -> "EcRv":
-        return cls({}, value)
+        return _canonical({}, Fraction(value))
 
     def value_at(self, j: int) -> Fraction:
-        return self.overrides.get(j, self.tail)
+        over = self.overrides
+        return over[j] if j in over else self.tail
 
     def values(self):
         """Every value taken somewhere: the tail plus the overrides."""
@@ -66,14 +73,16 @@ class EcRv:
         return self.tail == 0 and not self.overrides
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, EcRv)
             and self.tail == other.tail
             and self.overrides == other.overrides
         )
 
     def __hash__(self) -> int:
-        return hash((self.tail, frozenset(self.overrides.items())))
+        if self._hash is None:
+            self._hash = hash((self.tail, frozenset(self.overrides.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{j}:{v}" for j, v in sorted(self.overrides.items()))
@@ -98,10 +107,28 @@ class EcRv:
     __rmul__ = __mul__
 
     def __neg__(self) -> "EcRv":
-        return EcRv({j: -v for j, v in self.overrides.items()}, -self.tail)
+        return _canonical({j: -v for j, v in self.overrides.items()}, -self.tail)
 
     def __abs__(self) -> "EcRv":
-        return EcRv({j: abs(v) for j, v in self.overrides.items()}, abs(self.tail))
+        t = abs(self.tail)
+        # |v| == |tail| happens for v == -tail, so that override goes
+        return _canonical(
+            {j: a for j, v in self.overrides.items() if (a := abs(v)) != t}, t
+        )
+
+
+_FZERO = Fraction(0)
+
+
+def _canonical(overrides: dict[int, Fraction], tail: Fraction) -> EcRv:
+    """Wrap parts that are canonical by construction, without re-checking:
+    Fraction values on valid atoms, none equal to the tail.  The dict is
+    owned by the result from here on."""
+    x = object.__new__(EcRv)
+    x.overrides = MappingProxyType(overrides)
+    x.tail = tail
+    x._hash = None
+    return x
 
 
 ZERO = EcRv.constant(0)
@@ -115,19 +142,34 @@ def _coerce(value: "EcRv | Rational") -> EcRv:
 
 
 _OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "min": min,
     "max": max,
 }
 
 
 def combine(op: str, x: EcRv, y: EcRv) -> EcRv:
-    """Pointwise op(x, y); the result tail is op of the tails."""
+    """Pointwise op(x, y); the result tail is op of the tails.
+
+    One pass over each operand's overrides; a value equal to the result
+    tail is dropped as it is computed."""
     f = _OPS[op]
-    atoms = set(x.overrides) | set(y.overrides)
-    return EcRv({j: f(x.value_at(j), y.value_at(j)) for j in atoms}, f(x.tail, y.tail))
+    xt, yt = x.tail, y.tail
+    tail = f(xt, yt)
+    xo, yo = x.overrides, y.overrides
+    out = {}
+    for j, a in xo.items():
+        v = f(a, yo[j] if j in yo else yt)
+        if v != tail:
+            out[j] = v
+    for j, b in yo.items():
+        if j not in xo:
+            v = f(xt, b)
+            if v != tail:
+                out[j] = v
+    return _canonical(out, tail)
 
 
 def emin(x: EcRv, y: EcRv) -> EcRv:
@@ -140,11 +182,18 @@ def emax(x: EcRv, y: EcRv) -> EcRv:
 
 def indicator_mul(event: EventSet, x: EcRv) -> EcRv:
     """Multiply by the indicator of an event: keep x on the event, zero off it."""
+    over, t, atoms = x.overrides, x.tail, event.atoms
     if event.cofinite:
-        over = {j: v for j, v in x.overrides.items() if j not in event.atoms}
-        over.update({j: Fraction(0) for j in event.atoms})
-        return EcRv(over, x.tail)
-    return EcRv({j: x.value_at(j) for j in event.atoms}, 0)
+        kept = {j: v for j, v in over.items() if j not in atoms}
+        if t != 0:
+            kept.update(dict.fromkeys(atoms, _FZERO))
+        return _canonical(kept, t)
+    kept = {}
+    for j in atoms:
+        v = over[j] if j in over else t
+        if v != 0:
+            kept[j] = v
+    return _canonical(kept, _FZERO)
 
 
 def indicator(event: EventSet) -> EcRv:
@@ -154,7 +203,7 @@ def indicator(event: EventSet) -> EcRv:
 def reciprocal(x: EcRv) -> EcRv:
     if any(v == 0 for v in x.values()):
         raise NotInvertible(f"{x!r} takes the value 0")
-    return EcRv({j: 1 / v for j, v in x.overrides.items()}, 1 / x.tail)
+    return _canonical({j: 1 / v for j, v in x.overrides.items()}, 1 / x.tail)
 
 
 def divide(x: EcRv, y: EcRv) -> EcRv:
@@ -190,12 +239,29 @@ def order_compare(x: EcRv, y: EcRv) -> OrderReport:
     return OrderReport(leq, strict, equal)
 
 
+def _holds_everywhere(rel: Callable[[Fraction, Fraction], bool], x: EcRv, y: EcRv) -> bool:
+    """rel(x(j), y(j)) at every atom, stopping at the first atom where it fails."""
+    xt, yt = x.tail, y.tail
+    if not rel(xt, yt):
+        return False
+    xo, yo = x.overrides, y.overrides
+    for j, a in xo.items():
+        if not rel(a, yo[j] if j in yo else yt):
+            return False
+    for j, b in yo.items():
+        if j not in xo and not rel(xt, b):
+            return False
+    return True
+
+
 def leq_everywhere(x: EcRv, y: EcRv) -> bool:
-    return order_compare(x, y).leq_everywhere
+    """x <= y at every atom; `order_compare` also returns the witness events."""
+    return _holds_everywhere(operator.le, x, y)
 
 
 def lt_everywhere(x: EcRv, y: EcRv) -> bool:
-    return order_compare(x, y).strict_set == EventSet.full()
+    """x < y at every atom."""
+    return _holds_everywhere(operator.lt, x, y)
 
 
 @dataclass(frozen=True)

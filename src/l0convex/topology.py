@@ -272,11 +272,16 @@ class EvidenceReport:
 
 
 def seminorm_induction_verdict(
-    base: NeighborhoodBase, horizon: int = 32, seed: int = 0, samples: int = 20
+    base: NeighborhoodBase,
+    horizon: int = 32,
+    seed: int = 0,
+    samples: int = 20,
+    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> EvidenceReport:
+    """`tolerance` bounds the gauge certificates of the degenerate base."""
     if isinstance(base, FromSeminorms):
         return _induced_report(base, horizon, seed, samples)
-    return _not_induced_report(base, horizon, seed, samples)
+    return _not_induced_report(base, horizon, seed, samples, tolerance)
 
 
 def _induced_report(
@@ -330,7 +335,7 @@ def _induced_report(
 
 
 def _not_induced_report(
-    base: CounterexampleFamily, horizon: int, seed: int, samples: int
+    base: CounterexampleFamily, horizon: int, seed: int, samples: int, tolerance: Fraction
 ) -> EvidenceReport:
     rng = sampling.make_rng(seed)
     probes = tuple(range(1, horizon + 1))
@@ -346,7 +351,7 @@ def _not_induced_report(
         u = base.base_set(radius)
         if gauge_closed_form(u, x) == ZERO:
             degenerate += 1
-        cert = gauge_upper_certificate(u, x, probes, DEFAULT_TOLERANCE)
+        cert = gauge_upper_certificate(u, x, probes, tolerance)
         if verify_certificate(cert):
             certified += 1
             example_cert = cert
@@ -355,7 +360,7 @@ def _not_induced_report(
             name="gauge_degeneracy",
             inputs={
                 "samples": samples,
-                "tolerance": str(DEFAULT_TOLERANCE),
+                "tolerance": str(tolerance),
                 "probe_atoms": f"1..{horizon}",
                 "example_witness": repr(example_cert.witness) if example_cert else "",
             },

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from l0convex.cli import main
 
 
@@ -143,6 +145,64 @@ class TestVerify:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestVacuousRuns:
+    """Zero samples or an empty probe horizon would let every step pass
+    without checking anything, so they are usage errors."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-counterexample", "--samples", "0"),
+            ("verify-counterexample", "--samples", "-1"),
+            ("verify-counterexample", "--horizon", "-3", "--samples", "5"),
+            ("verify-counterexample", "--horizon", "0", "--samples", "5"),
+            ("check", "base", "--samples", "-1"),
+            ("check", "base", "--samples", "0"),
+        ],
+    )
+    def test_flag_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (("verify-counterexample",), "samples = 0\n"),
+            (("verify-counterexample",), "samples = -1\n"),
+            (("verify-counterexample",), "horizon = -3\nsamples = 5\n"),
+            (("check", "base"), "samples = -1\n"),
+        ],
+    )
+    def test_config_key_exits_2(self, capsys, tmp_path, command, text):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestTolerance:
+    def test_config_tolerance_reaches_gauge_degeneracy(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("tolerance = 1/1024\nsamples = 5\n")
+        code, out, _ = run(capsys, "verify-counterexample", "--config", str(config))
+        assert code == 0
+        (step,) = [s for s in json.loads(out)["steps"] if s["name"] == "gauge_degeneracy"]
+        assert step["inputs"]["tolerance"] == "1/1024"
+        assert step["pass"] is True
+
+    @pytest.mark.parametrize("value", ["0", "-1/2"])
+    def test_nonpositive_tolerance_exits_2(self, capsys, tmp_path, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"tolerance = {value}\n")
+        code, _, err = run(capsys, "verify-counterexample", "--config", str(config))
+        assert code == 2
+        assert "tolerance must be positive" in err
 
 
 class TestPartition:

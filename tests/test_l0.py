@@ -16,11 +16,12 @@ from l0convex import (
     emin,
     indicator_mul,
     leq_everywhere,
+    lt_everywhere,
     order_compare,
     reciprocal,
 )
 
-from conftest import ecrvs, events, values_upto
+from conftest import ecrvs, events, rationals, values_upto
 
 OPS = {
     "add": lambda a, b: a + b,
@@ -86,6 +87,76 @@ class TestCanonicalForm:
     def test_atom_validation(self):
         with pytest.raises(ValueError):
             EcRv({0: 1}, 0)
+
+
+class TestImmutability:
+    def test_overrides_read_only(self):
+        x = EcRv({1: 3}, 0)
+        with pytest.raises(TypeError):
+            x.overrides[1] = 2
+        assert x == EcRv({1: 3}, 0)
+
+    @given(ecrvs)
+    def test_equal_values_hash_equal(self, x):
+        # rebuilt in reverse insertion order, and through the kernel
+        rebuilt = EcRv(dict(reversed(list(x.overrides.items()))), x.tail)
+        assert rebuilt == x
+        assert hash(rebuilt) == hash(x)
+        assert hash(x + ZERO) == hash(x)
+
+    def test_hash_stable_after_use_as_key(self):
+        x = EcRv({1: 3, 4: Fraction(1, 2)}, 7)
+        table = {x: "x"}
+        before = hash(x)
+        assert x + x == EcRv({1: 6, 4: 1}, 14)
+        assert hash(x) == before
+        assert table[EcRv({4: Fraction(1, 2), 1: 3}, 7)] == "x"
+
+
+def assert_canonical(r):
+    """The invariant every kernel result must satisfy, whether or not it
+    went through the checking constructor."""
+    assert type(r.tail) is Fraction
+    for j, v in r.overrides.items():
+        assert type(j) is int and j >= 1
+        assert type(v) is Fraction
+        assert v != r.tail
+    assert r == EcRv(dict(r.overrides), r.tail)
+    with pytest.raises(TypeError):
+        r.overrides[1] = r.tail
+
+
+class TestKernelInvariant:
+    @given(ecrvs, ecrvs)
+    def test_combine(self, x, y):
+        for op in OPS:
+            assert_canonical(combine(op, x, y))
+        assert_canonical(x + y)
+        assert_canonical(x - y)
+        assert_canonical(x * y)
+
+    @given(ecrvs, events)
+    def test_unary(self, x, e):
+        assert_canonical(-x)
+        assert_canonical(abs(x))
+        assert_canonical(indicator_mul(e, x))
+        assert_canonical(indicator_mul(e, EcRv(x.overrides, 0)))
+        if all(v != 0 for v in x.values()):
+            assert_canonical(reciprocal(x))
+
+    @given(ecrvs, rationals)
+    def test_scalar_multiples(self, x, c):
+        assert_canonical(x * c)
+        assert_canonical(c * x)
+        assert_canonical(x * int(c))
+        assert_canonical(EcRv.constant(c))
+
+    @given(ecrvs, ecrvs)
+    def test_order_checks_match_order_compare(self, x, y):
+        for a, b in ((x, y), (y, x), (x, x), (x, x + abs(y)), (x, x + abs(y) + 1)):
+            report = order_compare(a, b)
+            assert leq_everywhere(a, b) == report.leq_everywhere
+            assert lt_everywhere(a, b) == (report.strict_set == EventSet.full())
 
 
 class TestLattice:
