@@ -10,7 +10,7 @@ Commands:
 
 The JSON report goes to stdout (and to --json PATH if given); one
 human-readable line per step goes to stderr.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage or config error.
+pass, 1 a check failed, 2 usage or config error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .config import ConfigError, RunConfig, parse_config, parse_event_list
-from .concatenation import cc_failure_witness, glue, relative_cc_check
-from .l0 import EcRv, ONE, NotInvertible
-from .measure import EventSet, SingletonTail, build_countable_partition
-from .seminorms import axioms_check, evaluate, sup_evaluate
+from .concatenation import glue, relative_cc_check
+from .l0 import ONE, NotInvertible
+from .measure import CANONICAL, EventSet, SingletonTail, build_countable_partition
+from .seminorms import axioms_check, evaluate
 from .sets import (
     UnsupportedShape,
     contains,
@@ -40,28 +39,9 @@ from .syntax import (
     format_sequence,
     format_set,
 )
-from .topology import (
-    CounterexampleFamily,
-    SeedSet,
-    base_axiom_witnesses,
-    closure_membership,
-    hausdorff_report,
-    seminorm_induction_verdict,
-    separation_witness,
-)
-from . import sampling
+from .topology import EvidenceStep, base_axioms_step, seminorm_induction_verdict
 
-SCHEMA = 1
-
-
-def _step(name: str, inputs: dict, expected: str, observed: str, passed: bool) -> dict:
-    return {
-        "name": name,
-        "inputs": inputs,
-        "expected": expected,
-        "observed": observed,
-        "pass": passed,
-    }
+SCHEMA = 2
 
 
 def _emit(report: dict, json_path: str | None) -> None:
@@ -77,7 +57,7 @@ def _emit(report: dict, json_path: str | None) -> None:
         print(f"verdict: {report['verdict']}", file=sys.stderr)
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args, reads_space: bool = False) -> RunConfig:
     if args.config:
         with open(args.config) as handle:
             config = parse_config(handle.read())
@@ -94,162 +74,43 @@ def _load_config(args) -> RunConfig:
         value = getattr(config, key)
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
+    # a space the command never reads must not pass as if it had been checked
+    if not reads_space and config.space != CANONICAL:
+        raise ConfigError(
+            "space.explicit and space.tail_coefficient would be ignored: "
+            "only 'eval prob' and 'partition' read the space"
+        )
     return config
 
 
 # -- verify-counterexample ---------------------------------------------------
 
 
-def _hausdorff_step(base, samples: int, seed: int) -> dict:
-    report = hausdorff_report(base, samples=samples, seed=seed)
-    inputs = {"samples": samples}
-    if isinstance(base, CounterexampleFamily):
-        inputs["witness"] = repr(report.witness)
-        observed = (
-            f"non-Hausdorff, nonzero witness {report.witness!r} in "
-            f"{report.checks_passed}/{report.samples} sampled base sets"
-        )
-        passed = not report.hausdorff and report.passed
-        expected = "a nonzero point lies in every sampled base set"
-    elif report.hausdorff:
-        observed = f"{report.checks_passed}/{report.samples} sampled pairs separated"
-        passed = report.checks_passed == report.samples
-        expected = "distinct sampled points are separated by some base set"
-    else:
-        x, y = report.witness
-        inputs["witness_pair"] = [repr(x), repr(y)]
-        observed = "found a pair no base set separates"
-        passed = sup_evaluate(base.family, x - y).is_zero()  # re-verify the pair
-        expected = "the non-separated pair re-verifies against the family"
-    return _step(
-        "hausdorff_diagnosis",
-        inputs,
-        expected,
-        observed,
-        passed,
-    )
-
-
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    base = config.base
     verdict = seminorm_induction_verdict(
-        base,
+        config.base,
         horizon=config.horizon,
         seed=config.seed,
         samples=config.samples,
         tolerance=config.tolerance,
+        epsilon=config.epsilon,
+        delta=config.delta,
     )
-    steps = [
-        _step(s.name, s.inputs, s.expected, s.observed, s.passed) for s in verdict.steps
-    ]
-
-    eps = config.epsilon if config.epsilon is not None else ONE
-    delta = config.delta if config.delta is not None else EcRv.constant(Fraction(1, 2))
-    axioms = base_axiom_witnesses(base, eps, delta, config.samples, config.seed)
-    steps.insert(
-        0,
-        _step(
-            "base_axioms",
-            {"epsilon": repr(eps), "delta": repr(delta), "samples": config.samples},
-            "meet, sum and scaling inclusions hold on all samples",
-            (
-                f"witnesses ({axioms.meet_witness!r}, {axioms.sum_witness!r}, "
-                f"{axioms.scaling_witness!r}); failures: {axioms.meet_failures}, "
-                f"{axioms.sum_failures}, {axioms.scaling_failures}"
-            ),
-            axioms.passed,
-        ),
-    )
-
-    if isinstance(base, CounterexampleFamily):
-        rng = sampling.make_rng(config.seed)
-        sep_ok = 0
-        example = None
-        for _ in range(config.samples):
-            x = sampling.random_nonzero_tail_ecrv(rng)
-            witness = separation_witness(x)
-            sep_ok += witness.excluded
-            example = witness
-        steps.append(
-            _step(
-                "separation_witnesses",
-                {
-                    "samples": config.samples,
-                    "example_point": repr(example.point),
-                    "example_epsilon": repr(example.epsilon),
-                },
-                "every sampled point outside M is excluded from some base set",
-                f"{sep_ok}/{config.samples} exclusions verified",
-                sep_ok == config.samples,
-            )
-        )
-        closure_hits = 0
-        closure_rejects = 0
-        example_in = example_out = None
-        for _ in range(config.samples):
-            inside = sampling.random_finite_support_ecrv(rng)
-            closure_hits += closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
-            outside = sampling.random_nonzero_tail_ecrv(rng)
-            result = closure_membership(base, SeedSet.SUBMODULE_M, outside)
-            closure_rejects += (not result.member) and result.separation.excluded
-            example_in, example_out = inside, result.separation
-        steps.append(
-            _step(
-                "closure_membership",
-                {
-                    "samples": config.samples,
-                    "example_inside": repr(example_in),
-                    "example_outside": repr(example_out.point),
-                    "example_epsilon": repr(example_out.epsilon),
-                },
-                "closure of {0} and of M is exactly M",
-                (
-                    f"{closure_hits}/{config.samples} members of M inside, "
-                    f"{closure_rejects}/{config.samples} outsiders excluded with evidence"
-                ),
-                closure_hits == config.samples and closure_rejects == config.samples,
-            )
-        )
-
-        cc_ok = 0
-        example_cc = None
-        for _ in range(config.samples):
-            radius = sampling.random_positive_ecrv(rng)
-            witness = cc_failure_witness(radius, horizon=config.horizon)
-            cc_ok += witness.valid
-            example_cc = witness
-        steps.append(
-            _step(
-                "concatenation_failure",
-                {
-                    "samples": config.samples,
-                    "example_radius": repr(example_cc.radius),
-                    "example_glue": repr(example_cc.glue),
-                },
-                "single-atom pieces stay in the base set while their glue escapes",
-                f"{cc_ok}/{config.samples} witnesses valid",
-                cc_ok == config.samples,
-            )
-        )
-
-    steps.append(_hausdorff_step(base, config.samples, config.seed))
-
-    verdict_label = "NotInduced" if verdict.verdict == "not_induced" else "Induced"
     report = {
         "schema": SCHEMA,
         "command": "verify-counterexample",
         "seed": config.seed,
         "horizon": config.horizon,
         "samples": config.samples,
-        "verdict": verdict_label,
-        "steps": steps,
-        "pass": all(s["pass"] for s in steps),
+        "verdict": "NotInduced" if verdict.verdict == "not_induced" else "Induced",
+        "steps": [step.to_json() for step in verdict.steps],
+        "pass": verdict.passed,
     }
     if verdict.family is not None:
         report["family"] = [format_seminorm(s) for s in verdict.family]
     _emit(report, args.json)
-    return 0 if report["pass"] else 1
+    return 0 if verdict.passed else 1
 
 
 # -- eval --------------------------------------------------------------------
@@ -281,13 +142,12 @@ def run_eval(expr: str, config: RunConfig) -> str:
         seq = parser.sequence()
         part = parser.partition()
         parser.finish()
-        result = glue(seq, part)
-        return repr(result.element) if result.representable else f"not representable: {result.reason}"
+        return repr(glue(seq, part).element)
     raise ParseError(f"unknown operation {op!r}", 1, 1)
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, reads_space=True)
     value = run_eval(args.expression, config)
     print(value)
     if args.json:
@@ -307,18 +167,16 @@ def cmd_check(args) -> int:
         if config.seminorm is None:
             raise ConfigError("check axioms needs a 'seminorm' key in the config")
         report = axioms_check(config.seminorm, config.samples, config.seed)
-        steps = [
-            _step(
-                "seminorm_axioms",
-                {"seminorm": format_seminorm(config.seminorm), "samples": config.samples},
-                "homogeneity and triangle inequality hold exactly on all samples",
-                (
-                    f"homogeneity failures: {report.homogeneity_failures}, "
-                    f"triangle failures: {report.triangle_failures}"
-                ),
-                report.passed,
-            )
-        ]
+        step = EvidenceStep(
+            "seminorm_axioms",
+            {"seminorm": format_seminorm(config.seminorm), "samples": config.samples},
+            "homogeneity and triangle inequality hold exactly on all samples",
+            (
+                f"homogeneity failures: {report.homogeneity_failures}, "
+                f"triangle failures: {report.triangle_failures}"
+            ),
+            report.passed,
+        )
     elif target == "roundtrip":
         probe = config.seminorm if config.seminorm is not None else config.set_descriptor
         if probe is None:
@@ -327,19 +185,17 @@ def cmd_check(args) -> int:
         label = (
             format_seminorm(probe) if config.seminorm is not None else format_set(probe)
         )
-        steps = [
-            _step(
-                "gauge_roundtrip",
-                {"target": label, "samples": config.samples},
-                "gauge reproduces the seminorm and membership agrees with gauge <= 1",
-                (
-                    f"gauge mismatches: {report.gauge_mismatches}, membership "
-                    f"mismatches: {report.membership_mismatches}, strict-inclusion "
-                    f"failures: {report.strict_inclusion_failures}"
-                ),
-                report.passed,
-            )
-        ]
+        step = EvidenceStep(
+            "gauge_roundtrip",
+            {"target": label, "samples": config.samples},
+            "gauge reproduces the seminorm and membership agrees with gauge <= 1",
+            (
+                f"gauge mismatches: {report.gauge_mismatches}, membership "
+                f"mismatches: {report.membership_mismatches}, strict-inclusion "
+                f"failures: {report.strict_inclusion_failures}"
+            ),
+            report.passed,
+        )
     elif target == "cc":
         if config.set_descriptor is None or not config.sequences:
             raise ConfigError("check cc needs 'set' and at least one sequence")
@@ -360,36 +216,21 @@ def cmd_check(args) -> int:
             }
             for e in report.entries
         ]
-        steps = [
-            _step(
-                "relative_concatenation",
-                {
-                    "set": format_set(config.set_descriptor),
-                    "partition": format_partition(part),
-                    "entries": entries,
-                },
-                f"closure outcome matches the declared expectation ({config.expect})",
-                f"outcome: {outcome}",
-                outcome == config.expect and report.identity_holds,
-            )
-        ]
+        step = EvidenceStep(
+            "relative_concatenation",
+            {
+                "set": format_set(config.set_descriptor),
+                "partition": format_partition(part),
+                "entries": entries,
+            },
+            f"closure outcome matches the declared expectation ({config.expect})",
+            f"outcome: {outcome}",
+            outcome == config.expect and report.identity_holds,
+        )
     elif target == "base":
         eps = config.epsilon if config.epsilon is not None else ONE
         delta = config.delta if config.delta is not None else ONE
-        report = base_axiom_witnesses(config.base, eps, delta, config.samples, config.seed)
-        steps = [
-            _step(
-                "base_axioms",
-                {"epsilon": repr(eps), "delta": repr(delta), "samples": config.samples},
-                "meet, sum and scaling inclusions hold on all samples",
-                (
-                    f"witnesses ({report.meet_witness!r}, {report.sum_witness!r}, "
-                    f"{report.scaling_witness!r}); failures: {report.meet_failures}, "
-                    f"{report.sum_failures}, {report.scaling_failures}"
-                ),
-                report.passed,
-            )
-        ]
+        step = base_axioms_step(config.base, eps, delta, config.samples, config.seed)
     else:
         raise ConfigError(f"unknown check target {target!r}")
 
@@ -398,18 +239,18 @@ def cmd_check(args) -> int:
         "command": f"check {target}",
         "seed": config.seed,
         "samples": config.samples,
-        "steps": steps,
-        "pass": all(s["pass"] for s in steps),
+        "steps": [step.to_json()],
+        "pass": step.passed,
     }
     _emit(doc, args.json)
-    return 0 if doc["pass"] else 1
+    return 0 if step.passed else 1
 
 
 # -- partition ---------------------------------------------------------------
 
 
 def cmd_partition(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, reads_space=True)
     cells = config.prefix_cells
     tail_start = args.tail_start if args.tail_start is not None else config.singletons_from
     if args.spec:
@@ -436,25 +277,24 @@ def cmd_partition(args) -> int:
         config.space.probability(part.cell(k)) > 0
         for k in range(1, part.prefix_count + 21)
     )
+    step = EvidenceStep(
+        "halving_masses",
+        {"tail_start": tail_start, "cells_checked": 20},
+        "the n-th tail cell has exactly a 2**-n share of the tail mass",
+        f"law holds: {law_holds}, all cells positive: {positive}",
+        law_holds and positive,
+    )
     doc = {
         "schema": SCHEMA,
         "command": "partition",
         "partition": format_partition(part),
         "tail_mass": str(remainder),
         "tail_cell_masses": masses,
-        "steps": [
-            _step(
-                "halving_masses",
-                {"tail_start": tail_start, "cells_checked": 20},
-                "the n-th tail cell has exactly a 2**-n share of the tail mass",
-                f"law holds: {law_holds}, all cells positive: {positive}",
-                law_holds and positive,
-            )
-        ],
-        "pass": law_holds and positive,
+        "steps": [step.to_json()],
+        "pass": step.passed,
     }
     _emit(doc, args.json)
-    return 0 if doc["pass"] else 1
+    return 0 if step.passed else 1
 
 
 # -- entry point -------------------------------------------------------------
@@ -508,15 +348,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ValueError, OSError, UnsupportedShape, NotInvertible) as exc:
+        # bad input: ConfigError and ParseError are ValueErrors, a missing
+        # or unreadable file is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnsupportedShape, NotInvertible, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a defect in the program, never "a check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

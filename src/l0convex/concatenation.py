@@ -68,12 +68,7 @@ def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
 
 @dataclass(frozen=True)
 class GlueResult:
-    element: Optional[EcRv]
-    reason: str = ""
-
-    @property
-    def representable(self) -> bool:
-        return self.element is not None
+    element: EcRv
 
 
 def glue(seq: SequenceSpec, part: Partition) -> GlueResult:
@@ -259,18 +254,12 @@ def relative_cc_check(
         except IncompatibleSpec:
             report.entries.append(CcEntry(seq, pre_ok, False, None, None, None))
             continue
-        entry = CcEntry(seq, pre_ok, result.representable, result.element, None, None)
-        if result.representable:
-            entry.glue_in_set = contains(s, result.element)
-            if isinstance(s, Ball):
-                identity = True
-                for p in s.seminorms:
-                    evaluated = glue(_evaluated_sequence(seq, p), part)
-                    identity = identity and (
-                        evaluated.representable
-                        and evaluate(p, result.element) == evaluated.element
-                    )
-                entry.seminorm_identity_ok = identity
+        entry = CcEntry(seq, pre_ok, True, result.element, contains(s, result.element), None)
+        if isinstance(s, Ball):
+            entry.seminorm_identity_ok = all(
+                evaluate(p, result.element) == glue(_evaluated_sequence(seq, p), part).element
+                for p in s.seminorms
+            )
         report.entries.append(entry)
     return report
 

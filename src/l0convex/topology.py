@@ -2,17 +2,16 @@
 
 Two base families are supported: balls generated by a finite family of
 seminorms, and the degenerate family M + B_eps whose gauges vanish
-identically.  The verdict operation packages the full evidence chain:
-gauge degeneracy certificates, gauge monotonicity under inclusion, and
-the properness/closedness of the finitely-supported submodule M, which
-together rule out any inducing family of seminorms for the degenerate
-base.  Every evidence step is re-checkable from membership tests and
-order comparisons alone.
+identically.  The verdict operation builds every step of the
+verify-counterexample report, each sampled fact checked by one step;
+for the degenerate base they rule out any inducing family of
+seminorms.  Every evidence step is re-checkable from membership tests
+and order comparisons alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -27,6 +26,7 @@ from .l0 import (
     leq_everywhere,
     order_compare,
 )
+from .concatenation import cc_failure_witness
 from .measure import CANONICAL, DiscreteSpace
 from .seminorms import Seminorm, Zero, Weighted, evaluate, sup_evaluate
 from .sets import (
@@ -67,6 +67,27 @@ class CounterexampleFamily:
 
 
 NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]
+
+
+@dataclass
+class EvidenceStep:
+    """One checked fact of a report."""
+
+    name: str
+    inputs: dict
+    expected: str
+    observed: str
+    passed: bool
+
+    def to_json(self) -> dict:
+        """The step as a report entry."""
+        return {
+            "name": self.name,
+            "inputs": self.inputs,
+            "expected": self.expected,
+            "observed": self.observed,
+            "pass": self.passed,
+        }
 
 
 # -- base axioms -----------------------------------------------------------
@@ -121,6 +142,23 @@ def base_axiom_witnesses(
         if not contains(u_delta, eps * y):
             report.scaling_failures += 1
     return report
+
+
+def base_axioms_step(
+    base: NeighborhoodBase, eps: EcRv, delta: EcRv, samples: int, seed: int
+) -> EvidenceStep:
+    report = base_axiom_witnesses(base, eps, delta, samples, seed)
+    return EvidenceStep(
+        name="base_axioms",
+        inputs={"epsilon": repr(eps), "delta": repr(delta), "samples": samples},
+        expected="meet, sum and scaling inclusions hold on all samples",
+        observed=(
+            f"witnesses ({report.meet_witness!r}, {report.sum_witness!r}, "
+            f"{report.scaling_witness!r}); failures: {report.meet_failures}, "
+            f"{report.sum_failures}, {report.scaling_failures}"
+        ),
+        passed=report.passed,
+    )
 
 
 # -- separation and closure ------------------------------------------------
@@ -225,6 +263,30 @@ def hausdorff_report(
     return HausdorffReport(True, None, samples, separated)
 
 
+def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> EvidenceStep:
+    report = hausdorff_report(base, samples=samples, seed=seed)
+    inputs = {"samples": samples}
+    if isinstance(base, CounterexampleFamily):
+        inputs["witness"] = repr(report.witness)
+        expected = "a nonzero point lies in every sampled base set"
+        observed = (
+            f"non-Hausdorff, nonzero witness {report.witness!r} in "
+            f"{report.checks_passed}/{report.samples} sampled base sets"
+        )
+        passed = not report.hausdorff and report.passed
+    elif report.hausdorff:
+        expected = "distinct sampled points are separated by some base set"
+        observed = f"{report.checks_passed}/{report.samples} sampled pairs separated"
+        passed = report.passed
+    else:
+        x, y = report.witness
+        inputs["witness_pair"] = [repr(x), repr(y)]
+        expected = "the non-separated pair re-verifies against the family"
+        observed = "found a pair no base set separates"
+        passed = sup_evaluate(base.family, x - y).is_zero()  # re-verify the pair
+    return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, passed)
+
+
 # -- (eps, lambda) neighborhoods --------------------------------------------
 
 
@@ -250,15 +312,6 @@ def epslambda_membership(
 
 
 @dataclass
-class EvidenceStep:
-    name: str
-    inputs: dict
-    expected: str
-    observed: str
-    passed: bool
-
-
-@dataclass
 class EvidenceReport:
     verdict: str  # "induced" | "not_induced"
     family: Optional[tuple[Seminorm, ...]]
@@ -277,66 +330,76 @@ def seminorm_induction_verdict(
     seed: int = 0,
     samples: int = 20,
     tolerance: Fraction = DEFAULT_TOLERANCE,
+    epsilon: Optional[EcRv] = None,
+    delta: Optional[EcRv] = None,
 ) -> EvidenceReport:
-    """`tolerance` bounds the gauge certificates of the degenerate base."""
+    """Every step of the verify-counterexample report, in report order.
+
+    `epsilon` and `delta` are the base-axiom radii (default 1 and 1/2);
+    `tolerance` bounds the gauge certificates of the degenerate base.
+    With no samples or no probe atoms every step would pass without
+    checking anything, so both must be at least 1.
+    """
+    if samples < 1 or horizon < 1:
+        raise ValueError(
+            f"samples and horizon must be at least 1, got samples={samples}, horizon={horizon}"
+        )
+    eps = ONE if epsilon is None else epsilon
+    delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
+    steps = [base_axioms_step(base, eps, delta, samples, seed)]
     if isinstance(base, FromSeminorms):
-        return _induced_report(base, horizon, seed, samples)
-    return _not_induced_report(base, horizon, seed, samples, tolerance)
+        steps += _induced_steps(base, seed, samples)
+    else:
+        steps += _not_induced_steps(base, horizon, seed, samples, tolerance)
+    steps.append(_hausdorff_step(base, samples, seed))
+    if isinstance(base, FromSeminorms):
+        return EvidenceReport("induced", base.family, steps, seed, horizon)
+
+    all_prior = all(step.passed for step in steps)
+    steps.append(
+        EvidenceStep(
+            name="zero_family_contradiction",
+            inputs={},
+            expected=(
+                "any inducing family is dominated by the zero gauge, hence induces "
+                "the trivial topology, contradicting the proper closed submodule"
+            ),
+            observed="all supporting steps verified" if all_prior else "a supporting step failed",
+            passed=all_prior,
+        )
+    )
+    return EvidenceReport("not_induced", None, steps, seed, horizon)
 
 
-def _induced_report(
-    base: FromSeminorms, horizon: int, seed: int, samples: int
-) -> EvidenceReport:
+def _induced_steps(base: FromSeminorms, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
-    steps = []
-
     flag_fails = 0
     for _ in range(samples):
         ball = base.base_set(sampling.random_positive_ecrv(rng))
         if not structural_flags(ball).all_true():
             flag_fails += 1
-    steps.append(
+    rt = roundtrip_check(base.base_set(ONE), samples, seed)
+    return [
         EvidenceStep(
             name="base_sets_structural",
             inputs={"samples": samples},
             expected="every base ball is convex, absorbent and balanced",
             observed=f"{samples - flag_fails}/{samples} balls pass",
             passed=flag_fails == 0,
-        )
-    )
-
-    ball = base.base_set(ONE)
-    rt = roundtrip_check(ball, samples, seed)
-    steps.append(
+        ),
         EvidenceStep(
             name="gauge_membership_roundtrip",
             inputs={"ball_radius": repr(ONE), "samples": samples},
             expected="membership in a base ball agrees with gauge <= 1",
             observed=f"{rt.membership_mismatches} mismatches",
             passed=rt.passed,
-        )
-    )
-
-    axioms = base_axiom_witnesses(base, ONE, EcRv.constant(Fraction(1, 2)), samples, seed)
-    steps.append(
-        EvidenceStep(
-            name="base_axioms",
-            inputs={"eps": repr(ONE), "delta": "{|1/2}", "samples": samples},
-            expected="meet, sum and scaling inclusions hold on samples",
-            observed=(
-                f"failures: meet={axioms.meet_failures}, "
-                f"sum={axioms.sum_failures}, scaling={axioms.scaling_failures}"
-            ),
-            passed=axioms.passed,
-        )
-    )
-
-    return EvidenceReport("induced", base.family, steps, seed, horizon)
+        ),
+    ]
 
 
-def _not_induced_report(
+def _not_induced_steps(
     base: CounterexampleFamily, horizon: int, seed: int, samples: int, tolerance: Fraction
-) -> EvidenceReport:
+) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
     probes = tuple(range(1, horizon + 1))
     steps = []
@@ -398,45 +461,53 @@ def _not_induced_report(
         )
     )
 
-    # 3. M is a proper closed submodule, so the topology is not trivial
-    sep_ok = 0
-    closure_ok = 0
+    # 3. M is a proper closed submodule, so the topology is not trivial:
+    #    each point outside M is excluded from some base set, and each
+    #    point of M lies in the closure of {0}
+    separated = 0
+    closure_hits = 0
     for _ in range(samples):
-        outside = sampling.random_nonzero_tail_ecrv(rng)
-        witness = separation_witness(outside)
-        sep_ok += witness.excluded
+        separation = separation_witness(sampling.random_nonzero_tail_ecrv(rng))
+        separated += separation.excluded
         inside = sampling.random_finite_support_ecrv(rng)
-        closure_ok += closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
-    nonzero_member = EcRv({1: 1}, 0)
-    member_everywhere = all(
-        contains(base.base_set(sampling.random_positive_ecrv(rng)), nonzero_member)
-        for _ in range(samples)
-    )
+        closure_hits += closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
     steps.append(
         EvidenceStep(
             name="proper_closed_submodule",
-            inputs={"samples": samples, "nonzero_member": repr(nonzero_member)},
-            expected="points outside M are separated; M lies in the closure of {0}",
-            observed=(
-                f"{sep_ok}/{samples} separations, {closure_ok}/{samples} closure hits, "
-                f"nonzero member in all sampled base sets: {member_everywhere}"
+            inputs={
+                "samples": samples,
+                "example_point": repr(separation.point),
+                "example_epsilon": repr(separation.epsilon),
+                "example_inside": repr(inside),
+            },
+            expected=(
+                "every point outside M is excluded from some base set, so the "
+                "closure of {0} and of M is exactly M"
             ),
-            passed=sep_ok == samples and closure_ok == samples and member_everywhere,
+            observed=(
+                f"{separated}/{samples} outsiders excluded with evidence, "
+                f"{closure_hits}/{samples} members of M in the closure of {{0}}"
+            ),
+            passed=separated == samples and closure_hits == samples,
         )
     )
 
-    all_prior = all(step.passed for step in steps)
+    # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
+    valid = 0
+    for _ in range(samples):
+        failure = cc_failure_witness(sampling.random_positive_ecrv(rng), horizon=horizon)
+        valid += failure.valid
     steps.append(
         EvidenceStep(
-            name="zero_family_contradiction",
-            inputs={},
-            expected=(
-                "any inducing family is dominated by the zero gauge, hence induces "
-                "the trivial topology, contradicting the proper closed submodule"
-            ),
-            observed="all supporting steps verified" if all_prior else "a supporting step failed",
-            passed=all_prior,
+            name="concatenation_failure",
+            inputs={
+                "samples": samples,
+                "example_radius": repr(failure.radius),
+                "example_glue": repr(failure.glue),
+            },
+            expected="single-atom pieces stay in the base set while their glue escapes",
+            observed=f"{valid}/{samples} witnesses valid",
+            passed=valid == samples,
         )
     )
-
-    return EvidenceReport("not_induced", None, steps, seed, horizon)
+    return steps

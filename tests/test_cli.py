@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from l0convex import cli
 from l0convex.cli import main
+from l0convex.config import parse_config
+from l0convex.topology import seminorm_induction_verdict
 
 
 def run(capsys, *argv):
@@ -55,7 +58,7 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
 
     def test_cc_expected_failure_exits_zero(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -108,8 +111,7 @@ class TestVerify:
         assert {
             "base_axioms",
             "gauge_degeneracy",
-            "separation_witnesses",
-            "closure_membership",
+            "proper_closed_submodule",
             "concatenation_failure",
             "hausdorff_diagnosis",
         } <= names
@@ -145,6 +147,60 @@ class TestVerify:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestSinglePipeline:
+    """The verify report is the library verdict's step list, one step per
+    checked fact."""
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            (
+                "",
+                [
+                    "base_axioms",
+                    "gauge_degeneracy",
+                    "gauge_monotonicity",
+                    "proper_closed_submodule",
+                    "concatenation_failure",
+                    "hausdorff_diagnosis",
+                    "zero_family_contradiction",
+                ],
+            ),
+            (
+                "base = from_seminorms[weighted({|1}), localized({2})]\n",
+                [
+                    "base_axioms",
+                    "base_sets_structural",
+                    "gauge_membership_roundtrip",
+                    "hausdorff_diagnosis",
+                ],
+            ),
+        ],
+    )
+    def test_steps_are_the_library_verdict(self, capsys, tmp_path, text, names):
+        config = tmp_path / "run.cfg"
+        config.write_text(text + "seed = 3\nsamples = 8\n")
+        code, out, _ = run(capsys, "verify-counterexample", "--config", str(config))
+        assert code == 0
+        steps = json.loads(out)["steps"]
+        cli_names = [step["name"] for step in steps]
+        assert len(cli_names) == len(set(cli_names))
+        assert cli_names == names
+
+        parsed = parse_config(config.read_text())
+        verdict = seminorm_induction_verdict(
+            parsed.base,
+            horizon=parsed.horizon,
+            seed=parsed.seed,
+            samples=parsed.samples,
+            tolerance=parsed.tolerance,
+            epsilon=parsed.epsilon,
+            delta=parsed.delta,
+        )
+        assert cli_names == [step.name for step in verdict.steps]
+        assert steps == [step.to_json() for step in verdict.steps]
 
 
 class TestVacuousRuns:
@@ -184,6 +240,43 @@ class TestVacuousRuns:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestSpaceKeys:
+    """Only `eval prob` and `partition` read the space; the other commands
+    reject a non-default one instead of ignoring it."""
+
+    SPACE = 'space.explicit = [[1, "1/3"]]\nspace.tail_coefficient = 4/3\n'
+
+    @pytest.mark.parametrize(
+        "command", [("verify-counterexample", "--samples", "5"), ("check", "base", "--samples", "5")]
+    )
+    def test_ignored_space_exits_2(self, capsys, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.SPACE)
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "space" in err
+
+    def test_eval_prob_reads_space(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.SPACE)
+        code, out, _ = run(capsys, "eval", "prob {1,3}", "--config", str(config))
+        assert code == 0
+        assert out.strip() == "1/2"  # 1/3 + (4/3) * 1/8
+
+
+class TestErrorMapping:
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "cmd_eval", broken)
+        code, out, err = run(capsys, "eval", "prob {1}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
 
 
 class TestTolerance:

@@ -190,6 +190,12 @@ class TestInductionVerdict:
         assert report.passed
         assert report.family == base.family
 
+    @pytest.mark.parametrize("base", [COUNTEREXAMPLE, UNIT_FAMILY])
+    @pytest.mark.parametrize("limits", [{"samples": 0}, {"horizon": 0}, {"samples": -1}])
+    def test_vacuous_run_rejected(self, base, limits):
+        with pytest.raises(ValueError, match="at least 1"):
+            seminorm_induction_verdict(base, seed=31, **limits)
+
     def test_zero_family_induced(self):
         report = seminorm_induction_verdict(
             FromSeminorms((Zero(),)), horizon=8, seed=29, samples=30
