@@ -42,6 +42,7 @@ from .syntax import (
 from .topology import EvidenceStep, base_axioms_step, seminorm_induction_verdict
 
 SCHEMA = 2
+_SAMPLING_FLAGS = ("seed", "horizon", "samples")
 
 
 def _emit(report: dict, json_path: str | None) -> None:
@@ -63,12 +64,10 @@ def _load_config(args, reads_space: bool = False) -> RunConfig:
             config = parse_config(handle.read())
     else:
         config = RunConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.horizon is not None:
-        config.horizon = args.horizon
-    if args.samples is not None:
-        config.samples = args.samples
+    for key in _SAMPLING_FLAGS:  # eval and partition do not take these flags
+        value = getattr(args, key, None)
+        if value is not None:
+            setattr(config, key, value)
     # zero samples or an empty probe horizon would make every step pass vacuously
     for key in ("samples", "horizon"):
         value = getattr(config, key)
@@ -302,10 +301,13 @@ def cmd_partition(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="path to a key=value config file")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--horizon", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
     sub.add_argument("--json", help="also write the JSON report to this path")
+
+
+def _add_sampling(sub):
+    """--seed, --horizon and --samples, for the commands that sample."""
+    for key in _SAMPLING_FLAGS:
+        sub.add_argument(f"--{key}", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-counterexample", help="run the full evidence pipeline"
     )
     _add_common(verify)
+    _add_sampling(verify)
     verify.set_defaults(handler=cmd_verify)
 
     ev = commands.add_parser("eval", help="evaluate one expression")
@@ -329,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser("check", help="run one named check")
     check.add_argument("target", choices=["axioms", "roundtrip", "cc", "base"])
     _add_common(check)
+    _add_sampling(check)
     check.set_defaults(handler=cmd_check)
 
     part = commands.add_parser("partition", help="build a halving-mass partition")

@@ -70,54 +70,40 @@ def _strip_quotes(value: str) -> str:
 
 def _parse_space_explicit(value: str, line: int) -> dict[int, Fraction]:
     parser = Parser(value, line_offset=line - 1)
+
+    def entry() -> tuple[int, Fraction]:
+        parser.take("[")
+        atom = parser.integer()
+        parser.take(",")
+        if parser.peek() in "'\"":
+            quote = parser.text[parser.pos]
+            parser.pos += 1
+            weight = parser.rational()
+            parser.take(quote)
+        else:
+            weight = parser.rational()
+        parser.take("]")
+        return atom, weight
+
     parser.take("[")
     weights: dict[int, Fraction] = {}
     if not parser.try_take("]"):
-        while True:
-            parser.take("[")
-            atom = parser.integer()
-            parser.take(",")
-            parser.skip_ws()
-            if parser.peek() in "'\"":
-                quote = parser.text[parser.pos]
-                parser.pos += 1
-                weight = parser.rational()
-                parser.take(quote)
-            else:
-                weight = parser.rational()
-            parser.take("]")
-            weights[atom] = weight
-            if not parser.try_take(","):
-                break
+        weights = dict(parser.items(entry))
         parser.take("]")
     parser.finish()
     return weights
 
 
 def _parse_ec_list(value: str, line: int):
-    from .concatenation import EventuallyConstantSeq
-
     parser = Parser(value, line_offset=line - 1)
-    parser.take("[")
-    prefix = []
-    if not parser.try_take("|"):
-        prefix.append(parser.ecrv())
-        while parser.try_take(","):
-            prefix.append(parser.ecrv())
-        parser.take("|")
-    tail = parser.ecrv()
-    parser.take("]")
+    sequence = parser.ec_list()
     parser.finish()
-    return EventuallyConstantSeq(tuple(prefix), tail)
+    return sequence
 
 
 def parse_event_list(value: str, line: int) -> list[EventSet]:
     parser = Parser(value, line_offset=line - 1)
-    parser.take("[")
-    cells = [parser.event()]
-    while parser.try_take(","):
-        cells.append(parser.event())
-    parser.take("]")
+    cells = parser.bracket_list(parser.event)
     parser.finish()
     return cells
 
@@ -130,11 +116,7 @@ def _parse_base(value: str, line: int) -> NeighborhoodBase:
     name = parser.word()
     if name != "from_seminorms":
         raise ParseError(f"unknown base {name!r}", line, 1)
-    parser.take("[")
-    members = [parser.seminorm()]
-    while parser.try_take(","):
-        members.append(parser.seminorm())
-    parser.take("]")
+    members = parser.bracket_list(parser.seminorm)
     parser.finish()
     return FromSeminorms(tuple(members))
 

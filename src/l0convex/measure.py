@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Union
 
 
@@ -113,7 +114,8 @@ class DiscreteSpace:
 
     Finitely many explicit masses on atoms 1..N, then a dyadic tail
     P({j}) = c * 2**-j for j > N.  Total mass 1 is an exact rational
-    identity because the tail sums to c * 2**-N.
+    identity because the tail sums to c * 2**-N.  Immutable and hashable:
+    the shared default space must not change under its other users.
     """
 
     __slots__ = ("explicit", "tail_coefficient")
@@ -131,8 +133,17 @@ class DiscreteSpace:
         total = sum(explicit.values(), Fraction(0)) + c * Fraction(1, 2**n)
         if total != 1:
             raise ValueError(f"total mass is {total}, expected exactly 1")
-        self.explicit = explicit
-        self.tail_coefficient = c
+        object.__setattr__(self, "explicit", MappingProxyType(explicit))
+        object.__setattr__(self, "tail_coefficient", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DiscreteSpace is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DiscreteSpace is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return DiscreteSpace, (dict(self.explicit), self.tail_coefficient)
 
     @classmethod
     def canonical(cls) -> "DiscreteSpace":
@@ -167,8 +178,11 @@ class DiscreteSpace:
             and self.tail_coefficient == other.tail_coefficient
         )
 
+    def __hash__(self) -> int:
+        return hash((frozenset(self.explicit.items()), self.tail_coefficient))
+
     def __repr__(self) -> str:
-        return f"DiscreteSpace({self.explicit!r}, {self.tail_coefficient!r})"
+        return f"DiscreteSpace({dict(self.explicit)!r}, {self.tail_coefficient!r})"
 
 
 CANONICAL = DiscreteSpace.canonical()

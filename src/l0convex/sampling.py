@@ -21,6 +21,12 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def require_samples(samples: int) -> None:
+    """Reject a sample count below 1: a check over no samples passes vacuously."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def random_fraction(rng: random.Random, lo: int = -BOUND, hi: int = BOUND) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, BOUND))
 

@@ -95,8 +95,7 @@ def axioms_check(
     deliberately broken fixtures can be probed.  Failures are collected
     as witness triples, not raised.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    sampling.require_samples(sample_count)
     ev = s if callable(s) else (lambda x: evaluate(s, x))
     rng = sampling.make_rng(seed)
     report = AxiomsReport(samples=sample_count)

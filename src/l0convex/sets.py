@@ -174,6 +174,7 @@ def confirm_structural_flags(
     s: SetDescriptor, samples: int, seed: int
 ) -> FlagsConfirmation:
     """Randomized confirmation of the positive structural flags."""
+    sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     flags = structural_flags(s)
     report = FlagsConfirmation(flags=flags, samples=samples)
@@ -380,6 +381,7 @@ def roundtrip_check(target, samples: int, seed: int) -> RoundtripReport:
     exactly.  For a ball U: membership agrees with gauge <= 1
     everywhere, and gauge < 1 at every atom forces membership.
     """
+    sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     report = RoundtripReport(samples=samples)
     if isinstance(target, (Ball, MPlusBall, Scale, Translate, Intersect)):

@@ -142,9 +142,7 @@ class Parser:
         self.take("{")
         atoms = []
         if not self.try_take("}"):
-            atoms.append(self.integer())
-            while self.try_take(","):
-                atoms.append(self.integer())
+            atoms = self.items(self.integer)
             self.take("}")
         try:
             return EventSet(atoms, cofinite=cofinite)
@@ -166,7 +164,7 @@ class Parser:
             self.take(")")
             return sn.Localized(e)
         if name == "sup":
-            members = self._bracket_list(self.seminorm)
+            members = self.bracket_list(self.seminorm)
             return sn.FiniteSup(tuple(members))
         raise self.error(f"unknown seminorm {name!r}")
 
@@ -174,9 +172,7 @@ class Parser:
         name = self.word()
         if name == "ball":
             self.take("(")
-            members = [self.seminorm()]
-            while self.try_take(","):
-                members.append(self.seminorm())
+            members = self.items(self.seminorm)
             self.take(";")
             radius = self.ecrv()
             self.take(")")
@@ -201,23 +197,14 @@ class Parser:
             self.take(")")
             return sd.Translate(offset, inner)
         if name == "intersect":
-            members = self._bracket_list(self.set_descriptor)
+            members = self.bracket_list(self.set_descriptor)
             return sd.Intersect(tuple(members))
         raise self.error(f"unknown set {name!r}")
 
     def sequence(self) -> cc.SequenceSpec:
         name = self.word()
         if name == "ec":
-            self.take("[")
-            prefix = []
-            if not self.try_take("|"):
-                prefix.append(self.ecrv())
-                while self.try_take(","):
-                    prefix.append(self.ecrv())
-                self.take("|")
-            tail = self.ecrv()
-            self.take("]")
-            return cc.EventuallyConstantSeq(tuple(prefix), tail)
+            return self.ec_list()
         if name == "diag":
             self.take("(")
             value = self.ecrv()
@@ -228,27 +215,40 @@ class Parser:
     def partition(self):
         name = self.word()
         if name == "finite":
-            cells = self._bracket_list(self.event)
+            cells = self.bracket_list(self.event)
             return self._validated(FinitePartition, tuple(cells))
         if name == "singletons_from":
             self.take("(")
             start = self.integer()
-            cells = []
-            if self.try_take(";"):
-                cells.append(self.event())
-                while self.try_take(","):
-                    cells.append(self.event())
+            cells = self.items(self.event) if self.try_take(";") else []
             self.take(")")
             return self._validated(SingletonTail, tuple(cells), start)
         raise self.error(f"unknown partition {name!r}")
 
-    def _bracket_list(self, item):
-        self.take("[")
+    def items(self, item) -> list:
+        """One or more `item()`s separated by commas."""
         items = [item()]
         while self.try_take(","):
             items.append(item())
+        return items
+
+    def bracket_list(self, item) -> list:
+        """`[a, b, ...]` with at least one `item()`."""
+        self.take("[")
+        items = self.items(item)
         self.take("]")
         return items
+
+    def ec_list(self) -> cc.EventuallyConstantSeq:
+        """`[x1, x2 | tail]`, the body of an `ec[...]` sequence literal."""
+        self.take("[")
+        prefix = []
+        if not self.try_take("|"):
+            prefix = self.items(self.ecrv)
+            self.take("|")
+        tail = self.ecrv()
+        self.take("]")
+        return cc.EventuallyConstantSeq(tuple(prefix), tail)
 
     def _validated(self, ctor, *args):
         try:

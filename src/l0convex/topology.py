@@ -28,7 +28,7 @@ from .l0 import (
 )
 from .concatenation import cc_failure_witness
 from .measure import CANONICAL, DiscreteSpace
-from .seminorms import Seminorm, Zero, Weighted, evaluate, sup_evaluate
+from .seminorms import Seminorm, Weighted, evaluate, sup_evaluate
 from .sets import (
     Ball,
     MPlusBall,
@@ -117,6 +117,7 @@ def base_axiom_witnesses(
     in U(eps); eps * U(delta/eps) lies in U(delta).  Each inclusion is
     sample-verified through the membership test.
     """
+    sampling.require_samples(samples)
     for r in (eps, delta):
         if not classify(r).in_L0_plusplus:
             raise ValueError("radii must be strictly positive everywhere")
@@ -235,6 +236,7 @@ class HausdorffReport:
 def hausdorff_report(
     base: NeighborhoodBase, samples: int = 100, seed: int = 0
 ) -> HausdorffReport:
+    sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     if isinstance(base, CounterexampleFamily):
         # a nonzero point of M lies in every base set
@@ -371,21 +373,40 @@ def seminorm_induction_verdict(
     return EvidenceReport("not_induced", None, steps, seed, horizon)
 
 
+def _sampled_step(
+    name: str, samples: int, draw, expected: str, observed: str, **inputs
+) -> EvidenceStep:
+    """One evidence step over `samples` draws; it passes iff every draw held.
+
+    `draw()` samples one case and returns whether its check held, plus the
+    values that describe the case; the last draw's values are reported as
+    the step's example inputs.  `observed` is formatted with `held` and
+    `samples`.
+    """
+    held = 0
+    example = {}
+    for _ in range(samples):
+        ok, example = draw()
+        held += ok
+    inputs = {"samples": samples, **inputs, **{k: repr(v) for k, v in example.items()}}
+    return EvidenceStep(
+        name, inputs, expected, observed.format(held=held, samples=samples), held == samples
+    )
+
+
 def _induced_steps(base: FromSeminorms, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
-    flag_fails = 0
-    for _ in range(samples):
+
+    def structural():
         ball = base.base_set(sampling.random_positive_ecrv(rng))
-        if not structural_flags(ball).all_true():
-            flag_fails += 1
+        return structural_flags(ball).all_true(), {}
+
     rt = roundtrip_check(base.base_set(ONE), samples, seed)
     return [
-        EvidenceStep(
-            name="base_sets_structural",
-            inputs={"samples": samples},
-            expected="every base ball is convex, absorbent and balanced",
-            observed=f"{samples - flag_fails}/{samples} balls pass",
-            passed=flag_fails == 0,
+        _sampled_step(
+            "base_sets_structural", samples, structural,
+            "every base ball is convex, absorbent and balanced",
+            "{held}/{samples} balls pass",
         ),
         EvidenceStep(
             name="gauge_membership_roundtrip",
@@ -402,112 +423,64 @@ def _not_induced_steps(
 ) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
     probes = tuple(range(1, horizon + 1))
-    steps = []
 
-    # 1. every base-set gauge collapses to zero, certified at tolerance
-    degenerate = 0
-    certified = 0
-    example_cert = None
-    for _ in range(samples):
+    # 1. every base-set gauge collapses to zero: the certificate checks,
+    #    by membership alone, a witness within tolerance of the closed form
+    def degenerate():
+        u = base.base_set(sampling.random_positive_ecrv(rng))
+        cert = gauge_upper_certificate(u, sampling.random_ecrv(rng), probes, tolerance)
+        return verify_certificate(cert), {"example_witness": cert.witness}
+
+    # 2. gauges shrink under inclusion: the order ball of the same radius
+    #    lies in the base set, and its gauge dominates the base set's
+    def monotone():
         radius = sampling.random_positive_ecrv(rng)
         x = sampling.random_ecrv(rng)
-        u = base.base_set(radius)
-        if gauge_closed_form(u, x) == ZERO:
-            degenerate += 1
-        cert = gauge_upper_certificate(u, x, probes, tolerance)
-        if verify_certificate(cert):
-            certified += 1
-            example_cert = cert
-    steps.append(
-        EvidenceStep(
-            name="gauge_degeneracy",
-            inputs={
-                "samples": samples,
-                "tolerance": str(tolerance),
-                "probe_atoms": f"1..{horizon}",
-                "example_witness": repr(example_cert.witness) if example_cert else "",
-            },
-            expected="gauge is exactly zero and certificates verify",
-            observed=f"{degenerate}/{samples} zero gauges, {certified}/{samples} certificates",
-            passed=degenerate == samples and certified == samples,
-        )
-    )
-
-    # 2. gauges shrink under inclusion, so any ball containing a base set
-    #    inherits the zero gauge
-    mono_ok = 0
-    for _ in range(samples):
-        radius = sampling.random_positive_ecrv(rng)
-        x = sampling.random_ecrv(rng)
-        u = base.base_set(radius)
-        inner = Ball((Weighted(ONE),), radius)  # order ball inside M + B
-        inner_member = sample_member(inner, rng)
-        wider = Ball((Zero(),), sampling.random_positive_ecrv(rng))  # contains U
-        u_member = sample_member(u, rng)
-        ok = (
-            contains(u, inner_member)
-            and leq_everywhere(gauge_closed_form(u, x), gauge_closed_form(inner, x))
-            and contains(wider, u_member)
-            and gauge_closed_form(wider, x) == ZERO
-        )
-        mono_ok += ok
-    steps.append(
-        EvidenceStep(
-            name="gauge_monotonicity",
-            inputs={"samples": samples},
-            expected="larger sets have smaller gauges; balls containing a base set have zero gauge",
-            observed=f"{mono_ok}/{samples} sample checks pass",
-            passed=mono_ok == samples,
-        )
-    )
+        u, inner = base.base_set(radius), Ball((Weighted(ONE),), radius)
+        contained = contains(u, sample_member(inner, rng))
+        dominated = leq_everywhere(gauge_closed_form(u, x), gauge_closed_form(inner, x))
+        return contained and dominated, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
     #    each point outside M is excluded from some base set, and each
     #    point of M lies in the closure of {0}
-    separated = 0
-    closure_hits = 0
-    for _ in range(samples):
+    def proper():
         separation = separation_witness(sampling.random_nonzero_tail_ecrv(rng))
-        separated += separation.excluded
         inside = sampling.random_finite_support_ecrv(rng)
-        closure_hits += closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
-    steps.append(
-        EvidenceStep(
-            name="proper_closed_submodule",
-            inputs={
-                "samples": samples,
-                "example_point": repr(separation.point),
-                "example_epsilon": repr(separation.epsilon),
-                "example_inside": repr(inside),
-            },
-            expected=(
-                "every point outside M is excluded from some base set, so the "
-                "closure of {0} and of M is exactly M"
-            ),
-            observed=(
-                f"{separated}/{samples} outsiders excluded with evidence, "
-                f"{closure_hits}/{samples} members of M in the closure of {{0}}"
-            ),
-            passed=separated == samples and closure_hits == samples,
-        )
-    )
+        closed = closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
+        return separation.excluded and closed, {
+            "example_point": separation.point,
+            "example_epsilon": separation.epsilon,
+            "example_inside": inside,
+        }
 
     # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
-    valid = 0
-    for _ in range(samples):
+    def escaping():
         failure = cc_failure_witness(sampling.random_positive_ecrv(rng), horizon=horizon)
-        valid += failure.valid
-    steps.append(
-        EvidenceStep(
-            name="concatenation_failure",
-            inputs={
-                "samples": samples,
-                "example_radius": repr(failure.radius),
-                "example_glue": repr(failure.glue),
-            },
-            expected="single-atom pieces stay in the base set while their glue escapes",
-            observed=f"{valid}/{samples} witnesses valid",
-            passed=valid == samples,
-        )
-    )
-    return steps
+        return failure.valid, {"example_radius": failure.radius, "example_glue": failure.glue}
+
+    return [
+        _sampled_step(
+            "gauge_degeneracy", samples, degenerate,
+            "every gauge certificate verifies against the zero closed form",
+            "{held}/{samples} certificates verify",
+            tolerance=str(tolerance), probe_atoms=f"1..{horizon}",
+        ),
+        _sampled_step(
+            "gauge_monotonicity", samples, monotone,
+            "the order ball B_eps lies in M + B_eps and has the larger gauge",
+            "{held}/{samples} sample checks pass",
+        ),
+        _sampled_step(
+            "proper_closed_submodule", samples, proper,
+            "every point outside M is excluded from some base set, so the "
+            "closure of {0} and of M is exactly M",
+            "{held}/{samples} draws pass: outsider excluded with evidence, "
+            "member of M in the closure of {{0}}",
+        ),
+        _sampled_step(
+            "concatenation_failure", samples, escaping,
+            "single-atom pieces stay in the base set while their glue escapes",
+            "{held}/{samples} witnesses valid",
+        ),
+    ]

@@ -242,6 +242,23 @@ class TestVacuousRuns:
         assert err.startswith("error: ")
 
 
+class TestSamplingFlags:
+    """Only verify-counterexample and check sample; the other commands
+    reject --seed, --horizon and --samples instead of ignoring them."""
+
+    @pytest.mark.parametrize("flag", ["--seed", "--horizon", "--samples"])
+    @pytest.mark.parametrize(
+        "command",
+        [("eval", "prob {1}"), ("partition", "--from", "3", "--cells", "[{1},{2}]")],
+        ids=["eval", "partition"],
+    )
+    def test_flag_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag, "7"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestSpaceKeys:
     """Only `eval prob` and `partition` read the space; the other commands
     reject a non-default one instead of ignoring it."""

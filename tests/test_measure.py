@@ -84,6 +84,17 @@ class TestProbability:
         with pytest.raises(ValueError):
             DiscreteSpace({1: Fraction(1, 2)}, 2)
 
+    def test_space_is_immutable_and_hashable(self):
+        with pytest.raises(AttributeError):
+            CANONICAL.tail_coefficient = 2
+        with pytest.raises(TypeError):
+            CANONICAL.explicit[1] = Fraction(1, 3)
+        assert CANONICAL.probability(EventSet.finite({1})) == Fraction(1, 2)
+        space = DiscreteSpace({1: Fraction(1, 3)}, Fraction(4, 3))
+        assert hash(space) == hash(DiscreteSpace({1: "1/3"}, "4/3"))
+        assert hash(CANONICAL) == hash(DiscreteSpace.canonical())
+        assert {space, CANONICAL} == {DiscreteSpace.canonical(), space}
+
 
 class TestPartitions:
     def test_finite_partition_validation(self):

@@ -190,6 +190,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config('space.explicit = [[1, "1/2"]]\nspace.tail_coefficient = 2')
 
+    @pytest.mark.parametrize(
+        "body",
+        ["[{|3} | {|5}]", "[{1:2 | 0}, {|4} | {|5}]", "[| {|5}]"],
+        ids=["one", "two", "empty_prefix"],
+    )
+    def test_config_ec_list_matches_sequence_literal(self, body):
+        (sequence,) = parse_config(f"seq.ec = {body}").sequences
+        assert sequence == parse_sequence(f"ec{body}")
+
     def test_expect_validated(self):
         with pytest.raises(ConfigError):
             parse_config("expect = maybe")

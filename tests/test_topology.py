@@ -21,6 +21,7 @@ from l0convex import (
     base_axiom_witnesses,
     classify,
     closure_membership,
+    confirm_structural_flags,
     contains,
     epslambda_membership,
     hausdorff_report,
@@ -28,6 +29,7 @@ from l0convex import (
     separation_witness,
     sup_evaluate,
     order_compare,
+    roundtrip_check,
 )
 from l0convex import sampling
 
@@ -202,3 +204,20 @@ class TestInductionVerdict:
         )
         assert report.verdict == "induced"
         assert report.passed
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda n: base_axiom_witnesses(COUNTEREXAMPLE, ONE, ONE, n, seed=1),
+        lambda n: hausdorff_report(UNIT_FAMILY, samples=n, seed=1),
+        lambda n: roundtrip_check(Weighted(ONE), n, seed=1),
+        lambda n: confirm_structural_flags(MPlusBall(ONE), n, seed=1),
+    ],
+    ids=["base_axiom_witnesses", "hausdorff_report", "roundtrip_check", "confirm_structural_flags"],
+)
+def test_sampled_check_without_samples_rejected(check, samples):
+    """A sampled check over no samples would pass without checking anything."""
+    with pytest.raises(ValueError, match="at least 1"):
+        check(samples)
