@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, RunConfig, parse_config, parse_event_list
+from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
 from .concatenation import glue, relative_cc_check
 from .l0 import ONE, NotInvertible
 from .measure import CANONICAL, EventSet, SingletonTail, build_countable_partition
@@ -61,7 +61,14 @@ def _emit(report: dict, json_path: str | None) -> None:
 def _load_config(args, reads_space: bool = False) -> RunConfig:
     if args.config:
         with open(args.config) as handle:
-            config = parse_config(handle.read())
+            text = handle.read()
+        config = parse_config(text)
+        if not hasattr(args, "samples"):  # eval and partition read no sampling key
+            for key in config_keys(text):
+                if key in _SAMPLING_FLAGS:
+                    raise ConfigError(
+                        f"config key {key!r} would be ignored: {args.command} draws no samples"
+                    )
     else:
         config = RunConfig()
     for key in _SAMPLING_FLAGS:  # eval and partition do not take these flags

@@ -15,10 +15,10 @@ comparison of tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import field, record
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, reciprocal
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
@@ -41,7 +41,7 @@ class GaugeNotBelowOne(ValueError):
     """Reverse construction needs the gauge strictly below one everywhere."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EventuallyConstantSeq:
     prefix: tuple[EcRv, ...]
     tail_element: EcRv
@@ -50,7 +50,7 @@ class EventuallyConstantSeq:
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail_element
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagonal:
     """x_n = value restricted to the n-th cell."""
 
@@ -66,7 +66,7 @@ def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
     return indicator_mul(part.cell(n), seq.value)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GlueResult:
     element: EcRv
 
@@ -179,7 +179,7 @@ def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
 # -- the relative concatenation-closure check -------------------------------
 
 
-@dataclass
+@record
 class CcEntry:
     sequence: SequenceSpec
     precondition_ok: bool
@@ -194,7 +194,7 @@ class CcEntry:
         return self.precondition_ok and self.representable and self.glue_in_set is False
 
 
-@dataclass
+@record
 class CcReport:
     target: SetDescriptor
     entries: list[CcEntry] = field(default_factory=list)
@@ -267,7 +267,7 @@ def relative_cc_check(
 # -- the closure failure for M + B_eps ---------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CcFailureWitness:
     radius: EcRv
     sequence: Diagonal
@@ -298,7 +298,7 @@ def cc_failure_witness(eps: EcRv, horizon: int = 32) -> CcFailureWitness:
 # -- reverse construction: from a small gauge to a gluing partition ----------
 
 
-@dataclass
+@record
 class ReversePartition:
     target: SetDescriptor
     point: EcRv

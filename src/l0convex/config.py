@@ -18,10 +18,10 @@ parses through the exact literal grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 from .l0 import EcRv
 from .concatenation import SequenceSpec
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@record
 class RunConfig:
     space: DiscreteSpace = field(default_factory=lambda: CANONICAL)
     seed: int = 42
@@ -121,13 +121,9 @@ def _parse_base(value: str, line: int) -> NeighborhoodBase:
     return FromSeminorms(tuple(members))
 
 
-def parse_config(text: str) -> RunConfig:
-    config = RunConfig()
-    explicit: dict[int, Fraction] = {}
-    tail_coefficient: Optional[Fraction] = None
-    from .concatenation import Diagonal
-    from .syntax import parse_ecrv, parse_seminorm, parse_set
-
+def _entries(text: str):
+    """(line number, key, value) for each setting; comments and blank
+    lines are skipped."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -135,6 +131,22 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        yield line_no, key, value
+
+
+def config_keys(text: str) -> list[str]:
+    """The keys a config text sets, in order."""
+    return [key for _, key, _ in _entries(text)]
+
+
+def parse_config(text: str) -> RunConfig:
+    config = RunConfig()
+    explicit: dict[int, Fraction] = {}
+    tail_coefficient: Optional[Fraction] = None
+    from .concatenation import Diagonal
+    from .syntax import parse_ecrv, parse_seminorm, parse_set
+
+    for line_no, key, value in _entries(text):
         try:
             if key == "seed":
                 config.seed = int(value)

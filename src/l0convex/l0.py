@@ -14,14 +14,15 @@ inspecting the overrides and the tails.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
+from ._record import record
 from .measure import EventSet, _check_atom
 
 Rational = Union[Fraction, int]
+_setattr = object.__setattr__  # the one way to write an EcRv's slots
 
 
 class NotInvertible(ZeroDivisionError):
@@ -35,7 +36,9 @@ class EcRv:
     tail, so structural equality coincides with pointwise equality.  The
     constructor enforces it on any input; kernel results that are
     canonical by construction skip those checks (see `_canonical`).
-    `overrides` is a read-only mapping, so the cached hash stays valid.
+    Immutable: `overrides` is a read-only mapping and assigning or
+    deleting an attribute raises, so shared constants such as `ONE` and
+    the cached hash stay valid.
     """
 
     __slots__ = ("overrides", "tail", "_hash")
@@ -48,9 +51,18 @@ class EcRv:
             v = Fraction(v)
             if v != t:
                 kept[j] = v
-        self.overrides = MappingProxyType(kept)
-        self.tail = t
-        self._hash = None
+        _setattr(self, "overrides", MappingProxyType(kept))
+        _setattr(self, "tail", t)
+        _setattr(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EcRv is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EcRv is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the checking constructor
+        return EcRv, (dict(self.overrides), self.tail)
 
     @classmethod
     def constant(cls, value: Rational) -> "EcRv":
@@ -81,7 +93,7 @@ class EcRv:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.tail, frozenset(self.overrides.items())))
+            _setattr(self, "_hash", hash((self.tail, frozenset(self.overrides.items()))))
         return self._hash
 
     def __repr__(self) -> str:
@@ -125,9 +137,9 @@ def _canonical(overrides: dict[int, Fraction], tail: Fraction) -> EcRv:
     Fraction values on valid atoms, none equal to the tail.  The dict is
     owned by the result from here on."""
     x = object.__new__(EcRv)
-    x.overrides = MappingProxyType(overrides)
-    x.tail = tail
-    x._hash = None
+    _setattr(x, "overrides", MappingProxyType(overrides))
+    _setattr(x, "tail", tail)
+    _setattr(x, "_hash", None)
     return x
 
 
@@ -210,7 +222,7 @@ def divide(x: EcRv, y: EcRv) -> EcRv:
     return x * reciprocal(y)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrderReport:
     """Pointwise comparison of two elements, with the exact witness events."""
 
@@ -264,7 +276,7 @@ def lt_everywhere(x: EcRv, y: EcRv) -> bool:
     return _holds_everywhere(operator.lt, x, y)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Classification:
     in_L0_plus: bool
     in_L0_plusplus: bool

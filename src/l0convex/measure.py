@@ -8,10 +8,11 @@ finite prefix follow a geometric dyadic law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Union
+
+from ._record import record
 
 
 class MalformedPrefix(ValueError):
@@ -188,7 +189,7 @@ class DiscreteSpace:
 CANONICAL = DiscreteSpace.canonical()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FinitePartition:
     """Finitely many pairwise disjoint cells covering all atoms.
 
@@ -222,7 +223,7 @@ class FinitePartition:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SingletonTail:
     """Finitely many prefix cells below tail_start, then singleton cells.
 

@@ -9,20 +9,20 @@ shipped shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Union
 
+from ._record import field, record
 from .l0 import EcRv, ZERO, classify, combine, emax, indicator_mul, leq_everywhere
 from .measure import EventSet
 from . import sampling
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Zero:
     """The zero seminorm."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Weighted:
     """||x|| = weight * |x| with a nonnegative weight."""
 
@@ -33,14 +33,14 @@ class Weighted:
             raise ValueError("weight must be nonnegative everywhere")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Localized:
     """||x|| = |x| on the event, 0 off it."""
 
     event: EventSet
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteSup:
     """Pointwise maximum of finitely many seminorms."""
 
@@ -74,7 +74,7 @@ def sup_evaluate(family, x: EcRv) -> EcRv:
     return evaluate(FiniteSup(tuple(family)), x)
 
 
-@dataclass
+@record
 class AxiomsReport:
     samples: int
     homogeneity_failures: int = 0

@@ -16,10 +16,10 @@ lemma by brute force on finite families and bracketing certificates.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
+from ._record import field, record
 from .l0 import (
     EcRv,
     ZERO,
@@ -39,7 +39,7 @@ class UnsupportedShape(TypeError):
     """No gauge closed form for this descriptor."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ball:
     """{x : ||x|| <= radius for every seminorm in the list}."""
 
@@ -53,7 +53,7 @@ class Ball:
             raise ValueError("radius must be strictly positive everywhere")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MPlusBall:
     """M + B_radius: a finitely supported part plus an order-ball part.
 
@@ -69,7 +69,7 @@ class MPlusBall:
             raise ValueError("radius must be strictly positive everywhere")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scale:
     factor: EcRv
     inner: "SetDescriptor"
@@ -79,13 +79,13 @@ class Scale:
             raise ValueError("scale factor must be invertible (no zero value)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Translate:
     offset: EcRv
     inner: "SetDescriptor"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Intersect:
     members: tuple["SetDescriptor", ...]
 
@@ -114,7 +114,7 @@ def contains(s: SetDescriptor, x: EcRv) -> bool:
 # -- structural flags ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructuralFlags:
     l0_convex: bool
     l0_absorbent: bool
@@ -154,7 +154,7 @@ def structural_flags(s: SetDescriptor) -> StructuralFlags:
     raise TypeError(f"not a set descriptor: {s!r}")
 
 
-@dataclass
+@record
 class FlagsConfirmation:
     flags: StructuralFlags
     samples: int
@@ -257,7 +257,7 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
     raise UnsupportedShape(f"no gauge closed form for {type(s).__name__}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GaugeCertificate:
     """A re-checkable upper bound on the gauge of `point` in `target_set`.
 
@@ -357,7 +357,7 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
 # -- gauge / membership roundtrips -----------------------------------------
 
 
-@dataclass
+@record
 class RoundtripReport:
     samples: int
     gauge_mismatches: int = 0

@@ -11,11 +11,11 @@ and order comparisons alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import record
 from .l0 import (
     EcRv,
     ZERO,
@@ -48,7 +48,7 @@ class PointInM(ValueError):
     """Separation witnesses only exist for points outside M."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FromSeminorms:
     """Base sets are the balls of a finite seminorm family."""
 
@@ -58,7 +58,7 @@ class FromSeminorms:
         return Ball(self.family, radius)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CounterexampleFamily:
     """Base sets are M + B_eps; all their gauges are identically zero."""
 
@@ -69,7 +69,7 @@ class CounterexampleFamily:
 NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]
 
 
-@dataclass
+@record
 class EvidenceStep:
     """One checked fact of a report."""
 
@@ -93,7 +93,7 @@ class EvidenceStep:
 # -- base axioms -----------------------------------------------------------
 
 
-@dataclass
+@record
 class BaseAxiomReport:
     meet_witness: EcRv
     sum_witness: EcRv
@@ -165,7 +165,7 @@ def base_axioms_step(
 # -- separation and closure ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SeparationWitness:
     """A radius eps with point not in M + B_eps, built by halving |x|
     where x is nonzero and defaulting to 1 where it vanishes."""
@@ -190,7 +190,7 @@ class SeedSet(Enum):
     SUBMODULE_M = "submodule_m"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClosureResult:
     member: bool
     separation: Optional[SeparationWitness] = None
@@ -221,7 +221,7 @@ def closure_membership(
 # -- Hausdorff diagnosis ----------------------------------------------------
 
 
-@dataclass
+@record
 class HausdorffReport:
     hausdorff: bool
     witness: object  # a never-separated point, or a non-separated pair
@@ -313,7 +313,7 @@ def epslambda_membership(
 # -- the induction verdict ---------------------------------------------------
 
 
-@dataclass
+@record
 class EvidenceReport:
     verdict: str  # "induced" | "not_induced"
     family: Optional[tuple[Seminorm, ...]]

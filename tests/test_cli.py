@@ -259,6 +259,25 @@ class TestSamplingFlags:
         assert flag in capsys.readouterr().err
 
 
+class TestSamplingKeys:
+    """Nor do eval and partition read the seed, horizon and samples
+    config keys, so a config file that sets one is rejected."""
+
+    @pytest.mark.parametrize("key", ["seed", "horizon", "samples"])
+    @pytest.mark.parametrize(
+        "command",
+        [("eval", "prob {1}"), ("partition", "--from", "3", "--cells", "[{1},{2}]")],
+        ids=["eval", "partition"],
+    )
+    def test_config_key_rejected(self, capsys, tmp_path, command, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# the key alone\n{key} = 7\n")
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and repr(key) in err
+
+
 class TestSpaceKeys:
     """Only `eval prob` and `partition` read the space; the other commands
     reject a non-default one instead of ignoring it."""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from l0convex import (
     order_compare,
     reciprocal,
 )
+from l0convex import sampling
 
 from conftest import ecrvs, events, rationals, values_upto
 
@@ -103,6 +106,28 @@ class TestImmutability:
         assert rebuilt == x
         assert hash(rebuilt) == hash(x)
         assert hash(x + ZERO) == hash(x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [ONE, ZERO, sampling.random_ecrv(sampling.make_rng(5)), EcRv({2: 3}, 1) * ONE],
+        ids=["ONE", "ZERO", "sampled", "kernel-built"],
+    )
+    def test_attributes_reject_assignment_and_deletion(self, x):
+        before = repr(x)
+        for name in ("tail", "overrides", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, EcRv.constant(5))
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert repr(x) == before
+        assert repr(ONE) == "{|1}"
+
+    def test_copies_rebuild_through_the_constructor(self):
+        x = EcRv({1: 3, 4: Fraction(1, 2)}, 7)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert y == x and hash(y) == hash(x)
+            with pytest.raises(AttributeError):
+                y.tail = 0
 
     def test_hash_stable_after_use_as_key(self):
         x = EcRv({1: 3, 4: Fraction(1, 2)}, 7)
