@@ -19,17 +19,11 @@ import argparse
 import json
 import sys
 
+from . import concatenation, seminorms, sets, topology
+from ._common import EvidenceStep, UnsupportedShape
 from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
-from .concatenation import glue, relative_cc_check
 from .l0 import ONE, NotInvertible
 from .measure import CANONICAL, EventSet, SingletonTail, build_countable_partition
-from .seminorms import axioms_check, evaluate
-from .sets import (
-    UnsupportedShape,
-    contains,
-    gauge_closed_form,
-    roundtrip_check,
-)
 from .syntax import (
     ParseError,
     Parser,
@@ -39,7 +33,30 @@ from .syntax import (
     format_sequence,
     format_set,
 )
-from .topology import EvidenceStep, base_axioms_step, seminorm_induction_verdict
+
+# The package binds the evidence modules above lazily, so a one-shot
+# command runs only the ones its branch calls into.  The evidence
+# functions this module calls stay attributes of it, resolved on first
+# use, so code that reaches for `l0convex.cli.gauge_closed_form` (the
+# benchmark's tracer self-test does) finds the function in its module.
+_EVIDENCE_NAMES = {
+    "glue": concatenation,
+    "relative_cc_check": concatenation,
+    "axioms_check": seminorms,
+    "evaluate": seminorms,
+    "contains": sets,
+    "gauge_closed_form": sets,
+    "roundtrip_check": sets,
+    "base_axioms_step": topology,
+    "seminorm_induction_verdict": topology,
+}
+
+
+def __getattr__(name: str):
+    if name not in _EVIDENCE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_EVIDENCE_NAMES[name], name)
+
 
 SCHEMA = 2
 _SAMPLING_FLAGS = ("seed", "horizon", "samples")
@@ -94,7 +111,7 @@ def _load_config(args, reads_space: bool = False) -> RunConfig:
 
 def cmd_verify(args) -> int:
     config = _load_config(args)
-    verdict = seminorm_induction_verdict(
+    verdict = topology.seminorm_induction_verdict(
         config.base,
         horizon=config.horizon,
         seed=config.seed,
@@ -129,12 +146,12 @@ def run_eval(expr: str, config: RunConfig) -> str:
         target = parser.set_descriptor()
         x = parser.ecrv()
         parser.finish()
-        return repr(gauge_closed_form(target, x))
+        return repr(sets.gauge_closed_form(target, x))
     if op == "contains":
         target = parser.set_descriptor()
         x = parser.ecrv()
         parser.finish()
-        return "true" if contains(target, x) else "false"
+        return "true" if sets.contains(target, x) else "false"
     if op == "prob":
         event = parser.event()
         parser.finish()
@@ -143,12 +160,12 @@ def run_eval(expr: str, config: RunConfig) -> str:
         s = parser.seminorm()
         x = parser.ecrv()
         parser.finish()
-        return repr(evaluate(s, x))
+        return repr(seminorms.evaluate(s, x))
     if op == "glue":
         seq = parser.sequence()
         part = parser.partition()
         parser.finish()
-        return repr(glue(seq, part).element)
+        return repr(concatenation.glue(seq, part).element)
     raise ParseError(f"unknown operation {op!r}", 1, 1)
 
 
@@ -172,7 +189,7 @@ def cmd_check(args) -> int:
     if target == "axioms":
         if config.seminorm is None:
             raise ConfigError("check axioms needs a 'seminorm' key in the config")
-        report = axioms_check(config.seminorm, config.samples, config.seed)
+        report = seminorms.axioms_check(config.seminorm, config.samples, config.seed)
         step = EvidenceStep(
             "seminorm_axioms",
             {"seminorm": format_seminorm(config.seminorm), "samples": config.samples},
@@ -187,7 +204,7 @@ def cmd_check(args) -> int:
         probe = config.seminorm if config.seminorm is not None else config.set_descriptor
         if probe is None:
             raise ConfigError("check roundtrip needs a 'seminorm' or 'set' key")
-        report = roundtrip_check(probe, config.samples, config.seed)
+        report = sets.roundtrip_check(probe, config.samples, config.seed)
         label = (
             format_seminorm(probe) if config.seminorm is not None else format_set(probe)
         )
@@ -208,7 +225,7 @@ def cmd_check(args) -> int:
         part = config.partition()
         if part is None:
             raise ConfigError("check cc needs a partition (part.finite or part.singletons_from)")
-        report = relative_cc_check(
+        report = concatenation.relative_cc_check(
             config.set_descriptor, part, config.sequences, horizon=config.horizon
         )
         outcome = "fail" if not report.closure_holds else "pass"
@@ -236,7 +253,7 @@ def cmd_check(args) -> int:
     elif target == "base":
         eps = config.epsilon if config.epsilon is not None else ONE
         delta = config.delta if config.delta is not None else ONE
-        step = base_axioms_step(config.base, eps, delta, config.samples, config.seed)
+        step = topology.base_axioms_step(config.base, eps, delta, config.samples, config.seed)
     else:
         raise ConfigError(f"unknown check target {target!r}")
 

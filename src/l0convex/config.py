@@ -19,16 +19,18 @@ parses through the exact literal grammar.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from ._common import DEFAULT_TOLERANCE, CounterexampleFamily, FromSeminorms, NeighborhoodBase
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 from .l0 import EcRv
-from .concatenation import SequenceSpec
-from .seminorms import Seminorm
-from .sets import DEFAULT_TOLERANCE, SetDescriptor
-from .topology import CounterexampleFamily, FromSeminorms, NeighborhoodBase
-from .syntax import ParseError, Parser
+from .syntax import ParseError, Parser, parse_ecrv, parse_seminorm, parse_set
+
+if TYPE_CHECKING:
+    from .concatenation import SequenceSpec
+    from .seminorms import Seminorm
+    from .sets import SetDescriptor
 
 
 class ConfigError(ValueError):
@@ -143,9 +145,6 @@ def parse_config(text: str) -> RunConfig:
     config = RunConfig()
     explicit: dict[int, Fraction] = {}
     tail_coefficient: Optional[Fraction] = None
-    from .concatenation import Diagonal
-    from .syntax import parse_ecrv, parse_seminorm, parse_set
-
     for line_no, key, value in _entries(text):
         try:
             if key == "seed":
@@ -171,6 +170,8 @@ def parse_config(text: str) -> RunConfig:
             elif key == "seq.ec":
                 config.sequences.append(_parse_ec_list(value, line_no))
             elif key == "seq.diag":
+                from .concatenation import Diagonal
+
                 config.sequences.append(
                     Diagonal(parse_ecrv(value, line_offset=line_no - 1))
                 )

@@ -33,10 +33,7 @@ from .l0 import (
 )
 from .seminorms import Seminorm, evaluate
 from . import sampling
-
-
-class UnsupportedShape(TypeError):
-    """No gauge closed form for this descriptor."""
+from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
 
 
 @record(frozen=True)
@@ -285,7 +282,6 @@ def verify_certificate(cert: GaugeCertificate) -> bool:
     )
 
 
-DEFAULT_TOLERANCE = Fraction(1, 2**20)
 DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from ._record import record
 from .l0 import (
@@ -28,7 +28,7 @@ from .l0 import (
 )
 from .concatenation import cc_failure_witness
 from .measure import CANONICAL, DiscreteSpace
-from .seminorms import Seminorm, Weighted, evaluate, sup_evaluate
+from .seminorms import Weighted, evaluate, sup_evaluate
 from .sets import (
     Ball,
     MPlusBall,
@@ -39,55 +39,19 @@ from .sets import (
     structural_flags,
     verify_certificate,
     roundtrip_check,
-    DEFAULT_TOLERANCE,
 )
 from . import sampling
+from ._common import (  # re-exported: the records live in the leaf module
+    DEFAULT_TOLERANCE,
+    CounterexampleFamily,
+    EvidenceStep,
+    FromSeminorms,
+    NeighborhoodBase,
+)
 
 
 class PointInM(ValueError):
     """Separation witnesses only exist for points outside M."""
-
-
-@record(frozen=True)
-class FromSeminorms:
-    """Base sets are the balls of a finite seminorm family."""
-
-    family: tuple[Seminorm, ...]
-
-    def base_set(self, radius: EcRv) -> Ball:
-        return Ball(self.family, radius)
-
-
-@record(frozen=True)
-class CounterexampleFamily:
-    """Base sets are M + B_eps; all their gauges are identically zero."""
-
-    def base_set(self, radius: EcRv) -> MPlusBall:
-        return MPlusBall(radius)
-
-
-NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]
-
-
-@record
-class EvidenceStep:
-    """One checked fact of a report."""
-
-    name: str
-    inputs: dict
-    expected: str
-    observed: str
-    passed: bool
-
-    def to_json(self) -> dict:
-        """The step as a report entry."""
-        return {
-            "name": self.name,
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "observed": self.observed,
-            "pass": self.passed,
-        }
 
 
 # -- base axioms -----------------------------------------------------------

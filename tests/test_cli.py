@@ -304,6 +304,13 @@ class TestSpaceKeys:
 
 
 class TestErrorMapping:
+    def test_unsupported_shape_is_a_usage_error(self, capsys):
+        expr = "gauge intersect[m_plus_ball({|1}), m_plus_ball({|2})] {|5}"
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2
+        assert out == ""
+        assert err == "error: gauge of an intersection needs ball members\n"
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def broken(args):
             raise TypeError("unsupported operand")

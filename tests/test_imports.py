@@ -1,0 +1,122 @@
+"""The package loads a module only when a command reaches code that uses it."""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import l0convex
+
+SRC = str(Path(l0convex.__file__).resolve().parents[1])
+
+# Prints `code` and the package modules whose code has run.  A lazily bound
+# module sits in sys.modules from the package import on, but keeps the lazy
+# loader's subclass of ModuleType until its first attribute use runs it.
+LOADED = (
+    "print(json.dumps([code, sorted(m for m, module in sys.modules.items()"
+    " if m.startswith('l0convex.') and type(module) is types.ModuleType)]))"
+)
+# Runs the CLI in-process, then prints the exit code and the loaded package modules.
+CLI = """
+import contextlib, io, json, sys, types
+from l0convex.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+""" + LOADED
+
+
+def loaded_after(code: str, *argv: str, cwd=None) -> tuple[int, set[str]]:
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=cwd,
+        check=True,
+    )
+    exit_code, modules = json.loads(result.stdout)
+    return exit_code, {m.removeprefix("l0convex.") for m in modules}
+
+
+class TestExports:
+    def test_every_name_resolves(self):
+        for name in l0convex.__all__:
+            assert getattr(l0convex, name) is not None, name
+
+    def test_dir_lists_every_name(self):
+        assert set(l0convex.__all__) <= set(dir(l0convex))
+
+    def test_no_export_is_a_module(self):
+        assert len(l0convex.__all__) == 67
+        modules = [n for n in l0convex.__all__ if isinstance(getattr(l0convex, n), types.ModuleType)]
+        assert modules == []
+
+    def test_star_import_binds_exactly_the_exports(self):
+        namespace = {}
+        exec("from l0convex import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(l0convex.__all__)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            l0convex.no_such_name
+        assert not hasattr(l0convex, "sys")
+
+    def test_old_paths_give_the_same_objects(self):
+        from l0convex import _common, sets, topology
+
+        assert topology.EvidenceStep is _common.EvidenceStep
+        assert topology.CounterexampleFamily is l0convex.CounterexampleFamily
+        assert topology.FromSeminorms is l0convex.FromSeminorms
+        assert sets.UnsupportedShape is l0convex.UnsupportedShape is _common.UnsupportedShape
+        assert sets.DEFAULT_TOLERANCE is topology.DEFAULT_TOLERANCE is _common.DEFAULT_TOLERANCE
+        assert l0convex.topology is topology
+
+    def test_cli_keeps_the_names_it_imported(self):
+        from l0convex import cli, sets, topology
+
+        assert cli.gauge_closed_form is sets.gauge_closed_form
+        assert cli.seminorm_induction_verdict is topology.seminorm_induction_verdict
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            cli.no_such_name
+
+
+class TestImportBudget:
+    def test_package_import_loads_no_module(self):
+        _, loaded = loaded_after("import json, sys, types, l0convex; code = 0; " + LOADED)
+        assert loaded == set()
+
+    def test_package_import_binds_every_public_submodule(self):
+        probe = (
+            "import json, sys, l0convex; "
+            "print(json.dumps([0, sorted(m for m in sys.modules if m.startswith('l0convex.'))]))"
+        )
+        _, bound = loaded_after(probe)
+        assert bound == set(l0convex._SUBMODULES)  # in sys.modules, none of them run
+
+    def test_submodule_attribute_loads_on_first_use(self):
+        probe = "import json, sys, types, l0convex; code = l0convex.sampling.BOUND; " + LOADED
+        _, loaded = loaded_after(probe)
+        assert "sampling" in loaded and "topology" not in loaded
+
+    def test_eval_prob(self):
+        code, loaded = loaded_after(CLI, "eval", "prob {1}")
+        assert code == 0
+        assert not loaded & {"topology", "concatenation", "sets", "seminorms", "sampling"}
+
+    def test_partition(self):
+        code, loaded = loaded_after(CLI, "partition", "--from", "3", "--cells", "[{1},{2}]")
+        assert code == 0
+        assert "topology" not in loaded
+
+    def test_check_axioms_on_a_seminorm(self, tmp_path):
+        (tmp_path / "w.cfg").write_text("seminorm = weighted({|1})\n")
+        code, loaded = loaded_after(
+            CLI, "check", "axioms", "--config", "w.cfg", "--samples", "5", cwd=tmp_path
+        )
+        assert code == 0
+        assert not loaded & {"topology", "concatenation", "sets"}
