@@ -20,10 +20,10 @@ import json
 import sys
 
 from . import concatenation, seminorms, sets, topology
-from ._common import EvidenceStep, UnsupportedShape
+from ._common import EvidenceStep, FromSeminorms, UnsupportedShape
 from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
 from .l0 import ONE, NotInvertible
-from .measure import CANONICAL, EventSet, SingletonTail, build_countable_partition
+from .measure import EventSet, SingletonTail, build_countable_partition
 from .syntax import (
     ParseError,
     Parser,
@@ -59,7 +59,30 @@ def __getattr__(name: str):
 
 
 SCHEMA = 2
-_SAMPLING_FLAGS = ("seed", "horizon", "samples")
+
+# The inputs each command reads, per base kind for verify-counterexample
+# and per target for check; `--name` is both that flag and the config key
+# `name`.  A command takes a flag exactly when one of its rows reads it, and
+# an input outside the row that runs is rejected rather than ignored.
+_READS = {
+    "verify-counterexample on base = counterexample":
+        "--seed --horizon --samples base tolerance epsilon delta",
+    "verify-counterexample on base = from_seminorms[...]": "--seed --samples base epsilon delta",
+    "check axioms": "--seed --samples seminorm",
+    "check roundtrip": "--seed --samples seminorm set",
+    "check cc": "--horizon set seq.ec seq.diag part.finite part.singletons_from expect",
+    "check base": "--seed --samples base epsilon delta",
+    "eval": "space.explicit space.tail_coefficient",
+    "partition": "space.explicit space.tail_coefficient part.finite part.singletons_from",
+}
+
+
+def _flags(command: str) -> list[str]:
+    """The flags some row of `command` reads, in the order the table first
+    names them (so every usage line lists --seed, --horizon, --samples)."""
+    names = dict.fromkeys(name for reads in _READS.values() for name in reads.split())
+    ours = " ".join(reads for row, reads in _READS.items() if row.split()[0] == command).split()
+    return [name for name in names if name[:2] == "--" and name in ours]
 
 
 def _emit(report: dict, json_path: str | None) -> None:
@@ -75,34 +98,31 @@ def _emit(report: dict, json_path: str | None) -> None:
         print(f"verdict: {report['verdict']}", file=sys.stderr)
 
 
-def _load_config(args, reads_space: bool = False) -> RunConfig:
+def _load_config(args) -> RunConfig:
+    text = ""
     if args.config:
         with open(args.config) as handle:
             text = handle.read()
-        config = parse_config(text)
-        if not hasattr(args, "samples"):  # eval and partition read no sampling key
-            for key in config_keys(text):
-                if key in _SAMPLING_FLAGS:
-                    raise ConfigError(
-                        f"config key {key!r} would be ignored: {args.command} draws no samples"
-                    )
-    else:
-        config = RunConfig()
-    for key in _SAMPLING_FLAGS:  # eval and partition do not take these flags
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(config, key, value)
+    config = parse_config(text)
+    row = args.command
+    if row == "check":
+        row = f"check {args.target}"
+    elif row == "verify-counterexample":
+        kind = "from_seminorms[...]" if isinstance(config.base, FromSeminorms) else "counterexample"
+        row += f" on base = {kind}"
+    reads = [name.lstrip("-") for name in _READS[row].split()]
+    given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
+    for name in given + config_keys(text):
+        if name.lstrip("-") not in reads:
+            shown = name if name[:2] == "--" else repr(name)
+            raise ConfigError(f"{shown} would be ignored: {row} reads only {', '.join(reads)}")
+    for flag in given:
+        setattr(config, flag[2:], getattr(args, flag[2:]))
     # zero samples or an empty probe horizon would make every step pass vacuously
     for key in ("samples", "horizon"):
         value = getattr(config, key)
         if value < 1:
             raise ConfigError(f"{key} must be at least 1, got {value}")
-    # a space the command never reads must not pass as if it had been checked
-    if not reads_space and config.space != CANONICAL:
-        raise ConfigError(
-            "space.explicit and space.tail_coefficient would be ignored: "
-            "only 'eval prob' and 'partition' read the space"
-        )
     return config
 
 
@@ -112,13 +132,8 @@ def _load_config(args, reads_space: bool = False) -> RunConfig:
 def cmd_verify(args) -> int:
     config = _load_config(args)
     verdict = topology.seminorm_induction_verdict(
-        config.base,
-        horizon=config.horizon,
-        seed=config.seed,
-        samples=config.samples,
-        tolerance=config.tolerance,
-        epsilon=config.epsilon,
-        delta=config.delta,
+        config.base, horizon=config.horizon, seed=config.seed, samples=config.samples,
+        tolerance=config.tolerance, epsilon=config.epsilon, delta=config.delta,
     )
     report = {
         "schema": SCHEMA,
@@ -170,7 +185,7 @@ def run_eval(expr: str, config: RunConfig) -> str:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args, reads_space=True)
+    config = _load_config(args)
     value = run_eval(args.expression, config)
     print(value)
     if args.json:
@@ -194,29 +209,25 @@ def cmd_check(args) -> int:
             "seminorm_axioms",
             {"seminorm": format_seminorm(config.seminorm), "samples": config.samples},
             "homogeneity and triangle inequality hold exactly on all samples",
-            (
-                f"homogeneity failures: {report.homogeneity_failures}, "
-                f"triangle failures: {report.triangle_failures}"
-            ),
+            f"homogeneity failures: {report.homogeneity_failures}, "
+            f"triangle failures: {report.triangle_failures}",
             report.passed,
         )
     elif target == "roundtrip":
         probe = config.seminorm if config.seminorm is not None else config.set_descriptor
         if probe is None:
             raise ConfigError("check roundtrip needs a 'seminorm' or 'set' key")
+        if config.seminorm is not None and config.set_descriptor is not None:
+            raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
         report = sets.roundtrip_check(probe, config.samples, config.seed)
-        label = (
-            format_seminorm(probe) if config.seminorm is not None else format_set(probe)
-        )
+        label = format_seminorm(probe) if config.seminorm is not None else format_set(probe)
         step = EvidenceStep(
             "gauge_roundtrip",
             {"target": label, "samples": config.samples},
             "gauge reproduces the seminorm and membership agrees with gauge <= 1",
-            (
-                f"gauge mismatches: {report.gauge_mismatches}, membership "
-                f"mismatches: {report.membership_mismatches}, strict-inclusion "
-                f"failures: {report.strict_inclusion_failures}"
-            ),
+            f"gauge mismatches: {report.gauge_mismatches}, membership "
+            f"mismatches: {report.membership_mismatches}, strict-inclusion "
+            f"failures: {report.strict_inclusion_failures}",
             report.passed,
         )
     elif target == "cc":
@@ -254,8 +265,6 @@ def cmd_check(args) -> int:
         eps = config.epsilon if config.epsilon is not None else ONE
         delta = config.delta if config.delta is not None else ONE
         step = topology.base_axioms_step(config.base, eps, delta, config.samples, config.seed)
-    else:
-        raise ConfigError(f"unknown check target {target!r}")
 
     doc = {
         "schema": SCHEMA,
@@ -273,16 +282,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = _load_config(args, reads_space=True)
+    config = _load_config(args)
     cells = config.prefix_cells
     tail_start = args.tail_start if args.tail_start is not None else config.singletons_from
-    if args.spec:
+    if args.spec is not None:
+        for flag, value in (("--from", args.tail_start), ("--cells", args.cells)):
+            if value is not None:
+                raise ConfigError(f"{flag} would be ignored: the spec literal sets the partition")
         part_spec = parse_partition(args.spec)
         if not isinstance(part_spec, SingletonTail):
             raise ConfigError("the partition builder takes a singletons_from(...) spec")
         cells = list(part_spec.prefix_cells)
         tail_start = part_spec.tail_start
-    elif args.cells:
+    elif args.cells is not None:
         cells = parse_event_list(args.cells, 1)
     if tail_start is None:
         raise ConfigError("partition needs a spec, part.singletons_from, or --from")
@@ -323,17 +335,6 @@ def cmd_partition(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="path to a key=value config file")
-    sub.add_argument("--json", help="also write the JSON report to this path")
-
-
-def _add_sampling(sub):
-    """--seed, --horizon and --samples, for the commands that sample."""
-    for key in _SAMPLING_FLAGS:
-        sub.add_argument(f"--{key}", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l0convex",
@@ -341,22 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    verify = commands.add_parser(
-        "verify-counterexample", help="run the full evidence pipeline"
-    )
-    _add_common(verify)
-    _add_sampling(verify)
+    verify = commands.add_parser("verify-counterexample", help="run the full evidence pipeline")
     verify.set_defaults(handler=cmd_verify)
 
     ev = commands.add_parser("eval", help="evaluate one expression")
     ev.add_argument("expression")
-    _add_common(ev)
     ev.set_defaults(handler=cmd_eval)
 
     check = commands.add_parser("check", help="run one named check")
     check.add_argument("target", choices=["axioms", "roundtrip", "cc", "base"])
-    _add_common(check)
-    _add_sampling(check)
     check.set_defaults(handler=cmd_check)
 
     part = commands.add_parser("partition", help="build a halving-mass partition")
@@ -365,9 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     part.add_argument("--from", dest="tail_start", type=int, default=None)
     part.add_argument("--cells", help="prefix cells, e.g. [{1},{2}]")
-    _add_common(part)
     part.set_defaults(handler=cmd_partition)
 
+    for name, sub in commands.choices.items():
+        sub.add_argument("--config", help="path to a key=value config file")
+        sub.add_argument("--json", help="also write the JSON report to this path")
+        for flag in _flags(name):
+            sub.add_argument(flag, type=int, default=None)
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -295,12 +296,111 @@ class TestSpaceKeys:
         assert out == ""
         assert err.startswith("error: ") and "space" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [("verify-counterexample", "--samples", "5"), ("check", "base", "--samples", "5")],
+    )
+    def test_default_valued_space_key_exits_2(self, capsys, tmp_path, command):
+        """The check goes by key: a space key that restates the default is
+        still an input the command never reads."""
+        config = tmp_path / "run.cfg"
+        config.write_text("space.tail_coefficient = 1\n")
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'space.tail_coefficient' would be ignored: ")
+
     def test_eval_prob_reads_space(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(self.SPACE)
         code, out, _ = run(capsys, "eval", "prob {1,3}", "--config", str(config))
         assert code == 0
         assert out.strip() == "1/2"  # 1/3 + (4/3) * 1/8
+
+
+INDUCED = "base = from_seminorms[weighted({|1})]\n"
+SEMINORM = "seminorm = localized({1})\n"
+CC = "set = m_plus_ball({|1})\nseq.diag = {|2}\npart.singletons_from = 1\nexpect = fail\n"
+SPEC = "singletons_from(3; {1}, {2})"
+
+# (command line, config text, the input the error line names)
+IGNORED = [
+    (("verify-counterexample", "--horizon", "1"), INDUCED, "--horizon"),
+    (("verify-counterexample",), INDUCED + "tolerance = 1/3\n", "'tolerance'"),
+    (("verify-counterexample",), INDUCED + "horizon = 500\n", "'horizon'"),
+    (("verify-counterexample", "--samples", "5"), SEMINORM, "'seminorm'"),
+    (("check", "cc", "--samples", "3", "--seed", "9"), CC, "--seed"),
+    (("check", "cc", "--samples", "3"), CC, "--samples"),
+    (("check", "base", "--horizon", "999"), "", "--horizon"),
+    (("check", "axioms", "--horizon", "999"), SEMINORM, "--horizon"),
+    (("check", "roundtrip", "--horizon", "999"), SEMINORM, "--horizon"),
+    (("check", "axioms"), SEMINORM + "base = counterexample\n", "'base'"),
+    (("check", "axioms"), SEMINORM + "epsilon = {|1}\n", "'epsilon'"),
+    (("check", "base"), "tolerance = 1/3\n", "'tolerance'"),
+    (("eval", "prob {1}"), "set = m_plus_ball({|1})\n", "'set'"),
+    (("check", "roundtrip"), SEMINORM + "set = m_plus_ball({|1})\n", "'set'"),
+    (("partition", SPEC, "--from", "7", "--cells", "[{5}]"), "", "--from"),
+    (("partition", SPEC, "--from", "7"), "", "--from"),
+    (("partition", SPEC, "--cells", "[{5}]"), "", "--cells"),
+]
+
+
+class TestIgnoredInputs:
+    """Each command row of `cli._READS` reads only its listed flags and
+    config keys; any other input exits 2 with an `error:` line naming it,
+    instead of being dropped while the report passes."""
+
+    @pytest.mark.parametrize(
+        "argv, text, named",
+        IGNORED,
+        ids=[f"{' '.join(argv)} -> {named}" for argv, _, named in IGNORED],
+    )
+    def test_ignored_input_exits_2(self, capsys, tmp_path, argv, text, named):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {named} would be ignored: ")
+
+    def test_registered_flags_are_the_rows_union(self):
+        (commands,) = [
+            action
+            for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        registered = {
+            name: {flag for action in sub._actions for flag in action.option_strings}
+            & {"--seed", "--horizon", "--samples"}
+            for name, sub in commands.choices.items()
+        }
+        union = {
+            name: {
+                flag
+                for row, reads in cli._READS.items()
+                if row.split()[0] == name
+                for flag in reads.split()
+                if flag.startswith("--")
+            }
+            for name in registered
+        }
+        assert registered == union
+        assert registered == {
+            "verify-counterexample": {"--seed", "--horizon", "--samples"},
+            "check": {"--seed", "--horizon", "--samples"},
+            "eval": set(),
+            "partition": set(),
+        }
+
+    def test_flag_overrides_its_config_key(self, capsys, tmp_path):
+        """A flag that overrides the config key of the same input is read,
+        so it is not an ignored input."""
+        config = tmp_path / "run.cfg"
+        config.write_text("part.singletons_from = 5\npart.finite = [{1},{2},{3},{4}]\n")
+        argv = ("partition", "--from", "3", "--cells", "[{1},{2}]", "--config", str(config))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["partition"] == SPEC
 
 
 class TestErrorMapping:
