@@ -20,9 +20,9 @@ import json
 import sys
 
 from . import concatenation, seminorms, sets, topology
-from ._common import EvidenceStep, FromSeminorms, UnsupportedShape
+from ._common import EvidenceStep, UnsupportedShape
 from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
-from .l0 import ONE, NotInvertible
+from .l0 import NotInvertible
 from .measure import EventSet, SingletonTail, build_countable_partition
 from .syntax import (
     ParseError,
@@ -58,28 +58,31 @@ def __getattr__(name: str):
     return getattr(_EVIDENCE_NAMES[name], name)
 
 
-SCHEMA = 2
+SCHEMA = 3
 
-# The inputs each command reads, per base kind for verify-counterexample
-# and per target for check; `--name` is both that flag and the config key
-# `name`.  A command takes a flag exactly when one of its rows reads it, and
-# an input outside the row that runs is rejected rather than ignored.
+# The inputs each command reads, per target for check and per operation
+# for eval; `--name` is both that flag and the config key `name`.  A command
+# takes a flag exactly when one of its rows reads it, an input outside the
+# row that runs is rejected rather than ignored, and a report has a `seed`
+# or `samples` key exactly when its row reads that input.
 _READS = {
-    "verify-counterexample on base = counterexample":
-        "--seed --horizon --samples base tolerance epsilon delta",
-    "verify-counterexample on base = from_seminorms[...]": "--seed --samples base epsilon delta",
+    "verify-counterexample": "--seed --samples base epsilon delta",
     "check axioms": "--seed --samples seminorm",
     "check roundtrip": "--seed --samples seminorm set",
-    "check cc": "--horizon set seq.ec seq.diag part.finite part.singletons_from expect",
+    "check cc": "set seq.ec seq.diag part.finite part.singletons_from expect",
     "check base": "--seed --samples base epsilon delta",
-    "eval": "space.explicit space.tail_coefficient",
+    "eval prob": "space.explicit space.tail_coefficient",
+    "eval gauge": "",
+    "eval contains": "",
+    "eval seminorm": "",
+    "eval glue": "",
     "partition": "space.explicit space.tail_coefficient part.finite part.singletons_from",
 }
 
 
 def _flags(command: str) -> list[str]:
     """The flags some row of `command` reads, in the order the table first
-    names them (so every usage line lists --seed, --horizon, --samples)."""
+    names them (so every usage line lists --seed before --samples)."""
     names = dict.fromkeys(name for reads in _READS.values() for name in reads.split())
     ours = " ".join(reads for row, reads in _READS.items() if row.split()[0] == command).split()
     return [name for name in names if name[:2] == "--" and name in ours]
@@ -98,49 +101,47 @@ def _emit(report: dict, json_path: str | None) -> None:
         print(f"verdict: {report['verdict']}", file=sys.stderr)
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> tuple[RunConfig, dict]:
+    """The run's config, once every given input is one its row reads, and
+    the report header: the schema, plus `seed` and `samples` if read."""
     text = ""
     if args.config:
         with open(args.config) as handle:
             text = handle.read()
     config = parse_config(text)
-    row = args.command
-    if row == "check":
-        row = f"check {args.target}"
-    elif row == "verify-counterexample":
-        kind = "from_seminorms[...]" if isinstance(config.base, FromSeminorms) else "counterexample"
-        row += f" on base = {kind}"
-    reads = [name.lstrip("-") for name in _READS[row].split()]
+    run = args.command
+    if run == "check":
+        run += f" {args.target}"
+    elif run == "eval":
+        run += f" {Parser(args.expression).word()}"  # an unknown operation reads nothing
+    reads = [name.lstrip("-") for name in _READS.get(run, "").split()]
     given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
     for name in given + config_keys(text):
         if name.lstrip("-") not in reads:
             shown = name if name[:2] == "--" else repr(name)
-            raise ConfigError(f"{shown} would be ignored: {row} reads only {', '.join(reads)}")
+            listing = f"only {', '.join(reads)}" if reads else "no flag or config key"
+            raise ConfigError(f"{shown} would be ignored: {run} reads {listing}")
     for flag in given:
         setattr(config, flag[2:], getattr(args, flag[2:]))
-    # zero samples or an empty probe horizon would make every step pass vacuously
-    for key in ("samples", "horizon"):
-        value = getattr(config, key)
-        if value < 1:
-            raise ConfigError(f"{key} must be at least 1, got {value}")
-    return config
+    # zero samples would make every sampled step pass vacuously
+    if config.samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {config.samples}")
+    header = {"schema": SCHEMA}
+    header.update((key, getattr(config, key)) for key in ("seed", "samples") if key in reads)
+    return config, header
 
 
 # -- verify-counterexample ---------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args)
+    config, header = _load_config(args)
     verdict = topology.seminorm_induction_verdict(
-        config.base, horizon=config.horizon, seed=config.seed, samples=config.samples,
-        tolerance=config.tolerance, epsilon=config.epsilon, delta=config.delta,
+        config.base, config.seed, config.samples, config.epsilon, config.delta
     )
     report = {
-        "schema": SCHEMA,
+        **header,
         "command": "verify-counterexample",
-        "seed": config.seed,
-        "horizon": config.horizon,
-        "samples": config.samples,
         "verdict": "NotInduced" if verdict.verdict == "not_induced" else "Induced",
         "steps": [step.to_json() for step in verdict.steps],
         "pass": verdict.passed,
@@ -185,11 +186,11 @@ def run_eval(expr: str, config: RunConfig) -> str:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
+    config, header = _load_config(args)
     value = run_eval(args.expression, config)
     print(value)
     if args.json:
-        report = {"schema": SCHEMA, "command": "eval", "expression": args.expression, "value": value}
+        report = {**header, "command": "eval", "expression": args.expression, "value": value}
         with open(args.json, "w") as handle:
             handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
@@ -199,7 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config = _load_config(args)
+    config, header = _load_config(args)
     target = args.target
     if target == "axioms":
         if config.seminorm is None:
@@ -236,9 +237,7 @@ def cmd_check(args) -> int:
         part = config.partition()
         if part is None:
             raise ConfigError("check cc needs a partition (part.finite or part.singletons_from)")
-        report = concatenation.relative_cc_check(
-            config.set_descriptor, part, config.sequences, horizon=config.horizon
-        )
+        report = concatenation.relative_cc_check(config.set_descriptor, part, config.sequences)
         outcome = "fail" if not report.closure_holds else "pass"
         entries = [
             {
@@ -262,15 +261,13 @@ def cmd_check(args) -> int:
             outcome == config.expect and report.identity_holds,
         )
     elif target == "base":
-        eps = config.epsilon if config.epsilon is not None else ONE
-        delta = config.delta if config.delta is not None else ONE
-        step = topology.base_axioms_step(config.base, eps, delta, config.samples, config.seed)
+        step = topology.base_axioms_step(
+            config.base, config.samples, config.seed, config.epsilon, config.delta
+        )
 
     doc = {
-        "schema": SCHEMA,
+        **header,
         "command": f"check {target}",
-        "seed": config.seed,
-        "samples": config.samples,
         "steps": [step.to_json()],
         "pass": step.passed,
     }
@@ -282,7 +279,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = _load_config(args)
+    config, header = _load_config(args)
     cells = config.prefix_cells
     tail_start = args.tail_start if args.tail_start is not None else config.singletons_from
     if args.spec is not None:
@@ -320,7 +317,7 @@ def cmd_partition(args) -> int:
         law_holds and positive,
     )
     doc = {
-        "schema": SCHEMA,
+        **header,
         "command": "partition",
         "partition": format_partition(part),
         "tail_mass": str(remainder),

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from ._common import DEFAULT_TOLERANCE, CounterexampleFamily, FromSeminorms, NeighborhoodBase
+from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 from .l0 import EcRv
@@ -41,9 +41,7 @@ class ConfigError(ValueError):
 class RunConfig:
     space: DiscreteSpace = field(default_factory=lambda: CANONICAL)
     seed: int = 42
-    horizon: int = 32
     samples: int = 200
-    tolerance: Fraction = DEFAULT_TOLERANCE
     base: NeighborhoodBase = field(default_factory=CounterexampleFamily)
     seminorm: Optional[Seminorm] = None
     set_descriptor: Optional[SetDescriptor] = None
@@ -149,14 +147,8 @@ def parse_config(text: str) -> RunConfig:
         try:
             if key == "seed":
                 config.seed = int(value)
-            elif key == "horizon":
-                config.horizon = int(value)
             elif key == "samples":
                 config.samples = int(value)
-            elif key == "tolerance":
-                config.tolerance = Fraction(_strip_quotes(value))
-                if config.tolerance <= 0:
-                    raise ValueError("tolerance must be positive")
             elif key == "space.explicit":
                 explicit = _parse_space_explicit(value, line_no)
             elif key == "space.tail_coefficient":

@@ -77,10 +77,6 @@ class EcRv:
         yield self.tail
         yield from self.overrides.values()
 
-    @property
-    def override_atoms(self) -> frozenset[int]:
-        return frozenset(self.overrides)
-
     def is_zero(self) -> bool:
         return self.tail == 0 and not self.overrides
 

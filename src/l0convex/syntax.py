@@ -299,14 +299,6 @@ def parse_partition(text: str, line_offset: int = 0):
 # -- canonical formatting (round-trips through the parsers) ------------------
 
 
-def format_ecrv(x: EcRv) -> str:
-    return repr(x)
-
-
-def format_event(e: EventSet) -> str:
-    return repr(e)
-
-
 def format_seminorm(s: sn.Seminorm) -> str:
     if isinstance(s, sn.Zero):
         return "zero"

@@ -29,6 +29,7 @@ from .concatenation import cc_failure_witness
 from .measure import CANONICAL, DiscreteSpace
 from .seminorms import Weighted, evaluate, sup_evaluate
 from .sets import (
+    DEFAULT_PROBE_ATOMS,
     Ball,
     MPlusBall,
     contains,
@@ -108,8 +109,15 @@ def base_axiom_witnesses(
 
 
 def base_axioms_step(
-    base: NeighborhoodBase, eps: EcRv, delta: EcRv, samples: int, seed: int
+    base: NeighborhoodBase,
+    samples: int,
+    seed: int,
+    eps: Optional[EcRv] = None,
+    delta: Optional[EcRv] = None,
 ) -> EvidenceStep:
+    """The base_axioms step at radii `eps` and `delta`, by default 1 and 1/2."""
+    eps = ONE if eps is None else eps
+    delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
     report = base_axiom_witnesses(base, eps, delta, samples, seed)
     return EvidenceStep(
         name="base_axioms",
@@ -281,7 +289,6 @@ class EvidenceReport:
     family: Optional[tuple[Seminorm, ...]]
     steps: list[EvidenceStep]
     seed: int
-    horizon: int
 
     @property
     def passed(self) -> bool:
@@ -290,34 +297,26 @@ class EvidenceReport:
 
 def seminorm_induction_verdict(
     base: NeighborhoodBase,
-    horizon: int = 32,
     seed: int = 0,
     samples: int = 20,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
     epsilon: Optional[EcRv] = None,
     delta: Optional[EcRv] = None,
 ) -> EvidenceReport:
     """Every step of the verify-counterexample report, in report order.
 
-    `epsilon` and `delta` are the base-axiom radii (default 1 and 1/2);
-    `tolerance` bounds the gauge certificates of the degenerate base.
-    With no samples or no probe atoms every step would pass without
-    checking anything, so both must be at least 1.
+    `epsilon` and `delta` are the base-axiom radii (default 1 and 1/2).
+    With no samples every step would pass without checking anything, so
+    `samples` must be at least 1.
     """
-    if samples < 1 or horizon < 1:
-        raise ValueError(
-            f"samples and horizon must be at least 1, got samples={samples}, horizon={horizon}"
-        )
-    eps = ONE if epsilon is None else epsilon
-    delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
-    steps = [base_axioms_step(base, eps, delta, samples, seed)]
+    sampling.require_samples(samples)
+    steps = [base_axioms_step(base, samples, seed, epsilon, delta)]
     if isinstance(base, FromSeminorms):
         steps += _induced_steps(base, seed, samples)
     else:
-        steps += _not_induced_steps(base, horizon, seed, samples, tolerance)
+        steps += _not_induced_steps(base, seed, samples)
     steps.append(_hausdorff_step(base, samples, seed))
     if isinstance(base, FromSeminorms):
-        return EvidenceReport("induced", base.family, steps, seed, horizon)
+        return EvidenceReport("induced", base.family, steps, seed)
 
     all_prior = all(step.passed for step in steps)
     steps.append(
@@ -332,7 +331,7 @@ def seminorm_induction_verdict(
             passed=all_prior,
         )
     )
-    return EvidenceReport("not_induced", None, steps, seed, horizon)
+    return EvidenceReport("not_induced", None, steps, seed)
 
 
 def _sampled_step(
@@ -341,15 +340,19 @@ def _sampled_step(
     """One evidence step over `samples` draws; it passes iff every draw held.
 
     `draw()` samples one case and returns whether its check held, plus the
-    values that describe the case; the last draw's values are reported as
-    the step's example inputs.  `observed` is formatted with `held` and
-    `samples`.
+    values that describe the case; the step's example inputs are the
+    first failing draw's values, or the last draw's when every draw held.
+    `observed` is formatted with `held` and `samples`.
     """
     held = 0
-    example = {}
+    example = failed = None
     for _ in range(samples):
         ok, example = draw()
         held += ok
+        if failed is None and not ok:
+            failed = example
+    if failed is not None:
+        example = failed
     inputs = {"samples": samples, **inputs, **{k: repr(v) for k, v in example.items()}}
     return EvidenceStep(
         name, inputs, expected, observed.format(held=held, samples=samples), held == samples
@@ -380,17 +383,16 @@ def _induced_steps(base: FromSeminorms, seed: int, samples: int) -> list[Evidenc
     ]
 
 
-def _not_induced_steps(
-    base: CounterexampleFamily, horizon: int, seed: int, samples: int, tolerance: Fraction
-) -> list[EvidenceStep]:
+def _not_induced_steps(base: CounterexampleFamily, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
-    probes = tuple(range(1, horizon + 1))
 
     # 1. every base-set gauge collapses to zero: the certificate checks,
     #    by membership alone, a witness within tolerance of the closed form
+    #    on the default probe atoms; the witness takes the tolerance itself
+    #    (half of it at zero) there, so neither default can change the flag
     def degenerate():
         u = base.base_set(sampling.random_positive_ecrv(rng))
-        cert = gauge_upper_certificate(u, sampling.random_ecrv(rng), probes, tolerance)
+        cert = gauge_upper_certificate(u, sampling.random_ecrv(rng))
         return verify_certificate(cert), {"example_witness": cert.witness}
 
     # 2. gauges shrink under inclusion: the order ball of the same radius
@@ -416,7 +418,7 @@ def _not_induced_steps(
 
     # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
     def escaping():
-        failure = cc_failure_witness(sampling.random_positive_ecrv(rng), horizon=horizon)
+        failure = cc_failure_witness(sampling.random_positive_ecrv(rng))
         return failure.valid, {"example_radius": failure.radius, "example_glue": failure.glue}
 
     return [
@@ -424,7 +426,8 @@ def _not_induced_steps(
             "gauge_degeneracy", samples, degenerate,
             "every gauge certificate verifies against the zero closed form",
             "{held}/{samples} certificates verify",
-            tolerance=str(tolerance), probe_atoms=f"1..{horizon}",
+            tolerance=str(DEFAULT_TOLERANCE),
+            probe_atoms=f"{DEFAULT_PROBE_ATOMS[0]}..{DEFAULT_PROBE_ATOMS[-1]}",
         ),
         _sampled_step(
             "gauge_monotonicity", samples, monotone,

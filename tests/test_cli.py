@@ -59,7 +59,7 @@ class TestCheck:
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
 
     def test_cc_expected_failure_exits_zero(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -87,7 +87,11 @@ class TestCheck:
     def test_base_axioms_default_radii(self, capsys):
         code, out, _ = run(capsys, "check", "base", "--samples", "50")
         assert code == 0
-        assert json.loads(out)["pass"] is True
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        # the radii verify-counterexample samples too
+        assert doc["steps"][0]["inputs"]["epsilon"] == "{|1}"
+        assert doc["steps"][0]["inputs"]["delta"] == "{|1/2}"
 
     def test_axioms(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
@@ -193,10 +197,8 @@ class TestSinglePipeline:
         parsed = parse_config(config.read_text())
         verdict = seminorm_induction_verdict(
             parsed.base,
-            horizon=parsed.horizon,
             seed=parsed.seed,
             samples=parsed.samples,
-            tolerance=parsed.tolerance,
             epsilon=parsed.epsilon,
             delta=parsed.delta,
         )
@@ -205,16 +207,16 @@ class TestSinglePipeline:
 
 
 class TestVacuousRuns:
-    """Zero samples or an empty probe horizon would let every step pass
-    without checking anything, so they are usage errors."""
+    """Zero samples would let every sampled step pass without checking
+    anything, so they are a usage error."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("verify-counterexample", "--samples", "0"),
             ("verify-counterexample", "--samples", "-1"),
-            ("verify-counterexample", "--horizon", "-3", "--samples", "5"),
-            ("verify-counterexample", "--horizon", "0", "--samples", "5"),
+            ("check", "axioms", "--samples", "0"),
+            ("check", "roundtrip", "--samples", "-3"),
             ("check", "base", "--samples", "-1"),
             ("check", "base", "--samples", "0"),
         ],
@@ -230,6 +232,7 @@ class TestVacuousRuns:
         [
             (("verify-counterexample",), "samples = 0\n"),
             (("verify-counterexample",), "samples = -1\n"),
+            # no longer a vacuous run but an unknown key: still exit 2
             (("verify-counterexample",), "horizon = -3\nsamples = 5\n"),
             (("check", "base"), "samples = -1\n"),
         ],
@@ -245,7 +248,8 @@ class TestVacuousRuns:
 
 class TestSamplingFlags:
     """Only verify-counterexample and check sample; the other commands
-    reject --seed, --horizon and --samples instead of ignoring them."""
+    reject --seed and --samples instead of ignoring them, and no command
+    takes --horizon."""
 
     @pytest.mark.parametrize("flag", ["--seed", "--horizon", "--samples"])
     @pytest.mark.parametrize(
@@ -261,8 +265,9 @@ class TestSamplingFlags:
 
 
 class TestSamplingKeys:
-    """Nor do eval and partition read the seed, horizon and samples
-    config keys, so a config file that sets one is rejected."""
+    """Nor do eval and partition read the seed and samples config keys,
+    so a config file that sets one (or the unknown key horizon) is
+    rejected."""
 
     @pytest.mark.parametrize("key", ["seed", "horizon", "samples"])
     @pytest.mark.parametrize(
@@ -317,6 +322,30 @@ class TestSpaceKeys:
         assert code == 0
         assert out.strip() == "1/2"  # 1/3 + (4/3) * 1/8
 
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            "gauge m_plus_ball({|1}) {|5}",
+            "contains ball(weighted({|1}); {|1}) {|1}",
+            "seminorm localized({2}) {2:-3 | 1}",
+            "glue ec[{|3} | {|5}] finite[{1}, ~{1}]",
+        ],
+        ids=lambda expression: expression.split()[0],
+    )
+    def test_other_eval_operations_read_no_space(self, capsys, tmp_path, expression):
+        """The other eval operations give the same value on every space,
+        so even a default-valued space key is an input they never read."""
+        config = tmp_path / "run.cfg"
+        config.write_text("space.tail_coefficient = 1\n")
+        code, out, err = run(capsys, "eval", expression, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        op = expression.split()[0]
+        assert err == (
+            f"error: 'space.tail_coefficient' would be ignored: eval {op} reads no flag "
+            "or config key\n"
+        )
+
 
 INDUCED = "base = from_seminorms[weighted({|1})]\n"
 SEMINORM = "seminorm = localized({1})\n"
@@ -325,18 +354,11 @@ SPEC = "singletons_from(3; {1}, {2})"
 
 # (command line, config text, the input the error line names)
 IGNORED = [
-    (("verify-counterexample", "--horizon", "1"), INDUCED, "--horizon"),
-    (("verify-counterexample",), INDUCED + "tolerance = 1/3\n", "'tolerance'"),
-    (("verify-counterexample",), INDUCED + "horizon = 500\n", "'horizon'"),
     (("verify-counterexample", "--samples", "5"), SEMINORM, "'seminorm'"),
     (("check", "cc", "--samples", "3", "--seed", "9"), CC, "--seed"),
     (("check", "cc", "--samples", "3"), CC, "--samples"),
-    (("check", "base", "--horizon", "999"), "", "--horizon"),
-    (("check", "axioms", "--horizon", "999"), SEMINORM, "--horizon"),
-    (("check", "roundtrip", "--horizon", "999"), SEMINORM, "--horizon"),
     (("check", "axioms"), SEMINORM + "base = counterexample\n", "'base'"),
     (("check", "axioms"), SEMINORM + "epsilon = {|1}\n", "'epsilon'"),
-    (("check", "base"), "tolerance = 1/3\n", "'tolerance'"),
     (("eval", "prob {1}"), "set = m_plus_ball({|1})\n", "'set'"),
     (("check", "roundtrip"), SEMINORM + "set = m_plus_ball({|1})\n", "'set'"),
     (("partition", SPEC, "--from", "7", "--cells", "[{5}]"), "", "--from"),
@@ -344,24 +366,49 @@ IGNORED = [
     (("partition", SPEC, "--cells", "[{5}]"), "", "--cells"),
 ]
 
+# The probe horizon and the certificate tolerance are no input of any
+# command: argparse refuses the flag, the config parser the keys.
+# (command line, config text, the input the error line names, the line)
+DROPPED = [
+    (("verify-counterexample", "--horizon", "1"), INDUCED, "--horizon",
+     "l0convex: error: unrecognized arguments: --horizon 1"),
+    (("verify-counterexample",), INDUCED + "tolerance = 1/3\n", "'tolerance'",
+     "error: line 2: unknown key 'tolerance'"),
+    (("verify-counterexample",), INDUCED + "horizon = 500\n", "'horizon'",
+     "error: line 2: unknown key 'horizon'"),
+    (("check", "base", "--horizon", "999"), "", "--horizon",
+     "l0convex: error: unrecognized arguments: --horizon 999"),
+    (("check", "axioms", "--horizon", "999"), SEMINORM, "--horizon",
+     "l0convex: error: unrecognized arguments: --horizon 999"),
+    (("check", "roundtrip", "--horizon", "999"), SEMINORM, "--horizon",
+     "l0convex: error: unrecognized arguments: --horizon 999"),
+    (("check", "base"), "tolerance = 1/3\n", "'tolerance'",
+     "error: line 1: unknown key 'tolerance'"),
+]
+REFUSED = [(*row, f"error: {row[2]} would be ignored: ") for row in IGNORED] + DROPPED
+
 
 class TestIgnoredInputs:
     """Each command row of `cli._READS` reads only its listed flags and
-    config keys; any other input exits 2 with an `error:` line naming it,
+    config keys; any other input exits 2 with an error line naming it,
     instead of being dropped while the report passes."""
 
     @pytest.mark.parametrize(
-        "argv, text, named",
-        IGNORED,
-        ids=[f"{' '.join(argv)} -> {named}" for argv, _, named in IGNORED],
+        "argv, text, named, line",
+        REFUSED,
+        ids=[f"{' '.join(argv)} -> {named}" for argv, _, named, _ in REFUSED],
     )
-    def test_ignored_input_exits_2(self, capsys, tmp_path, argv, text, named):
+    def test_ignored_input_exits_2(self, capsys, tmp_path, argv, text, named, line):
         config = tmp_path / "run.cfg"
         config.write_text(text)
-        code, out, err = run(capsys, *argv, "--config", str(config))
+        try:
+            code = main([*argv, "--config", str(config)])
+        except SystemExit as exit_info:  # argparse refuses an unregistered flag
+            code = exit_info.code
+        captured = capsys.readouterr()
         assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: {named} would be ignored: ")
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(line)
 
     def test_registered_flags_are_the_rows_union(self):
         (commands,) = [
@@ -386,11 +433,16 @@ class TestIgnoredInputs:
         }
         assert registered == union
         assert registered == {
-            "verify-counterexample": {"--seed", "--horizon", "--samples"},
-            "check": {"--seed", "--horizon", "--samples"},
+            "verify-counterexample": {"--seed", "--samples"},
+            "check": {"--seed", "--samples"},
             "eval": set(),
             "partition": set(),
         }
+
+    def test_one_verify_row(self):
+        assert [row for row in cli._READS if row.split()[0] == "verify-counterexample"] == [
+            "verify-counterexample"
+        ]
 
     def test_flag_overrides_its_config_key(self, capsys, tmp_path):
         """A flag that overrides the config key of the same input is read,
@@ -422,23 +474,38 @@ class TestErrorMapping:
         assert err.startswith("internal error: ")
 
 
-class TestTolerance:
-    def test_config_tolerance_reaches_gauge_degeneracy(self, capsys, tmp_path):
+class TestReportHeader:
+    """A report carries `seed` and `samples` exactly when its command row
+    reads them, and never a probe horizon."""
+
+    @pytest.mark.parametrize(
+        "argv, text, keys",
+        [
+            (("verify-counterexample", "--samples", "5"), "", {"seed", "samples"}),
+            (("verify-counterexample", "--samples", "5"), INDUCED, {"seed", "samples"}),
+            (("check", "base", "--samples", "5"), "", {"seed", "samples"}),
+            (("check", "axioms", "--samples", "5"), SEMINORM, {"seed", "samples"}),
+            (("check", "roundtrip", "--samples", "5"), SEMINORM, {"seed", "samples"}),
+            (("check", "cc"), CC, set()),
+            (("partition", SPEC), "", set()),
+        ],
+        ids=["verify", "verify-induced", "base", "axioms", "roundtrip", "cc", "partition"],
+    )
+    def test_header_keys_follow_the_row(self, capsys, tmp_path, argv, text, keys):
         config = tmp_path / "run.cfg"
-        config.write_text("tolerance = 1/1024\nsamples = 5\n")
-        code, out, _ = run(capsys, "verify-counterexample", "--config", str(config))
+        config.write_text(text)
+        code, out, _ = run(capsys, *argv, "--config", str(config))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["schema"] == 3
+        assert {"seed", "samples", "horizon"} & set(doc) == keys
+
+    def test_gauge_degeneracy_states_the_fixed_certificate(self, capsys):
+        code, out, _ = run(capsys, "verify-counterexample", "--samples", "5")
         assert code == 0
         (step,) = [s for s in json.loads(out)["steps"] if s["name"] == "gauge_degeneracy"]
-        assert step["inputs"]["tolerance"] == "1/1024"
-        assert step["pass"] is True
-
-    @pytest.mark.parametrize("value", ["0", "-1/2"])
-    def test_nonpositive_tolerance_exits_2(self, capsys, tmp_path, value):
-        config = tmp_path / "run.cfg"
-        config.write_text(f"tolerance = {value}\n")
-        code, _, err = run(capsys, "verify-counterexample", "--config", str(config))
-        assert code == 2
-        assert "tolerance must be positive" in err
+        assert step["inputs"]["tolerance"] == "1/1048576"
+        assert step["inputs"]["probe_atoms"] == "1..32"
 
 
 class TestPartition:

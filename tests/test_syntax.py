@@ -135,16 +135,14 @@ class TestConfig:
     def test_defaults(self):
         config = parse_config("")
         assert config.seed == 42
-        assert config.horizon == 32
         assert config.samples == 200
-        assert config.tolerance == Fraction(1, 2**20)
+        assert not hasattr(config, "horizon") and not hasattr(config, "tolerance")
 
     def test_full_config(self):
         text = """
         # a comment
         seed = 7
         samples = 50          # trailing comment
-        tolerance = 1/1024
         space.explicit = [[1, "1/3"]]
         space.tail_coefficient = 4/3
         base = from_seminorms[weighted({|1}), zero]

@@ -31,7 +31,7 @@ from l0convex import (
     order_compare,
     roundtrip_check,
 )
-from l0convex import sampling
+from l0convex import sampling, topology
 
 from conftest import ecrvs
 
@@ -177,7 +177,7 @@ class TestEpsLambda:
 
 class TestInductionVerdict:
     def test_counterexample_not_induced(self):
-        report = seminorm_induction_verdict(COUNTEREXAMPLE, horizon=32, seed=19, samples=100)
+        report = seminorm_induction_verdict(COUNTEREXAMPLE, seed=19, samples=100)
         assert report.verdict == "not_induced"
         assert report.passed
         names = [step.name for step in report.steps]
@@ -187,23 +187,52 @@ class TestInductionVerdict:
 
     def test_seminorm_family_induced(self):
         base = FromSeminorms((Localized(EventSet.finite({1})), Weighted(ONE)))
-        report = seminorm_induction_verdict(base, horizon=16, seed=23, samples=50)
+        report = seminorm_induction_verdict(base, seed=23, samples=50)
         assert report.verdict == "induced"
         assert report.passed
         assert report.family == base.family
 
     @pytest.mark.parametrize("base", [COUNTEREXAMPLE, UNIT_FAMILY])
-    @pytest.mark.parametrize("limits", [{"samples": 0}, {"horizon": 0}, {"samples": -1}])
+    @pytest.mark.parametrize("limits", [{"samples": 0}, {"samples": -1}])
     def test_vacuous_run_rejected(self, base, limits):
         with pytest.raises(ValueError, match="at least 1"):
             seminorm_induction_verdict(base, seed=31, **limits)
 
     def test_zero_family_induced(self):
-        report = seminorm_induction_verdict(
-            FromSeminorms((Zero(),)), horizon=8, seed=29, samples=30
-        )
+        report = seminorm_induction_verdict(FromSeminorms((Zero(),)), seed=29, samples=30)
         assert report.verdict == "induced"
         assert report.passed
+
+    @pytest.mark.parametrize("knob", ["horizon", "tolerance"])
+    def test_no_probe_knobs(self, knob):
+        """The verdict takes no probe horizon or certificate tolerance: its
+        steps use the library defaults."""
+        with pytest.raises(TypeError):
+            seminorm_induction_verdict(COUNTEREXAMPLE, samples=1, **{knob: 32})
+
+
+class TestSampledStep:
+    @staticmethod
+    def draws(failing):
+        """A draw whose n-th call (from 1) holds unless n is in `failing`."""
+        calls = []
+
+        def draw():
+            calls.append(len(calls) + 1)
+            return calls[-1] not in failing, {"example_call": calls[-1]}
+
+        return draw
+
+    def test_failing_step_reports_the_first_failing_draw(self):
+        step = topology._sampled_step("s", 5, self.draws({2, 4}), "", "{held}/{samples}")
+        assert not step.passed
+        assert step.observed == "3/5"
+        assert step.inputs == {"samples": 5, "example_call": "2"}
+
+    def test_passing_step_reports_the_last_draw(self):
+        step = topology._sampled_step("s", 5, self.draws(set()), "", "{held}/{samples}")
+        assert step.passed
+        assert step.inputs == {"samples": 5, "example_call": "5"}
 
 
 @pytest.mark.parametrize("samples", [0, -1])
