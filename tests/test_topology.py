@@ -193,8 +193,16 @@ class TestInductionVerdict:
         assert report.family == base.family
 
     @pytest.mark.parametrize("base", [COUNTEREXAMPLE, UNIT_FAMILY])
-    @pytest.mark.parametrize("limits", [{"samples": 0}, {"samples": -1}])
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"samples": 0},
+            {"samples": 0, "epsilon": ONE, "delta": EcRv.constant(Fraction(1, 2))},
+            {"samples": -1},
+        ],
+    )
     def test_vacuous_run_rejected(self, base, limits):
+        """Explicit radii do not make a run with no samples check anything."""
         with pytest.raises(ValueError, match="at least 1"):
             seminorm_induction_verdict(base, seed=31, **limits)
 
