@@ -1,7 +1,7 @@
 """The small records several modules and every command share.
 
-The neighborhood-base kinds, the report step, the usage error of the
-gauge closed forms and the default certificate tolerance live here so
+The neighborhood-base kinds, the report step, the usage errors and the
+default certificate tolerance live here so
 that loading them costs only this module: `config` needs a default base
 and every `check` and `partition` report builds an `EvidenceStep`,
 neither of which should pull in `topology` or `sets`.  The modules that
@@ -27,6 +27,12 @@ DEFAULT_TOLERANCE = Fraction(1, 2**20)
 
 class UnsupportedShape(TypeError):
     """No gauge closed form for this descriptor."""
+
+
+class UsageError(ValueError):
+    """An input outside what a check accepts: a count below its limit, an
+    atom index below 1, or inputs that do not fit together.  The CLI maps
+    it to exit code 2; a plain ValueError from the library is a defect."""
 
 
 @record(frozen=True)

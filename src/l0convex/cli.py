@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import concatenation, seminorms, sets, topology
-from ._common import EvidenceStep, UnsupportedShape
+from ._common import EvidenceStep, UnsupportedShape, UsageError
 from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
 from .l0 import NotInvertible
 from .measure import EventSet, SingletonTail, build_countable_partition
@@ -371,9 +371,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, UnsupportedShape, NotInvertible) as exc:
-        # bad input: ConfigError and ParseError are ValueErrors, a missing
-        # or unreadable file is an OSError
+    except (ConfigError, ParseError, UsageError, UnsupportedShape, NotInvertible, OSError) as exc:
+        # bad input; the library's UsageErrors include IncompatibleSpec and
+        # MalformedPrefix, and a missing or unreadable file is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect in the program, never "a check failed"

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._common import UsageError
 from ._record import field, record
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, reciprocal
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
@@ -28,12 +29,13 @@ from .sets import (
     MPlusBall,
     Scale,
     SetDescriptor,
+    Translate,
     contains,
     gauge_closed_form,
 )
 
 
-class IncompatibleSpec(ValueError):
+class IncompatibleSpec(UsageError):
     """Sequence shape does not fit the partition shape."""
 
 
@@ -157,12 +159,16 @@ def _leq_beyond(x: EcRv, y: EcRv, start: int) -> bool:
 def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
     """Do the single-atom pieces value(j) * I_{j} lie in s for all j >= beyond?
 
-    Single-atom pieces have zero tails, so M + B absorbs them outright;
+    Single-atom pieces have zero tails, so M + B absorbs them outright,
+    and a piece minus an offset has the offset's negated tail, so
+    offset + (M + B) holds them all exactly when |tail(offset)| <= tail(B);
     for balls the localization identity turns the condition into a
     pointwise comparison of ||value|| against the radius on late atoms.
     """
     if isinstance(s, MPlusBall):
         return True
+    if isinstance(s, Translate) and isinstance(s.inner, MPlusBall):
+        return abs(s.offset.tail) <= s.inner.radius.tail
     if isinstance(s, Ball):
         return all(
             _leq_beyond(evaluate(p, value), s.radius, beyond) for p in s.seminorms

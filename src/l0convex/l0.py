@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
@@ -32,16 +33,21 @@ class NotInvertible(ZeroDivisionError):
 class EcRv:
     """Eventually constant random variable over the positive integers.
 
-    Canonical form: every value is a Fraction and no override equals the
-    tail, so structural equality coincides with pointwise equality.  The
-    constructor enforces it on any input; kernel results that are
-    canonical by construction skip those checks (see `_canonical`).
-    Immutable: `overrides` is a read-only mapping and assigning or
-    deleting an attribute raises, so shared constants such as `ONE` and
-    the cached hash stay valid.
+    Representation: one positive common denominator `_d`, the integer
+    numerators `_n` of the overrides and `_t` of the tail, with gcd 1
+    over `_d` and every numerator and no override numerator equal to
+    `_t`.  That form is unique per pointwise function, so `==` and
+    `hash` compare the integers directly.  The constructor brings any
+    input to it; kernel results reduce with one gcd (see `_reduced`).
+
+    `overrides` (a read-only mapping) and `tail` are `Fraction` views,
+    built on first use and cached, in the overrides' insertion order.
+    Immutable: assigning or deleting an attribute raises, so shared
+    constants such as `ONE` and the cached views and hash stay valid.
     """
 
-    __slots__ = ("overrides", "tail", "_hash")
+    # the cache slots (hash and views) stay unset until first use
+    __slots__ = ("_d", "_n", "_t", "_hash", "_overrides_view", "_tail_view")
 
     def __init__(self, overrides: Mapping[int, Rational] | None = None, tail: Rational = 0):
         t = Fraction(tail)
@@ -51,9 +57,13 @@ class EcRv:
             v = Fraction(v)
             if v != t:
                 kept[j] = v
-        _setattr(self, "overrides", MappingProxyType(kept))
-        _setattr(self, "tail", t)
-        _setattr(self, "_hash", None)
+        # the lcm of reduced denominators leaves gcd 1 with the numerators
+        d = lcm(t.denominator, *(v.denominator for v in kept.values()))
+        _set_d(self, d)
+        _set_n(self, {j: v.numerator * (d // v.denominator) for j, v in kept.items()})
+        _set_t(self, t.numerator * (d // t.denominator))
+        _setattr(self, "_overrides_view", MappingProxyType(kept))
+        _setattr(self, "_tail_view", t)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EcRv is immutable; cannot set {name!r}")
@@ -64,9 +74,32 @@ class EcRv:
     def __reduce__(self):  # copy and pickle rebuild through the checking constructor
         return EcRv, (dict(self.overrides), self.tail)
 
+    @property
+    def overrides(self) -> Mapping[int, Fraction]:
+        try:
+            return self._overrides_view
+        except AttributeError:
+            d = self._d
+            view = MappingProxyType({j: Fraction(v, d) for j, v in self._n.items()})
+            _setattr(self, "_overrides_view", view)
+            return view
+
+    @property
+    def tail(self) -> Fraction:
+        try:
+            return self._tail_view
+        except AttributeError:
+            view = Fraction(self._t, self._d)
+            _setattr(self, "_tail_view", view)
+            return view
+
     @classmethod
     def constant(cls, value: Rational) -> "EcRv":
-        return _canonical({}, Fraction(value))
+        if type(value) is int:
+            return _make(1, {}, value)
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _make(value.denominator, {}, value.numerator)
 
     def value_at(self, j: int) -> Fraction:
         over = self.overrides
@@ -78,19 +111,23 @@ class EcRv:
         yield from self.overrides.values()
 
     def is_zero(self) -> bool:
-        return self.tail == 0 and not self.overrides
+        return self._t == 0 and not self._n
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
             isinstance(other, EcRv)
-            and self.tail == other.tail
-            and self.overrides == other.overrides
+            and self._d == other._d
+            and self._t == other._t
+            and self._n == other._n
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            _setattr(self, "_hash", hash((self.tail, frozenset(self.overrides.items()))))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._d, self._t, frozenset(self._n.items())))
+            _setattr(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{j}:{v}" for j, v in sorted(self.overrides.items()))
@@ -115,28 +152,50 @@ class EcRv:
     __rmul__ = __mul__
 
     def __neg__(self) -> "EcRv":
-        return _canonical({j: -v for j, v in self.overrides.items()}, -self.tail)
+        return _make(self._d, {j: -v for j, v in self._n.items()}, -self._t)
 
     def __abs__(self) -> "EcRv":
-        t = abs(self.tail)
+        t = abs(self._t)
         # |v| == |tail| happens for v == -tail, so that override goes
-        return _canonical(
-            {j: a for j, v in self.overrides.items() if (a := abs(v)) != t}, t
-        )
+        return _make(self._d, {j: a for j, v in self._n.items() if (a := abs(v)) != t}, t)
 
 
-_FZERO = Fraction(0)
+_set_d, _set_n, _set_t = EcRv._d.__set__, EcRv._n.__set__, EcRv._t.__set__
 
 
-def _canonical(overrides: dict[int, Fraction], tail: Fraction) -> EcRv:
-    """Wrap parts that are canonical by construction, without re-checking:
-    Fraction values on valid atoms, none equal to the tail.  The dict is
-    owned by the result from here on."""
+def _make(d: int, n: dict[int, int], t: int) -> EcRv:
+    """Wrap parts already in the canonical form, without re-checking:
+    numerators on valid atoms over `d`, none equal to `t`, gcd 1 overall.
+    The dict is owned by the result from here on."""
     x = object.__new__(EcRv)
-    _setattr(x, "overrides", MappingProxyType(overrides))
-    _setattr(x, "tail", tail)
-    _setattr(x, "_hash", None)
+    _set_d(x, d)
+    _set_n(x, n)
+    _set_t(x, t)
     return x
+
+
+def _reduced(d: int, n: dict[int, int], t: int) -> EcRv:
+    """`_make` for parts that may share a factor with `d`: one gcd over
+    the denominator and every numerator brings them to the canonical form."""
+    g = gcd(d, t, *n.values())
+    if g != 1:
+        return _make(d // g, {j: v // g for j, v in n.items()}, t // g)
+    return _make(d, n, t)
+
+
+def _from_ratios(overrides: dict[int, tuple[int, int]], tail: tuple[int, int]) -> EcRv:
+    """The element with value p/q at each atom of `overrides` and the tail
+    p/q of `tail`, from (integer, positive integer) pairs on valid atoms:
+    one lcm over the denominators, then `_reduced`."""
+    tp, tq = tail
+    d = lcm(tq, *(q for _, q in overrides.values()))
+    t = tp * (d // tq)
+    out = {}
+    for j, (p, q) in overrides.items():
+        v = p * (d // q)
+        if v != t:
+            out[j] = v
+    return _reduced(d, out, t)
 
 
 ZERO = EcRv.constant(0)
@@ -149,7 +208,7 @@ def _coerce(value: "EcRv | Rational") -> EcRv:
     return EcRv.constant(value)
 
 
-_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
+_OPS: dict[str, Callable[[int, int], int]] = {
     "add": operator.add,
     "sub": operator.sub,
     "mul": operator.mul,
@@ -161,23 +220,33 @@ _OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
 def combine(op: str, x: EcRv, y: EcRv) -> EcRv:
     """Pointwise op(x, y); the result tail is op of the tails.
 
-    One pass over each operand's overrides; a value equal to the result
-    tail is dropped as it is computed."""
+    The numerators meet over one denominator: the product of the two for
+    mul, their lcm otherwise (the shared one when they are equal).  One
+    pass over each operand's overrides; a value equal to the result tail
+    is dropped as it is computed, and one gcd reduces the result."""
     f = _OPS[op]
-    xt, yt = x.tail, y.tail
+    dx, dy = x._d, y._d
+    if op == "mul":
+        d, sx, sy = dx * dy, 1, 1
+    elif dx == dy:
+        d, sx, sy = dx, 1, 1
+    else:
+        d = lcm(dx, dy)
+        sx, sy = d // dx, d // dy
+    xt, yt = x._t * sx, y._t * sy
     tail = f(xt, yt)
-    xo, yo = x.overrides, y.overrides
+    xo, yo = x._n, y._n
     out = {}
     for j, a in xo.items():
-        v = f(a, yo[j] if j in yo else yt)
+        v = f(a * sx, yo[j] * sy if j in yo else yt)
         if v != tail:
             out[j] = v
     for j, b in yo.items():
         if j not in xo:
-            v = f(xt, b)
+            v = f(xt, b * sy)
             if v != tail:
                 out[j] = v
-    return _canonical(out, tail)
+    return _reduced(d, out, tail)
 
 
 def emin(x: EcRv, y: EcRv) -> EcRv:
@@ -190,18 +259,18 @@ def emax(x: EcRv, y: EcRv) -> EcRv:
 
 def indicator_mul(event: EventSet, x: EcRv) -> EcRv:
     """Multiply by the indicator of an event: keep x on the event, zero off it."""
-    over, t, atoms = x.overrides, x.tail, event.atoms
+    over, t, atoms = x._n, x._t, event.atoms
     if event.cofinite:
         kept = {j: v for j, v in over.items() if j not in atoms}
         if t != 0:
-            kept.update(dict.fromkeys(atoms, _FZERO))
-        return _canonical(kept, t)
+            kept.update(dict.fromkeys(atoms, 0))
+        return _reduced(x._d, kept, t)
     kept = {}
     for j in atoms:
         v = over[j] if j in over else t
         if v != 0:
             kept[j] = v
-    return _canonical(kept, _FZERO)
+    return _reduced(x._d, kept, 0)
 
 
 def indicator(event: EventSet) -> EcRv:
@@ -209,9 +278,12 @@ def indicator(event: EventSet) -> EcRv:
 
 
 def reciprocal(x: EcRv) -> EcRv:
-    if any(v == 0 for v in x.values()):
+    n, t = x._n, x._t
+    if t == 0 or 0 in n.values():
         raise NotInvertible(f"{x!r} takes the value 0")
-    return _canonical({j: 1 / v for j, v in x.overrides.items()}, 1 / x.tail)
+    # 1/(v/d) = d*(m/v)/m over the lcm m of the numerators
+    d, m = x._d, lcm(t, *n.values())
+    return _reduced(m, {j: d * (m // v) for j, v in n.items()}, d * (m // t))
 
 
 def divide(x: EcRv, y: EcRv) -> EcRv:
@@ -247,17 +319,19 @@ def order_compare(x: EcRv, y: EcRv) -> OrderReport:
     return OrderReport(leq, strict, equal)
 
 
-def _holds_everywhere(rel: Callable[[Fraction, Fraction], bool], x: EcRv, y: EcRv) -> bool:
-    """rel(x(j), y(j)) at every atom, stopping at the first atom where it fails."""
-    xt, yt = x.tail, y.tail
+def _holds_everywhere(rel: Callable[[int, int], bool], x: EcRv, y: EcRv) -> bool:
+    """rel(x(j), y(j)) at every atom, stopping at the first atom where it
+    fails; the values are compared cross-multiplied by the denominators."""
+    dx, dy = x._d, y._d
+    xt, yt = x._t * dy, y._t * dx
     if not rel(xt, yt):
         return False
-    xo, yo = x.overrides, y.overrides
+    xo, yo = x._n, y._n
     for j, a in xo.items():
-        if not rel(a, yo[j] if j in yo else yt):
+        if not rel(a * dy, yo[j] * dx if j in yo else yt):
             return False
     for j, b in yo.items():
-        if j not in xo and not rel(xt, b):
+        if j not in xo and not rel(xt, b * dx):
             return False
     return True
 
@@ -282,9 +356,36 @@ class Classification:
 def classify(x: EcRv) -> Classification:
     """Membership in the nonnegative cone, the strictly positive cone,
     and the submodule M of finitely supported elements (zero tail)."""
-    values = list(x.values())
-    return Classification(
-        in_L0_plus=all(v >= 0 for v in values),
-        in_L0_plusplus=all(v > 0 for v in values),
-        in_M=x.tail == 0,
-    )
+    low = min((x._t, *x._n.values()))  # the denominator is positive
+    return Classification(in_L0_plus=low >= 0, in_L0_plusplus=low > 0, in_M=x._t == 0)
+
+
+# -- integer shortcuts for hot callers that would otherwise read the
+# Fraction views and rebuild through the checking constructor --
+
+
+def _with_tail(x: EcRv, tail: Fraction) -> EcRv:
+    """x's overrides with `tail` in place of its tail."""
+    d = lcm(x._d, tail.denominator)
+    scale, t = d // x._d, tail.numerator * (d // tail.denominator)
+    return _reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)
+
+
+def _half_abs_or_one(x: EcRv) -> EcRv:
+    """|v|/2 where x takes a nonzero value v, and 1 where it is zero."""
+    d = 2 * x._d
+    t = abs(x._t) or d
+    return _reduced(d, {j: w for j, v in x._n.items() if (w := abs(v) or d) != t}, t)
+
+
+def _abs_tail_leq(x: EcRv, y: EcRv) -> bool:
+    """|tail(x)| <= tail(y)."""
+    return abs(x._t) * y._d <= y._t * x._d
+
+
+def _leq_at(x: EcRv, y: EcRv, atoms, slack: Rational) -> bool:
+    """x(j) <= y(j) + slack at every atom j of `atoms`."""
+    dx, dy, p, q = x._d, y._d, slack.numerator, slack.denominator
+    xn, yn, xt, yt = x._n, y._n, x._t, y._t
+    # a/dx <= b/dy + p/q  iff  a*dy*q <= (b*q + p*dy)*dx, all denominators positive
+    return all(xn.get(j, xt) * dy * q <= (yn.get(j, yt) * q + p * dy) * dx for j in atoms)

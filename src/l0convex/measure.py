@@ -12,16 +12,17 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Union
 
+from ._common import UsageError
 from ._record import record
 
 
-class MalformedPrefix(ValueError):
+class MalformedPrefix(UsageError):
     """Prefix cells overlap or leave gaps below the tail start."""
 
 
 def _check_atom(j: int) -> int:
     if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"atom index must be a positive integer, got {j!r}")
+        raise UsageError(f"atom index must be a positive integer, got {j!r}")
     return j
 
 
@@ -126,14 +127,14 @@ class DiscreteSpace:
         c = Fraction(tail_coefficient)
         n = len(explicit)
         if set(explicit) != set(range(1, n + 1)):
-            raise ValueError("explicit weights must cover atoms 1..N contiguously")
+            raise UsageError("explicit weights must cover atoms 1..N contiguously")
         if any(not (0 < w < 1) for w in explicit.values()):
-            raise ValueError("explicit weights must lie in (0, 1)")
+            raise UsageError("explicit weights must lie in (0, 1)")
         if c <= 0:
-            raise ValueError("tail coefficient must be positive")
+            raise UsageError("tail coefficient must be positive")
         total = sum(explicit.values(), Fraction(0)) + c * Fraction(1, 2**n)
         if total != 1:
-            raise ValueError(f"total mass is {total}, expected exactly 1")
+            raise UsageError(f"total mass is {total}, expected exactly 1")
         object.__setattr__(self, "explicit", MappingProxyType(explicit))
         object.__setattr__(self, "tail_coefficient", c)
 
@@ -164,7 +165,7 @@ class DiscreteSpace:
     def mass_from(self, j: int) -> Fraction:
         """Exact mass of the cofinite event {k : k >= j}; requires j > N."""
         if j <= self.explicit_count:
-            raise ValueError("tail mass only defined beyond the explicit prefix")
+            raise UsageError("tail mass only defined beyond the explicit prefix")
         return self.tail_coefficient * Fraction(1, 2 ** (j - 1))
 
     def probability(self, event: EventSet) -> Fraction:
@@ -201,19 +202,19 @@ class FinitePartition:
 
     def __post_init__(self):
         if not self.cells:
-            raise ValueError("a partition needs at least one cell")
+            raise UsageError("a partition needs at least one cell")
         cofinite = [c for c in self.cells if c.cofinite]
         if len(cofinite) != 1:
-            raise ValueError("a finite partition must contain exactly one cofinite cell")
+            raise UsageError("a finite partition must contain exactly one cofinite cell")
         union = EventSet.empty()
         for cell in self.cells:
             if cell.is_empty():
-                raise ValueError("partition cells must be nonempty")
+                raise UsageError("partition cells must be nonempty")
             if not union.isdisjoint(cell):
-                raise ValueError("partition cells must be pairwise disjoint")
+                raise UsageError("partition cells must be pairwise disjoint")
             union = union | cell
         if union != OMEGA:
-            raise ValueError("partition cells must cover all atoms")
+            raise UsageError("partition cells must cover all atoms")
 
     def cell(self, n: int) -> EventSet:
         return self.cells[n - 1]
@@ -276,5 +277,5 @@ def build_countable_partition(
     """
     part = SingletonTail(tuple(atom_cells), tail_start)
     if space.explicit_count >= tail_start:
-        raise ValueError("space must be purely dyadic from tail_start on")
+        raise UsageError("space must be purely dyadic from tail_start on")
     return part

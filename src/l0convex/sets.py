@@ -30,7 +30,12 @@ from .l0 import (
     leq_everywhere,
     lt_everywhere,
     reciprocal,
+    _abs_tail_leq,
+    _from_ratios,
+    _leq_at,
+    _with_tail,
 )
+from .measure import _check_atom
 from .seminorms import Seminorm, evaluate
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
@@ -98,7 +103,7 @@ def contains(s: SetDescriptor, x: EcRv) -> bool:
     if isinstance(s, Ball):
         return all(leq_everywhere(evaluate(p, x), s.radius) for p in s.seminorms)
     if isinstance(s, MPlusBall):
-        return abs(x.tail) <= s.radius.tail
+        return _abs_tail_leq(x, s.radius)
     if isinstance(s, Scale):
         return contains(s.inner, reciprocal(s.factor) * x)
     if isinstance(s, Translate):
@@ -276,10 +281,7 @@ def verify_certificate(cert: GaugeCertificate) -> bool:
         return False
     if not contains(Scale(cert.witness, cert.target_set), cert.point):
         return False
-    return all(
-        cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + cert.tolerance
-        for j in cert.probe_atoms
-    )
+    return _leq_at(cert.witness, cert.claimed_bound, cert.probe_atoms, cert.tolerance)
 
 
 DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
@@ -309,7 +311,9 @@ def _certificate_witness(
         # membership only constrains the tail; the probe atoms can sit
         # at the tolerance because finite excursions are absorbed by M
         tail = max(Fraction(1), abs(x.tail) / s.radius.tail)
-        return EcRv({j: tol for j in probes}, tail)
+        ratio = (tol.numerator, tol.denominator)
+        over = dict.fromkeys(map(_check_atom, probes), ratio)
+        return _from_ratios(over, (tail.numerator, tail.denominator))
     if isinstance(s, Scale):
         return _certificate_witness(s.inner, reciprocal(s.factor) * x, probes, tol)
     if isinstance(s, (Ball, Intersect)):
@@ -332,7 +336,7 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
     if isinstance(s, MPlusBall):
         x = sampling.random_ecrv(rng)
         rho = sampling.random_unit_fraction(rng) * rng.choice((-1, 1))
-        return EcRv(x.overrides, rho * s.radius.tail)
+        return _with_tail(x, rho * s.radius.tail)
     if isinstance(s, Scale):
         return s.factor * sample_member(s.inner, rng)
     if isinstance(s, Translate):

@@ -24,6 +24,7 @@ from .l0 import (
     divide,
     emin,
     order_compare,
+    _half_abs_or_one,
 )
 from .concatenation import cc_failure_witness
 from .measure import CANONICAL, DiscreteSpace
@@ -46,6 +47,7 @@ from ._common import (  # re-exported: the records live in the leaf module
     EvidenceStep,
     FromSeminorms,
     NeighborhoodBase,
+    UsageError,
 )
 
 
@@ -83,7 +85,7 @@ def base_axiom_witnesses(
     sampling.require_samples(samples)
     for r in (eps, delta):
         if not classify(r).in_L0_plusplus:
-            raise ValueError("radii must be strictly positive everywhere")
+            raise UsageError("radii must be strictly positive everywhere")
     meet = emin(eps, delta)
     half = eps * Fraction(1, 2)
     ratio = divide(delta, eps)
@@ -148,10 +150,7 @@ class SeparationWitness:
 def separation_witness(x: EcRv) -> SeparationWitness:
     if classify(x).in_M:
         raise PointInM(f"{x!r} has finite support")
-    overrides = {
-        j: abs(v) / 2 if v != 0 else Fraction(1) for j, v in x.overrides.items()
-    }
-    eps = EcRv(overrides, abs(x.tail) / 2)
+    eps = _half_abs_or_one(x)  # the tail is nonzero: x is not in M
     return SeparationWitness(x, eps, not contains(MPlusBall(eps), x))
 
 
@@ -226,10 +225,7 @@ def hausdorff_report(
         norm = sup_evaluate(base.family, d)
         if norm == ZERO:
             return HausdorffReport(False, (x, y), samples, separated)
-        eps = EcRv(
-            {j: v / 2 if v > 0 else Fraction(1) for j, v in norm.overrides.items()},
-            norm.tail / 2 if norm.tail > 0 else Fraction(1),
-        )
+        eps = _half_abs_or_one(norm)  # norm/2 where positive, 1 where zero
         if not contains(base.base_set(eps), d):
             separated += 1
     return HausdorffReport(True, None, samples, separated)

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 
 import pytest
@@ -83,6 +84,37 @@ class TestCheck:
         )
         code, _, _ = run(capsys, "check", "cc", "--config", str(config))
         assert code == 1
+
+    def test_cc_translate_of_m_plus_ball_is_decided(self, capsys, tmp_path):
+        """Late diagonal pieces have zero tails, so they lie in
+        offset + (M + B) exactly when |tail(offset)| <= tail(B)."""
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "set = translate({|1}; m_plus_ball({|1}))\n"
+            "seq.diag = {|1}\n"
+            "part.singletons_from = 1\n"
+            "expect = fail\n"
+        )
+        code, out, _ = run(capsys, "check", "cc", "--config", str(config))
+        assert code == 1  # the glue {|1} stays in the set: closure holds, not the declared fail
+        step = json.loads(out)["steps"][0]
+        entry = step["inputs"]["entries"][0]
+        assert entry["precondition_ok"] is True
+        assert entry["glue"] == "{|1}" and entry["glue_in_set"] is True
+        assert step["observed"] == "outcome: pass"
+
+    def test_cc_translate_pieces_outside_the_set(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "set = translate({|3}; m_plus_ball({|1}))\n"
+            "seq.diag = {|1}\n"
+            "part.singletons_from = 1\n"
+            "expect = fail\n"
+        )
+        code, out, _ = run(capsys, "check", "cc", "--config", str(config))
+        assert code == 1
+        entry = json.loads(out)["steps"][0]["inputs"]["entries"][0]
+        assert entry["precondition_ok"] is False
 
     def test_base_axioms_default_radii(self, capsys):
         code, out, _ = run(capsys, "check", "base", "--samples", "50")
@@ -472,6 +504,45 @@ class TestErrorMapping:
         assert code == 3
         assert out == ""
         assert err.startswith("internal error: ")
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            ("topology", "seminorm_induction_verdict", ("verify-counterexample", "--samples", "3")),
+            ("sets", "gauge_closed_form", ("eval", "gauge m_plus_ball({|1}) {|5}")),
+            ("seminorms", "combine", ("eval", "seminorm weighted({|2}) {|3}")),
+        ],
+        ids=["verdict", "gauge", "kernel"],
+    )
+    def test_plain_value_error_from_the_library_exits_3(self, capsys, monkeypatch, module, name, argv):
+        """Only the package's input errors mean bad input; a plain
+        ValueError from library code is a defect, not a usage error."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("arithmetic defect")
+
+        monkeypatch.setattr(importlib.import_module(f"l0convex.{module}"), name, broken)
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: ValueError: arithmetic defect\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("partition", "--from", "0"),
+            ("partition", "--from", "3", "--cells", "[{1}]"),
+            ("verify-counterexample", "--samples", "3", "--config", "{cfg}"),
+        ],
+        ids=["atom-index", "malformed-prefix", "radius"],
+    )
+    def test_library_usage_errors_exit_2(self, capsys, tmp_path, argv):
+        config = tmp_path / "run.cfg"
+        config.write_text("epsilon = {|0}\n")
+        code, out, err = run(capsys, *(a.replace("{cfg}", str(config)) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestReportHeader:

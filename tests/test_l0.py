@@ -1,10 +1,12 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from l0convex import (
     EcRv,
@@ -23,8 +25,9 @@ from l0convex import (
     reciprocal,
 )
 from l0convex import sampling
+from l0convex.l0 import _abs_tail_leq, _from_ratios, _half_abs_or_one, _leq_at, _with_tail
 
-from conftest import ecrvs, events, rationals, values_upto
+from conftest import atoms, ecrvs, events, rationals, values_upto
 
 OPS = {
     "add": lambda a, b: a + b,
@@ -310,3 +313,141 @@ class TestClassify:
 
     def test_m_is_proper(self):
         assert not classify(ONE).in_M
+
+
+# -- the integer kernel against a plain-Fraction pointwise reference ---------
+
+ATOMS = range(1, 21)  # covers every override atom (1..16) and some tail atoms
+pointwise = st.tuples(st.dictionaries(atoms, rationals, max_size=8), rationals)
+
+
+def reference(spec):
+    """The values of EcRv(*spec) on ATOMS, read from the input itself."""
+    over, tail = spec
+    return [Fraction(over.get(j, tail)) for j in ATOMS]
+
+
+def readout(x):
+    return [x.value_at(j) for j in ATOMS]
+
+
+def assert_integer_form(x):
+    """The representation invariant of every EcRv, however it was built."""
+    assert type(x._d) is int and x._d > 0
+    assert type(x._t) is int and all(type(v) is int for v in x._n.values())
+    assert math.gcd(x._d, x._t, *x._n.values()) == 1
+    assert x._t not in x._n.values()
+    assert all(type(j) is int and j >= 1 for j in x._n)
+    assert x.tail == Fraction(x._t, x._d)
+
+
+class TestIntegerKernel:
+    @given(pointwise, pointwise)
+    def test_combine_ops(self, a, b):
+        x, y = EcRv(*a), EcRv(*b)
+        for op, f in OPS.items():
+            z = combine(op, x, y)
+            assert_integer_form(z)
+            assert readout(z) == [f(u, v) for u, v in zip(reference(a), reference(b))]
+            assert z.tail == f(Fraction(a[1]), Fraction(b[1]))
+
+    @given(pointwise, events)
+    def test_unary_ops(self, a, e):
+        x, ref = EcRv(*a), reference(a)
+        for z, expected in (
+            (-x, [-v for v in ref]),
+            (abs(x), [abs(v) for v in ref]),
+            (indicator_mul(e, x), [v if j in e else 0 for j, v in zip(ATOMS, ref)]),
+        ):
+            assert_integer_form(z)
+            assert readout(z) == expected
+        assert indicator_mul(e, x).tail == (x.tail if e.cofinite else 0)
+
+    @given(pointwise)
+    def test_reciprocal(self, a):
+        x = EcRv(*a)
+        values = [Fraction(v) for v in (*a[0].values(), a[1])]
+        if 0 in values:
+            with pytest.raises(NotInvertible):
+                reciprocal(x)
+            return
+        z = reciprocal(x)
+        assert_integer_form(z)
+        assert readout(z) == [1 / v for v in reference(a)]
+        assert z.tail == 1 / Fraction(a[1])
+
+    @given(pointwise, pointwise)
+    def test_order_checks(self, a, b):
+        x, y = EcRv(*a), EcRv(*b)
+        pairs = list(zip(reference(a), reference(b)))
+        assert leq_everywhere(x, y) == all(u <= v for u, v in pairs)
+        assert lt_everywhere(x, y) == all(u < v for u, v in pairs)
+
+    @given(pointwise)
+    def test_classify(self, a):
+        ref = reference(a)
+        c = classify(EcRv(*a))
+        assert c.in_L0_plus == all(v >= 0 for v in ref)
+        assert c.in_L0_plusplus == all(v > 0 for v in ref)
+        assert c.in_M == (a[1] == 0)
+
+    @given(pointwise, rationals, st.integers(-50, 50))
+    def test_constants_and_scalar_coercion(self, a, c, k):
+        x, ref = EcRv(*a), reference(a)
+        for value in (c, k):
+            const = EcRv.constant(value)
+            assert_integer_form(const)
+            assert readout(const) == [value] * len(ATOMS) and not const.overrides
+            for z, expected in (
+                (x * value, [v * value for v in ref]),
+                (value * x, [value * v for v in ref]),
+                (x + value, [v + value for v in ref]),
+                (value - x, [value - v for v in ref]),
+            ):
+                assert_integer_form(z)
+                assert readout(z) == expected
+
+    @given(pointwise, pointwise)
+    def test_equality_and_hash(self, a, b):
+        x, y = EcRv(*a), EcRv(*b)
+        assert (x == y) == (reference(a) == reference(b))
+        # the same function, built through the kernel and reversed
+        same = EcRv(dict(reversed(list(a[0].items()))), a[1])
+        kernel_built = x + ZERO
+        for twin in (same, kernel_built, combine("max", x, x)):
+            assert twin == x and hash(twin) == hash(x)
+        assert_integer_form(x)
+
+    @given(pointwise)
+    def test_copy_and_pickle_round_trips(self, a):
+        x = EcRv(*a) * Fraction(3, 7)  # a kernel result: views not built yet
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert_integer_form(y)
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+            assert list(y.overrides.items()) == list(x.overrides.items())
+
+    @given(
+        st.dictionaries(atoms, st.tuples(st.integers(-99, 99), st.integers(1, 99)), max_size=8),
+        st.tuples(st.integers(-99, 99), st.integers(1, 99)),
+    )
+    def test_built_from_integer_ratios(self, over, tail):
+        x = _from_ratios(over, tail)
+        assert_integer_form(x)
+        assert x == EcRv({j: Fraction(p, q) for j, (p, q) in over.items()}, Fraction(*tail))
+
+    @given(pointwise, pointwise, rationals, st.frozensets(st.integers(1, 20), max_size=6))
+    def test_caller_shortcuts(self, a, b, c, probes):
+        """The private integer shortcuts that sets and topology use in place
+        of reading the Fraction views, against the same reference."""
+        x, y, ref_x, ref_y = EcRv(*a), EcRv(*b), reference(a), reference(b)
+        with_tail = _with_tail(x, c)
+        assert_integer_form(with_tail)
+        assert with_tail == EcRv(x.overrides, c)  # the call sample_member made
+        halved = _half_abs_or_one(x)
+        assert_integer_form(halved)
+        assert readout(halved) == [abs(v) / 2 if v != 0 else 1 for v in ref_x]
+        assert _abs_tail_leq(x, y) == (abs(Fraction(a[1])) <= Fraction(b[1]))
+        slack = abs(c)
+        assert _leq_at(x, y, probes, slack) == all(
+            ref_x[j - 1] <= ref_y[j - 1] + slack for j in probes
+        )
