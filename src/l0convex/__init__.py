@@ -44,7 +44,9 @@ _EXPORTS_BY_MODULE = {
 _EXPORTS = {
     name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names.split()
 }
-_SUBMODULES = ("concatenation", "l0", "measure", "sampling", "seminorms", "sets", "topology")
+_SUBMODULES = (
+    "concatenation", "l0", "measure", "sampling", "seminorms", "sets", "syntax", "topology",
+)
 
 __all__ = sorted(_EXPORTS)
 __version__ = "0.1.0"

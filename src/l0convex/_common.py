@@ -1,13 +1,15 @@
 """The small records several modules and every command share.
 
-The neighborhood-base kinds, the report step, the usage errors and the
+The neighborhood-base kinds, the report step, the input errors and the
 default certificate tolerance live here so
 that loading them costs only this module: `config` needs a default base
 and every `check` and `partition` report builds an `EvidenceStep`,
-neither of which should pull in `topology` or `sets`.  The modules that
-use them (`topology`, `sets`) re-export each name, so
-`l0convex.topology.EvidenceStep` and `l0convex.sets.UnsupportedShape`
-are these same objects.
+neither of which should pull in `topology` or `sets`, and `config` and
+`cli` catch `ParseError` without running the literal parser.  The
+modules that use them (`topology`, `sets`, `syntax`) re-export each
+name, so `l0convex.topology.EvidenceStep`,
+`l0convex.sets.UnsupportedShape` and `l0convex.syntax.ParseError` are
+these same objects.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ class UsageError(ValueError):
     """An input outside what a check accepts: a count below its limit, an
     atom index below 1, or inputs that do not fit together.  The CLI maps
     it to exit code 2; a plain ValueError from the library is a defect."""
+
+
+class ParseError(ValueError):
+    """A literal that does not parse, located by line and column."""
+
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
+        self.line = line
+        self.column = column
 
 
 @record(frozen=True)

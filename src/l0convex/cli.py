@@ -19,26 +19,18 @@ import argparse
 import json
 import sys
 
-from . import concatenation, seminorms, sets, topology
-from ._common import EvidenceStep, UnsupportedShape, UsageError
+from . import concatenation, seminorms, sets, syntax, topology
+from ._common import EvidenceStep, ParseError, UnsupportedShape, UsageError
 from .config import ConfigError, RunConfig, config_keys, parse_config, parse_event_list
 from .l0 import NotInvertible
 from .measure import EventSet, SingletonTail, build_countable_partition
-from .syntax import (
-    ParseError,
-    Parser,
-    parse_partition,
-    format_partition,
-    format_seminorm,
-    format_sequence,
-    format_set,
-)
 
-# The package binds the evidence modules above lazily, so a one-shot
-# command runs only the ones its branch calls into.  The evidence
-# functions this module calls stay attributes of it, resolved on first
-# use, so code that reaches for `l0convex.cli.gauge_closed_form` (the
-# benchmark's tracer self-test does) finds the function in its module.
+# The package binds the evidence modules and `syntax` lazily, so a one-shot
+# command runs only the ones its branch calls into, and `syntax` only when
+# it parses or formats a literal.  The evidence functions this module calls
+# stay attributes of it, resolved on first use, so code that reaches for
+# `l0convex.cli.gauge_closed_form` (the benchmark's tracer self-test does)
+# finds the function in its module.
 _EVIDENCE_NAMES = {
     "glue": concatenation,
     "relative_cc_check": concatenation,
@@ -113,7 +105,7 @@ def _load_config(args) -> tuple[RunConfig, dict]:
     if run == "check":
         run += f" {args.target}"
     elif run == "eval":
-        run += f" {Parser(args.expression).word()}"  # an unknown operation reads nothing
+        run += f" {syntax.Parser(args.expression).word()}"  # an unknown operation reads nothing
     reads = [name.lstrip("-") for name in _READS.get(run, "").split()]
     given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
     for name in given + config_keys(text):
@@ -147,7 +139,7 @@ def cmd_verify(args) -> int:
         "pass": verdict.passed,
     }
     if verdict.family is not None:
-        report["family"] = [format_seminorm(s) for s in verdict.family]
+        report["family"] = [syntax.format_seminorm(s) for s in verdict.family]
     _emit(report, args.json)
     return 0 if verdict.passed else 1
 
@@ -156,7 +148,7 @@ def cmd_verify(args) -> int:
 
 
 def run_eval(expr: str, config: RunConfig) -> str:
-    parser = Parser(expr)
+    parser = syntax.Parser(expr)
     op = parser.word()
     if op == "gauge":
         target = parser.set_descriptor()
@@ -208,7 +200,7 @@ def cmd_check(args) -> int:
         report = seminorms.axioms_check(config.seminorm, config.samples, config.seed)
         step = EvidenceStep(
             "seminorm_axioms",
-            {"seminorm": format_seminorm(config.seminorm), "samples": config.samples},
+            {"seminorm": syntax.format_seminorm(config.seminorm), "samples": config.samples},
             "homogeneity and triangle inequality hold exactly on all samples",
             f"homogeneity failures: {report.homogeneity_failures}, "
             f"triangle failures: {report.triangle_failures}",
@@ -221,7 +213,8 @@ def cmd_check(args) -> int:
         if config.seminorm is not None and config.set_descriptor is not None:
             raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
         report = sets.roundtrip_check(probe, config.samples, config.seed)
-        label = format_seminorm(probe) if config.seminorm is not None else format_set(probe)
+        formatter = syntax.format_seminorm if config.seminorm is not None else syntax.format_set
+        label = formatter(probe)
         step = EvidenceStep(
             "gauge_roundtrip",
             {"target": label, "samples": config.samples},
@@ -241,7 +234,7 @@ def cmd_check(args) -> int:
         outcome = "fail" if not report.closure_holds else "pass"
         entries = [
             {
-                "sequence": format_sequence(e.sequence),
+                "sequence": syntax.format_sequence(e.sequence),
                 "precondition_ok": e.precondition_ok,
                 "glue": repr(e.glue) if e.glue is not None else None,
                 "glue_in_set": e.glue_in_set,
@@ -252,8 +245,8 @@ def cmd_check(args) -> int:
         step = EvidenceStep(
             "relative_concatenation",
             {
-                "set": format_set(config.set_descriptor),
-                "partition": format_partition(part),
+                "set": syntax.format_set(config.set_descriptor),
+                "partition": syntax.format_partition(part),
                 "entries": entries,
             },
             f"closure outcome matches the declared expectation ({config.expect})",
@@ -286,7 +279,7 @@ def cmd_partition(args) -> int:
         for flag, value in (("--from", args.tail_start), ("--cells", args.cells)):
             if value is not None:
                 raise ConfigError(f"{flag} would be ignored: the spec literal sets the partition")
-        part_spec = parse_partition(args.spec)
+        part_spec = syntax.parse_partition(args.spec)
         if not isinstance(part_spec, SingletonTail):
             raise ConfigError("the partition builder takes a singletons_from(...) spec")
         cells = list(part_spec.prefix_cells)
@@ -319,7 +312,7 @@ def cmd_partition(args) -> int:
     doc = {
         **header,
         "command": "partition",
-        "partition": format_partition(part),
+        "partition": syntax.format_partition(part),
         "tail_mass": str(remainder),
         "tail_cell_masses": masses,
         "steps": [step.to_json()],

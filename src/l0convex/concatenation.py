@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from ._common import UsageError
 from ._record import field, record
-from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, reciprocal
+from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, reciprocal, _single_atom
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
 from .sets import (
@@ -65,6 +65,9 @@ SequenceSpec = Union[EventuallyConstantSeq, Diagonal]
 def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
     if isinstance(seq, EventuallyConstantSeq):
         return seq.element(n)
+    if isinstance(part, SingletonTail) and n > part.prefix_count:
+        # the n-th cell is one atom: build the piece without the cell
+        return _single_atom(seq.value, part.tail_start - 1 + (n - part.prefix_count))
     return indicator_mul(part.cell(n), seq.value)
 
 
@@ -338,7 +341,7 @@ def reverse_partition_construct(
         seq: SequenceSpec = Diagonal(x)
         checked = horizon
         pieces_ok = all(
-            contains(u, indicator_mul(part.cell(n), x)) for n in range(1, horizon + 1)
+            contains(u, sequence_element(seq, part, n)) for n in range(1, horizon + 1)
         )
         tail_ok = _late_pieces_in_set(u, x, horizon + 1)
         glue_ok = glue(seq, part).element == x

@@ -21,11 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase
+from . import syntax
+from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase, ParseError
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 from .l0 import EcRv
-from .syntax import ParseError, Parser, parse_ecrv, parse_seminorm, parse_set
 
 if TYPE_CHECKING:
     from .concatenation import SequenceSpec
@@ -69,7 +69,7 @@ def _strip_quotes(value: str) -> str:
 
 
 def _parse_space_explicit(value: str, line: int) -> dict[int, Fraction]:
-    parser = Parser(value, line_offset=line - 1)
+    parser = syntax.Parser(value, line_offset=line - 1)
 
     def entry() -> tuple[int, Fraction]:
         parser.take("[")
@@ -95,14 +95,14 @@ def _parse_space_explicit(value: str, line: int) -> dict[int, Fraction]:
 
 
 def _parse_ec_list(value: str, line: int):
-    parser = Parser(value, line_offset=line - 1)
+    parser = syntax.Parser(value, line_offset=line - 1)
     sequence = parser.ec_list()
     parser.finish()
     return sequence
 
 
 def parse_event_list(value: str, line: int) -> list[EventSet]:
-    parser = Parser(value, line_offset=line - 1)
+    parser = syntax.Parser(value, line_offset=line - 1)
     cells = parser.bracket_list(parser.event)
     parser.finish()
     return cells
@@ -112,7 +112,7 @@ def _parse_base(value: str, line: int) -> NeighborhoodBase:
     value = value.strip()
     if value == "counterexample":
         return CounterexampleFamily()
-    parser = Parser(value, line_offset=line - 1)
+    parser = syntax.Parser(value, line_offset=line - 1)
     name = parser.word()
     if name != "from_seminorms":
         raise ParseError(f"unknown base {name!r}", line, 1)
@@ -156,25 +156,25 @@ def parse_config(text: str) -> RunConfig:
             elif key == "base":
                 config.base = _parse_base(value, line_no)
             elif key == "seminorm":
-                config.seminorm = parse_seminorm(value, line_offset=line_no - 1)
+                config.seminorm = syntax.parse_seminorm(value, line_offset=line_no - 1)
             elif key == "set":
-                config.set_descriptor = parse_set(value, line_offset=line_no - 1)
+                config.set_descriptor = syntax.parse_set(value, line_offset=line_no - 1)
             elif key == "seq.ec":
                 config.sequences.append(_parse_ec_list(value, line_no))
             elif key == "seq.diag":
                 from .concatenation import Diagonal
 
                 config.sequences.append(
-                    Diagonal(parse_ecrv(value, line_offset=line_no - 1))
+                    Diagonal(syntax.parse_ecrv(value, line_offset=line_no - 1))
                 )
             elif key == "part.finite":
                 config.prefix_cells = parse_event_list(value, line_no)
             elif key == "part.singletons_from":
                 config.singletons_from = int(value)
             elif key == "epsilon":
-                config.epsilon = parse_ecrv(value, line_offset=line_no - 1)
+                config.epsilon = syntax.parse_ecrv(value, line_offset=line_no - 1)
             elif key == "delta":
-                config.delta = parse_ecrv(value, line_offset=line_no - 1)
+                config.delta = syntax.parse_ecrv(value, line_offset=line_no - 1)
             elif key == "expect":
                 if value not in ("pass", "fail"):
                     raise ConfigError(f"line {line_no}: expect must be pass or fail")

@@ -278,9 +278,9 @@ def indicator(event: EventSet) -> EcRv:
 
 
 def reciprocal(x: EcRv) -> EcRv:
-    n, t = x._n, x._t
-    if t == 0 or 0 in n.values():
+    if _takes_zero(x):
         raise NotInvertible(f"{x!r} takes the value 0")
+    n, t = x._n, x._t
     # 1/(v/d) = d*(m/v)/m over the lcm m of the numerators
     d, m = x._d, lcm(t, *n.values())
     return _reduced(m, {j: d * (m // v) for j, v in n.items()}, d * (m // t))
@@ -378,9 +378,21 @@ def _half_abs_or_one(x: EcRv) -> EcRv:
     return _reduced(d, {j: w for j, v in x._n.items() if (w := abs(v) or d) != t}, t)
 
 
-def _abs_tail_leq(x: EcRv, y: EcRv) -> bool:
-    """|tail(x)| <= tail(y)."""
-    return abs(x._t) * y._d <= y._t * x._d
+def _takes_zero(x: EcRv) -> bool:
+    """x is 0 at some atom: no reciprocal."""
+    return x._t == 0 or 0 in x._n.values()
+
+
+def _abs_tail_leq(x: EcRv, y: EcRv, f: EcRv = ONE) -> bool:
+    """|tail(x)| <= |tail(f)| * tail(y), for f with a nonzero tail: x / f
+    lies in M + B_y (x itself for the default f, one)."""
+    return abs(x._t) * f._d * y._d <= y._t * abs(f._t) * x._d
+
+
+def _single_atom(x: EcRv, j: int) -> EcRv:
+    """x(j) at the atom j, zero elsewhere: `indicator_mul` of {j}."""
+    v = x._n.get(j, x._t)
+    return _reduced(x._d, {j: v} if v else {}, 0)
 
 
 def _leq_at(x: EcRv, y: EcRv, atoms, slack: Rational) -> bool:

@@ -236,7 +236,6 @@ class SingletonTail:
 
     def __post_init__(self):
         _check_atom(self.tail_start)
-        below = set(range(1, self.tail_start))
         seen: set[int] = set()
         for cell in self.prefix_cells:
             if cell.cofinite:
@@ -246,7 +245,11 @@ class SingletonTail:
             if seen & cell.atoms:
                 raise MalformedPrefix("prefix cells overlap")
             seen |= cell.atoms
-        if seen != below:
+        # distinct atoms, each at least 1: tail_start - 1 of them, none
+        # above tail_start - 1, are exactly 1..tail_start-1, checked
+        # without building that range
+        below = self.tail_start - 1
+        if len(seen) != below or (seen and max(seen) > below):
             raise MalformedPrefix(
                 f"prefix cells must partition atoms 1..{self.tail_start - 1}"
             )

@@ -28,17 +28,32 @@ def require_samples(samples: int) -> None:
         raise UsageError(f"samples must be at least 1, got {samples}")
 
 
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """`rng.randint(a, b)`: the same value and the same rng state after it,
+    from `Random._randbelow`'s own rejection loop over `getrandbits`,
+    without the `randint -> randrange -> _randbelow` calls."""
+    n = b - a + 1
+    if n < 1:  # getrandbits could never draw below n
+        raise ValueError(f"empty range in randint({a}, {b})")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
+
+
 def _ratio(rng: random.Random, lo: int = -BOUND, hi: int = BOUND) -> tuple[int, int]:
-    return rng.randint(lo, hi), rng.randint(1, BOUND)
+    return _randint(rng, lo, hi), _randint(rng, 1, BOUND)
 
 
 def _positive_ratio(rng: random.Random) -> tuple[int, int]:
-    return rng.randint(1, BOUND), rng.randint(1, BOUND)
+    return _randint(rng, 1, BOUND), _randint(rng, 1, BOUND)
 
 
 def _unit_ratio(rng: random.Random) -> tuple[int, int]:
-    d = rng.randint(1, BOUND)
-    return rng.randint(0, d), d
+    d = _randint(rng, 1, BOUND)
+    return _randint(rng, 0, d), d
 
 
 def random_fraction(rng: random.Random, lo: int = -BOUND, hi: int = BOUND) -> Fraction:
@@ -55,7 +70,7 @@ def random_unit_fraction(rng: random.Random) -> Fraction:
 
 
 def _random_atoms(rng: random.Random, span: int = ATOM_SPAN) -> list[int]:
-    count = rng.randint(0, MAX_OVERRIDES)
+    count = _randint(rng, 0, MAX_OVERRIDES)
     return rng.sample(range(1, span + 1), min(count, span))
 
 
@@ -130,6 +145,6 @@ def random_seminorm(rng: random.Random, depth: int = 1):
     if kind == "localized":
         return seminorms.Localized(random_event(rng))
     members = tuple(
-        random_seminorm(rng, depth - 1) for _ in range(rng.randint(1, 3))
+        random_seminorm(rng, depth - 1) for _ in range(_randint(rng, 1, 3))
     )
     return seminorms.FiniteSup(members)

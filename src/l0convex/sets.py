@@ -33,6 +33,7 @@ from .l0 import (
     _abs_tail_leq,
     _from_ratios,
     _leq_at,
+    _takes_zero,
     _with_tail,
 )
 from .measure import _check_atom
@@ -77,7 +78,7 @@ class Scale:
     inner: "SetDescriptor"
 
     def __post_init__(self):
-        if any(v == 0 for v in self.factor.values()):
+        if _takes_zero(self.factor):
             raise ValueError("scale factor must be invertible (no zero value)")
 
 
@@ -105,6 +106,8 @@ def contains(s: SetDescriptor, x: EcRv) -> bool:
     if isinstance(s, MPlusBall):
         return _abs_tail_leq(x, s.radius)
     if isinstance(s, Scale):
+        if isinstance(s.inner, MPlusBall):  # x / factor in M + B, on the tails alone
+            return _abs_tail_leq(x, s.inner.radius, s.factor)
         return contains(s.inner, reciprocal(s.factor) * x)
     if isinstance(s, Translate):
         return contains(s.inner, x - s.offset)

@@ -20,19 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._common import ParseError  # re-exported
 from .l0 import EcRv
 from .measure import EventSet, FinitePartition, SingletonTail
 from . import seminorms as sn
 from . import sets as sd
 from . import concatenation as cc
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.message = message
-        self.line = line
-        self.column = column
 
 
 class Parser:

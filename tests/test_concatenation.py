@@ -27,6 +27,7 @@ from l0convex import (
     reverse_partition_construct,
 )
 from l0convex import sampling
+from l0convex.concatenation import sequence_element
 
 from conftest import ecrvs
 
@@ -57,6 +58,25 @@ class TestGlue:
             assert indicator_mul(cell, c) == indicator_mul(
                 cell, indicator_mul(cell, c)
             )
+
+    def test_diagonal_pieces_match_the_cell_indicator(self):
+        """Tail pieces are built without their cell; every piece equals the
+        value cut down to the n-th cell, on prefix cells and tail cells."""
+        rng = sampling.make_rng(47)
+        parts = (
+            PURE_SINGLETONS,
+            SingletonTail((EventSet.finite({1, 3}), EventSet.finite({2})), 4),
+            SingletonTail((EventSet.finite({1}),), 2),
+        )
+        for i in range(60):
+            draw = sampling.random_ecrv if i % 4 else sampling.random_finite_support_ecrv
+            value = draw(rng)
+            seq = Diagonal(value)
+            for part in parts:
+                for n in range(1, 25):
+                    piece = sequence_element(seq, part, n)
+                    assert piece == indicator_mul(part.cell(n), value)
+                    assert piece.tail == 0
 
     def test_diagonal_needs_singleton_tail(self):
         with pytest.raises(IncompatibleSpec):

@@ -76,6 +76,11 @@ class TestExports:
         assert sets.DEFAULT_TOLERANCE is topology.DEFAULT_TOLERANCE is _common.DEFAULT_TOLERANCE
         assert l0convex.topology is topology
 
+    def test_parse_error_lives_in_the_leaf_module(self):
+        from l0convex import _common, config, syntax
+
+        assert syntax.ParseError is _common.ParseError is config.ParseError
+
     def test_cli_keeps_the_names_it_imported(self):
         from l0convex import cli, sets, topology
 
@@ -107,6 +112,7 @@ class TestImportBudget:
         code, loaded = loaded_after(CLI, "eval", "prob {1}")
         assert code == 0
         assert not loaded & {"topology", "concatenation", "sets", "seminorms", "sampling"}
+        assert "syntax" in loaded  # it parses the expression
 
     def test_partition(self):
         code, loaded = loaded_after(CLI, "partition", "--from", "3", "--cells", "[{1},{2}]")
@@ -120,3 +126,40 @@ class TestImportBudget:
         )
         assert code == 0
         assert not loaded & {"topology", "concatenation", "sets"}
+
+    # The literal parser runs only when a literal is parsed or formatted.
+
+    def test_verify_counterexample_runs_no_parser(self):
+        code, loaded = loaded_after(CLI, "verify-counterexample", "--samples", "3")
+        assert code == 0
+        assert "syntax" not in loaded and "topology" in loaded
+
+    def test_check_base_without_config_runs_no_parser(self):
+        code, loaded = loaded_after(CLI, "check", "base", "--samples", "3")
+        assert code == 0
+        assert "syntax" not in loaded
+
+    def test_importing_the_cli_runs_no_parser(self):
+        _, loaded = loaded_after("import json, sys, types, l0convex.cli; code = 0; " + LOADED)
+        assert loaded == {"cli", "config", "measure", "l0", "_record", "_common"}
+
+    def test_a_seminorm_base_in_the_config_is_parsed(self, tmp_path):
+        (tmp_path / "b.cfg").write_text("base = from_seminorms[weighted({|1})]\n")
+        code, loaded = loaded_after(
+            CLI, "check", "base", "--samples", "3", "--config", "b.cfg", cwd=tmp_path
+        )
+        assert code == 0
+        assert "syntax" in loaded
+
+    def test_malformed_config_literal_still_exits_2(self, tmp_path):
+        (tmp_path / "bad.cfg").write_text("seed = 3\nbase = from_seminorms[weighted({|1)]\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "l0convex.cli", "verify-counterexample", "--config", "bad.cfg"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            cwd=tmp_path,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: expected '}' (line 2, column 28)\n"

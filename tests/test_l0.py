@@ -25,7 +25,15 @@ from l0convex import (
     reciprocal,
 )
 from l0convex import sampling
-from l0convex.l0 import _abs_tail_leq, _from_ratios, _half_abs_or_one, _leq_at, _with_tail
+from l0convex.l0 import (
+    _abs_tail_leq,
+    _from_ratios,
+    _half_abs_or_one,
+    _leq_at,
+    _single_atom,
+    _takes_zero,
+    _with_tail,
+)
 
 from conftest import atoms, ecrvs, events, rationals, values_upto
 
@@ -447,6 +455,15 @@ class TestIntegerKernel:
         assert_integer_form(halved)
         assert readout(halved) == [abs(v) / 2 if v != 0 else 1 for v in ref_x]
         assert _abs_tail_leq(x, y) == (abs(Fraction(a[1])) <= Fraction(b[1]))
+        assert _takes_zero(x) == (0 in ref_x)  # ATOMS reach past every override
+        if a[1] != 0:  # x as the scale factor: |tail(y)| / |tail(x)| <= tail(c)
+            assert _abs_tail_leq(y, EcRv.constant(c), x) == (
+                abs(Fraction(b[1])) / abs(Fraction(a[1])) <= c
+            )
+        for j in (*probes, 1, 17):
+            piece = _single_atom(x, j)
+            assert_integer_form(piece)
+            assert piece == indicator_mul(EventSet.finite({j}), x)
         slack = abs(c)
         assert _leq_at(x, y, probes, slack) == all(
             ref_x[j - 1] <= ref_y[j - 1] + slack for j in probes

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,32 @@ class TestPartitions:
             build_countable_partition(
                 CANONICAL, (EventSet.finite({1, 2}), EventSet.finite({2})), 3
             )
+
+    def test_malformed_prefix_messages(self):
+        cases = [
+            ((EventSet.finite({1}),), 3, "prefix cells must partition atoms 1..2"),
+            ((EventSet.finite({1, 3}),), 3, "prefix cells must partition atoms 1..2"),
+            ((EventSet.finite({1}), EventSet.finite({2})), 2, "must partition atoms 1..1"),
+            ((), 4, "prefix cells must partition atoms 1..3"),
+            ((EventSet.finite({1, 2}), EventSet.finite({2})), 3, "prefix cells overlap"),
+            ((EventSet.empty(),), 1, "prefix cells must be nonempty"),
+            ((EventSet.full(),), 1, "prefix cells must be finite"),
+        ]
+        for cells, tail_start, message in cases:
+            with pytest.raises(MalformedPrefix, match=message):
+                SingletonTail(cells, tail_start)
+        assert SingletonTail((EventSet.finite({2}), EventSet.finite({1, 3})), 4).prefix_count == 2
+        assert SingletonTail((), 1).prefix_count == 0
+
+    def test_malformed_prefix_is_rejected_without_listing_the_gap(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedPrefix, match=r"1\.\.999999"):
+                SingletonTail((), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_space_must_be_dyadic_beyond_tail(self):
         space = DiscreteSpace({1: Fraction(1, 3)}, Fraction(4, 3))

@@ -96,6 +96,30 @@ class TestContains:
                 UNIT_BALL, reciprocal(factor) * x
             )
 
+    def test_scaled_m_plus_ball_decided_on_the_tails(self):
+        """x in f * (M + B_r) is read off the tails; it agrees with testing
+        x / f against M + B_r, for factors of either sign on each atom."""
+        rng = sampling.make_rng(37)
+        outcomes = set()
+        for i in range(400):
+            factor = sampling.random_ecrv(rng)
+            if any(v == 0 for v in factor.values()):
+                continue
+            if i % 3 == 0:
+                factor = -abs(factor)
+            radius = sampling.random_positive_ecrv(rng)
+            x = sampling.random_ecrv(rng)
+            fast = contains(Scale(factor, MPlusBall(radius)), x)
+            assert fast == contains(MPlusBall(radius), reciprocal(factor) * x)
+            outcomes.add(fast)
+        assert outcomes == {True, False}
+
+    def test_zero_factor_message(self):
+        message = r"^scale factor must be invertible \(no zero value\)$"
+        for factor in (EcRv({1: 0}, 1), EcRv({2: 3}, 0), ZERO):
+            with pytest.raises(ValueError, match=message):
+                Scale(factor, MPlusBall(ONE))
+
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             MPlusBall(ZERO)
