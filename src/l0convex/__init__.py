@@ -19,26 +19,26 @@ _EXPORTS_BY_MODULE = {
         "SingletonTail build_countable_partition"
     ),
     "l0": (
-        "EcRv NotInvertible OrderReport ZERO ONE classify combine divide emax emin "
-        "indicator indicator_mul leq_everywhere lt_everywhere order_compare reciprocal"
+        "EcRv NotInvertible ZERO ONE classify combine divide emax emin "
+        "indicator indicator_mul leq_everywhere lt_everywhere reciprocal"
     ),
     "seminorms": "FiniteSup Localized Weighted Zero axioms_check evaluate sup_evaluate",
     "_common": "CounterexampleFamily FromSeminorms UnsupportedShape",
     "sets": (
         "Ball GaugeCertificate Intersect MPlusBall Scale Translate contains "
-        "confirm_structural_flags gauge_closed_form gauge_upper_certificate "
+        "gauge_closed_form gauge_upper_certificate "
         "roundtrip_check sample_member structural_flags verify_certificate"
     ),
     "topology": (
         "EvidenceReport PointInM SeedSet base_axiom_witnesses closure_membership "
-        "epslambda_membership hausdorff_report seminorm_induction_verdict "
-        "separation_witness"
+        "hausdorff_report seminorm_induction_verdict separation_witness"
     ),
     "concatenation": (
         "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne GlueResult "
         "IncompatibleSpec cc_failure_witness glue glue_identity_holds "
         "relative_cc_check reverse_partition_construct"
     ),
+    "_library": "OrderReport confirm_structural_flags epslambda_membership order_compare",
 }
 # export name -> the module that defines it
 _EXPORTS = {

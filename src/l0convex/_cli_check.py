@@ -1,0 +1,87 @@
+"""The `check` command: one named check, reported as a single step.
+
+`cli` imports this module only in the branch that runs `check`; it never
+imports `cli`, which runs as `__main__` under `python -m l0convex.cli`.
+The evidence functions are called through their module objects, so a
+target runs only the modules it uses.
+"""
+
+from __future__ import annotations
+
+from . import concatenation, seminorms, sets, syntax, topology
+from ._common import EvidenceStep
+from .config import ConfigError, RunConfig
+
+
+def cmd_check(args, config: RunConfig, header: dict) -> dict:
+    target = args.target
+    if target == "axioms":
+        if config.seminorm is None:
+            raise ConfigError("check axioms needs a 'seminorm' key in the config")
+        report = seminorms.axioms_check(config.seminorm, config.samples, config.seed)
+        step = EvidenceStep(
+            "seminorm_axioms",
+            {"seminorm": syntax.format_seminorm(config.seminorm), "samples": config.samples},
+            "homogeneity and triangle inequality hold exactly on all samples",
+            f"homogeneity failures: {report.homogeneity_failures}, "
+            f"triangle failures: {report.triangle_failures}",
+            report.passed,
+        )
+    elif target == "roundtrip":
+        probe = config.seminorm if config.seminorm is not None else config.set_descriptor
+        if probe is None:
+            raise ConfigError("check roundtrip needs a 'seminorm' or 'set' key")
+        if config.seminorm is not None and config.set_descriptor is not None:
+            raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
+        report = sets.roundtrip_check(probe, config.samples, config.seed)
+        formatter = syntax.format_seminorm if config.seminorm is not None else syntax.format_set
+        label = formatter(probe)
+        step = EvidenceStep(
+            "gauge_roundtrip",
+            {"target": label, "samples": config.samples},
+            "gauge reproduces the seminorm and membership agrees with gauge <= 1",
+            f"gauge mismatches: {report.gauge_mismatches}, membership "
+            f"mismatches: {report.membership_mismatches}, strict-inclusion "
+            f"failures: {report.strict_inclusion_failures}",
+            report.passed,
+        )
+    elif target == "cc":
+        if config.set_descriptor is None or not config.sequences:
+            raise ConfigError("check cc needs 'set' and at least one sequence")
+        part = config.partition()
+        if part is None:
+            raise ConfigError("check cc needs a partition (part.finite or part.singletons_from)")
+        report = concatenation.relative_cc_check(config.set_descriptor, part, config.sequences)
+        outcome = "fail" if not report.closure_holds else "pass"
+        entries = [
+            {
+                "sequence": syntax.format_sequence(e.sequence),
+                "precondition_ok": e.precondition_ok,
+                "glue": repr(e.glue) if e.glue is not None else None,
+                "glue_in_set": e.glue_in_set,
+                "seminorm_identity_ok": e.seminorm_identity_ok,
+            }
+            for e in report.entries
+        ]
+        step = EvidenceStep(
+            "relative_concatenation",
+            {
+                "set": syntax.format_set(config.set_descriptor),
+                "partition": syntax.format_partition(part),
+                "entries": entries,
+            },
+            f"closure outcome matches the declared expectation ({config.expect})",
+            f"outcome: {outcome}",
+            outcome == config.expect and report.identity_holds,
+        )
+    elif target == "base":
+        step = topology.base_axioms_step(
+            config.base, config.samples, config.seed, config.epsilon, config.delta
+        )
+
+    return {
+        **header,
+        "command": f"check {target}",
+        "steps": [step.to_json()],
+        "pass": step.passed,
+    }

@@ -1,0 +1,47 @@
+"""The `eval` command: one expression, evaluated exactly.
+
+`cli` imports this module only in the branch that runs `eval`; it never
+imports `cli`, which runs as `__main__` under `python -m l0convex.cli`.
+"""
+
+from __future__ import annotations
+
+from . import concatenation, seminorms, sets, syntax
+from ._common import ParseError
+from .config import RunConfig
+
+
+def run_eval(expr: str, config: RunConfig) -> str:
+    parser = syntax.Parser(expr)
+    op = parser.word()
+    if op == "gauge":
+        target = parser.set_descriptor()
+        x = parser.ecrv()
+        parser.finish()
+        return repr(sets.gauge_closed_form(target, x))
+    if op == "contains":
+        target = parser.set_descriptor()
+        x = parser.ecrv()
+        parser.finish()
+        return "true" if sets.contains(target, x) else "false"
+    if op == "prob":
+        event = parser.event()
+        parser.finish()
+        return str(config.space.probability(event))
+    if op == "seminorm":
+        s = parser.seminorm()
+        x = parser.ecrv()
+        parser.finish()
+        return repr(seminorms.evaluate(s, x))
+    if op == "glue":
+        seq = parser.sequence()
+        part = parser.partition()
+        parser.finish()
+        return repr(concatenation.glue(seq, part).element)
+    raise ParseError(f"unknown operation {op!r}", 1, 1)
+
+
+def cmd_eval(args, config: RunConfig, header: dict) -> dict:
+    """The report; `cli` prints its value and writes it to --json."""
+    value = run_eval(args.expression, config)
+    return {**header, "command": "eval", "expression": args.expression, "value": value}

@@ -1,0 +1,63 @@
+"""The `partition` command: build a halving-mass partition and check it.
+
+`cli` imports this module only in the branch that runs `partition`; it
+never imports `cli`, which runs as `__main__` under `python -m
+l0convex.cli`.  The command needs `measure` and the literal parser, and
+no element arithmetic.  The package functions it calls go through their
+module objects, like the evidence functions everywhere in the front end.
+"""
+
+from __future__ import annotations
+
+from . import config as cf, measure, syntax
+from ._common import EvidenceStep
+
+
+def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
+    cells = config.prefix_cells
+    tail_start = args.tail_start if args.tail_start is not None else config.singletons_from
+    if args.spec is not None:
+        for flag, value in (("--from", args.tail_start), ("--cells", args.cells)):
+            if value is not None:
+                raise cf.ConfigError(
+                    f"{flag} would be ignored: the spec literal sets the partition"
+                )
+        part_spec = syntax.parse_partition(args.spec)
+        if not isinstance(part_spec, measure.SingletonTail):
+            raise cf.ConfigError("the partition builder takes a singletons_from(...) spec")
+        cells = list(part_spec.prefix_cells)
+        tail_start = part_spec.tail_start
+    elif args.cells is not None:
+        cells = cf.parse_event_list(args.cells, 1)
+    if tail_start is None:
+        raise cf.ConfigError("partition needs a spec, part.singletons_from, or --from")
+    part = measure.build_countable_partition(config.space, cells, tail_start)
+    omega_prime = measure.EventSet.cofinite_excluding(range(1, tail_start))
+    remainder = config.space.probability(omega_prime)
+    masses = []
+    law_holds = True
+    for n in range(1, 21):
+        cell = part.cell(part.prefix_count + n)
+        mass = config.space.probability(cell)
+        masses.append(str(mass))
+        law_holds = law_holds and mass == remainder / 2**n
+    positive = all(
+        config.space.probability(part.cell(k)) > 0
+        for k in range(1, part.prefix_count + 21)
+    )
+    step = EvidenceStep(
+        "halving_masses",
+        {"tail_start": tail_start, "cells_checked": 20},
+        "the n-th tail cell has exactly a 2**-n share of the tail mass",
+        f"law holds: {law_holds}, all cells positive: {positive}",
+        law_holds and positive,
+    )
+    return {
+        **header,
+        "command": "partition",
+        "partition": syntax.format_partition(part),
+        "tail_mass": str(remainder),
+        "tail_cell_masses": masses,
+        "steps": [step.to_json()],
+        "pass": step.passed,
+    }

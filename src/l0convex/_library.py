@@ -1,0 +1,138 @@
+"""Library-only checks: no command reaches them.
+
+`order_compare` compares two elements pointwise and returns the exact
+witness events; the property tests of `leq_everywhere` and
+`lt_everywhere` use it as their reference.  `epslambda_membership`
+decides membership in an (eps, lambda) neighborhood, and
+`confirm_structural_flags` samples the structural flags of a set
+descriptor.  Their old paths (`l0convex.l0.order_compare`,
+`l0convex.topology.epslambda_membership`,
+`l0convex.sets.confirm_structural_flags`) resolve here on first use, so
+this module runs only when library code asks for one of them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import l0, sampling, seminorms, sets
+from ._common import UnsupportedShape
+from ._record import field, record
+from .measure import CANONICAL, DiscreteSpace, EventSet
+
+# -- pointwise order with witness events -----------------------------------
+
+
+@record(frozen=True)
+class OrderReport:
+    """Pointwise comparison of two elements, with the exact witness events."""
+
+    leq_everywhere: bool
+    strict_set: EventSet
+    equal_set: EventSet
+
+
+def order_compare(x: l0.EcRv, y: l0.EcRv) -> OrderReport:
+    """Exact pointwise comparison; the strict/equal sets cover all atoms
+    where the relation holds (finite or cofinite by eventual constancy)."""
+    probed = set(x.overrides) | set(y.overrides)
+    strict_atoms = {j for j in probed if x.value_at(j) < y.value_at(j)}
+    equal_atoms = {j for j in probed if x.value_at(j) == y.value_at(j)}
+    if x.tail < y.tail:
+        strict = EventSet.cofinite_excluding(probed - strict_atoms)
+    else:
+        strict = EventSet.finite(strict_atoms)
+    if x.tail == y.tail:
+        equal = EventSet.cofinite_excluding(probed - equal_atoms)
+    else:
+        equal = EventSet.finite(equal_atoms)
+    leq = x.tail <= y.tail and all(
+        x.value_at(j) <= y.value_at(j) for j in probed
+    )
+    return OrderReport(leq, strict, equal)
+
+
+# -- (eps, lambda) neighborhoods --------------------------------------------
+
+
+def epslambda_membership(
+    family,
+    eps: Fraction,
+    lam: Fraction,
+    x: l0.EcRv,
+    space: DiscreteSpace = CANONICAL,
+) -> bool:
+    """Is P(sup-seminorm of x < eps) > 1 - lambda, computed exactly?"""
+    eps, lam = Fraction(eps), Fraction(lam)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if not 0 < lam < 1:
+        raise ValueError("lambda must lie strictly between 0 and 1")
+    norm = seminorms.sup_evaluate(family, x)
+    below = order_compare(norm, l0.EcRv.constant(eps)).strict_set
+    return space.probability(below) > 1 - lam
+
+
+# -- sampled confirmation of the structural flags ---------------------------
+
+
+@record
+class FlagsConfirmation:
+    flags: sets.StructuralFlags
+    samples: int
+    convex_failures: int = 0
+    balanced_failures: int = 0
+    absorbent_failures: int = 0
+    witnesses: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not (
+            self.convex_failures or self.balanced_failures or self.absorbent_failures
+        )
+
+
+def confirm_structural_flags(
+    s: sets.SetDescriptor, samples: int, seed: int
+) -> FlagsConfirmation:
+    """Randomized confirmation of the positive structural flags."""
+    sampling.require_samples(samples)
+    rng = sampling.make_rng(seed)
+    flags = sets.structural_flags(s)
+    report = FlagsConfirmation(flags=flags, samples=samples)
+    for _ in range(samples):
+        if flags.l0_convex:
+            x1, x2 = sets.sample_member(s, rng), sets.sample_member(s, rng)
+            t = sampling.random_unit_interval_ecrv(rng)
+            mix = t * x1 + (l0.ONE - t) * x2
+            if not sets.contains(s, mix):
+                report.convex_failures += 1
+                report.witnesses.append(("convex", x1, x2, t))
+        if flags.l0_balanced:
+            x = sets.sample_member(s, rng)
+            factor = sampling.random_balanced_factor(rng)
+            if not sets.contains(s, factor * x):
+                report.balanced_failures += 1
+                report.witnesses.append(("balanced", x, factor))
+        if flags.l0_absorbent:
+            x = sampling.random_ecrv(rng)
+            if not _absorbs(s, x):
+                report.absorbent_failures += 1
+                report.witnesses.append(("absorbent", x))
+    return report
+
+
+def _absorbs(s: sets.SetDescriptor, x: l0.EcRv, max_doublings: int = 64) -> bool:
+    """Search a strictly positive factor xi with x in xi*S."""
+    try:
+        witness = sets._certificate_witness(s, x, (), Fraction(1))
+    except UnsupportedShape:
+        pass
+    else:
+        return sets.contains(sets.Scale(witness, s), x)
+    factor = Fraction(1)
+    for _ in range(max_doublings):
+        if sets.contains(sets.Scale(l0.EcRv.constant(factor), s), x):
+            return True
+        factor *= 2
+    return False

@@ -25,10 +25,10 @@ from . import syntax
 from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase, ParseError
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
-from .l0 import EcRv
 
 if TYPE_CHECKING:
     from .concatenation import SequenceSpec
+    from .l0 import EcRv
     from .seminorms import Seminorm
     from .sets import SetDescriptor
 

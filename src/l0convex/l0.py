@@ -19,11 +19,16 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
+from ._common import moved_to_library
 from ._record import record
 from .measure import EventSet, _check_atom
 
 Rational = Union[Fraction, int]
 _setattr = object.__setattr__  # the one way to write an EcRv's slots
+
+
+# the library-only pointwise comparison with witness events lives in `_library`
+__getattr__ = moved_to_library(__name__, "OrderReport order_compare")
 
 
 class NotInvertible(ZeroDivisionError):
@@ -290,35 +295,6 @@ def divide(x: EcRv, y: EcRv) -> EcRv:
     return x * reciprocal(y)
 
 
-@record(frozen=True)
-class OrderReport:
-    """Pointwise comparison of two elements, with the exact witness events."""
-
-    leq_everywhere: bool
-    strict_set: EventSet
-    equal_set: EventSet
-
-
-def order_compare(x: EcRv, y: EcRv) -> OrderReport:
-    """Exact pointwise comparison; the strict/equal sets cover all atoms
-    where the relation holds (finite or cofinite by eventual constancy)."""
-    probed = set(x.overrides) | set(y.overrides)
-    strict_atoms = {j for j in probed if x.value_at(j) < y.value_at(j)}
-    equal_atoms = {j for j in probed if x.value_at(j) == y.value_at(j)}
-    if x.tail < y.tail:
-        strict = EventSet.cofinite_excluding(probed - strict_atoms)
-    else:
-        strict = EventSet.finite(strict_atoms)
-    if x.tail == y.tail:
-        equal = EventSet.cofinite_excluding(probed - equal_atoms)
-    else:
-        equal = EventSet.finite(equal_atoms)
-    leq = x.tail <= y.tail and all(
-        x.value_at(j) <= y.value_at(j) for j in probed
-    )
-    return OrderReport(leq, strict, equal)
-
-
 def _holds_everywhere(rel: Callable[[int, int], bool], x: EcRv, y: EcRv) -> bool:
     """rel(x(j), y(j)) at every atom, stopping at the first atom where it
     fails; the values are compared cross-multiplied by the denominators."""
@@ -337,7 +313,8 @@ def _holds_everywhere(rel: Callable[[int, int], bool], x: EcRv, y: EcRv) -> bool
 
 
 def leq_everywhere(x: EcRv, y: EcRv) -> bool:
-    """x <= y at every atom; `order_compare` also returns the witness events."""
+    """x <= y at every atom; the library-only `order_compare` also returns
+    the witness events."""
     return _holds_everywhere(operator.le, x, y)
 
 
@@ -387,6 +364,12 @@ def _abs_tail_leq(x: EcRv, y: EcRv, f: EcRv = ONE) -> bool:
     """|tail(x)| <= |tail(f)| * tail(y), for f with a nonzero tail: x / f
     lies in M + B_y (x itself for the default f, one)."""
     return abs(x._t) * f._d * y._d <= y._t * abs(f._t) * x._d
+
+
+def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
+    """|tail(x)| / tail(y) as an (integer, positive integer) pair, for y
+    with a positive tail; not reduced."""
+    return abs(x._t) * y._d, y._t * x._d
 
 
 def _single_atom(x: EcRv, j: int) -> EcRv:

@@ -31,14 +31,25 @@ class EventSet:
 
     Cofinite sets are stored by their excluded atoms, so complementation
     is an involution and union/intersection/difference stay inside the
-    class.
+    class.  Immutable: assigning or deleting an attribute raises, so a
+    shared event such as `OMEGA`, and every record hashed through one,
+    keeps its value and its hash.
     """
 
     __slots__ = ("atoms", "cofinite")
 
     def __init__(self, atoms: Iterable[int] = (), cofinite: bool = False):
-        self.atoms = frozenset(_check_atom(j) for j in atoms)
-        self.cofinite = bool(cofinite)
+        _set_atoms(self, frozenset(_check_atom(j) for j in atoms))
+        _set_cofinite(self, bool(cofinite))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EventSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EventSet is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return EventSet, (self.atoms, self.cofinite)
 
     @classmethod
     def finite(cls, atoms: Iterable[int]) -> "EventSet":
@@ -108,6 +119,7 @@ class EventSet:
         return "~" + body if self.cofinite else body
 
 
+_set_atoms, _set_cofinite = EventSet.atoms.__set__, EventSet.cofinite.__set__
 OMEGA = EventSet.full()
 
 

@@ -31,6 +31,7 @@ from .l0 import (
     lt_everywhere,
     reciprocal,
     _abs_tail_leq,
+    _abs_tail_ratio,
     _from_ratios,
     _leq_at,
     _takes_zero,
@@ -40,6 +41,10 @@ from .measure import _check_atom
 from .seminorms import Seminorm, evaluate
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
+from ._common import moved_to_library
+
+# the library-only sampled confirmation of the flags lives in `_library`
+__getattr__ = moved_to_library(__name__, "FlagsConfirmation confirm_structural_flags")
 
 
 @record(frozen=True)
@@ -159,68 +164,6 @@ def structural_flags(s: SetDescriptor) -> StructuralFlags:
     raise TypeError(f"not a set descriptor: {s!r}")
 
 
-@record
-class FlagsConfirmation:
-    flags: StructuralFlags
-    samples: int
-    convex_failures: int = 0
-    balanced_failures: int = 0
-    absorbent_failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.convex_failures or self.balanced_failures or self.absorbent_failures
-        )
-
-
-def confirm_structural_flags(
-    s: SetDescriptor, samples: int, seed: int
-) -> FlagsConfirmation:
-    """Randomized confirmation of the positive structural flags."""
-    sampling.require_samples(samples)
-    rng = sampling.make_rng(seed)
-    flags = structural_flags(s)
-    report = FlagsConfirmation(flags=flags, samples=samples)
-    for _ in range(samples):
-        if flags.l0_convex:
-            x1, x2 = sample_member(s, rng), sample_member(s, rng)
-            t = sampling.random_unit_interval_ecrv(rng)
-            mix = t * x1 + (ONE - t) * x2
-            if not contains(s, mix):
-                report.convex_failures += 1
-                report.witnesses.append(("convex", x1, x2, t))
-        if flags.l0_balanced:
-            x = sample_member(s, rng)
-            factor = sampling.random_balanced_factor(rng)
-            if not contains(s, factor * x):
-                report.balanced_failures += 1
-                report.witnesses.append(("balanced", x, factor))
-        if flags.l0_absorbent:
-            x = sampling.random_ecrv(rng)
-            if not _absorbs(s, x):
-                report.absorbent_failures += 1
-                report.witnesses.append(("absorbent", x))
-    return report
-
-
-def _absorbs(s: SetDescriptor, x: EcRv, max_doublings: int = 64) -> bool:
-    """Search a strictly positive factor xi with x in xi*S."""
-    try:
-        witness = _certificate_witness(s, x, (), Fraction(1))
-    except UnsupportedShape:
-        pass
-    else:
-        return contains(Scale(witness, s), x)
-    factor = Fraction(1)
-    for _ in range(max_doublings):
-        if contains(Scale(EcRv.constant(factor), s), x):
-            return True
-        factor *= 2
-    return False
-
-
 # -- gauge closed forms ----------------------------------------------------
 
 
@@ -313,10 +256,11 @@ def _certificate_witness(
     if isinstance(s, MPlusBall):
         # membership only constrains the tail; the probe atoms can sit
         # at the tolerance because finite excursions are absorbed by M
-        tail = max(Fraction(1), abs(x.tail) / s.radius.tail)
+        # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
+        p, q = _abs_tail_ratio(x, s.radius)
         ratio = (tol.numerator, tol.denominator)
         over = dict.fromkeys(map(_check_atom, probes), ratio)
-        return _from_ratios(over, (tail.numerator, tail.denominator))
+        return _from_ratios(over, (p, q) if p > q else (1, 1))
     if isinstance(s, Scale):
         return _certificate_witness(s.inner, reciprocal(s.factor) * x, probes, tol)
     if isinstance(s, (Ball, Intersect)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._common import ParseError  # re-exported
-from .l0 import EcRv
+from . import l0
 from .measure import EventSet, FinitePartition, SingletonTail
 from . import seminorms as sn
 from . import sets as sd
@@ -102,16 +102,16 @@ class Parser:
 
     # -- composite literals --
 
-    def ecrv(self) -> EcRv:
+    def ecrv(self) -> l0.EcRv:
         self.take("{")
         overrides: dict[int, Fraction] = {}
         if self.try_take("|"):
             tail = self.rational()
             self.take("}")
-            return EcRv({}, tail)
+            return l0.EcRv({}, tail)
         first = self.rational()
         if self.try_take("}"):
-            return EcRv.constant(first)  # {5} shorthand
+            return l0.EcRv.constant(first)  # {5} shorthand
         if self.try_take(":"):
             overrides[self._atom(first)] = self.rational()
         else:
@@ -123,7 +123,7 @@ class Parser:
         self.take("|")
         tail = self.rational()
         self.take("}")
-        return EcRv(overrides, tail)
+        return l0.EcRv(overrides, tail)
 
     def _atom(self, value: Fraction) -> int:
         if value.denominator != 1 or value < 1:
@@ -265,7 +265,7 @@ def parse_rational(text: str, line_offset: int = 0) -> Fraction:
     return _parse_one("rational", text, line_offset)
 
 
-def parse_ecrv(text: str, line_offset: int = 0) -> EcRv:
+def parse_ecrv(text: str, line_offset: int = 0) -> l0.EcRv:
     return _parse_one("ecrv", text, line_offset)
 
 

@@ -23,11 +23,9 @@ from .l0 import (
     classify,
     divide,
     emin,
-    order_compare,
     _half_abs_or_one,
 )
-from .concatenation import cc_failure_witness
-from .measure import CANONICAL, DiscreteSpace
+from . import concatenation
 from .seminorms import Weighted, evaluate, sup_evaluate
 from .sets import (
     DEFAULT_PROBE_ATOMS,
@@ -49,6 +47,10 @@ from ._common import (  # re-exported: the records live in the leaf module
     NeighborhoodBase,
     UsageError,
 )
+from ._common import moved_to_library
+
+# the library-only (eps, lambda) membership lives in `_library`
+__getattr__ = moved_to_library(__name__, "epslambda_membership")
 
 
 class PointInM(ValueError):
@@ -255,27 +257,6 @@ def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> Evidence
     return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, passed)
 
 
-# -- (eps, lambda) neighborhoods --------------------------------------------
-
-
-def epslambda_membership(
-    family,
-    eps: Fraction,
-    lam: Fraction,
-    x: EcRv,
-    space: DiscreteSpace = CANONICAL,
-) -> bool:
-    """Is P(sup-seminorm of x < eps) > 1 - lambda, computed exactly?"""
-    eps, lam = Fraction(eps), Fraction(lam)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if not 0 < lam < 1:
-        raise ValueError("lambda must lie strictly between 0 and 1")
-    norm = sup_evaluate(family, x)
-    below = order_compare(norm, EcRv.constant(eps)).strict_set
-    return space.probability(below) > 1 - lam
-
-
 # -- the induction verdict ---------------------------------------------------
 
 
@@ -414,7 +395,7 @@ def _not_induced_steps(base: CounterexampleFamily, seed: int, samples: int) -> l
 
     # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
     def escaping():
-        failure = cc_failure_witness(sampling.random_positive_ecrv(rng))
+        failure = concatenation.cc_failure_witness(sampling.random_positive_ecrv(rng))
         return failure.valid, {"example_radius": failure.radius, "example_glue": failure.glue}
 
     return [

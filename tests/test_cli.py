@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from l0convex import cli
+from l0convex import _cli_eval, cli
 from l0convex.cli import main
 from l0convex.config import parse_config
 from l0convex.topology import seminorm_induction_verdict
@@ -496,10 +496,10 @@ class TestErrorMapping:
         assert err == "error: gauge of an intersection needs ball members\n"
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        def broken(args):
+        def broken(args, config, header):
             raise TypeError("unsupported operand")
 
-        monkeypatch.setattr(cli, "cmd_eval", broken)
+        monkeypatch.setattr(_cli_eval, "cmd_eval", broken)
         code, out, err = run(capsys, "eval", "prob {1}")
         assert code == 3
         assert out == ""

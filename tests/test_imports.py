@@ -81,6 +81,18 @@ class TestExports:
 
         assert syntax.ParseError is _common.ParseError is config.ParseError
 
+    def test_library_only_code_keeps_its_old_paths(self):
+        from l0convex import _library, l0, sets, topology
+
+        assert l0.order_compare is _library.order_compare is l0convex.order_compare
+        assert l0.OrderReport is _library.OrderReport is l0convex.OrderReport
+        assert topology.epslambda_membership is _library.epslambda_membership
+        assert sets.confirm_structural_flags is _library.confirm_structural_flags
+        assert sets.FlagsConfirmation is _library.FlagsConfirmation
+        for module in (l0, sets, topology):
+            with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+                module.no_such_name
+
     def test_cli_keeps_the_names_it_imported(self):
         from l0convex import cli, sets, topology
 
@@ -90,7 +102,118 @@ class TestExports:
             cli.no_such_name
 
 
+# What `import l0convex.cli` runs, before any command does.
+CLI_IMPORT = {"cli", "config", "measure", "_record", "_common"}
+# One command per `cli._READS` row: its argv, its config file text (or
+# None) and the package modules it runs besides CLI_IMPORT.
+COMMANDS = {
+    "verify-counterexample": (
+        ("verify-counterexample", "--samples", "3"),
+        None,
+        {"l0", "seminorms", "sets", "sampling", "topology", "concatenation"},
+    ),
+    "check axioms": (
+        ("check", "axioms", "--samples", "3"),
+        "seminorm = weighted({|1})\n",
+        {"_cli_check", "syntax", "l0", "seminorms", "sampling"},
+    ),
+    "check roundtrip": (
+        ("check", "roundtrip", "--samples", "3"),
+        "seminorm = localized({1})\n",
+        {"_cli_check", "syntax", "l0", "seminorms", "sets", "sampling"},
+    ),
+    "check cc": (
+        ("check", "cc"),
+        "set = m_plus_ball({|1})\nseq.diag = {|2}\npart.singletons_from = 1\nexpect = fail\n",
+        {"_cli_check", "syntax", "l0", "seminorms", "sets", "concatenation"},
+    ),
+    "check base": (
+        ("check", "base", "--samples", "3"),
+        None,
+        {"_cli_check", "l0", "seminorms", "sets", "sampling", "topology"},
+    ),
+    "eval prob": (("eval", "prob {1,3}"), None, {"_cli_eval", "syntax"}),
+    "eval gauge": (
+        ("eval", "gauge m_plus_ball({|1}) {|5}"),
+        None,
+        {"_cli_eval", "syntax", "l0", "seminorms", "sets"},
+    ),
+    "eval contains": (
+        ("eval", "contains m_plus_ball({|1}) {|5}"),
+        None,
+        {"_cli_eval", "syntax", "l0", "seminorms", "sets"},
+    ),
+    "eval seminorm": (
+        ("eval", "seminorm weighted({|2}) {|3}"),
+        None,
+        {"_cli_eval", "syntax", "l0", "seminorms"},
+    ),
+    "eval glue": (
+        ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
+        None,
+        {"_cli_eval", "syntax", "l0", "seminorms", "sets", "concatenation"},
+    ),
+    "partition": (
+        ("partition", "--from", "3", "--cells", "[{1},{2}]"),
+        None,
+        {"_cli_partition", "syntax"},
+    ),
+}
+# verify on a seminorm base parses the base and formats the family, and
+# runs no concatenation code
+INDUCED = (
+    ("verify-counterexample", "--samples", "3"),
+    "base = from_seminorms[weighted({|1})]\n",
+    {"syntax", "l0", "seminorms", "sets", "sampling", "topology"},
+)
+
+
+def argv_with_config(tmp_path, argv, config):
+    if config is None:
+        return argv
+    (tmp_path / "run.cfg").write_text(config)
+    return (*argv, "--config", "run.cfg")
+
+
 class TestImportBudget:
+    def test_every_reads_row_has_a_command(self):
+        from l0convex import cli
+
+        assert set(COMMANDS) == set(cli._READS)
+
+    @pytest.mark.parametrize(
+        "argv, config, runs",
+        [*COMMANDS.values(), INDUCED],
+        ids=[*COMMANDS, "verify-counterexample on a seminorm base"],
+    )
+    def test_a_command_runs_exactly_the_modules_it_uses(self, tmp_path, argv, config, runs):
+        code, loaded = loaded_after(CLI, *argv_with_config(tmp_path, argv, config), cwd=tmp_path)
+        assert code == 0
+        assert loaded == CLI_IMPORT | runs
+
+    @pytest.mark.parametrize(
+        "row", ["verify-counterexample", "eval glue", "check cc", "partition"]
+    )
+    def test_running_as_a_module_never_imports_the_cli_again(self, tmp_path, row):
+        """Under `python -m l0convex.cli` the front end is `__main__`; a
+        handler that imported `l0convex.cli` would compile it a second time."""
+        argv, config, _ = COMMANDS[row]
+        probe = (
+            "import contextlib, io, json, runpy, sys\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as stop:\n"
+            "        code = stop.code\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('l0convex.'))]))"
+        )
+        code, imported = loaded_after(
+            probe, *argv_with_config(tmp_path, argv, config), cwd=tmp_path
+        )
+        assert code == 0
+        assert "cli" not in imported
+        assert {"_cli_eval", "_cli_check", "_cli_partition"} & imported <= COMMANDS[row][2]
+
     def test_package_import_loads_no_module(self):
         _, loaded = loaded_after("import json, sys, types, l0convex; code = 0; " + LOADED)
         assert loaded == set()
@@ -141,7 +264,7 @@ class TestImportBudget:
 
     def test_importing_the_cli_runs_no_parser(self):
         _, loaded = loaded_after("import json, sys, types, l0convex.cli; code = 0; " + LOADED)
-        assert loaded == {"cli", "config", "measure", "l0", "_record", "_common"}
+        assert loaded == CLI_IMPORT
 
     def test_a_seminorm_base_in_the_config_is_parsed(self, tmp_path):
         (tmp_path / "b.cfg").write_text("base = from_seminorms[weighted({|1})]\n")

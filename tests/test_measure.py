@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +16,7 @@ from l0convex import (
     SingletonTail,
     build_countable_partition,
 )
+from l0convex.measure import OMEGA
 
 from conftest import events, prob_by_summation
 
@@ -44,6 +47,28 @@ class TestEventSet:
     def test_difference_and_subset(self, a, b):
         assert (a - b).isdisjoint(b)
         assert (a & b).issubset(a)
+
+    @pytest.mark.parametrize(
+        "event",
+        [OMEGA, EventSet.empty(), EventSet.finite({1, 3}), EventSet.cofinite_excluding({2})],
+        ids=["OMEGA", "empty", "finite", "cofinite"],
+    )
+    def test_attributes_reject_assignment_and_deletion(self, event):
+        before, hashed = repr(event), hash(event)
+        for name, value in (("cofinite", False), ("atoms", frozenset({7})), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(event, name, value)
+            with pytest.raises(AttributeError):
+                delattr(event, name)
+        assert repr(event) == before and hash(event) == hashed
+        assert OMEGA == EventSet.full() and CANONICAL.probability(OMEGA) == 1
+
+    def test_copies_rebuild_through_the_constructor(self):
+        event = EventSet.cofinite_excluding({2, 5})
+        for copied in (copy.copy(event), copy.deepcopy(event), pickle.loads(pickle.dumps(event))):
+            assert copied == event and hash(copied) == hash(event)
+            with pytest.raises(AttributeError):
+                copied.cofinite = False
 
 
 class TestProbability:

@@ -294,6 +294,28 @@ class TestCertificates:
         with pytest.raises(ValueError):
             gauge_upper_certificate(UNIT_BALL, ONE, tol=Fraction(0))
 
+    def test_m_plus_ball_witness_matches_the_fraction_formula(self):
+        """The witness tail is max(1, |tail(x)| / tail(radius)), whatever the
+        sign of tail(x) and on both sides of the radius; each probe atom
+        takes the tolerance."""
+        rng = sampling.make_rng(23)
+        cases = [
+            (ONE, EcRv({1: 3}, 0)),  # zero tail
+            (EcRv.constant(2), EcRv.constant(-2)),  # on the radius
+            (EcRv({2: 5}, Fraction(1, 3)), EcRv({4: 1}, Fraction(-7, 3))),
+        ]
+        cases += [
+            (sampling.random_positive_ecrv(rng), sampling.random_ecrv(rng)) for _ in range(300)
+        ]
+        seen = set()
+        for radius, x in cases:
+            for probes, tol in (((1, 2, 5), TOL), ((3,), Fraction(1, 3)), ((), Fraction(1))):
+                cert = gauge_upper_certificate(MPlusBall(radius), x, probes, tol)
+                tail = max(Fraction(1), abs(x.tail) / radius.tail)
+                assert cert.witness == EcRv(dict.fromkeys(probes, tol), tail)
+            seen.add((x.tail < 0, abs(x.tail) < radius.tail))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
 
 class TestRoundtrip:
     def test_seminorm_reproduced_exactly(self):
