@@ -34,7 +34,7 @@ _EXPORTS_BY_MODULE = {
         "hausdorff_report seminorm_induction_verdict separation_witness"
     ),
     "concatenation": (
-        "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne GlueResult "
+        "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "
         "IncompatibleSpec cc_failure_witness glue glue_identity_holds "
         "relative_cc_check reverse_partition_construct"
     ),

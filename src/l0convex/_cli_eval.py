@@ -37,7 +37,7 @@ def run_eval(expr: str, config: RunConfig) -> str:
         seq = parser.sequence()
         part = parser.partition()
         parser.finish()
-        return repr(concatenation.glue(seq, part).element)
+        return repr(concatenation.glue(seq, part))
     raise ParseError(f"unknown operation {op!r}", 1, 1)
 
 

@@ -72,21 +72,6 @@ class CounterexampleFamily:
 NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]
 
 
-def moved_to_library(module: str, names: str):
-    """A module `__getattr__` serving `names`, which moved from `module` to
-    `l0convex._library`, at their old path; that module runs on first use."""
-    moved = frozenset(names.split())
-
-    def __getattr__(name: str):
-        if name not in moved:
-            raise AttributeError(f"module {module!r} has no attribute {name!r}")
-        from . import _library
-
-        return getattr(_library, name)
-
-    return __getattr__
-
-
 @record
 class EvidenceStep:
     """One checked fact of a report."""

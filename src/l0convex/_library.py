@@ -5,9 +5,7 @@ witness events; the property tests of `leq_everywhere` and
 `lt_everywhere` use it as their reference.  `epslambda_membership`
 decides membership in an (eps, lambda) neighborhood, and
 `confirm_structural_flags` samples the structural flags of a set
-descriptor.  Their old paths (`l0convex.l0.order_compare`,
-`l0convex.topology.epslambda_membership`,
-`l0convex.sets.confirm_structural_flags`) resolve here on first use, so
+descriptor.  The package exports them (`l0convex.order_compare`), and
 this module runs only when library code asks for one of them.
 """
 
@@ -16,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import l0, sampling, seminorms, sets
-from ._common import UnsupportedShape
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet
 
@@ -122,17 +119,7 @@ def confirm_structural_flags(
     return report
 
 
-def _absorbs(s: sets.SetDescriptor, x: l0.EcRv, max_doublings: int = 64) -> bool:
-    """Search a strictly positive factor xi with x in xi*S."""
-    try:
-        witness = sets._certificate_witness(s, x, (), Fraction(1))
-    except UnsupportedShape:
-        pass
-    else:
-        return sets.contains(sets.Scale(witness, s), x)
-    factor = Fraction(1)
-    for _ in range(max_doublings):
-        if sets.contains(sets.Scale(l0.EcRv.constant(factor), s), x):
-            return True
-        factor *= 2
-    return False
+def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
+    """Is x in xi*S for the closed-form certificate witness xi?"""
+    witness = sets._certificate_witness(s, x, (), Fraction(1))
+    return sets.contains(sets.Scale(witness, s), x)

@@ -69,6 +69,7 @@ _READS = {
     "eval seminorm": "",
     "eval glue": "",
     "partition": "space.explicit space.tail_coefficient part.finite part.singletons_from",
+    "partition SPEC": "space.explicit space.tail_coefficient",
 }
 
 
@@ -106,6 +107,8 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         run += f" {args.target}"
     elif run == "eval":
         run += f" {syntax.Parser(args.expression).word()}"  # an unknown operation reads nothing
+    elif run == "partition" and args.spec is not None:
+        run += " SPEC"  # the literal gives the whole partition
     reads = [name.lstrip("-") for name in _READS.get(run, "").split()]
     given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
     for name in given + config_keys(text):

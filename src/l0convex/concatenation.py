@@ -8,9 +8,9 @@ n-th cell.  On eventually constant random variables the glue, when it
 exists, is unique: agreeing on every cell of a partition forces
 pointwise equality.
 
-The closure check is exact, not truncated: cells up to a horizon are
-verified explicitly and everything beyond reduces to a single symbolic
-comparison of tails.
+The closure check is exact, not truncated: the first `_HORIZON` tail
+cells are verified explicitly and everything beyond reduces to a single
+symbolic comparison of tails.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ from .sets import (
     contains,
     gauge_closed_form,
 )
+
+
+# singleton-tail cells checked one by one before the symbolic tail comparison
+_HORIZON = 32
 
 
 class IncompatibleSpec(UsageError):
@@ -71,18 +75,13 @@ def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
     return indicator_mul(part.cell(n), seq.value)
 
 
-@record(frozen=True)
-class GlueResult:
-    element: EcRv
-
-
-def glue(seq: SequenceSpec, part: Partition) -> GlueResult:
+def glue(seq: SequenceSpec, part: Partition) -> EcRv:
     """Assemble the unique element agreeing with the sequence cellwise."""
     if isinstance(seq, Diagonal):
         if isinstance(part, FinitePartition):
             raise IncompatibleSpec("diagonal sequences pair with singleton-tail partitions")
         # the n-th piece already is value on the n-th cell
-        return GlueResult(seq.value)
+        return seq.value
     if isinstance(part, FinitePartition):
         overrides: dict[int, Fraction] = {}
         tail = Fraction(0)
@@ -96,7 +95,7 @@ def glue(seq: SequenceSpec, part: Partition) -> GlueResult:
             else:
                 for j in cell.atoms:
                     overrides[j] = x_n.value_at(j)
-        return GlueResult(EcRv(overrides, tail))
+        return EcRv(overrides, tail)
     overrides = {}
     m = part.prefix_count
     for n, cell in enumerate(part.prefix_cells, start=1):
@@ -111,14 +110,12 @@ def glue(seq: SequenceSpec, part: Partition) -> GlueResult:
     for j, v in seq.tail_element.overrides.items():
         if j >= part.tail_start and j > last_explicit_atom:
             overrides[j] = v
-    return GlueResult(EcRv(overrides, seq.tail_element.tail))
+    return EcRv(overrides, seq.tail_element.tail)
 
 
-def glue_identity_holds(
-    seq: SequenceSpec, part: Partition, x: EcRv, horizon: int = 32
-) -> bool:
-    """Exact cellwise identity: explicit cells up to the horizon, then a
-    symbolic comparison covering every later singleton cell at once."""
+def glue_identity_holds(seq: SequenceSpec, part: Partition, x: EcRv) -> bool:
+    """Exact cellwise identity: the first `_HORIZON` tail cells explicitly,
+    then a symbolic comparison covering every later singleton cell at once."""
     if isinstance(part, FinitePartition):
         return all(
             indicator_mul(part.cell(n), x)
@@ -126,7 +123,7 @@ def glue_identity_holds(
             for n in range(1, part.cell_count + 1)
         )
     explicit_cells = part.prefix_count + max(
-        horizon,
+        _HORIZON,
         len(seq.prefix) - part.prefix_count if isinstance(seq, EventuallyConstantSeq) else 0,
     )
     for n in range(1, explicit_cells + 1):
@@ -217,20 +214,18 @@ class CcReport:
         return all(e.seminorm_identity_ok is not False for e in self.entries)
 
 
-def _elements_in_set(
-    s: SetDescriptor, seq: SequenceSpec, part: Partition, horizon: int
-) -> bool:
+def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bool:
     if isinstance(seq, EventuallyConstantSeq):
         return all(contains(s, x) for x in (*seq.prefix, seq.tail_element))
     if isinstance(part, FinitePartition):
         count = part.cell_count
         return all(contains(s, sequence_element(seq, part, n)) for n in range(1, count + 1))
-    explicit = part.prefix_count + horizon
+    explicit = part.prefix_count + _HORIZON
     if not all(
         contains(s, sequence_element(seq, part, n)) for n in range(1, explicit + 1)
     ):
         return False
-    beyond = part.tail_start + horizon
+    beyond = part.tail_start + _HORIZON
     return _late_pieces_in_set(s, seq.value, beyond)
 
 
@@ -243,10 +238,7 @@ def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:
 
 
 def relative_cc_check(
-    s: SetDescriptor,
-    part: Partition,
-    seqs: list[SequenceSpec],
-    horizon: int = 32,
+    s: SetDescriptor, part: Partition, seqs: list[SequenceSpec]
 ) -> CcReport:
     """For sequences inside s, does every glue stay inside s?
 
@@ -257,16 +249,16 @@ def relative_cc_check(
     """
     report = CcReport(target=s)
     for seq in seqs:
-        pre_ok = _elements_in_set(s, seq, part, horizon)
+        pre_ok = _elements_in_set(s, seq, part)
         try:
-            result = glue(seq, part)
+            glued = glue(seq, part)
         except IncompatibleSpec:
             report.entries.append(CcEntry(seq, pre_ok, False, None, None, None))
             continue
-        entry = CcEntry(seq, pre_ok, True, result.element, contains(s, result.element), None)
+        entry = CcEntry(seq, pre_ok, True, glued, contains(s, glued), None)
         if isinstance(s, Ball):
             entry.seminorm_identity_ok = all(
-                evaluate(p, result.element) == glue(_evaluated_sequence(seq, p), part).element
+                evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part)
                 for p in s.seminorms
             )
         report.entries.append(entry)
@@ -290,18 +282,19 @@ class CcFailureWitness:
         return self.pieces_in_set and not self.glue_in_set
 
 
-def cc_failure_witness(eps: EcRv, horizon: int = 32) -> CcFailureWitness:
+def cc_failure_witness(eps: EcRv) -> CcFailureWitness:
     """The diagonal sequence of doubled-radius single-atom pieces.
 
     Every piece has finite support, hence lies in M + B_eps, yet the
-    glue is twice the radius, whose tail the set cannot absorb.
+    glue is twice the radius, whose tail the set cannot absorb: the one
+    entry of the relative check on M + B_eps is a counterexample.
     """
-    target = MPlusBall(eps)
     seq = Diagonal(2 * eps)
     part = SingletonTail((), 1)
-    glued = glue(seq, part).element
-    pieces_ok = _elements_in_set(target, seq, part, horizon)
-    return CcFailureWitness(eps, seq, part, glued, pieces_ok, contains(target, glued))
+    (entry,) = relative_cc_check(MPlusBall(eps), part, [seq]).entries
+    return CcFailureWitness(
+        eps, seq, part, entry.glue, entry.precondition_ok, entry.glue_in_set
+    )
 
 
 # -- reverse construction: from a small gauge to a gluing partition ----------
@@ -323,9 +316,7 @@ class ReversePartition:
         return self.pieces_in_set and self.tail_law_ok and self.glue_is_point
 
 
-def reverse_partition_construct(
-    u: SetDescriptor, x: EcRv, horizon: int = 32
-) -> ReversePartition:
+def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
     """Cut x along a partition whose pieces all lie in u.
 
     Requires the gauge of x strictly below one at every atom.  For
@@ -339,17 +330,17 @@ def reverse_partition_construct(
     if isinstance(u, MPlusBall):
         part: Partition = SingletonTail((), 1)
         seq: SequenceSpec = Diagonal(x)
-        checked = horizon
+        checked = _HORIZON
         pieces_ok = all(
-            contains(u, sequence_element(seq, part, n)) for n in range(1, horizon + 1)
+            contains(u, sequence_element(seq, part, n)) for n in range(1, _HORIZON + 1)
         )
-        tail_ok = _late_pieces_in_set(u, x, horizon + 1)
-        glue_ok = glue(seq, part).element == x
+        tail_ok = _late_pieces_in_set(u, x, _HORIZON + 1)
+        glue_ok = glue(seq, part) == x
     else:
         part = FinitePartition((EventSet.full(),))
         seq = EventuallyConstantSeq((x,), x)
         checked = 1
         pieces_ok = contains(u, x)
         tail_ok = True
-        glue_ok = glue(seq, part).element == x
+        glue_ok = glue(seq, part) == x
     return ReversePartition(u, x, part, seq, checked, pieces_ok, tail_ok, glue_ok)

@@ -19,16 +19,11 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
-from ._common import moved_to_library
 from ._record import record
 from .measure import EventSet, _check_atom
 
 Rational = Union[Fraction, int]
 _setattr = object.__setattr__  # the one way to write an EcRv's slots
-
-
-# the library-only pointwise comparison with witness events lives in `_library`
-__getattr__ = moved_to_library(__name__, "OrderReport order_compare")
 
 
 class NotInvertible(ZeroDivisionError):

@@ -41,10 +41,6 @@ from .measure import _check_atom
 from .seminorms import Seminorm, evaluate
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
-from ._common import moved_to_library
-
-# the library-only sampled confirmation of the flags lives in `_library`
-__getattr__ = moved_to_library(__name__, "FlagsConfirmation confirm_structural_flags")
 
 
 @record(frozen=True)
@@ -263,7 +259,16 @@ def _certificate_witness(
         return _from_ratios(over, (p, q) if p > q else (1, 1))
     if isinstance(s, Scale):
         return _certificate_witness(s.inner, reciprocal(s.factor) * x, probes, tol)
-    if isinstance(s, (Ball, Intersect)):
+    if isinstance(s, Translate) and s.offset.is_zero():
+        return _certificate_witness(s.inner, x, probes, tol)
+    if isinstance(s, Intersect):
+        # the larger scaling holds x in every balanced member at once; on
+        # ball members this is the intersection's closed form plus tol/2
+        witness = _certificate_witness(s.members[0], x, probes, tol)
+        for member in s.members[1:]:
+            witness = emax(witness, _certificate_witness(member, x, probes, tol))
+        return witness
+    if isinstance(s, Ball):
         return gauge_closed_form(s, x) + tol / 2
     raise UnsupportedShape(f"no gauge certificate for {type(s).__name__}")
 

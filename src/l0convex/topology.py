@@ -47,10 +47,6 @@ from ._common import (  # re-exported: the records live in the leaf module
     NeighborhoodBase,
     UsageError,
 )
-from ._common import moved_to_library
-
-# the library-only (eps, lambda) membership lives in `_library`
-__getattr__ = moved_to_library(__name__, "epslambda_membership")
 
 
 class PointInM(ValueError):

@@ -182,7 +182,7 @@ def test_criterion_8_reverse_construction():
         else:
             u = Ball((Weighted(ONE),), sampling.random_positive_ecrv(rng))
             x = sample_member(u, rng) * Fraction(1, 2)  # strictly interior
-        result = reverse_partition_construct(u, x, horizon=32)
+        result = reverse_partition_construct(u, x)
         ok = ok and result.cells_checked >= 1
         ok = ok and result.pieces_in_set and result.tail_law_ok and result.glue_is_point
     _report(8, "50 reverse constructions verified to horizon 32 plus tail law", ok)

@@ -396,6 +396,8 @@ IGNORED = [
     (("partition", SPEC, "--from", "7", "--cells", "[{5}]"), "", "--from"),
     (("partition", SPEC, "--from", "7"), "", "--from"),
     (("partition", SPEC, "--cells", "[{5}]"), "", "--cells"),
+    (("partition", SPEC), "part.singletons_from = 7\n", "'part.singletons_from'"),
+    (("partition", SPEC), "part.finite = [{1}]\n", "'part.finite'"),
 ]
 
 # The probe horizon and the certificate tolerance are no input of any
@@ -594,6 +596,14 @@ class TestPartition:
         doc = json.loads(out)
         assert doc["partition"] == "singletons_from(3; {1}, {2})"
         assert doc["tail_mass"] == "1/4"
+
+    def test_spec_literal_reads_the_space(self, capsys, tmp_path):
+        """The literal refuses the `part.*` keys (see IGNORED), not the space."""
+        config = tmp_path / "p.cfg"
+        config.write_text("space.tail_coefficient = 1\n")
+        code, out, _ = run(capsys, "partition", SPEC, "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["partition"] == SPEC
 
     def test_finite_spec_rejected(self, capsys):
         code, _, err = run(capsys, "partition", "finite[{1}, ~{1}]")

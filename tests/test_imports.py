@@ -52,7 +52,7 @@ class TestExports:
         assert set(l0convex.__all__) <= set(dir(l0convex))
 
     def test_no_export_is_a_module(self):
-        assert len(l0convex.__all__) == 67
+        assert len(l0convex.__all__) == 66
         modules = [n for n in l0convex.__all__ if isinstance(getattr(l0convex, n), types.ModuleType)]
         assert modules == []
 
@@ -81,17 +81,24 @@ class TestExports:
 
         assert syntax.ParseError is _common.ParseError is config.ParseError
 
-    def test_library_only_code_keeps_its_old_paths(self):
+    def test_library_only_code_lives_in_library(self):
+        """The package exports and `_library` give the same objects; the
+        modules they left no longer serve them."""
         from l0convex import _library, l0, sets, topology
 
-        assert l0.order_compare is _library.order_compare is l0convex.order_compare
-        assert l0.OrderReport is _library.OrderReport is l0convex.OrderReport
-        assert topology.epslambda_membership is _library.epslambda_membership
-        assert sets.confirm_structural_flags is _library.confirm_structural_flags
-        assert sets.FlagsConfirmation is _library.FlagsConfirmation
-        for module in (l0, sets, topology):
-            with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-                module.no_such_name
+        assert l0convex.order_compare is _library.order_compare
+        assert l0convex.OrderReport is _library.OrderReport
+        assert l0convex.epslambda_membership is _library.epslambda_membership
+        assert l0convex.confirm_structural_flags is _library.confirm_structural_flags
+        for module, name in (
+            (l0, "order_compare"),
+            (l0, "OrderReport"),
+            (topology, "epslambda_membership"),
+            (sets, "confirm_structural_flags"),
+            (sets, "FlagsConfirmation"),
+        ):
+            with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+                getattr(module, name)
 
     def test_cli_keeps_the_names_it_imported(self):
         from l0convex import cli, sets, topology
@@ -155,6 +162,11 @@ COMMANDS = {
     ),
     "partition": (
         ("partition", "--from", "3", "--cells", "[{1},{2}]"),
+        None,
+        {"_cli_partition", "syntax"},
+    ),
+    "partition SPEC": (
+        ("partition", "singletons_from(3; {1}, {2})"),
         None,
         {"_cli_partition", "syntax"},
     ),

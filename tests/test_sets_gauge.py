@@ -33,6 +33,7 @@ from l0convex import (
     verify_certificate,
 )
 from l0convex import sampling
+from l0convex.sets import _certificate_witness
 
 from conftest import ecrvs, positive_ecrvs
 
@@ -153,6 +154,17 @@ class TestStructuralFlags:
     def test_intersect_preserves(self):
         both = Intersect((UNIT_BALL, MPlusBall(ONE)))
         assert structural_flags(both).all_true()
+
+    def test_intersect_with_m_plus_ball_absorbs(self):
+        """The intersection's witness is the larger of its members'
+        witnesses, which holds every point in both balanced members."""
+        for members in ((UNIT_BALL, MPlusBall(ONE)), (MPlusBall(ONE), UNIT_BALL)):
+            assert confirm_structural_flags(Intersect(members), 200, seed=17).passed
+
+    def test_translate_at_origin_absorbs(self):
+        at_origin = Translate(ZERO, MPlusBall(ONE))
+        assert structural_flags(at_origin).all_true()
+        assert confirm_structural_flags(at_origin, 200, seed=19).passed
 
     def test_scale_preserves(self):
         assert structural_flags(Scale(EcRv.constant(-3), MPlusBall(ONE))).all_true()
@@ -289,6 +301,23 @@ class TestCertificates:
             assert contains(Scale(cert.witness, target), x)
             for j in cert.probe_atoms:
                 assert cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + cert.tolerance
+
+    def test_ball_like_intersection_witness_is_the_closed_form(self):
+        """On ball-like intersections the larger of the members' witnesses
+        is exactly the intersection's closed-form gauge plus tol/2."""
+        rng = sampling.make_rng(29)
+        for _ in range(100):
+            radii = [sampling.random_positive_ecrv(rng) for _ in range(3)]
+            s = Intersect((
+                Ball((Weighted(ONE), Localized(EventSet.finite({1, 3}))), radii[0]),
+                Scale(sampling.random_positive_ecrv(rng), Ball((Weighted(radii[1]),), ONE)),
+                Intersect((Ball((Localized(EventSet.cofinite_excluding({2})),), radii[2]),)),
+            ))
+            x = sampling.random_ecrv(rng)
+            for probes, tol in (((1, 2), TOL), ((), Fraction(1))):
+                witness = _certificate_witness(s, x, probes, tol)
+                assert witness == gauge_closed_form(s, x) + tol / 2
+            assert verify_certificate(gauge_upper_certificate(s, x))
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
