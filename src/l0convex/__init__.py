@@ -30,7 +30,7 @@ _EXPORTS_BY_MODULE = {
         "roundtrip_check sample_member structural_flags verify_certificate"
     ),
     "topology": (
-        "EvidenceReport PointInM SeedSet base_axiom_witnesses closure_membership "
+        "EvidenceReport PointInM base_axiom_witnesses closure_membership "
         "hausdorff_report seminorm_induction_verdict separation_witness"
     ),
     "concatenation": (

@@ -57,7 +57,7 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
             {
                 "sequence": syntax.format_sequence(e.sequence),
                 "precondition_ok": e.precondition_ok,
-                "glue": repr(e.glue) if e.glue is not None else None,
+                "glue": repr(e.glue),
                 "glue_in_set": e.glue_in_set,
                 "seminorm_identity_ok": e.seminorm_identity_ok,
             }

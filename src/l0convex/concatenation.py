@@ -15,6 +15,7 @@ symbolic comparison of tails.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -40,7 +41,7 @@ _HORIZON = 32
 
 
 class IncompatibleSpec(UsageError):
-    """Sequence shape does not fit the partition shape."""
+    """The late-piece check cannot decide membership in this set shape."""
 
 
 class GaugeNotBelowOne(ValueError):
@@ -78,9 +79,7 @@ def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
 def glue(seq: SequenceSpec, part: Partition) -> EcRv:
     """Assemble the unique element agreeing with the sequence cellwise."""
     if isinstance(seq, Diagonal):
-        if isinstance(part, FinitePartition):
-            raise IncompatibleSpec("diagonal sequences pair with singleton-tail partitions")
-        # the n-th piece already is value on the n-th cell
+        # the n-th piece is value on the n-th cell, whatever the partition
         return seq.value
     if isinstance(part, FinitePartition):
         overrides: dict[int, Fraction] = {}
@@ -134,26 +133,20 @@ def glue_identity_holds(seq: SequenceSpec, part: Partition, x: EcRv) -> bool:
     # reduces to x(j) == element(j) for all large j: a tail comparison
     beyond = part.tail_start + (explicit_cells - part.prefix_count)
     target = seq.value if isinstance(seq, Diagonal) else seq.tail_element
-    if x.tail != target.tail:
-        return False
-    return all(
-        x.value_at(j) == target.value_at(j)
-        for j in set(x.overrides) | set(target.overrides)
-        if j >= beyond
+    return _holds_beyond(operator.eq, x, target, beyond)
+
+
+def _holds_beyond(relation, x: EcRv, y: EcRv, start: int) -> bool:
+    """relation(x(j), y(j)) at every atom j >= start: on the tails, and on
+    each override at or past start."""
+    return relation(x.tail, y.tail) and all(
+        relation(x.value_at(j), y.value_at(j))
+        for j in set(x.overrides) | set(y.overrides)
+        if j >= start
     )
 
 
 # -- symbolic membership of late diagonal pieces ----------------------------
-
-
-def _leq_beyond(x: EcRv, y: EcRv, start: int) -> bool:
-    if x.tail > y.tail:
-        return False
-    return all(
-        x.value_at(j) <= y.value_at(j)
-        for j in set(x.overrides) | set(y.overrides)
-        if j >= start
-    )
 
 
 def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
@@ -171,7 +164,8 @@ def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
         return abs(s.offset.tail) <= s.inner.radius.tail
     if isinstance(s, Ball):
         return all(
-            _leq_beyond(evaluate(p, value), s.radius, beyond) for p in s.seminorms
+            _holds_beyond(operator.le, evaluate(p, value), s.radius, beyond)
+            for p in s.seminorms
         )
     if isinstance(s, Scale):
         return _late_pieces_in_set(s.inner, reciprocal(s.factor) * value, beyond)
@@ -189,15 +183,14 @@ def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
 class CcEntry:
     sequence: SequenceSpec
     precondition_ok: bool
-    representable: bool
-    glue: Optional[EcRv]
-    glue_in_set: Optional[bool]
-    seminorm_identity_ok: Optional[bool]
+    glue: EcRv
+    glue_in_set: bool
+    seminorm_identity_ok: Optional[bool]  # None unless the set is a ball
 
     @property
     def counterexample(self) -> bool:
         """A genuine closure failure: pieces inside, glue outside."""
-        return self.precondition_ok and self.representable and self.glue_in_set is False
+        return self.precondition_ok and not self.glue_in_set
 
 
 @record
@@ -250,12 +243,8 @@ def relative_cc_check(
     report = CcReport(target=s)
     for seq in seqs:
         pre_ok = _elements_in_set(s, seq, part)
-        try:
-            glued = glue(seq, part)
-        except IncompatibleSpec:
-            report.entries.append(CcEntry(seq, pre_ok, False, None, None, None))
-            continue
-        entry = CcEntry(seq, pre_ok, True, glued, contains(s, glued), None)
+        glued = glue(seq, part)
+        entry = CcEntry(seq, pre_ok, glued, contains(s, glued), None)
         if isinstance(s, Ball):
             entry.seminorm_identity_ok = all(
                 evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part)
@@ -306,14 +295,12 @@ class ReversePartition:
     point: EcRv
     partition: Partition
     pieces: SequenceSpec
-    cells_checked: int
     pieces_in_set: bool
-    tail_law_ok: bool
     glue_is_point: bool
 
     @property
     def passed(self) -> bool:
-        return self.pieces_in_set and self.tail_law_ok and self.glue_is_point
+        return self.pieces_in_set and self.glue_is_point
 
 
 def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
@@ -330,17 +317,9 @@ def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
     if isinstance(u, MPlusBall):
         part: Partition = SingletonTail((), 1)
         seq: SequenceSpec = Diagonal(x)
-        checked = _HORIZON
-        pieces_ok = all(
-            contains(u, sequence_element(seq, part, n)) for n in range(1, _HORIZON + 1)
-        )
-        tail_ok = _late_pieces_in_set(u, x, _HORIZON + 1)
-        glue_ok = glue(seq, part) == x
     else:
         part = FinitePartition((EventSet.full(),))
         seq = EventuallyConstantSeq((x,), x)
-        checked = 1
-        pieces_ok = contains(u, x)
-        tail_ok = True
-        glue_ok = glue(seq, part) == x
-    return ReversePartition(u, x, part, seq, checked, pieces_ok, tail_ok, glue_ok)
+    return ReversePartition(
+        u, x, part, seq, _elements_in_set(u, seq, part), glue(seq, part) == x
+    )

@@ -43,8 +43,8 @@ def _randint(rng: random.Random, a: int, b: int) -> int:
     return a + r
 
 
-def _ratio(rng: random.Random, lo: int = -BOUND, hi: int = BOUND) -> tuple[int, int]:
-    return _randint(rng, lo, hi), _randint(rng, 1, BOUND)
+def _ratio(rng: random.Random) -> tuple[int, int]:
+    return _randint(rng, -BOUND, BOUND), _randint(rng, 1, BOUND)
 
 
 def _positive_ratio(rng: random.Random) -> tuple[int, int]:
@@ -54,10 +54,6 @@ def _positive_ratio(rng: random.Random) -> tuple[int, int]:
 def _unit_ratio(rng: random.Random) -> tuple[int, int]:
     d = _randint(rng, 1, BOUND)
     return _randint(rng, 0, d), d
-
-
-def random_fraction(rng: random.Random, lo: int = -BOUND, hi: int = BOUND) -> Fraction:
-    return Fraction(*_ratio(rng, lo, hi))
 
 
 def random_positive_fraction(rng: random.Random) -> Fraction:

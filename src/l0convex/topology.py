@@ -11,7 +11,6 @@ and order comparisons alone.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -152,35 +151,24 @@ def separation_witness(x: EcRv) -> SeparationWitness:
     return SeparationWitness(x, eps, not contains(MPlusBall(eps), x))
 
 
-class SeedSet(Enum):
-    ZERO_SINGLETON = "zero_singleton"
-    SUBMODULE_M = "submodule_m"
-
-
 @record(frozen=True)
 class ClosureResult:
     member: bool
     separation: Optional[SeparationWitness] = None
 
-    def __bool__(self) -> bool:
-        return self.member
 
+def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
+    """Membership of x in the closure of {0} under the base.
 
-def closure_membership(
-    base: NeighborhoodBase, seed_set: SeedSet, x: EcRv
-) -> ClosureResult:
-    """Membership of x in the closure of {0} or of M under the base.
-
-    For the degenerate base both closures equal M, since every base set
-    contains M and the separation witness excludes anything else.  For a
-    seminorm base the closure of {0} is the common kernel of the family.
+    For the degenerate base the closure is M (and so is the closure of
+    M), since every base set contains M and the separation witness
+    excludes anything else.  For a seminorm base it is the common kernel
+    of the family.
     """
     if isinstance(base, CounterexampleFamily):
         if classify(x).in_M:
             return ClosureResult(True)
         return ClosureResult(False, separation_witness(x))
-    if seed_set is not SeedSet.ZERO_SINGLETON:
-        raise ValueError("only the closure of {0} is computed for seminorm bases")
     vanishes = all(evaluate(s, x) == ZERO for s in base.family)
     return ClosureResult(vanishes)
 
@@ -382,7 +370,7 @@ def _not_induced_steps(base: CounterexampleFamily, seed: int, samples: int) -> l
     def proper():
         separation = separation_witness(sampling.random_nonzero_tail_ecrv(rng))
         inside = sampling.random_finite_support_ecrv(rng)
-        closed = closure_membership(base, SeedSet.ZERO_SINGLETON, inside).member
+        closed = closure_membership(base, inside).member
         return separation.excluded and closed, {
             "example_point": separation.point,
             "example_epsilon": separation.epsilon,

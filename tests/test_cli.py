@@ -42,6 +42,11 @@ class TestEval:
         assert code == 0
         assert out.strip() == "{1:3 | 5}"
 
+    def test_glue_diagonal_on_a_finite_partition(self, capsys):
+        code, out, _ = run(capsys, "eval", "glue diag({|2}) finite[{1}, ~{1}]")
+        assert code == 0
+        assert out.strip() == "{|2}"
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "gauge m_plus_ball({|1}) {1:x | 0}")
         assert code == 2
@@ -84,6 +89,24 @@ class TestCheck:
         )
         code, _, _ = run(capsys, "check", "cc", "--config", str(config))
         assert code == 1
+
+    def test_cc_diagonal_on_a_finite_partition_glues(self, capsys, tmp_path):
+        """A diagonal glues to its value on a finite partition too, so the
+        entry carries the glue and both of its checks."""
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "set = ball(weighted({|1}); {|1})\n"
+            "seq.diag = {1:1, 3:-2/3 | 1/2}\n"
+            "part.finite = [{1}, ~{1}]\n"
+            "expect = pass\n"
+        )
+        code, out, _ = run(capsys, "check", "cc", "--config", str(config))
+        assert code == 0
+        (entry,) = json.loads(out)["steps"][0]["inputs"]["entries"]
+        assert entry["precondition_ok"] is True
+        assert entry["glue"] == "{1:1, 3:-2/3 | 1/2}"
+        assert entry["glue_in_set"] is True
+        assert entry["seminorm_identity_ok"] is True
 
     def test_cc_translate_of_m_plus_ball_is_decided(self, capsys, tmp_path):
         """Late diagonal pieces have zero tails, so they lie in
@@ -530,21 +553,50 @@ class TestErrorMapping:
         assert err == "internal error: ValueError: arithmetic defect\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, text",
         [
-            ("partition", "--from", "0"),
-            ("partition", "--from", "3", "--cells", "[{1}]"),
-            ("verify-counterexample", "--samples", "3", "--config", "{cfg}"),
+            (("partition", "--from", "0"), None),
+            (("partition", "--from", "3", "--cells", "[{1}]"), None),
+            (("verify-counterexample", "--samples", "3"), "epsilon = {|0}\n"),
+            (("check", "cc"), "seq.diag = {|2}\npart.singletons_from = 1\n"),
+            (("check", "cc"), "set = m_plus_ball({|1})\npart.singletons_from = 1\n"),
+            (("check", "cc"), "set = m_plus_ball({|1})\nseq.diag = {|2}\n"),
+            (("check", "roundtrip", "--samples", "3"), ""),
+            (("eval", "frobnicate {|1}"), None),
+            (("verify-counterexample", "--samples", "3"), "base = foo\n"),
+            (("verify-counterexample", "--samples", "3"), "seed 3\n"),
+            (("eval", "prob {1}"), 'space.explicit = [[2, "1/2"]]\n'),
+            (("eval", "prob {1}"), 'space.explicit = [[1, "3/2"]]\n'),
+            (("eval", "prob {1}"), "space.tail_coefficient = 0\n"),
+            (
+                ("check", "cc"),
+                "set = translate({|1}; ball(weighted({|1}); {|1}))\n"
+                "seq.diag = {|1}\npart.singletons_from = 1\n",
+            ),
         ],
-        ids=["atom-index", "malformed-prefix", "radius"],
+        ids=[
+            "atom-index", "malformed-prefix", "radius", "cc-no-set", "cc-no-sequence",
+            "cc-no-partition", "roundtrip-no-target", "eval-operation", "base-name",
+            "line-without-equals", "space-gap", "space-weight", "space-tail",
+            "cc-late-pieces-undecided",
+        ],
     )
-    def test_library_usage_errors_exit_2(self, capsys, tmp_path, argv):
-        config = tmp_path / "run.cfg"
-        config.write_text("epsilon = {|0}\n")
-        code, out, err = run(capsys, *(a.replace("{cfg}", str(config)) for a in argv))
+    def test_library_usage_errors_exit_2(self, capsys, tmp_path, argv, text):
+        if text is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(text)
+            argv = (*argv, "--config", str(config))
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_unquoted_explicit_weight_is_read(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("space.explicit = [[1, 1/2]]\n")
+        code, out, _ = run(capsys, "eval", "prob {1}", "--config", str(config))
+        assert code == 0
+        assert out.strip() == "1/2"
 
 
 class TestReportHeader:

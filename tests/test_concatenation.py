@@ -11,9 +11,10 @@ from l0convex import (
     EventuallyConstantSeq,
     FinitePartition,
     GaugeNotBelowOne,
-    IncompatibleSpec,
+    Intersect,
     Localized,
     MPlusBall,
+    Scale,
     SingletonTail,
     Weighted,
     ZERO,
@@ -27,7 +28,7 @@ from l0convex import (
     reverse_partition_construct,
 )
 from l0convex import sampling
-from l0convex.concatenation import sequence_element
+from l0convex.concatenation import _late_pieces_in_set, sequence_element
 
 from conftest import ecrvs
 
@@ -78,9 +79,12 @@ class TestGlue:
                     assert piece == indicator_mul(part.cell(n), value)
                     assert piece.tail == 0
 
-    def test_diagonal_needs_singleton_tail(self):
-        with pytest.raises(IncompatibleSpec):
-            glue(Diagonal(ONE), SPLIT_AT_1)
+    def test_diagonal_glues_to_its_value_on_a_finite_partition(self):
+        v = EcRv({1: 1, 3: Fraction(-2, 3)}, Fraction(1, 2))
+        seq = Diagonal(v)
+        x = glue(seq, SPLIT_AT_1)
+        assert x == v
+        assert glue_identity_holds(seq, SPLIT_AT_1, x)
 
     def test_singleton_tail_with_prefix_elements(self):
         part = SingletonTail((EventSet.finite({1, 2}),), 3)
@@ -170,6 +174,43 @@ class TestRelativeCc:
         assert report.entries[0].seminorm_identity_ok
 
 
+class TestLatePieces:
+    """The symbolic check for atoms from 33 on agrees with explicit
+    membership of the single-atom pieces on atoms 33..80."""
+
+    BALL = Ball((Weighted(ONE),), EcRv({40: Fraction(1, 4)}, 1))
+
+    def explicit(self, s, value):
+        return all(
+            contains(s, indicator_mul(EventSet.finite({j}), value)) for j in range(33, 81)
+        )
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            Scale(EcRv.constant(2), BALL),
+            Scale(EcRv({50: Fraction(1, 8)}, 3), BALL),
+            Intersect((BALL, MPlusBall(ONE))),
+            Intersect((BALL, Scale(EcRv.constant(Fraction(1, 2)), BALL))),
+        ],
+        ids=["scale", "scale-pointwise", "intersect-m-plus-ball", "intersect-scaled"],
+    )
+    def test_symbolic_matches_explicit(self, s):
+        rng = sampling.make_rng(59)
+        values = [
+            EcRv.constant(Fraction(1, 2)),
+            EcRv({45: 3}, Fraction(1, 3)),
+            EcRv({60: 1}, 1),
+            EcRv.constant(4),
+        ] + [sampling.random_ecrv(rng) for _ in range(20)]
+        outcomes = set()
+        for value in values:
+            symbolic = _late_pieces_in_set(s, value, 33)
+            assert symbolic == self.explicit(s, value)
+            outcomes.add(symbolic)
+        assert outcomes == {True, False}
+
+
 class TestCcFailureWitness:
     def test_unit_radius(self):
         witness = cc_failure_witness(ONE)
@@ -201,7 +242,6 @@ class TestReverseConstruction:
         assert isinstance(result.partition, SingletonTail)
         assert result.partition.cell(5) == EventSet.finite({5})
         assert result.pieces_in_set
-        assert result.tail_law_ok
         assert result.glue_is_point
         assert result.passed
 

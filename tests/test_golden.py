@@ -34,6 +34,7 @@ CASES = {
     "check_base_seed5": "check base --config {cfg}/induced.cfg --seed 5 --samples 40",
     "check_cc_diagonal": "check cc --config {cfg}/cc_diagonal.cfg",
     "check_cc_ball": "check cc --config {cfg}/cc_ball.cfg",
+    "check_cc_diagonal_finite": "check cc --config {cfg}/cc_diagonal_finite.cfg",
     "eval_glue": ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
     "partition_from3": "partition --from 3 --cells [{1},{2}]",
 }

@@ -107,6 +107,12 @@ class TestAxiomsCheck:
             for kind, scalar, _ in report.witnesses
         )
 
+    def test_squaring_breaks_the_triangle_inequality(self):
+        report = axioms_check(lambda x: x * x, 20, 1)
+        assert report.triangle_failures == 18
+        assert not report.passed
+        assert any(kind == "triangle" for kind, _, _ in report.witnesses)
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             axioms_check(Zero(), 0, seed=1)

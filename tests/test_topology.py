@@ -13,7 +13,6 @@ from l0convex import (
     Localized,
     MPlusBall,
     PointInM,
-    SeedSet,
     Weighted,
     Zero,
     ZERO,
@@ -21,6 +20,7 @@ from l0convex import (
     base_axiom_witnesses,
     classify,
     closure_membership,
+    reciprocal,
     confirm_structural_flags,
     contains,
     epslambda_membership,
@@ -37,6 +37,14 @@ from conftest import ecrvs
 
 COUNTEREXAMPLE = CounterexampleFamily()
 UNIT_FAMILY = FromSeminorms((Weighted(ONE),))
+
+
+class ReciprocalBase:
+    """Test-only base whose sets shrink as the radius grows: U(r) is
+    M + B_{1/r}, so the base inclusions fail."""
+
+    def base_set(self, radius: EcRv) -> MPlusBall:
+        return MPlusBall(reciprocal(radius))
 
 
 class TestBaseAxioms:
@@ -62,6 +70,13 @@ class TestBaseAxioms:
         assert report.passed
         assert report.meet_witness == EcRv({1: 2}, 1)
         assert report.scaling_witness == EcRv({1: Fraction(1, 2)}, 2)
+
+    def test_inverted_base_fails_the_inclusions(self):
+        half = EcRv.constant(Fraction(1, 2))
+        report = base_axiom_witnesses(ReciprocalBase(), ONE, half, 30, seed=1)
+        assert (report.meet_failures, report.sum_failures, report.scaling_failures) == (11, 18, 0)
+        assert not report.passed
+        assert not topology.base_axioms_step(ReciprocalBase(), 30, 1).passed
 
     def test_radii_must_be_strictly_positive(self):
         with pytest.raises(ValueError):
@@ -95,24 +110,20 @@ class TestSeparation:
 
 class TestClosure:
     def test_nonzero_point_in_closure_of_zero(self):
-        result = closure_membership(COUNTEREXAMPLE, SeedSet.ZERO_SINGLETON, EcRv({1: 1}, 0))
+        result = closure_membership(COUNTEREXAMPLE, EcRv({1: 1}, 0))
         assert result.member
 
     def test_outsider_excluded_with_evidence(self):
-        result = closure_membership(COUNTEREXAMPLE, SeedSet.SUBMODULE_M, ONE)
+        result = closure_membership(COUNTEREXAMPLE, ONE)
         assert not result.member
         assert result.separation.epsilon == EcRv.constant(Fraction(1, 2))
         assert result.separation.excluded
 
     def test_seminorm_base_closure_of_zero(self):
-        assert closure_membership(UNIT_FAMILY, SeedSet.ZERO_SINGLETON, ZERO).member
-        assert not closure_membership(UNIT_FAMILY, SeedSet.ZERO_SINGLETON, ONE).member
+        assert closure_membership(UNIT_FAMILY, ZERO).member
+        assert not closure_membership(UNIT_FAMILY, ONE).member
         degenerate = FromSeminorms((Localized(EventSet.finite({1})),))
-        assert closure_membership(degenerate, SeedSet.ZERO_SINGLETON, EcRv({2: 5}, 0)).member
-
-    def test_closure_of_m_needs_counterexample_base(self):
-        with pytest.raises(ValueError):
-            closure_membership(UNIT_FAMILY, SeedSet.SUBMODULE_M, ONE)
+        assert closure_membership(degenerate, EcRv({2: 5}, 0)).member
 
 
 class TestHausdorff:
