@@ -36,6 +36,30 @@ CASES = {
     "check_cc_ball": "check cc --config {cfg}/cc_ball.cfg",
     "check_cc_diagonal_finite": "check cc --config {cfg}/cc_diagonal_finite.cfg",
     "eval_glue": ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
+    "eval_seminorm_sup": (
+        "eval",
+        "seminorm sup[weighted({1:2, 3:1/3 | 1}), localized(~{2}), zero] {1:-3, 2:7 | 1/2}",
+    ),
+    "eval_seminorm_nested_sup": (
+        "eval",
+        "seminorm sup[localized({1}), sup[weighted({|1/3}), localized(~{1,2})]] {1:-2, 2:3 | 6}",
+    ),
+    "eval_gauge_ball": (
+        "eval",
+        "gauge ball(sup[weighted({|1/2}), localized({1,4})]; {1:2 | 1/3}) {1:-3, 4:5 | 1/2}",
+    ),
+    "eval_gauge_ball_pair": (
+        "eval",
+        "gauge ball(weighted({1:0, 2:3 | 1}), localized(~{1}); {|2}) {1:9, 2:1/2 | -1}",
+    ),
+    "eval_contains_ball_outside": (
+        "eval",
+        "contains ball(sup[weighted({|1/2}), localized({1,4})]; {1:2 | 1/3}) {1:-3, 4:5 | 1/7}",
+    ),
+    "eval_contains_ball_pair_inside": (
+        "eval",
+        "contains ball(weighted({1:0, 2:3 | 1}), localized(~{1}); {|2}) {1:9, 2:1/2 | -1}",
+    ),
     "partition_from3": "partition --from 3 --cells [{1},{2}]",
 }
 
