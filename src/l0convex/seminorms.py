@@ -1,18 +1,22 @@
 """A closed grammar of vector-valued seminorms with exact evaluation.
 
-Every seminorm here maps an EcRv to a nonnegative EcRv and satisfies
-homogeneity ||s*x|| = |s|*||x|| and the triangle inequality by
-construction.  The randomized checker exists to validate test fixtures
-and any future grammar extension, not to establish the axioms for the
-shipped shapes.
+Every seminorm here is ||x|| = c * |x| for one fixed nonnegative EcRv c,
+its `coefficient`: 0 for `Zero`, the weight for `Weighted`, the
+indicator of the event for `Localized`, and the pointwise maximum of the
+members' coefficients for `FiniteSup`, since max_i(c_i * t) is
+(max_i c_i) * t for t >= 0.  Evaluation is one multiply, so homogeneity
+||s*x|| = |s|*||x|| and the triangle inequality hold by construction.
+The randomized checker exists to validate test fixtures and any future
+grammar extension, not to establish the axioms for the shipped shapes.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
 from typing import Callable, Union
 
 from ._record import field, record
-from .l0 import EcRv, ZERO, classify, combine, emax, indicator_mul, leq_everywhere
+from .l0 import EcRv, ZERO, classify, combine, emax, indicator, leq_everywhere
 from .measure import EventSet
 from . import sampling
 
@@ -20,6 +24,10 @@ from . import sampling
 @record(frozen=True)
 class Zero:
     """The zero seminorm."""
+
+    @property
+    def coefficient(self) -> EcRv:
+        return ZERO
 
 
 @record(frozen=True)
@@ -32,12 +40,20 @@ class Weighted:
         if not classify(self.weight).in_L0_plus:
             raise ValueError("weight must be nonnegative everywhere")
 
+    @property
+    def coefficient(self) -> EcRv:
+        return self.weight
+
 
 @record(frozen=True)
 class Localized:
     """||x|| = |x| on the event, 0 off it."""
 
     event: EventSet
+
+    @cached_property
+    def coefficient(self) -> EcRv:
+        return indicator(self.event)
 
 
 @record(frozen=True)
@@ -50,28 +66,37 @@ class FiniteSup:
         if not self.members:
             raise ValueError("FiniteSup needs at least one member")
 
+    @cached_property
+    def coefficient(self) -> EcRv:
+        return _sup_coefficient(self.members)
+
 
 Seminorm = Union[Zero, Weighted, Localized, FiniteSup]
 
+_SHAPES = (Zero, Weighted, Localized, FiniteSup)
+
+
+def _coefficient(s: Seminorm) -> EcRv:
+    if isinstance(s, _SHAPES):
+        return s.coefficient
+    raise TypeError(f"not a seminorm descriptor: {s!r}")
+
+
+def _sup_coefficient(family) -> EcRv:
+    return reduce(emax, map(_coefficient, family))
+
 
 def evaluate(s: Seminorm, x: EcRv) -> EcRv:
-    if isinstance(s, Zero):
-        return ZERO
-    if isinstance(s, Weighted):
-        return combine("mul", s.weight, abs(x))
-    if isinstance(s, Localized):
-        return indicator_mul(s.event, abs(x))
-    if isinstance(s, FiniteSup):
-        result = evaluate(s.members[0], x)
-        for member in s.members[1:]:
-            result = emax(result, evaluate(member, x))
-        return result
-    raise TypeError(f"not a seminorm descriptor: {s!r}")
+    """||x|| = coefficient * |x|: one multiply."""
+    return combine("mul", _coefficient(s), abs(x))
 
 
 def sup_evaluate(family, x: EcRv) -> EcRv:
     """Pointwise maximum of a finite family of seminorms at x."""
-    return evaluate(FiniteSup(tuple(family)), x)
+    family = tuple(family)
+    if not family:
+        raise ValueError("sup_evaluate needs at least one seminorm")
+    return combine("mul", _sup_coefficient(family), abs(x))
 
 
 @record

@@ -25,6 +25,7 @@ from .l0 import (
     ZERO,
     ONE,
     classify,
+    combine,
     emax,
     divide,
     leq_everywhere,
@@ -38,7 +39,7 @@ from .l0 import (
     _with_tail,
 )
 from .measure import _check_atom
-from .seminorms import Seminorm, evaluate
+from .seminorms import Seminorm, evaluate, sup_evaluate
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
 
@@ -103,7 +104,10 @@ SetDescriptor = Union[Ball, MPlusBall, Scale, Translate, Intersect]
 
 def contains(s: SetDescriptor, x: EcRv) -> bool:
     if isinstance(s, Ball):
-        return all(leq_everywhere(evaluate(p, x), s.radius) for p in s.seminorms)
+        t = abs(x)  # each seminorm's value is its coefficient times |x|
+        return all(
+            leq_everywhere(combine("mul", p.coefficient, t), s.radius) for p in s.seminorms
+        )
     if isinstance(s, MPlusBall):
         return _abs_tail_leq(x, s.radius)
     if isinstance(s, Scale):
@@ -177,16 +181,14 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
     """The pointwise infimum of {xi strictly positive : x in xi*S}.
 
     For a Ball the binding constraint at each atom is ||x|| <= xi*radius,
-    so the infimum is max over the seminorms of ||x||/radius.  For
+    so the infimum is max over the seminorms of ||x||/radius: the largest
+    coefficient times |x|, over the radius.  For
     M + B_eps every finitely supported truncation of x is absorbed by M
     at arbitrarily small scale, so the infimum vanishes at every atom,
     whatever x is.
     """
     if isinstance(s, Ball):
-        worst = evaluate(s.seminorms[0], x)
-        for p in s.seminorms[1:]:
-            worst = emax(worst, evaluate(p, x))
-        return divide(worst, s.radius)
+        return divide(sup_evaluate(s.seminorms, x), s.radius)
     if isinstance(s, MPlusBall):
         return ZERO
     if isinstance(s, Scale):

@@ -157,6 +157,14 @@ class ClosureResult:
     separation: Optional[SeparationWitness] = None
 
 
+def _require_base(base: NeighborhoodBase) -> None:
+    """Refuse a base of neither kind: the steps read `family` or rely on M."""
+    if not isinstance(base, (FromSeminorms, CounterexampleFamily)):
+        raise TypeError(
+            f"not a neighborhood base (FromSeminorms or CounterexampleFamily): {base!r}"
+        )
+
+
 def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
     """Membership of x in the closure of {0} under the base.
 
@@ -165,6 +173,7 @@ def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
     excludes anything else.  For a seminorm base it is the common kernel
     of the family.
     """
+    _require_base(base)
     if isinstance(base, CounterexampleFamily):
         if classify(x).in_M:
             return ClosureResult(True)
@@ -191,6 +200,7 @@ class HausdorffReport:
 def hausdorff_report(
     base: NeighborhoodBase, samples: int = 100, seed: int = 0
 ) -> HausdorffReport:
+    _require_base(base)
     sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     if isinstance(base, CounterexampleFamily):
@@ -269,6 +279,7 @@ def seminorm_induction_verdict(
     With no samples every step would pass without checking anything, so
     `samples` must be at least 1.
     """
+    _require_base(base)
     sampling.require_samples(samples)
     steps = [base_axioms_step(base, samples, seed, epsilon, delta)]
     if isinstance(base, FromSeminorms):

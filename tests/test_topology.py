@@ -230,6 +230,37 @@ class TestInductionVerdict:
             seminorm_induction_verdict(COUNTEREXAMPLE, samples=1, **{knob: 32})
 
 
+class CountingReciprocalBase(ReciprocalBase):
+    """ReciprocalBase that counts the base sets it builds."""
+
+    def __init__(self):
+        self.built = 0
+
+    def base_set(self, radius: EcRv) -> MPlusBall:
+        self.built += 1
+        return super().base_set(radius)
+
+
+class TestBaseOfNeitherKind:
+    """The functions that branch on the base kind refuse any other base
+    before they build a base set."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda base: seminorm_induction_verdict(base, seed=1, samples=5),
+            lambda base: closure_membership(base, ONE),
+            lambda base: hausdorff_report(base, samples=5, seed=1),
+        ],
+        ids=["seminorm_induction_verdict", "closure_membership", "hausdorff_report"],
+    )
+    def test_rejected_up_front(self, run):
+        base = CountingReciprocalBase()
+        with pytest.raises(TypeError, match="FromSeminorms or CounterexampleFamily"):
+            run(base)
+        assert base.built == 0
+
+
 class TestSampledStep:
     @staticmethod
     def draws(failing):
