@@ -182,10 +182,9 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
 
     For a Ball the binding constraint at each atom is ||x|| <= xi*radius,
     so the infimum is max over the seminorms of ||x||/radius: the largest
-    coefficient times |x|, over the radius.  For
-    M + B_eps every finitely supported truncation of x is absorbed by M
-    at arbitrarily small scale, so the infimum vanishes at every atom,
-    whatever x is.
+    coefficient times |x|, over the radius.  For M + B_eps every finitely
+    supported truncation of x is absorbed by M at arbitrarily small
+    scale, so the infimum vanishes at every atom, whatever x is.
     """
     if isinstance(s, Ball):
         return divide(sup_evaluate(s.seminorms, x), s.radius)
