@@ -213,13 +213,14 @@ def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bo
     if isinstance(part, FinitePartition):
         count = part.cell_count
         return all(contains(s, sequence_element(seq, part, n)) for n in range(1, count + 1))
-    explicit = part.prefix_count + _HORIZON
-    if not all(
-        contains(s, sequence_element(seq, part, n)) for n in range(1, explicit + 1)
-    ):
+    # the prefix cells' pieces, then one single-atom piece per late cell
+    value, start = seq.value, part.tail_start
+    if not all(contains(s, indicator_mul(cell, value)) for cell in part.prefix_cells):
         return False
-    beyond = part.tail_start + _HORIZON
-    return _late_pieces_in_set(s, seq.value, beyond)
+    beyond = start + _HORIZON
+    if not all(contains(s, _single_atom(value, j)) for j in range(start, beyond)):
+        return False
+    return _late_pieces_in_set(s, value, beyond)
 
 
 def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:

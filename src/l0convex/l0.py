@@ -329,18 +329,28 @@ def classify(x: EcRv) -> Classification:
     """Membership in the nonnegative cone, the strictly positive cone,
     and the submodule M of finitely supported elements (zero tail)."""
     low = min((x._t, *x._n.values()))  # the denominator is positive
-    return Classification(in_L0_plus=low >= 0, in_L0_plusplus=low > 0, in_M=x._t == 0)
+    return Classification(low >= 0, low > 0, x._t == 0)
 
 
 # -- integer shortcuts for hot callers that would otherwise read the
 # Fraction views and rebuild through the checking constructor --
 
 
-def _with_tail(x: EcRv, tail: Fraction) -> EcRv:
-    """x's overrides with `tail` in place of its tail."""
-    d = lcm(x._d, tail.denominator)
-    scale, t = d // x._d, tail.numerator * (d // tail.denominator)
+def _with_tail(x: EcRv, p: int, q: int) -> EcRv:
+    """x's overrides with the tail p/q in place of its tail, for an
+    integer p and a positive integer q, not necessarily coprime."""
+    d = lcm(x._d, q)
+    scale, t = d // x._d, p * (d // q)
     return _reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)
+
+
+def _scaled(x: EcRv, p: int, q: int) -> EcRv:
+    """x * p/q for an integer p and a positive integer q: the numerators
+    times p over the denominator times q.  Zero for p == 0, where every
+    override would equal the tail."""
+    if not p:
+        return ZERO
+    return _reduced(x._d * q, {j: v * p for j, v in x._n.items()}, x._t * p)
 
 
 def _half_abs_or_one(x: EcRv) -> EcRv:
@@ -370,7 +380,10 @@ def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
 def _single_atom(x: EcRv, j: int) -> EcRv:
     """x(j) at the atom j, zero elsewhere: `indicator_mul` of {j}."""
     v = x._n.get(j, x._t)
-    return _reduced(x._d, {j: v} if v else {}, 0)
+    if not v:
+        return ZERO
+    g = gcd(x._d, v)
+    return _make(x._d // g, {j: v // g}, 0)
 
 
 def _leq_at(x: EcRv, y: EcRv, atoms, slack: Rational) -> bool:

@@ -19,6 +19,10 @@ BOUND = 2**16
 
 
 def make_rng(seed: int) -> random.Random:
+    """The generator of a seeded check.  A negative seed is rejected:
+    `random.Random` seeds by its absolute value, so -5 would alias 5."""
+    if seed < 0:
+        raise UsageError(f"seed must be at least 0, got {seed}")
     return random.Random(seed)
 
 
@@ -28,10 +32,15 @@ def require_samples(samples: int) -> None:
         raise UsageError(f"samples must be at least 1, got {samples}")
 
 
+# Every draw below reproduces a `random.Random` method on `getrandbits`:
+# `_randbelow(n)` draws n.bit_length() bits until the value is below n,
+# and `randint`, `sample` and `choice` are that loop plus an offset or an
+# index.  Values and the generator's state after each draw are the
+# method's own, without its layers of calls.
+
+
 def _randint(rng: random.Random, a: int, b: int) -> int:
-    """`rng.randint(a, b)`: the same value and the same rng state after it,
-    from `Random._randbelow`'s own rejection loop over `getrandbits`,
-    without the `randint -> randrange -> _randbelow` calls."""
+    """`rng.randint(a, b)`, for the bounds that vary from draw to draw."""
     n = b - a + 1
     if n < 1:  # getrandbits could never draw below n
         raise ValueError(f"empty range in randint({a}, {b})")
@@ -43,31 +52,73 @@ def _randint(rng: random.Random, a: int, b: int) -> int:
     return a + r
 
 
+_SPAN = 2 * BOUND + 1  # the numerators -BOUND..BOUND
+_SPAN_BITS = _SPAN.bit_length()
+_BOUND_BITS = BOUND.bit_length()
+
+
 def _ratio(rng: random.Random) -> tuple[int, int]:
-    return _randint(rng, -BOUND, BOUND), _randint(rng, 1, BOUND)
+    """`(randint(-BOUND, BOUND), randint(1, BOUND))`."""
+    getrandbits = rng.getrandbits
+    p = getrandbits(_SPAN_BITS)
+    while p >= _SPAN:
+        p = getrandbits(_SPAN_BITS)
+    q = getrandbits(_BOUND_BITS)
+    while q >= BOUND:
+        q = getrandbits(_BOUND_BITS)
+    return p - BOUND, q + 1
 
 
 def _positive_ratio(rng: random.Random) -> tuple[int, int]:
-    return _randint(rng, 1, BOUND), _randint(rng, 1, BOUND)
+    """`(randint(1, BOUND), randint(1, BOUND))`."""
+    getrandbits = rng.getrandbits
+    p = getrandbits(_BOUND_BITS)
+    while p >= BOUND:
+        p = getrandbits(_BOUND_BITS)
+    q = getrandbits(_BOUND_BITS)
+    while q >= BOUND:
+        q = getrandbits(_BOUND_BITS)
+    return p + 1, q + 1
 
 
 def _unit_ratio(rng: random.Random) -> tuple[int, int]:
+    """A ratio p/q in [0, 1]: q = randint(1, BOUND), then p = randint(0, q)."""
     d = _randint(rng, 1, BOUND)
     return _randint(rng, 0, d), d
+
+
+def _sign(rng: random.Random) -> int:
+    """`rng.choice((-1, 1))`: `_randbelow(2)` draws two bits at a time."""
+    getrandbits = rng.getrandbits
+    r = getrandbits(2)
+    while r >= 2:
+        r = getrandbits(2)
+    return 2 * r - 1
 
 
 def random_positive_fraction(rng: random.Random) -> Fraction:
     return Fraction(*_positive_ratio(rng))
 
 
-def random_unit_fraction(rng: random.Random) -> Fraction:
-    """Uniform-ish rational in [0, 1]."""
-    return Fraction(*_unit_ratio(rng))
+def _random_atoms(rng: random.Random) -> list[int]:
+    """`rng.sample(range(1, ATOM_SPAN + 1), randint(0, MAX_OVERRIDES))`.
 
-
-def _random_atoms(rng: random.Random, span: int = ATOM_SPAN) -> list[int]:
+    On a population of at most 21, `sample` draws each pick from a pool
+    of the atoms not yet picked and moves the pool's last atom into the
+    vacancy; this is that loop.
+    """
     count = _randint(rng, 0, MAX_OVERRIDES)
-    return rng.sample(range(1, span + 1), min(count, span))
+    getrandbits = rng.getrandbits
+    pool = list(range(1, ATOM_SPAN + 1))
+    picked = []
+    for n in range(ATOM_SPAN, ATOM_SPAN - count, -1):
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        picked.append(pool[j])
+        pool[j] = pool[n - 1]
+    return picked
 
 
 # The element samplers draw (numerator, denominator) pairs, not Fractions,
@@ -102,7 +153,7 @@ def random_unit_interval_ecrv(rng: random.Random):
 
 def _balanced_ratio(rng: random.Random) -> tuple[int, int]:
     p, q = _unit_ratio(rng)
-    return p * rng.choice((-1, 1)), q
+    return p * _sign(rng), q
 
 
 def random_balanced_factor(rng: random.Random):
@@ -127,8 +178,8 @@ def random_nonzero_tail_ecrv(rng: random.Random):
     return _from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
 
 
-def random_event(rng: random.Random, span: int = ATOM_SPAN) -> EventSet:
-    return EventSet(_random_atoms(rng, span), cofinite=rng.random() < 0.5)
+def random_event(rng: random.Random) -> EventSet:
+    return EventSet(_random_atoms(rng), cofinite=rng.random() < 0.5)
 
 
 def random_seminorm(rng: random.Random, depth: int = 1):

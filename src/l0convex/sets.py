@@ -35,6 +35,7 @@ from .l0 import (
     _abs_tail_ratio,
     _from_ratios,
     _leq_at,
+    _scaled,
     _takes_zero,
     _with_tail,
 )
@@ -284,12 +285,13 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
         g = gauge_closed_form(s, x)
         if rng.random() < 0.25 and classify(g).in_L0_plusplus:
             return x * reciprocal(g)  # gauge exactly one: a boundary point
-        rho = sampling.random_unit_fraction(rng)
-        return rho * x * reciprocal(ONE + g)
+        p, q = sampling._unit_ratio(rng)  # x scaled by p/q in [0, 1]
+        return _scaled(x, p, q) * reciprocal(ONE + g)
     if isinstance(s, MPlusBall):
         x = sampling.random_ecrv(rng)
-        rho = sampling.random_unit_fraction(rng) * rng.choice((-1, 1))
-        return _with_tail(x, rho * s.radius.tail)
+        p, q = sampling._unit_ratio(rng)
+        r = s.radius  # the tail is +-p/q times the radius's tail
+        return _with_tail(x, sampling._sign(rng) * p * r._t, q * r._d)
     if isinstance(s, Scale):
         return s.factor * sample_member(s.inner, rng)
     if isinstance(s, Translate):

@@ -301,6 +301,32 @@ class TestVacuousRuns:
         assert err.startswith("error: ")
 
 
+class TestNegativeSeed:
+    """`random.Random(-5)` seeds like 5, so a negative seed would print the
+    evidence of its absolute value under its own header."""
+
+    COMMANDS = [("verify-counterexample",), ("check", "base"), ("check", "axioms")]
+    CONFIG = "seminorm = localized({1})\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_flag_exits_2(self, capsys, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.CONFIG if command[-1] == "axioms" else "")
+        code, out, err = run(capsys, *command, "--seed", "-5", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be at least 0, got -5\n"
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_config_key_exits_2(self, capsys, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text((self.CONFIG if command[-1] == "axioms" else "") + "seed = -5\n")
+        code, out, err = run(capsys, *command, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be at least 0, got -5\n"
+
+
 class TestSamplingFlags:
     """Only verify-counterexample and check sample; the other commands
     reject --seed and --samples instead of ignoring them, and no command

@@ -30,6 +30,7 @@ from l0convex.l0 import (
     _from_ratios,
     _half_abs_or_one,
     _leq_at,
+    _scaled,
     _single_atom,
     _takes_zero,
     _with_tail,
@@ -448,9 +449,14 @@ class TestIntegerKernel:
         """The private integer shortcuts that sets and topology use in place
         of reading the Fraction views, against the same reference."""
         x, y, ref_x, ref_y = EcRv(*a), EcRv(*b), reference(a), reference(b)
-        with_tail = _with_tail(x, c)
-        assert_integer_form(with_tail)
-        assert with_tail == EcRv(x.overrides, c)  # the call sample_member made
+        for k in (1, 3):  # the tail need not come reduced
+            with_tail = _with_tail(x, k * c.numerator, k * c.denominator)
+            assert_integer_form(with_tail)
+            assert with_tail == EcRv(x.overrides, c)  # the call sample_member makes
+            scaled = _scaled(x, k * c.numerator, k * c.denominator)
+            assert_integer_form(scaled)
+            assert scaled == x * c
+        assert _scaled(x, 0, 7) is ZERO  # p == 0 keeps no override equal to the tail
         halved = _half_abs_or_one(x)
         assert_integer_form(halved)
         assert readout(halved) == [abs(v) / 2 if v != 0 else 1 for v in ref_x]
