@@ -35,8 +35,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "concatenation": (
         "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "
-        "IncompatibleSpec cc_failure_witness glue glue_identity_holds "
-        "relative_cc_check reverse_partition_construct"
+        "cc_failure_witness glue glue_identity_holds relative_cc_check "
+        "reverse_partition_construct"
     ),
     "_library": "OrderReport confirm_structural_flags epslambda_membership order_compare",
 }

@@ -214,8 +214,8 @@ def main(argv=None) -> int:
     except (
         ConfigError, ParseError, UsageError, UnsupportedShape, l0.NotInvertible, OSError
     ) as exc:
-        # bad input; the library's UsageErrors include IncompatibleSpec and
-        # MalformedPrefix, and a missing or unreadable file is an OSError;
+        # bad input; the library's UsageErrors include MalformedPrefix,
+        # and a missing or unreadable file is an OSError;
         # the tuple is evaluated only when an exception arrives, so a
         # command that never ran `l0` runs it only then
         print(f"error: {exc}", file=sys.stderr)

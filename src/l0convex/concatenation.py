@@ -8,25 +8,23 @@ n-th cell.  On eventually constant random variables the glue, when it
 exists, is unique: agreeing on every cell of a partition forces
 pointwise equality.
 
-The closure check is exact, not truncated: the first `_HORIZON` tail
-cells are verified explicitly and everything beyond reduces to a single
-symbolic comparison of tails.
+The closure check is exact, not truncated.  Past the explicit cells
+the glue identity reduces to one symbolic comparison of tails, and the
+late single-atom pieces are decided by membership itself: at the atoms
+the set and the value name, and at one atom past all of them.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Optional, Union
 
-from ._common import UsageError
 from ._record import field, record
-from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, reciprocal, _single_atom
+from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, _single_atom
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
 from .sets import (
     Ball,
-    Intersect,
     MPlusBall,
     Scale,
     SetDescriptor,
@@ -34,14 +32,6 @@ from .sets import (
     contains,
     gauge_closed_form,
 )
-
-
-# singleton-tail cells checked one by one before the symbolic tail comparison
-_HORIZON = 32
-
-
-class IncompatibleSpec(UsageError):
-    """The late-piece check cannot decide membership in this set shape."""
 
 
 class GaugeNotBelowOne(ValueError):
@@ -113,67 +103,68 @@ def glue(seq: SequenceSpec, part: Partition) -> EcRv:
 
 
 def glue_identity_holds(seq: SequenceSpec, part: Partition, x: EcRv) -> bool:
-    """Exact cellwise identity: the first `_HORIZON` tail cells explicitly,
-    then a symbolic comparison covering every later singleton cell at once."""
+    """Exact cellwise identity: the partition's prefix cells and the
+    sequence's explicit prefix one by one, then a symbolic comparison
+    covering every later singleton cell at once."""
     if isinstance(part, FinitePartition):
         return all(
             indicator_mul(part.cell(n), x)
             == indicator_mul(part.cell(n), sequence_element(seq, part, n))
             for n in range(1, part.cell_count + 1)
         )
-    explicit_cells = part.prefix_count + max(
-        _HORIZON,
-        len(seq.prefix) - part.prefix_count if isinstance(seq, EventuallyConstantSeq) else 0,
-    )
+    explicit_cells = part.prefix_count
+    if isinstance(seq, EventuallyConstantSeq):
+        explicit_cells = max(explicit_cells, len(seq.prefix))
     for n in range(1, explicit_cells + 1):
         cell = part.cell(n)
         if indicator_mul(cell, x) != indicator_mul(cell, sequence_element(seq, part, n)):
             return False
-    # beyond the horizon each cell is a singleton {j}, so the identity
-    # reduces to x(j) == element(j) for all large j: a tail comparison
+    # past those each cell is a singleton {j}, so the identity reduces
+    # to x(j) == element(j) for all large j: a tail comparison
     beyond = part.tail_start + (explicit_cells - part.prefix_count)
     target = seq.value if isinstance(seq, Diagonal) else seq.tail_element
-    return _holds_beyond(operator.eq, x, target, beyond)
+    return _holds_beyond(x, target, beyond)
 
 
-def _holds_beyond(relation, x: EcRv, y: EcRv, start: int) -> bool:
-    """relation(x(j), y(j)) at every atom j >= start: on the tails, and on
-    each override at or past start."""
-    return relation(x.tail, y.tail) and all(
-        relation(x.value_at(j), y.value_at(j))
+def _holds_beyond(x: EcRv, y: EcRv, start: int) -> bool:
+    """x(j) == y(j) at every atom j >= start: on the tails, and on each
+    override at or past start."""
+    return x.tail == y.tail and all(
+        x.value_at(j) == y.value_at(j)
         for j in set(x.overrides) | set(y.overrides)
         if j >= start
     )
 
 
-# -- symbolic membership of late diagonal pieces ----------------------------
+# -- membership of late diagonal pieces -------------------------------------
 
 
-def _late_pieces_in_set(s: SetDescriptor, value: EcRv, beyond: int) -> bool:
-    """Do the single-atom pieces value(j) * I_{j} lie in s for all j >= beyond?
-
-    Single-atom pieces have zero tails, so M + B absorbs them outright,
-    and a piece minus an offset has the offset's negated tail, so
-    offset + (M + B) holds them all exactly when |tail(offset)| <= tail(B);
-    for balls the localization identity turns the condition into a
-    pointwise comparison of ||value|| against the radius on late atoms.
-    """
-    if isinstance(s, MPlusBall):
-        return True
-    if isinstance(s, Translate) and isinstance(s.inner, MPlusBall):
-        return abs(s.offset.tail) <= s.inner.radius.tail
+def _named_atoms(s: SetDescriptor) -> set[int]:
+    """The atoms where a radius, seminorm coefficient, scale factor or
+    offset of s differs from its tail."""
     if isinstance(s, Ball):
-        return all(
-            _holds_beyond(operator.le, evaluate(p, value), s.radius, beyond)
-            for p in s.seminorms
-        )
+        return set(s.radius._n).union(*(p.coefficient._n for p in s.seminorms))
+    if isinstance(s, MPlusBall):
+        return set(s.radius._n)
     if isinstance(s, Scale):
-        return _late_pieces_in_set(s.inner, reciprocal(s.factor) * value, beyond)
-    if isinstance(s, Intersect):
-        return all(_late_pieces_in_set(m, value, beyond) for m in s.members)
-    raise IncompatibleSpec(
-        f"cannot verify late diagonal pieces against {type(s).__name__}"
-    )
+        return set(s.factor._n) | _named_atoms(s.inner)
+    if isinstance(s, Translate):
+        return set(s.offset._n) | _named_atoms(s.inner)
+    return set().union(*map(_named_atoms, s.members))  # an Intersect
+
+
+def _late_pieces_in_set(s: SetDescriptor, value: EcRv, start: int) -> bool:
+    """Do the single-atom pieces value(j) * I_{j} lie in s for all j >= start?
+
+    Swapping two atoms that neither s nor value names leaves s and value
+    unchanged and swaps their two pieces, so all those pieces are inside
+    or all are outside.  The pieces at the named atoms from start on and
+    the piece at one atom past all of them therefore decide every j.
+    """
+    named = _named_atoms(s) | set(value._n)
+    late = sorted(j for j in named if j >= start)
+    late.append(max([start - 1, *named]) + 1)
+    return all(contains(s, _single_atom(value, j)) for j in late)
 
 
 # -- the relative concatenation-closure check -------------------------------
@@ -214,13 +205,9 @@ def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bo
         count = part.cell_count
         return all(contains(s, sequence_element(seq, part, n)) for n in range(1, count + 1))
     # the prefix cells' pieces, then one single-atom piece per late cell
-    value, start = seq.value, part.tail_start
-    if not all(contains(s, indicator_mul(cell, value)) for cell in part.prefix_cells):
+    if not all(contains(s, indicator_mul(cell, seq.value)) for cell in part.prefix_cells):
         return False
-    beyond = start + _HORIZON
-    if not all(contains(s, _single_atom(value, j)) for j in range(start, beyond)):
-        return False
-    return _late_pieces_in_set(s, value, beyond)
+    return _late_pieces_in_set(s, seq.value, part.tail_start)
 
 
 def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:

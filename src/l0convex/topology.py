@@ -25,7 +25,7 @@ from .l0 import (
     _half_abs_or_one,
 )
 from . import concatenation
-from .seminorms import Weighted, evaluate, sup_evaluate
+from .seminorms import Seminorm, Weighted, evaluate, sup_evaluate
 from .sets import (
     DEFAULT_PROBE_ATOMS,
     Ball,

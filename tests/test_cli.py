@@ -594,17 +594,11 @@ class TestErrorMapping:
             (("eval", "prob {1}"), 'space.explicit = [[2, "1/2"]]\n'),
             (("eval", "prob {1}"), 'space.explicit = [[1, "3/2"]]\n'),
             (("eval", "prob {1}"), "space.tail_coefficient = 0\n"),
-            (
-                ("check", "cc"),
-                "set = translate({|1}; ball(weighted({|1}); {|1}))\n"
-                "seq.diag = {|1}\npart.singletons_from = 1\n",
-            ),
         ],
         ids=[
             "atom-index", "malformed-prefix", "radius", "cc-no-set", "cc-no-sequence",
             "cc-no-partition", "roundtrip-no-target", "eval-operation", "base-name",
             "line-without-equals", "space-gap", "space-weight", "space-tail",
-            "cc-late-pieces-undecided",
         ],
     )
     def test_library_usage_errors_exit_2(self, capsys, tmp_path, argv, text):
@@ -616,6 +610,27 @@ class TestErrorMapping:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "ball(weighted({|1}); {|1})",
+            "scale({3:2 | 1}; ball(weighted({|1}); {|1}))",
+            "intersect[ball(weighted({|1}); {|1}), m_plus_ball({|2})]",
+        ],
+        ids=["ball", "scale", "intersect"],
+    )
+    def test_translate_late_pieces_are_decided(self, capsys, tmp_path, target):
+        """A diagonal sequence on a singleton-tail partition is a valid
+        `check cc` input for every translated set: a report, never exit 2."""
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"set = translate({{|1}}; {target})\nseq.diag = {{|1}}\npart.singletons_from = 1\n"
+        )
+        code, out, err = run(capsys, "check", "cc", "--config", str(config))
+        assert code in (0, 1)
+        assert "error:" not in err
+        assert json.loads(out)["command"] == "check cc"
 
     def test_unquoted_explicit_weight_is_read(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"

@@ -10,12 +10,14 @@ from l0convex import (
     EventSet,
     EventuallyConstantSeq,
     FinitePartition,
+    FiniteSup,
     GaugeNotBelowOne,
     Intersect,
     Localized,
     MPlusBall,
     Scale,
     SingletonTail,
+    Translate,
     Weighted,
     ZERO,
     ONE,
@@ -27,7 +29,7 @@ from l0convex import (
     relative_cc_check,
     reverse_partition_construct,
 )
-from l0convex import sampling
+from l0convex import concatenation, sampling
 from l0convex.concatenation import _late_pieces_in_set, sequence_element
 
 from conftest import ecrvs
@@ -209,6 +211,147 @@ class TestLatePieces:
             assert symbolic == self.explicit(s, value)
             outcomes.add(symbolic)
         assert outcomes == {True, False}
+
+
+LEAVES = ("ball", "m_plus_ball")
+COMPOSITES = ("scale", "translate", "intersect")
+SIGNED = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
+POSITIVE = (Fraction(1, 2), 1, 2)
+
+
+def coarse(rng, values=SIGNED):
+    """An element with up to three overrides in 1..16 and every value among
+    a few small ones: the named atoms stay few, and late pieces often sit
+    on a ball's boundary."""
+    atoms = rng.sample(range(1, 17), rng.randint(0, 3))
+    return EcRv({j: rng.choice(values) for j in atoms}, rng.choice(values))
+
+
+def coarse_seminorm(rng, sup=True):
+    kind = rng.choice(("weighted", "localized", "sup") if sup else ("weighted", "localized"))
+    if kind == "weighted":
+        return Weighted(coarse(rng, (0,) + POSITIVE))
+    if kind == "localized":
+        atoms = frozenset(rng.sample(range(1, 17), rng.randint(0, 2)))
+        event = EventSet.finite(atoms) if rng.random() < 0.5 else EventSet.cofinite_excluding(atoms)
+        return Localized(event)
+    return FiniteSup((coarse_seminorm(rng, False), coarse_seminorm(rng, False)))
+
+
+def random_set(rng, kind, depth):
+    """A random descriptor of the given outer shape, with composites nested
+    `depth` levels at most; every atom it names lies in 1..16."""
+    if kind == "ball":
+        return Ball((coarse_seminorm(rng),), coarse(rng, POSITIVE))
+    if kind == "m_plus_ball":
+        return MPlusBall(coarse(rng, POSITIVE))
+    kinds = LEAVES + COMPOSITES if depth > 1 else LEAVES
+    return composite(rng, kind, random_set(rng, rng.choice(kinds), depth - 1))
+
+
+def composite(rng, kind, member):
+    if kind == "scale":
+        return Scale(coarse(rng, (-2, -1, 1, 2)), member)
+    if kind == "translate":
+        return Translate(coarse(rng), member)
+    return Intersect((member, random_set(rng, rng.choice(LEAVES + COMPOSITES), 1)))
+
+
+def explicit_late_pieces(s, value, start, last):
+    return all(
+        contains(s, indicator_mul(EventSet.finite({j}), value)) for j in range(start, last + 1)
+    )
+
+
+UNIT_BALL = Ball((Weighted(ONE),), ONE)
+HALF = EcRv.constant(Fraction(1, 2))
+
+
+class TestLatePiecesRule:
+    """The named-atoms rule agrees with explicit membership of every
+    late single-atom piece, on every shape and nesting."""
+
+    # M + B holds every single-atom piece, so it shows up as a member only
+    @pytest.mark.parametrize("outer", ("ball",) + COMPOSITES)
+    def test_matches_explicit_membership(self, outer):
+        rng = sampling.make_rng(61)
+        outcomes, inner_kinds = set(), set()
+        for i in range(250):
+            if outer == "ball":
+                s = random_set(rng, outer, 2)
+            else:  # every shape in turn as the member
+                inner = (LEAVES + COMPOSITES)[i % 5]
+                s = composite(rng, outer, random_set(rng, inner, 1))
+                inner_kinds.add(inner)
+            value = coarse(rng)
+            start = rng.randint(1, 17)
+            # every named atom is at most 16, so atoms 17 and 18 are unnamed
+            expected = explicit_late_pieces(s, value, start, 18)
+            assert _late_pieces_in_set(s, value, start) == expected, (s, value, start)
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+        if outer in COMPOSITES:
+            assert inner_kinds == set(LEAVES + COMPOSITES)
+
+    @pytest.mark.parametrize(
+        "s, value, expected",
+        [
+            # no atom is named: the one unnamed atom decides
+            (UNIT_BALL, EcRv.constant(2), False),
+            (UNIT_BALL, ONE, True),
+            # only the offset names atom 50, and only the piece there leaves
+            (Translate(EcRv({50: -1}, 0), UNIT_BALL), HALF, False),
+            (Translate(EcRv({50: 1}, 0), UNIT_BALL), HALF, True),
+            (Translate(EcRv({50: -2}, 0), Scale(EcRv.constant(2), UNIT_BALL)), HALF, False),
+            (Translate(EcRv({50: -1}, 0), Intersect((UNIT_BALL, MPlusBall(ONE)))), HALF, False),
+            # every piece minus the offset is -1/2 off its own atom
+            (
+                Translate(
+                    EcRv({50: 0}, Fraction(1, 2)),
+                    Ball((Weighted(ONE),), EcRv({50: 1}, Fraction(1, 4))),
+                ),
+                HALF,
+                False,
+            ),
+        ],
+        ids=[
+            "unnamed-out", "unnamed-in", "offset-atom-out", "offset-atom-in",
+            "offset-atom-scale", "offset-atom-intersect", "offset-tail-out",
+        ],
+    )
+    def test_named_and_unnamed_atoms(self, s, value, expected):
+        assert explicit_late_pieces(s, value, 33, 60) == expected
+        assert _late_pieces_in_set(s, value, 33) == expected
+
+    @pytest.mark.parametrize(
+        "value, inside", [(HALF, True), (EcRv({40: 3}, Fraction(1, 2)), False)]
+    )
+    def test_golden_translated_ball(self, value, inside):
+        """The `check cc` goldens on a translated ball: the precondition is
+        explicit membership of every single-atom piece."""
+        s = Translate(EcRv({1: Fraction(1, 4)}, Fraction(1, 8)), UNIT_BALL)
+        assert explicit_late_pieces(s, value, 1, 60) == inside
+        (entry,) = relative_cc_check(s, PURE_SINGLETONS, [Diagonal(value)]).entries
+        assert entry.precondition_ok == inside
+
+    @pytest.mark.parametrize("far, expected", [(3, False), (1, True)])
+    def test_far_override_takes_no_range_loop(self, monkeypatch, far, expected):
+        s = Translate(EcRv({2: 1}, 0), Ball((Weighted(ONE),), EcRv({5: 2}, 1)))
+        value = EcRv({10**6: far}, Fraction(1, 2))
+        named = {2, 5, 10**6}
+        pieces = []
+
+        def counted(target, x):
+            pieces.append(x)
+            return contains(target, x)
+
+        monkeypatch.setattr(concatenation, "contains", counted)
+        assert _late_pieces_in_set(s, value, 1) == expected
+        assert len(pieces) <= len(named) + 1
+        # the piece at 10**6 decides; the one just past it is inside either way
+        piece = indicator_mul(EventSet.finite({10**6}), value)
+        assert contains(s, piece) == expected
+        assert contains(s, indicator_mul(EventSet.finite({10**6 + 1}), value))
 
 
 class TestCcFailureWitness:

@@ -35,6 +35,8 @@ CASES = {
     "check_cc_diagonal": "check cc --config {cfg}/cc_diagonal.cfg",
     "check_cc_ball": "check cc --config {cfg}/cc_ball.cfg",
     "check_cc_diagonal_finite": "check cc --config {cfg}/cc_diagonal_finite.cfg",
+    "check_cc_translate_ball": "check cc --config {cfg}/cc_translate_ball.cfg",
+    "check_cc_translate_ball_late": "check cc --config {cfg}/cc_translate_ball_late.cfg",
     "eval_glue": ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
     "eval_seminorm_sup": (
         "eval",

@@ -152,12 +152,12 @@ def test_sample_member_matches_the_reference(shape):
 
 
 def _pieces_by_sequence_element(s, seq, part):
-    explicit = part.prefix_count + concatenation._HORIZON
+    explicit = part.prefix_count + 32
     return all(
         contains(s, concatenation.sequence_element(seq, part, n))
         for n in range(1, explicit + 1)
     ) and concatenation._late_pieces_in_set(
-        s, seq.value, part.tail_start + concatenation._HORIZON
+        s, seq.value, part.tail_start + 32
     )
 
 

@@ -1,3 +1,4 @@
+import typing
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from l0convex import (
     roundtrip_check,
 )
 from l0convex import sampling, topology
+from l0convex.seminorms import Seminorm
 
 from conftest import ecrvs
 
@@ -300,3 +302,9 @@ def test_sampled_check_without_samples_rejected(check, samples):
     """A sampled check over no samples would pass without checking anything."""
     with pytest.raises(ValueError, match="at least 1"):
         check(samples)
+
+
+def test_evidence_report_annotations_resolve():
+    """Every name in the report's annotations is bound in `topology`."""
+    hints = typing.get_type_hints(topology.EvidenceReport)
+    assert hints["family"] == typing.Optional[tuple[Seminorm, ...]]
