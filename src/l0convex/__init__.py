@@ -30,8 +30,8 @@ _EXPORTS_BY_MODULE = {
         "roundtrip_check sample_member structural_flags verify_certificate"
     ),
     "topology": (
-        "EvidenceReport PointInM base_axiom_witnesses closure_membership "
-        "hausdorff_report seminorm_induction_verdict separation_witness"
+        "EvidenceReport base_axiom_witnesses closure_membership "
+        "hausdorff_report seminorm_induction_verdict"
     ),
     "concatenation": (
         "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "

@@ -26,11 +26,10 @@ from .seminorms import evaluate
 from .sets import (
     Ball,
     MPlusBall,
-    Scale,
     SetDescriptor,
-    Translate,
     contains,
     gauge_closed_form,
+    _deciding_atoms,
 )
 
 
@@ -139,20 +138,6 @@ def _holds_beyond(x: EcRv, y: EcRv, start: int) -> bool:
 # -- membership of late diagonal pieces -------------------------------------
 
 
-def _named_atoms(s: SetDescriptor) -> set[int]:
-    """The atoms where a radius, seminorm coefficient, scale factor or
-    offset of s differs from its tail."""
-    if isinstance(s, Ball):
-        return set(s.radius._n).union(*(p.coefficient._n for p in s.seminorms))
-    if isinstance(s, MPlusBall):
-        return set(s.radius._n)
-    if isinstance(s, Scale):
-        return set(s.factor._n) | _named_atoms(s.inner)
-    if isinstance(s, Translate):
-        return set(s.offset._n) | _named_atoms(s.inner)
-    return set().union(*map(_named_atoms, s.members))  # an Intersect
-
-
 def _late_pieces_in_set(s: SetDescriptor, value: EcRv, start: int) -> bool:
     """Do the single-atom pieces value(j) * I_{j} lie in s for all j >= start?
 
@@ -161,10 +146,7 @@ def _late_pieces_in_set(s: SetDescriptor, value: EcRv, start: int) -> bool:
     or all are outside.  The pieces at the named atoms from start on and
     the piece at one atom past all of them therefore decide every j.
     """
-    named = _named_atoms(s) | set(value._n)
-    late = sorted(j for j in named if j >= start)
-    late.append(max([start - 1, *named]) + 1)
-    return all(contains(s, _single_atom(value, j)) for j in late)
+    return all(contains(s, _single_atom(value, j)) for j in _deciding_atoms(s, value, start))
 
 
 # -- the relative concatenation-closure check -------------------------------

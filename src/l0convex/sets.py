@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from ._record import field, record
 from .l0 import (
@@ -34,8 +34,10 @@ from .l0 import (
     _abs_tail_leq,
     _abs_tail_ratio,
     _from_ratios,
+    _half_abs_or_one,
     _leq_at,
     _scaled,
+    _single_atom,
     _takes_zero,
     _with_tail,
 )
@@ -120,6 +122,51 @@ def contains(s: SetDescriptor, x: EcRv) -> bool:
     if isinstance(s, Intersect):
         return all(contains(member, x) for member in s.members)
     raise TypeError(f"not a set descriptor: {s!r}")
+
+
+# -- the core: points a shape holds at every radius ------------------------
+
+
+def excluding_radius(s: SetDescriptor, x: EcRv) -> Optional[EcRv]:
+    """A radius at which the shape of s excludes x, or None if no radius
+    does: half the sup seminorm at x for a ball, half |x| on M + B, and
+    1 wherever that vanishes.  s's own radius plays no part."""
+    if isinstance(s, Ball):
+        norm = sup_evaluate(s.seminorms, x)
+        return None if norm.is_zero() else _half_abs_or_one(norm)
+    if isinstance(s, MPlusBall):
+        return None if x._t == 0 else _half_abs_or_one(x)
+    raise UnsupportedShape(f"no excluding radius for {type(s).__name__}")
+
+
+def _named_atoms(s: SetDescriptor) -> set[int]:
+    """The atoms where a radius, seminorm coefficient, scale factor or
+    offset of s differs from its tail."""
+    if isinstance(s, Ball):
+        return set(s.radius._n).union(*(p.coefficient._n for p in s.seminorms))
+    if isinstance(s, MPlusBall):
+        return set(s.radius._n)
+    if isinstance(s, Scale):
+        return set(s.factor._n) | _named_atoms(s.inner)
+    if isinstance(s, Translate):
+        return set(s.offset._n) | _named_atoms(s.inner)
+    return set().union(*map(_named_atoms, s.members))  # an Intersect
+
+
+def _deciding_atoms(s: SetDescriptor, value: EcRv = ZERO, start: int = 1) -> list[int]:
+    """The atoms from start on that s or value names, then one atom past all
+    of them: these decide a single-atom question about s and value for
+    every atom from start on (see `concatenation._late_pieces_in_set`)."""
+    named = _named_atoms(s) | set(value._n)
+    return sorted(j for j in named if j >= start) + [max([start - 1, *named]) + 1]
+
+
+def core_point(s: SetDescriptor) -> Optional[EcRv]:
+    """The first deciding atom's indicator that the shape of s holds at
+    every radius, or None.  Those points form an L0-submodule, so it has
+    a nonzero point exactly when it holds some atom's indicator."""
+    points = (_single_atom(ONE, j) for j in _deciding_atoms(s))
+    return next((x for x in points if excluding_radius(s, x) is None), None)
 
 
 # -- structural flags ------------------------------------------------------

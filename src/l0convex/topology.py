@@ -2,7 +2,9 @@
 
 Two base families are supported: balls generated by a finite family of
 seminorms, and the degenerate family M + B_eps whose gauges vanish
-identically.  The verdict operation builds every step of the
+identically.  Each puts the radius into one set shape, so the closure
+of {0} and the Hausdorff property are decided from that shape, not the
+base's type.  The verdict operation builds every step of the
 verify-counterexample report, each sampled fact checked by one step;
 for the degenerate base they rule out any inducing family of
 seminorms.  Every evidence step is re-checkable from membership tests
@@ -15,22 +17,15 @@ from fractions import Fraction
 from typing import Optional
 
 from ._record import record
-from .l0 import (
-    EcRv,
-    ZERO,
-    ONE,
-    classify,
-    divide,
-    emin,
-    _half_abs_or_one,
-)
+from .l0 import EcRv, ONE, classify, divide, emin
 from . import concatenation
-from .seminorms import Seminorm, Weighted, evaluate, sup_evaluate
+from .seminorms import Seminorm, Weighted
 from .sets import (
     DEFAULT_PROBE_ATOMS,
     Ball,
-    MPlusBall,
     contains,
+    core_point,
+    excluding_radius,
     gauge_upper_certificate,
     sample_member,
     structural_flags,
@@ -46,10 +41,6 @@ from ._common import (  # re-exported: the records live in the leaf module
     NeighborhoodBase,
     UsageError,
 )
-
-
-class PointInM(ValueError):
-    """Separation witnesses only exist for points outside M."""
 
 
 # -- base axioms -----------------------------------------------------------
@@ -136,19 +127,11 @@ def base_axioms_step(
 
 @record(frozen=True)
 class SeparationWitness:
-    """A radius eps with point not in M + B_eps, built by halving |x|
-    where x is nonzero and defaulting to 1 where it vanishes."""
+    """A radius eps with point not in U(eps), from `sets.excluding_radius`."""
 
     point: EcRv
     epsilon: EcRv
-    excluded: bool  # re-checked: contains(MPlusBall(epsilon), point) is False
-
-
-def separation_witness(x: EcRv) -> SeparationWitness:
-    if classify(x).in_M:
-        raise PointInM(f"{x!r} has finite support")
-    eps = _half_abs_or_one(x)  # the tail is nonzero: x is not in M
-    return SeparationWitness(x, eps, not contains(MPlusBall(eps), x))
+    excluded: bool  # re-checked: contains(U(epsilon), point) is False
 
 
 @record(frozen=True)
@@ -168,18 +151,16 @@ def _require_base(base: NeighborhoodBase) -> None:
 def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
     """Membership of x in the closure of {0} under the base.
 
-    For the degenerate base the closure is M (and so is the closure of
-    M), since every base set contains M and the separation witness
-    excludes anything else.  For a seminorm base it is the common kernel
-    of the family.
+    Each base set puts its radius into one set shape, and the closure is
+    what that shape holds at every radius: M for the degenerate base (as
+    is the closure of M), the family's common kernel for a seminorm
+    base.  A point outside carries a separation witness.
     """
     _require_base(base)
-    if isinstance(base, CounterexampleFamily):
-        if classify(x).in_M:
-            return ClosureResult(True)
-        return ClosureResult(False, separation_witness(x))
-    vanishes = all(evaluate(s, x) == ZERO for s in base.family)
-    return ClosureResult(vanishes)
+    eps = excluding_radius(base.base_set(ONE), x)
+    if eps is None:
+        return ClosureResult(True)
+    return ClosureResult(False, SeparationWitness(x, eps, not contains(base.base_set(eps), x)))
 
 
 # -- Hausdorff diagnosis ----------------------------------------------------
@@ -188,7 +169,7 @@ def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
 @record
 class HausdorffReport:
     hausdorff: bool
-    witness: object  # a never-separated point, or a non-separated pair
+    witness: Optional[EcRv]  # a nonzero point in every base set, or None
     samples: int
     checks_passed: int
 
@@ -200,12 +181,14 @@ class HausdorffReport:
 def hausdorff_report(
     base: NeighborhoodBase, samples: int = 100, seed: int = 0
 ) -> HausdorffReport:
+    """Not Hausdorff iff the base-set shape has a nonzero core point, which
+    sampled base sets then hold; else sampled pairs are separated."""
     _require_base(base)
     sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
-    if isinstance(base, CounterexampleFamily):
-        # a nonzero point of M lies in every base set
-        witness = EcRv({1: 1}, 0)
+    unit = base.base_set(ONE)
+    witness = core_point(unit)
+    if witness is not None:
         hits = sum(
             contains(base.base_set(sampling.random_positive_ecrv(rng)), witness)
             for _ in range(samples)
@@ -218,37 +201,25 @@ def hausdorff_report(
         while y == x:
             y = sampling.random_ecrv(rng)
         d = x - y
-        norm = sup_evaluate(base.family, d)
-        if norm == ZERO:
-            return HausdorffReport(False, (x, y), samples, separated)
-        eps = _half_abs_or_one(norm)  # norm/2 where positive, 1 where zero
-        if not contains(base.base_set(eps), d):
-            separated += 1
+        eps = excluding_radius(unit, d)
+        separated += not contains(base.base_set(eps), d)
     return HausdorffReport(True, None, samples, separated)
 
 
 def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> EvidenceStep:
     report = hausdorff_report(base, samples=samples, seed=seed)
     inputs = {"samples": samples}
-    if isinstance(base, CounterexampleFamily):
+    if report.hausdorff:
+        expected = "distinct sampled points are separated by some base set"
+        observed = f"{report.checks_passed}/{report.samples} sampled pairs separated"
+    else:
         inputs["witness"] = repr(report.witness)
         expected = "a nonzero point lies in every sampled base set"
         observed = (
             f"non-Hausdorff, nonzero witness {report.witness!r} in "
             f"{report.checks_passed}/{report.samples} sampled base sets"
         )
-        passed = not report.hausdorff and report.passed
-    elif report.hausdorff:
-        expected = "distinct sampled points are separated by some base set"
-        observed = f"{report.checks_passed}/{report.samples} sampled pairs separated"
-        passed = report.passed
-    else:
-        x, y = report.witness
-        inputs["witness_pair"] = [repr(x), repr(y)]
-        expected = "the non-separated pair re-verifies against the family"
-        observed = "found a pair no base set separates"
-        passed = sup_evaluate(base.family, x - y).is_zero()  # re-verify the pair
-    return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, passed)
+    return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, report.passed)
 
 
 # -- the induction verdict ---------------------------------------------------
@@ -379,7 +350,7 @@ def _not_induced_steps(base: CounterexampleFamily, seed: int, samples: int) -> l
     #    each point outside M is excluded from some base set, and each
     #    point of M lies in the closure of {0}
     def proper():
-        separation = separation_witness(sampling.random_nonzero_tail_ecrv(rng))
+        separation = closure_membership(base, sampling.random_nonzero_tail_ecrv(rng)).separation
         inside = sampling.random_finite_support_ecrv(rng)
         closed = closure_membership(base, inside).member
         return separation.excluded and closed, {

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from l0convex import EcRv, EventSet
+from l0convex import EcRv, EventSet, sampling
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 atoms = st.integers(min_value=1, max_value=16)
@@ -39,3 +39,11 @@ def prob_by_summation(space, event, horizon=64):
     if event.cofinite:
         total += space.mass_from(horizon + 1)  # mass of {j : j > horizon}
     return total
+
+
+def blind_weight(rng):
+    """A nonnegative seeded weight that is zero at some of the atoms 1..7,
+    and in the tail on some draws: a seminorm blind where it is zero."""
+    w = abs(sampling.random_ecrv(rng))
+    zeros = dict.fromkeys(rng.sample(range(1, 8), rng.randint(0, 3)), 0)
+    return EcRv({**w.overrides, **zeros}, w.tail if rng.random() < 0.7 else 0)

@@ -36,7 +36,6 @@ from l0convex import (
     relative_cc_check,
     reverse_partition_construct,
     sample_member,
-    separation_witness,
     sup_evaluate,
     verify_certificate,
     EventuallyConstantSeq,
@@ -111,7 +110,7 @@ def test_criterion_4_m_is_properly_closed():
     ok = True
     for _ in range(100):
         outside = sampling.random_nonzero_tail_ecrv(rng)
-        witness = separation_witness(outside)
+        witness = closure_membership(base, outside).separation
         ok = ok and witness.excluded
         ok = ok and not contains(MPlusBall(witness.epsilon), outside)
         inside = sampling.random_finite_support_ecrv(rng)

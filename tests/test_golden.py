@@ -29,6 +29,7 @@ CASES = {
     "verify_default_seed42": "verify-counterexample --seed 42 --samples 30",
     "verify_induced_seed1": "verify-counterexample --config {cfg}/induced.cfg --seed 1 --samples 30",
     "verify_induced_seed42": "verify-counterexample --config {cfg}/induced.cfg --seed 42 --samples 30",
+    "verify_blind_seed1": "verify-counterexample --config {cfg}/blind.cfg --seed 1 --samples 30",
     "check_axioms_seed5": "check axioms --config {cfg}/axioms.cfg --seed 5 --samples 40",
     "check_roundtrip_seed5": "check roundtrip --config {cfg}/roundtrip.cfg --seed 5 --samples 40",
     "check_base_seed5": "check base --config {cfg}/induced.cfg --seed 5 --samples 40",

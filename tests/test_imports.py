@@ -52,7 +52,7 @@ class TestExports:
         assert set(l0convex.__all__) <= set(dir(l0convex))
 
     def test_no_export_is_a_module(self):
-        assert len(l0convex.__all__) == 64
+        assert len(l0convex.__all__) == 62
         modules = [n for n in l0convex.__all__ if isinstance(getattr(l0convex, n), types.ModuleType)]
         assert modules == []
 

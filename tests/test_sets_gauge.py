@@ -23,6 +23,7 @@ from l0convex import (
     emin,
     evaluate,
     gauge_closed_form,
+    indicator_mul,
     gauge_upper_certificate,
     leq_everywhere,
     order_compare,
@@ -30,12 +31,13 @@ from l0convex import (
     roundtrip_check,
     sample_member,
     structural_flags,
+    sup_evaluate,
     verify_certificate,
 )
 from l0convex import sampling
-from l0convex.sets import _certificate_witness
+from l0convex.sets import _certificate_witness, core_point, excluding_radius
 
-from conftest import ecrvs, positive_ecrvs
+from conftest import blind_weight, ecrvs, positive_ecrvs
 
 UNIT_BALL = Ball((Weighted(ONE),), ONE)
 TOL = Fraction(1, 2**20)
@@ -374,3 +376,92 @@ class TestRoundtrip:
         s = Weighted(EcRv({2: 3}, Fraction(1, 4)))
         ball = Ball((s,), ONE)
         assert gauge_closed_form(ball, x) == evaluate(s, x)
+
+
+# radii 2**-k, k = 0..40: every nonzero value of a sampled point, and of
+# a seminorm value at one, is at least 2**-32, so the ladder gets below it
+LADDER = tuple(EcRv.constant(Fraction(1, 2**k)) for k in range(41))
+
+
+def at_radius(s, radius):
+    return Ball(s.seminorms, radius) if isinstance(s, Ball) else MPlusBall(radius)
+
+
+def held_at_every_rung(s, x):
+    return all(contains(at_radius(s, r), x) for r in LADDER)
+
+
+def random_shape(rng):
+    if rng.random() < 0.5:
+        return MPlusBall(sampling.random_positive_ecrv(rng))
+    family = (Weighted(blind_weight(rng)), Localized(EventSet.finite(rng.sample(range(1, 8), 2))))
+    return Ball(family[: rng.randint(1, 2)], sampling.random_positive_ecrv(rng))
+
+
+def blind_part(s, x):
+    """x cut down to where the shape of s cannot see it."""
+    if isinstance(s, MPlusBall):
+        return EcRv(x.overrides, 0)
+    c = sup_evaluate(s.seminorms, ONE)  # the largest coefficient
+    zeros = {j for j, v in c.overrides.items() if v == 0}
+    if c.tail == 0:
+        return indicator_mul(EventSet.cofinite_excluding(set(c.overrides) - zeros), x)
+    return indicator_mul(EventSet.finite(zeros), x)
+
+
+class TestCore:
+    def test_excluding_radius_agrees_with_membership_on_a_ladder(self):
+        rng = sampling.make_rng(41)
+        seen = set()
+        for i in range(400):
+            s = random_shape(rng)
+            x = sampling.random_ecrv(rng)
+            if i % 2:
+                x = blind_part(s, x)
+            eps = excluding_radius(s, x)
+            assert (eps is None) == held_at_every_rung(s, x), (s, x)
+            if eps is not None:
+                assert classify(eps).in_L0_plusplus
+                assert not contains(at_radius(s, eps), x), (s, x)
+            seen.add((type(s), eps is None))
+        assert seen == {(kind, held) for kind in (Ball, MPlusBall) for held in (True, False)}
+
+    def test_radius_examples(self):
+        assert excluding_radius(MPlusBall(ONE), EcRv({1: 0}, 1)) == EcRv({1: 1}, Fraction(1, 2))
+        ball = Ball((Weighted(EcRv({1: 0, 2: 4}, 1)),), ONE)
+        assert excluding_radius(ball, EcRv({2: 1}, -6)) == EcRv({1: 1, 2: 2}, 3)
+        assert excluding_radius(ball, EcRv({1: 7}, 0)) is None
+        assert excluding_radius(MPlusBall(ONE), EcRv({3: -2}, 0)) is None
+
+    def test_core_point_is_an_atom_held_at_every_radius(self):
+        rng = sampling.make_rng(43)
+        seen = set()
+        for _ in range(300):
+            s = random_shape(rng)
+            # the named atoms lie in 1..16, so an atom below 20 is held if any is
+            held = [EcRv({j: 1}, 0) for j in range(1, 20)]
+            held = [x for x in held if held_at_every_rung(s, x)]
+            point = core_point(s)
+            assert (point in held) if held else (point is None), s
+            seen.add(point is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize(
+        "s, point",
+        [
+            (MPlusBall(EcRv({1: 4}, 1)), EcRv({1: 1}, 0)),
+            (Ball((Localized(EventSet.finite({1})),), ONE), EcRv({2: 1}, 0)),
+            (Ball((Weighted(EcRv({1: 0}, 1)),), ONE), EcRv({1: 1}, 0)),
+            (Ball((Localized(EventSet.finite({1, 2, 3})), Weighted(EcRv({3: 0}, 1))), ONE), None),
+            (UNIT_BALL, None),
+        ],
+    )
+    def test_core_point_examples(self, s, point):
+        assert core_point(s) == point
+
+    def test_other_shapes_are_refused(self):
+        for s in (Scale(ONE, UNIT_BALL), Translate(ZERO, UNIT_BALL), Intersect((UNIT_BALL,))):
+            with pytest.raises(UnsupportedShape):
+                excluding_radius(s, ONE)
+            with pytest.raises(UnsupportedShape):
+                core_point(s)

@@ -13,7 +13,6 @@ from l0convex import (
     FromSeminorms,
     Localized,
     MPlusBall,
-    PointInM,
     Weighted,
     Zero,
     ZERO,
@@ -27,15 +26,15 @@ from l0convex import (
     epslambda_membership,
     hausdorff_report,
     seminorm_induction_verdict,
-    separation_witness,
     sup_evaluate,
     order_compare,
     roundtrip_check,
 )
 from l0convex import sampling, topology
-from l0convex.seminorms import Seminorm
+from l0convex.seminorms import FiniteSup, Seminorm
+from l0convex.sets import core_point
 
-from conftest import ecrvs
+from conftest import blind_weight, ecrvs
 
 COUNTEREXAMPLE = CounterexampleFamily()
 UNIT_FAMILY = FromSeminorms((Weighted(ONE),))
@@ -87,27 +86,33 @@ class TestBaseAxioms:
 
 class TestSeparation:
     def test_constant_example(self):
-        witness = separation_witness(EcRv.constant(4))
+        witness = closure_membership(COUNTEREXAMPLE, EcRv.constant(4)).separation
         assert witness.epsilon == EcRv.constant(2)
         assert witness.excluded
         assert not contains(MPlusBall(witness.epsilon), EcRv.constant(4))
 
     def test_zero_override_example(self):
-        witness = separation_witness(EcRv({1: 0}, 1))
+        witness = closure_membership(COUNTEREXAMPLE, EcRv({1: 0}, 1)).separation
         assert witness.epsilon == EcRv({1: 1}, Fraction(1, 2))
         assert witness.excluded
 
-    def test_finite_support_rejected(self):
-        with pytest.raises(PointInM):
-            separation_witness(EcRv({5: 9}, 0))
+    def test_finite_support_has_no_separation(self):
+        result = closure_membership(COUNTEREXAMPLE, EcRv({5: 9}, 0))
+        assert result.member and result.separation is None
 
     @given(ecrvs)
     def test_every_outsider_separated(self, x):
         if classify(x).in_M:
             return
-        witness = separation_witness(x)
+        witness = closure_membership(COUNTEREXAMPLE, x).separation
         assert classify(witness.epsilon).in_L0_plusplus
         assert witness.excluded
+
+    def test_seminorm_base_outsider_separated(self):
+        witness = closure_membership(UNIT_FAMILY, EcRv({1: 0}, 4)).separation
+        assert witness.epsilon == EcRv({1: 1}, 2)
+        assert witness.excluded
+        assert not contains(Ball((Weighted(ONE),), witness.epsilon), EcRv({1: 0}, 4))
 
 
 class TestClosure:
@@ -128,6 +133,20 @@ class TestClosure:
         assert closure_membership(degenerate, EcRv({2: 5}, 0)).member
 
 
+def _random_seminorm(rng) -> Seminorm:
+    """Weighted with zeros at some named atoms or in the tail, Localized,
+    Zero, or a sup of two of those."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Weighted(blind_weight(rng))
+    if kind == 1:
+        atoms = frozenset(rng.sample(range(1, 8), rng.randint(0, 3)))
+        return Localized(EventSet(atoms, cofinite=rng.random() < 0.5))
+    if kind == 2:
+        return Zero()
+    return FiniteSup((_random_seminorm(rng), _random_seminorm(rng)))
+
+
 class TestHausdorff:
     def test_counterexample_not_hausdorff(self):
         report = hausdorff_report(COUNTEREXAMPLE, samples=100, seed=11)
@@ -143,9 +162,47 @@ class TestHausdorff:
     def test_zero_family_separates_nothing(self):
         report = hausdorff_report(FromSeminorms((Zero(),)), samples=10, seed=17)
         assert not report.hausdorff
-        x, y = report.witness
-        assert x != y
-        assert sup_evaluate((Zero(),), x - y) == ZERO
+        assert report.witness == EcRv({1: 1}, 0)
+        assert report.checks_passed == 10
+
+    @pytest.mark.parametrize(
+        "seminorm, witness",
+        [
+            (Localized(EventSet.finite({1})), EcRv({2: 1}, 0)),
+            (Weighted(EcRv({1: 0}, 1)), EcRv({1: 1}, 0)),
+        ],
+        ids=["blind_past_atom_1", "blind_at_atom_1"],
+    )
+    def test_family_blind_at_an_atom_is_not_hausdorff(self, seminorm, witness):
+        # random pairs almost never differ only where the family is blind,
+        # so a sampled pair pass would call these families Hausdorff
+        base = FromSeminorms((seminorm,))
+        report = hausdorff_report(base, samples=500, seed=3)
+        assert not report.hausdorff
+        assert report.witness == witness
+        assert report.checks_passed == 500
+        assert closure_membership(base, witness).member
+        step = topology._hausdorff_step(base, 30, 1)
+        assert step.passed and step.inputs["witness"] == repr(witness)
+
+    def test_hausdorff_iff_no_core_point(self):
+        # a family separates points iff its largest coefficient is
+        # nowhere zero; draw coefficients with zero values on purpose
+        rng = sampling.make_rng(2024)
+        outcomes = set()
+        for i in range(150):
+            family = tuple(_random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+            base = FromSeminorms(family)
+            report = hausdorff_report(base, samples=3, seed=i)
+            separates = classify(sup_evaluate(family, ONE)).in_L0_plusplus
+            assert report.hausdorff == separates, family
+            assert report.hausdorff == (core_point(base.base_set(ONE)) is None), family
+            assert report.passed, family
+            if not report.hausdorff:
+                assert not report.witness.is_zero()
+                assert closure_membership(base, report.witness).member, family
+            outcomes.add(report.hausdorff)
+        assert outcomes == {True, False}
 
     def test_non_separating_family_has_concrete_non_separated_pair(self):
         # a family blind beyond atom 1 cannot separate points that agree there
