@@ -17,11 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
+from . import seminorms, sets  # bound lazily: neither runs until a base set is built
 from ._record import record
 
 if TYPE_CHECKING:
-    from .seminorms import Seminorm
-    from .sets import Ball, MPlusBall
     from .l0 import EcRv
 
 DEFAULT_TOLERANCE = Fraction(1, 2**20)
@@ -51,22 +50,18 @@ class ParseError(ValueError):
 class FromSeminorms:
     """Base sets are the balls of a finite seminorm family."""
 
-    family: tuple[Seminorm, ...]
+    family: tuple[seminorms.Seminorm, ...]
 
-    def base_set(self, radius: EcRv) -> Ball:
-        from .sets import Ball
-
-        return Ball(self.family, radius)
+    def base_set(self, radius: EcRv) -> sets.Ball:
+        return sets.Ball(self.family, radius)
 
 
 @record(frozen=True)
 class CounterexampleFamily:
     """Base sets are M + B_eps; all their gauges are identically zero."""
 
-    def base_set(self, radius: EcRv) -> MPlusBall:
-        from .sets import MPlusBall
-
-        return MPlusBall(radius)
+    def base_set(self, radius: EcRv) -> sets.MPlusBall:
+        return sets.MPlusBall(radius)
 
 
 NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]

@@ -1,12 +1,12 @@
 """Neighborhood-base machinery and the seminorm-induction verdict.
 
-Two base families are supported: balls generated by a finite family of
-seminorms, and the degenerate family M + B_eps whose gauges vanish
-identically.  Each puts the radius into one set shape, so the closure
-of {0} and the Hausdorff property are decided from that shape, not the
-base's type.  The verdict operation builds every step of the
-verify-counterexample report, each sampled fact checked by one step;
-for the degenerate base they rule out any inducing family of
+A base is anything whose `base_set(radius)` puts the radius into one
+set shape: the balls of a finite family of seminorms, or the degenerate
+sets M + B_eps whose gauges vanish identically.  The closure of {0},
+the Hausdorff property and the verdict itself are decided from that
+shape, never from the base's type.  The verdict operation builds every
+step of the verify-counterexample report, each sampled fact checked by
+one step; for a degenerate base they rule out any inducing family of
 seminorms.  Every evidence step is re-checkable from membership tests
 and order comparisons alone.
 """
@@ -26,6 +26,7 @@ from .sets import (
     contains,
     core_point,
     excluding_radius,
+    gauge_closed_form,
     gauge_upper_certificate,
     sample_member,
     structural_flags,
@@ -140,14 +141,6 @@ class ClosureResult:
     separation: Optional[SeparationWitness] = None
 
 
-def _require_base(base: NeighborhoodBase) -> None:
-    """Refuse a base of neither kind: the steps read `family` or rely on M."""
-    if not isinstance(base, (FromSeminorms, CounterexampleFamily)):
-        raise TypeError(
-            f"not a neighborhood base (FromSeminorms or CounterexampleFamily): {base!r}"
-        )
-
-
 def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
     """Membership of x in the closure of {0} under the base.
 
@@ -156,7 +149,6 @@ def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
     is the closure of M), the family's common kernel for a seminorm
     base.  A point outside carries a separation witness.
     """
-    _require_base(base)
     eps = excluding_radius(base.base_set(ONE), x)
     if eps is None:
         return ClosureResult(True)
@@ -183,7 +175,6 @@ def hausdorff_report(
 ) -> HausdorffReport:
     """Not Hausdorff iff the base-set shape has a nonzero core point, which
     sampled base sets then hold; else sampled pairs are separated."""
-    _require_base(base)
     sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     unit = base.base_set(ONE)
@@ -246,20 +237,30 @@ def seminorm_induction_verdict(
 ) -> EvidenceReport:
     """Every step of the verify-counterexample report, in report order.
 
+    The verdict is the paper's argument, read off U(1) = base_set(1).
+    Every L0-seminorm has p(x) = |x|*p(1) and any inducing one lies below
+    the gauge of some base set, so if that gauge vanishes at 1 while some
+    base set excludes 1, every inducing seminorm is zero and no family
+    induces the topology.  On both set shapes neither fact depends on the
+    radius, so U(1) decides them.  `excluding_radius` raises
+    `UnsupportedShape` on every shape but a ball and M + B_eps, which is
+    degenerate, so otherwise U(1) is a ball whose seminorms induce the base.
+
     `epsilon` and `delta` are the base-axiom radii (default 1 and 1/2).
     With no samples every step would pass without checking anything, so
     `samples` must be at least 1.
     """
-    _require_base(base)
     sampling.require_samples(samples)
+    unit = base.base_set(ONE)
+    degenerate = excluding_radius(unit, ONE) is not None and gauge_closed_form(unit, ONE).is_zero()
     steps = [base_axioms_step(base, samples, seed, epsilon, delta)]
-    if isinstance(base, FromSeminorms):
-        steps += _induced_steps(base, seed, samples)
-    else:
+    if degenerate:
         steps += _not_induced_steps(base, seed, samples)
+    else:
+        steps += _induced_steps(base, seed, samples)
     steps.append(_hausdorff_step(base, samples, seed))
-    if isinstance(base, FromSeminorms):
-        return EvidenceReport("induced", base.family, steps, seed)
+    if not degenerate:
+        return EvidenceReport("induced", unit.seminorms, steps, seed)
 
     all_prior = all(step.passed for step in steps)
     steps.append(
@@ -302,7 +303,7 @@ def _sampled_step(
     )
 
 
-def _induced_steps(base: FromSeminorms, seed: int, samples: int) -> list[EvidenceStep]:
+def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
 
     def structural():
@@ -326,7 +327,7 @@ def _induced_steps(base: FromSeminorms, seed: int, samples: int) -> list[Evidenc
     ]
 
 
-def _not_induced_steps(base: CounterexampleFamily, seed: int, samples: int) -> list[EvidenceStep]:
+def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
 
     # 1. every base-set gauge collapses to zero: the certificate checks,

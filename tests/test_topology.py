@@ -13,6 +13,8 @@ from l0convex import (
     FromSeminorms,
     Localized,
     MPlusBall,
+    Scale,
+    UnsupportedShape,
     Weighted,
     Zero,
     ZERO,
@@ -30,7 +32,7 @@ from l0convex import (
     order_compare,
     roundtrip_check,
 )
-from l0convex import sampling, topology
+from l0convex import _common, sampling, topology
 from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
@@ -289,35 +291,85 @@ class TestInductionVerdict:
             seminorm_induction_verdict(COUNTEREXAMPLE, samples=1, **{knob: 32})
 
 
-class CountingReciprocalBase(ReciprocalBase):
-    """ReciprocalBase that counts the base sets it builds."""
+class ShapeBase:
+    """Test-only base of neither package kind: its sets are whatever
+    `make(radius)` builds."""
 
-    def __init__(self):
-        self.built = 0
+    def __init__(self, make):
+        self.make = make
 
-    def base_set(self, radius: EcRv) -> MPlusBall:
-        self.built += 1
-        return super().base_set(radius)
+    def base_set(self, radius: EcRv):
+        return self.make(radius)
+
+
+class TestTypeFreeVerdict:
+    """The verdict reads the unit base set's shape, never the base's type."""
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_wrapped_counterexample_sets_not_induced(self, seed):
+        report = seminorm_induction_verdict(ShapeBase(MPlusBall), seed=seed, samples=20)
+        reference = seminorm_induction_verdict(COUNTEREXAMPLE, seed=seed, samples=20)
+        assert report.verdict == "not_induced" and report.family is None
+        assert report.steps == reference.steps
+        assert report.passed
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_wrapped_seminorm_balls_induced(self, seed):
+        family = (Localized(EventSet.finite({1})), Weighted(EcRv({2: 3}, 1)))
+        report = seminorm_induction_verdict(
+            ShapeBase(lambda r: Ball(family, r)), seed=seed, samples=20
+        )
+        reference = seminorm_induction_verdict(FromSeminorms(family), seed=seed, samples=20)
+        assert report.verdict == "induced" and report.family == family
+        assert report.steps == reference.steps
+        assert report.passed
+
+    def test_every_seminorm_family_induced(self):
+        # zero coefficient values on purpose: a family blind at some atoms,
+        # or everywhere (Zero), still induces its own topology
+        rng = sampling.make_rng(4242)
+        for i in range(60):
+            family = tuple(_random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+            report = seminorm_induction_verdict(FromSeminorms(family), seed=i, samples=2)
+            assert report.verdict == "induced", family
+            assert report.family == family
+            assert report.passed, family
+
+    def test_unsupported_unit_shape_raises(self):
+        base = ShapeBase(lambda r: Scale(ONE, MPlusBall(r)))
+        with pytest.raises(UnsupportedShape):
+            seminorm_induction_verdict(base, seed=1, samples=5)
 
 
 class TestBaseOfNeitherKind:
-    """The functions that branch on the base kind refuse any other base
-    before they build a base set."""
+    """ReciprocalBase puts 1/r, not r, into the M + B shape.  It gets a
+    verdict like any other base, and the steps that build base sets at a
+    chosen radius catch what its shape does not say."""
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda base: seminorm_induction_verdict(base, seed=1, samples=5),
-            lambda base: closure_membership(base, ONE),
-            lambda base: hausdorff_report(base, samples=5, seed=1),
-        ],
-        ids=["seminorm_induction_verdict", "closure_membership", "hausdorff_report"],
-    )
-    def test_rejected_up_front(self, run):
-        base = CountingReciprocalBase()
-        with pytest.raises(TypeError, match="FromSeminorms or CounterexampleFamily"):
-            run(base)
-        assert base.built == 0
+    def test_verdict_is_a_failing_not_induced_report(self):
+        report = seminorm_induction_verdict(ReciprocalBase(), seed=1, samples=5)
+        assert report.verdict == "not_induced" and report.family is None
+        assert not report.passed
+        failed = [step.name for step in report.steps if not step.passed]
+        assert failed == [
+            "base_axioms",
+            "gauge_monotonicity",
+            "proper_closed_submodule",
+            "zero_family_contradiction",
+        ]
+
+    def test_closure_recheck_catches_the_unshaped_radius(self):
+        # the shape of U(1) excludes 1 at radius 1/2, but U(1/2) is M + B_2
+        result = closure_membership(ReciprocalBase(), ONE)
+        assert not result.member
+        assert result.separation.epsilon == EcRv.constant(Fraction(1, 2))
+        assert not result.separation.excluded
+
+    def test_hausdorff_from_the_core_point(self):
+        report = hausdorff_report(ReciprocalBase(), samples=5, seed=1)
+        assert not report.hausdorff
+        assert report.witness == EcRv({1: 1}, 0)
+        assert report.passed
 
 
 class TestSampledStep:
@@ -361,7 +413,28 @@ def test_sampled_check_without_samples_rejected(check, samples):
         check(samples)
 
 
-def test_evidence_report_annotations_resolve():
-    """Every name in the report's annotations is bound in `topology`."""
-    hints = typing.get_type_hints(topology.EvidenceReport)
-    assert hints["family"] == typing.Optional[tuple[Seminorm, ...]]
+RECORDS = sorted(
+    {
+        cls
+        for module in (_common, topology)
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and getattr(vars(cls).get("__init__"), "__module__", None) == "l0convex._record"
+    },
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_annotations_resolve(cls):
+    """Every name in a record's annotations is bound in its module."""
+    hints = typing.get_type_hints(cls)
+    assert list(hints) == list(vars(cls).get("__annotations__", ()))
+    if "family" in hints:  # Optional[...] of an Optional is the Optional itself
+        assert typing.Optional[hints["family"]] == typing.Optional[tuple[Seminorm, ...]]
+
+
+def test_every_record_class_is_checked():
+    names = {cls.__name__ for cls in RECORDS}
+    assert {"EvidenceReport", "FromSeminorms", "CounterexampleFamily", "EvidenceStep"} <= names
