@@ -8,29 +8,23 @@ n-th cell.  On eventually constant random variables the glue, when it
 exists, is unique: agreeing on every cell of a partition forces
 pointwise equality.
 
-The closure check is exact, not truncated.  Past the explicit cells
-the glue identity reduces to one symbolic comparison of tails, and the
-late single-atom pieces are decided by membership itself: at the atoms
-the set and the value name, and at one atom past all of them.
+Every gluing question reads one cell walk: the cells compared one by
+one, the first atom from which every cell is a single atom, and the
+value the sequence carries there.  The checks are exact, not truncated.
+From the late atom on the glue identity is one comparison, and the late
+single-atom pieces are decided by membership itself: at the atoms the
+set and the value name, and at one atom past all of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Union
 
 from ._record import field, record
-from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, _single_atom
+from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO, _single_atom
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
-from .sets import (
-    Ball,
-    MPlusBall,
-    SetDescriptor,
-    contains,
-    gauge_closed_form,
-    _deciding_atoms,
-)
+from .sets import Ball, SetDescriptor, contains, gauge_closed_form, _deciding_atoms
 
 
 class GaugeNotBelowOne(ValueError):
@@ -59,10 +53,39 @@ SequenceSpec = Union[EventuallyConstantSeq, Diagonal]
 def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
     if isinstance(seq, EventuallyConstantSeq):
         return seq.element(n)
-    if isinstance(part, SingletonTail) and n > part.prefix_count:
-        # the n-th cell is one atom: build the piece without the cell
-        return _single_atom(seq.value, part.tail_start - 1 + (n - part.prefix_count))
     return indicator_mul(part.cell(n), seq.value)
+
+
+def _cell_walk(
+    seq: SequenceSpec, part: Partition
+) -> tuple[list[tuple[EventSet, EcRv]], Optional[int], EcRv]:
+    """The cells to compare one by one, the late atom and the late value.
+
+    Each cell comes with the sequence's element on it: every cell of a
+    finite partition, or a singleton-tail partition's prefix cells
+    extended by the singleton cells of an eventually constant sequence's
+    explicit prefix.  From the late atom on every cell is one atom {j},
+    and the element on it is the late value (a tail element) or its
+    piece on {j} (a diagonal).  A finite partition has no late atom.
+    """
+    if isinstance(seq, Diagonal):
+        value, explicit = seq.value, 0
+    else:
+        value, explicit = seq.tail_element, len(seq.prefix)
+    if isinstance(part, FinitePartition):
+        count, late = part.cell_count, None
+    else:
+        count = max(part.prefix_count, explicit)
+        late = part.tail_start + count - part.prefix_count
+    cells = [(part.cell(n), sequence_element(seq, part, n)) for n in range(1, count + 1)]
+    return cells, late, value
+
+
+def _from_atom(x: EcRv, late: Optional[int]) -> EcRv:
+    """x on the atoms from late on, zero below; zero for no late atom."""
+    if late is None:
+        return ZERO
+    return indicator_mul(EventSet.cofinite_excluding(range(1, late)), x)
 
 
 def glue(seq: SequenceSpec, part: Partition) -> EcRv:
@@ -70,69 +93,18 @@ def glue(seq: SequenceSpec, part: Partition) -> EcRv:
     if isinstance(seq, Diagonal):
         # the n-th piece is value on the n-th cell, whatever the partition
         return seq.value
-    if isinstance(part, FinitePartition):
-        overrides: dict[int, Fraction] = {}
-        tail = Fraction(0)
-        for n, cell in enumerate(part.cells, start=1):
-            x_n = seq.element(n)
-            if cell.cofinite:
-                tail = x_n.tail
-                for j, v in x_n.overrides.items():
-                    if j in cell:
-                        overrides[j] = v
-            else:
-                for j in cell.atoms:
-                    overrides[j] = x_n.value_at(j)
-        return EcRv(overrides, tail)
-    overrides = {}
-    m = part.prefix_count
-    for n, cell in enumerate(part.prefix_cells, start=1):
-        x_n = seq.element(n)
-        for j in cell.atoms:
-            overrides[j] = x_n.value_at(j)
-    explicit = len(seq.prefix)
-    for n in range(m + 1, explicit + 1):
-        j = part.tail_start - 1 + (n - m)
-        overrides[j] = seq.element(n).value_at(j)
-    last_explicit_atom = part.tail_start - 1 + max(0, explicit - m)
-    for j, v in seq.tail_element.overrides.items():
-        if j >= part.tail_start and j > last_explicit_atom:
-            overrides[j] = v
-    return EcRv(overrides, seq.tail_element.tail)
+    cells, late, value = _cell_walk(seq, part)
+    return sum((indicator_mul(cell, x_n) for cell, x_n in cells), _from_atom(value, late))
 
 
 def glue_identity_holds(seq: SequenceSpec, part: Partition, x: EcRv) -> bool:
-    """Exact cellwise identity: the partition's prefix cells and the
-    sequence's explicit prefix one by one, then a symbolic comparison
-    covering every later singleton cell at once."""
-    if isinstance(part, FinitePartition):
-        return all(
-            indicator_mul(part.cell(n), x)
-            == indicator_mul(part.cell(n), sequence_element(seq, part, n))
-            for n in range(1, part.cell_count + 1)
-        )
-    explicit_cells = part.prefix_count
-    if isinstance(seq, EventuallyConstantSeq):
-        explicit_cells = max(explicit_cells, len(seq.prefix))
-    for n in range(1, explicit_cells + 1):
-        cell = part.cell(n)
-        if indicator_mul(cell, x) != indicator_mul(cell, sequence_element(seq, part, n)):
-            return False
-    # past those each cell is a singleton {j}, so the identity reduces
-    # to x(j) == element(j) for all large j: a tail comparison
-    beyond = part.tail_start + (explicit_cells - part.prefix_count)
-    target = seq.value if isinstance(seq, Diagonal) else seq.tail_element
-    return _holds_beyond(x, target, beyond)
-
-
-def _holds_beyond(x: EcRv, y: EcRv, start: int) -> bool:
-    """x(j) == y(j) at every atom j >= start: on the tails, and on each
-    override at or past start."""
-    return x.tail == y.tail and all(
-        x.value_at(j) == y.value_at(j)
-        for j in set(x.overrides) | set(y.overrides)
-        if j >= start
-    )
+    """Exact cellwise identity: the walked cells one by one, then one
+    comparison from the late atom on covering every later singleton
+    cell at once."""
+    cells, late, value = _cell_walk(seq, part)
+    return all(
+        indicator_mul(cell, x) == indicator_mul(cell, x_n) for cell, x_n in cells
+    ) and _from_atom(x, late) == _from_atom(value, late)
 
 
 # -- membership of late diagonal pieces -------------------------------------
@@ -183,13 +155,11 @@ class CcReport:
 def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bool:
     if isinstance(seq, EventuallyConstantSeq):
         return all(contains(s, x) for x in (*seq.prefix, seq.tail_element))
-    if isinstance(part, FinitePartition):
-        count = part.cell_count
-        return all(contains(s, sequence_element(seq, part, n)) for n in range(1, count + 1))
-    # the prefix cells' pieces, then one single-atom piece per late cell
-    if not all(contains(s, indicator_mul(cell, seq.value)) for cell in part.prefix_cells):
-        return False
-    return _late_pieces_in_set(s, seq.value, part.tail_start)
+    # the walked cells' pieces, then one single-atom piece per late cell
+    cells, late, value = _cell_walk(seq, part)
+    return all(contains(s, piece) for _, piece in cells) and (
+        late is None or _late_pieces_in_set(s, value, late)
+    )
 
 
 def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:
@@ -241,16 +211,17 @@ class CcFailureWitness:
         return self.pieces_in_set and not self.glue_in_set
 
 
-def cc_failure_witness(eps: EcRv) -> CcFailureWitness:
-    """The diagonal sequence of doubled-radius single-atom pieces.
+def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcFailureWitness:
+    """The diagonal sequence of doubled-radius single-atom pieces, glued
+    against u.
 
-    Every piece has finite support, hence lies in M + B_eps, yet the
-    glue is twice the radius, whose tail the set cannot absorb: the one
-    entry of the relative check on M + B_eps is a counterexample.
+    For u = M + B_eps every piece has finite support, hence lies in u,
+    yet the glue is twice the radius, whose tail the set cannot absorb:
+    the one entry of the relative check on u is a counterexample.
     """
     seq = Diagonal(2 * eps)
     part = SingletonTail((), 1)
-    (entry,) = relative_cc_check(MPlusBall(eps), part, [seq]).entries
+    (entry,) = relative_cc_check(u, part, [seq]).entries
     return CcFailureWitness(
         eps, seq, part, entry.glue, entry.precondition_ok, entry.glue_in_set
     )
@@ -274,22 +245,18 @@ class ReversePartition:
 
 
 def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
-    """Cut x along a partition whose pieces all lie in u.
+    """Cut x into its single-atom pieces, which all lie in u.
 
-    Requires the gauge of x strictly below one at every atom.  For
-    M + B_eps the single-atom truncations are absorbed outright, so the
-    pure singleton partition works; for a ball the small gauge already
-    places x itself inside, and the one-cell partition suffices.
+    Requires the gauge of x strictly below one at every atom.  Every
+    shape with a gauge closed form is solid, so each single-atom piece
+    of such an x lies in u: a ball's seminorms see each piece as the
+    point on one atom, and M + B_eps holds every finitely supported
+    element.  Membership decides the pieces all the same.
     """
     g = gauge_closed_form(u, x)
     if not lt_everywhere(g, ONE):
         raise GaugeNotBelowOne(f"gauge of {x!r} is not < 1 everywhere")
-    if isinstance(u, MPlusBall):
-        part: Partition = SingletonTail((), 1)
-        seq: SequenceSpec = Diagonal(x)
-    else:
-        part = FinitePartition((EventSet.full(),))
-        seq = EventuallyConstantSeq((x,), x)
+    part, seq = SingletonTail((), 1), Diagonal(x)
     return ReversePartition(
         u, x, part, seq, _elements_in_set(u, seq, part), glue(seq, part) == x
     )

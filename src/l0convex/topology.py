@@ -362,7 +362,8 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
 
     # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
     def escaping():
-        failure = concatenation.cc_failure_witness(sampling.random_positive_ecrv(rng))
+        radius = sampling.random_positive_ecrv(rng)
+        failure = concatenation.cc_failure_witness(base.base_set(radius), radius)
         return failure.valid, {"example_radius": failure.radius, "example_glue": failure.glue}
 
     return [

@@ -63,8 +63,8 @@ class TestGlue:
             )
 
     def test_diagonal_pieces_match_the_cell_indicator(self):
-        """Tail pieces are built without their cell; every piece equals the
-        value cut down to the n-th cell, on prefix cells and tail cells."""
+        """Every piece equals the value cut down to the n-th cell, on
+        prefix cells and tail cells."""
         rng = sampling.make_rng(47)
         parts = (
             PURE_SINGLETONS,
@@ -354,20 +354,119 @@ class TestLatePiecesRule:
         assert contains(s, indicator_mul(EventSet.finite({10**6 + 1}), value))
 
 
+FAR = 10**6  # past every atom the cases below name: it carries the tails
+
+
+def cell_index(part, j):
+    """The n with atom j in the n-th cell, read off the partition's cells."""
+    if isinstance(part, FinitePartition):
+        return next(n for n, cell in enumerate(part.cells, start=1) if j in cell)
+    return next(
+        (n for n, cell in enumerate(part.prefix_cells, start=1) if j in cell),
+        part.prefix_count + j - part.tail_start + 1,
+    )
+
+
+def reference_at(seq, part, j):
+    """The glue's value at atom j: the value there of the element on j's cell."""
+    if isinstance(seq, Diagonal):
+        return seq.value.value_at(j)
+    return seq.element(cell_index(part, j)).value_at(j)
+
+
+def reference_piece(seq, part, j):
+    """The diagonal's piece on the cell of atom j, built atom by atom."""
+    n = cell_index(part, j)
+    on_cell = [i for i in (*range(1, 41), FAR) if cell_index(part, i) == n]
+    # two far atoms share a cell only if it is the cofinite one
+    tail = seq.value.tail if cell_index(part, FAR + 1) == n else 0
+    return EcRv({i: seq.value.value_at(i) for i in on_cell}, tail)
+
+
+def random_cells(rng, atoms):
+    atoms = list(atoms)
+    rng.shuffle(atoms)
+    cells = []
+    while atoms:
+        k = rng.randint(1, len(atoms))
+        cells.append(EventSet.finite(atoms[:k]))
+        atoms = atoms[k:]
+    return cells
+
+
+class TestCellWalk:
+    """`glue`, `glue_identity_holds` and `_elements_in_set` agree with an
+    atom-by-atom reference on atoms 1..40 and a far atom that carries the
+    tails; every atom the cases name is at most 40."""
+
+    def case(self, rng, i):
+        if i % 3 == 0:
+            cells = random_cells(rng, range(1, rng.randint(1, 10)))
+            rest = EventSet.full()
+            for cell in cells:
+                rest = rest - cell
+            cells.insert(rng.randint(0, len(cells)), rest)
+            part = FinitePartition(tuple(cells))
+            length = rng.randint(0, len(cells) + 2)
+        else:
+            tail_start = rng.randint(1, 8)
+            part = SingletonTail(tuple(random_cells(rng, range(1, tail_start))), tail_start)
+            # shorter than, equal to or longer than the prefix cells
+            length = max(0, part.prefix_count + (i % 3 - 1) * rng.randint(1, 4))
+        if i % 4 == 0:
+            value = coarse(rng)
+            if isinstance(part, SingletonTail):  # name the first late atom
+                value = EcRv({**value.overrides, part.tail_start: rng.choice(SIGNED)}, value.tail)
+            seq = Diagonal(value)
+        else:
+            seq = EventuallyConstantSeq(tuple(coarse(rng) for _ in range(length)), coarse(rng))
+        return part, seq
+
+    def test_matches_atom_by_atom_reference(self):
+        rng = sampling.make_rng(67)
+        identities, memberships, kinds = set(), set(), set()
+        for i in range(400):
+            part, seq = self.case(rng, i)
+            kinds.add((type(part), type(seq)))
+            atoms = (*range(1, 41), FAR)
+            expected = EcRv(
+                {j: reference_at(seq, part, j) for j in range(1, 41)},
+                reference_at(seq, part, FAR),
+            )
+            assert glue(seq, part) == expected, (seq, part)
+            x = expected
+            if rng.random() < 0.5:  # off at one atom, or on the tail
+                j = rng.choice((rng.randint(1, 20), FAR))
+                x = EcRv({k: x.value_at(k) + (k == j) for k in range(1, 41)}, x.tail + (j == FAR))
+            agrees = all(x.value_at(j) == expected.value_at(j) for j in atoms)
+            assert glue_identity_holds(seq, part, x) == agrees, (seq, part, x)
+            identities.add(agrees)
+            s = random_set(rng, rng.choice(LEAVES + COMPOSITES), 2)
+            if isinstance(seq, Diagonal):
+                inside = all(contains(s, reference_piece(seq, part, j)) for j in atoms)
+            else:
+                elements = range(1, len(seq.prefix) + 2)
+                inside = all(contains(s, seq.element(n)) for n in elements)
+            assert concatenation._elements_in_set(s, seq, part) == inside, (s, seq, part)
+            memberships.add(inside)
+        assert identities == memberships == {True, False}
+        assert len(kinds) == 4
+
+
 class TestCcFailureWitness:
     def test_unit_radius(self):
-        witness = cc_failure_witness(ONE)
+        witness = cc_failure_witness(MPlusBall(ONE), ONE)
         assert witness.glue == EcRv.constant(2)
         assert witness.valid
         assert not contains(MPlusBall(ONE), witness.glue)
 
     def test_pointwise_radius(self):
-        witness = cc_failure_witness(EcRv({1: 4}, 1))
+        witness = cc_failure_witness(MPlusBall(EcRv({1: 4}, 1)), EcRv({1: 4}, 1))
         assert witness.glue == EcRv({1: 8}, 2)
         assert witness.valid
 
     def test_pieces_have_finite_support(self):
-        witness = cc_failure_witness(ONE)
+        witness = cc_failure_witness(MPlusBall(ONE), ONE)
         for n in range(1, 33):
             piece = indicator_mul(witness.partition.cell(n), witness.sequence.value)
             assert piece.tail == 0
@@ -376,7 +475,8 @@ class TestCcFailureWitness:
     def test_validates_on_random_radii(self):
         rng = sampling.make_rng(53)
         for _ in range(100):
-            assert cc_failure_witness(sampling.random_positive_ecrv(rng)).valid
+            eps = sampling.random_positive_ecrv(rng)
+            assert cc_failure_witness(MPlusBall(eps), eps).valid
 
 
 class TestReverseConstruction:
@@ -388,11 +488,12 @@ class TestReverseConstruction:
         assert result.glue_is_point
         assert result.passed
 
-    def test_ball_with_small_gauge_uses_trivial_partition(self):
+    def test_ball_with_small_gauge_uses_singleton_cut(self):
         ball = Ball((Weighted(ONE),), ONE)
-        result = reverse_partition_construct(ball, EcRv.constant(Fraction(1, 2)))
-        assert isinstance(result.partition, FinitePartition)
-        assert result.partition.cells == (EventSet.full(),)
+        x = EcRv.constant(Fraction(1, 2))
+        result = reverse_partition_construct(ball, x)
+        assert result.partition == PURE_SINGLETONS
+        assert result.pieces == Diagonal(x)
         assert result.passed
 
     def test_gauge_not_below_one(self):

@@ -32,7 +32,7 @@ from l0convex import (
     order_compare,
     roundtrip_check,
 )
-from l0convex import _common, sampling, topology
+from l0convex import _common, concatenation, sampling, topology
 from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
@@ -335,6 +335,30 @@ class TestTypeFreeVerdict:
             assert report.family == family
             assert report.passed, family
 
+    def test_concatenation_failure_glues_against_the_base_sets(self, monkeypatch):
+        """Every witness of the step glues against the set the base handed
+        out at the drawn radius, not a set rebuilt from the radius."""
+        handed_out = []
+
+        def recording(radius):
+            handed_out.append((radius, MPlusBall(radius)))
+            return handed_out[-1][1]
+
+        calls, witness = [], concatenation.cc_failure_witness
+
+        def spy(*args):
+            calls.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(concatenation, "cc_failure_witness", spy)
+        report = seminorm_induction_verdict(ShapeBase(recording), seed=3, samples=12)
+        (step,) = [step for step in report.steps if step.name == "concatenation_failure"]
+        assert step.passed and len(calls) == 12
+        for args in calls:
+            assert len(args) == 2, args
+            u, eps = args
+            assert any(u is handed and eps == radius for radius, handed in handed_out)
+
     def test_unsupported_unit_shape_raises(self):
         base = ShapeBase(lambda r: Scale(ONE, MPlusBall(r)))
         with pytest.raises(UnsupportedShape):
@@ -355,6 +379,7 @@ class TestBaseOfNeitherKind:
             "base_axioms",
             "gauge_monotonicity",
             "proper_closed_submodule",
+            "concatenation_failure",
             "zero_family_contradiction",
         ]
 
