@@ -153,13 +153,18 @@ class CcReport:
 
 
 def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bool:
-    if isinstance(seq, EventuallyConstantSeq):
-        return all(contains(s, x) for x in (*seq.prefix, seq.tail_element))
-    # the walked cells' pieces, then one single-atom piece per late cell
+    """Do the elements the glue is built from lie in s?  The element on
+    each walked cell, then the late value from the late atom on: a tail
+    element itself, or a diagonal's single-atom pieces.  An element on
+    no cell (past a finite partition's last cell) is never glued."""
     cells, late, value = _cell_walk(seq, part)
-    return all(contains(s, piece) for _, piece in cells) and (
-        late is None or _late_pieces_in_set(s, value, late)
-    )
+    if not all(contains(s, x_n) for _, x_n in cells):
+        return False
+    if late is None:
+        return True
+    if isinstance(seq, Diagonal):
+        return _late_pieces_in_set(s, value, late)
+    return contains(s, value)
 
 
 def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:

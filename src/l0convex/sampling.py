@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import l0
 from ._common import UsageError
 from .measure import EventSet
 
@@ -127,9 +128,7 @@ def _random_atoms(rng: random.Random) -> list[int]:
 
 def random_ecrv(rng: random.Random, draw=_ratio):
     """Random overrides, then the tail, each value drawn as a pair by `draw`."""
-    from .l0 import _from_ratios
-
-    return _from_ratios({j: draw(rng) for j in _random_atoms(rng)}, draw(rng))
+    return l0._from_ratios({j: draw(rng) for j in _random_atoms(rng)}, draw(rng))
 
 
 def _nonnegative_ratio(rng: random.Random) -> tuple[int, int]:
@@ -163,19 +162,15 @@ def random_balanced_factor(rng: random.Random):
 
 def random_finite_support_ecrv(rng: random.Random):
     """A member of M: zero tail, random overrides."""
-    from .l0 import _from_ratios
-
-    return _from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, (0, 1))
+    return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, (0, 1))
 
 
 def random_nonzero_tail_ecrv(rng: random.Random):
     """An element outside M: the tail is forced nonzero."""
-    from .l0 import _from_ratios
-
     tail = (0, 1)
     while tail[0] == 0:
         tail = _ratio(rng)
-    return _from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
+    return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
 
 
 def random_event(rng: random.Random) -> EventSet:

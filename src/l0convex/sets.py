@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from ._record import field, record
@@ -42,7 +43,7 @@ from .l0 import (
     _with_tail,
 )
 from .measure import _check_atom
-from .seminorms import Seminorm, evaluate, sup_evaluate
+from .seminorms import Seminorm, evaluate, _sup_coefficient
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
 
@@ -59,6 +60,12 @@ class Ball:
             raise ValueError("Ball needs at least one seminorm")
         if not classify(self.radius).in_L0_plusplus:
             raise ValueError("radius must be strictly positive everywhere")
+
+    @cached_property
+    def coefficient(self) -> EcRv:
+        """The largest seminorm coefficient: the sup seminorm at x is this
+        times |x|, since max_i(c_i * t) = max_i(c_i) * t for t >= 0."""
+        return _sup_coefficient(self.seminorms)
 
 
 @record(frozen=True)
@@ -106,11 +113,8 @@ SetDescriptor = Union[Ball, MPlusBall, Scale, Translate, Intersect]
 
 
 def contains(s: SetDescriptor, x: EcRv) -> bool:
-    if isinstance(s, Ball):
-        t = abs(x)  # each seminorm's value is its coefficient times |x|
-        return all(
-            leq_everywhere(combine("mul", p.coefficient, t), s.radius) for p in s.seminorms
-        )
+    if isinstance(s, Ball):  # every seminorm is at most the radius iff their sup is
+        return leq_everywhere(combine("mul", s.coefficient, abs(x)), s.radius)
     if isinstance(s, MPlusBall):
         return _abs_tail_leq(x, s.radius)
     if isinstance(s, Scale):
@@ -132,7 +136,7 @@ def excluding_radius(s: SetDescriptor, x: EcRv) -> Optional[EcRv]:
     does: half the sup seminorm at x for a ball, half |x| on M + B, and
     1 wherever that vanishes.  s's own radius plays no part."""
     if isinstance(s, Ball):
-        norm = sup_evaluate(s.seminorms, x)
+        norm = combine("mul", s.coefficient, abs(x))
         return None if norm.is_zero() else _half_abs_or_one(norm)
     if isinstance(s, MPlusBall):
         return None if x._t == 0 else _half_abs_or_one(x)
@@ -235,7 +239,7 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
     scale, so the infimum vanishes at every atom, whatever x is.
     """
     if isinstance(s, Ball):
-        return divide(sup_evaluate(s.seminorms, x), s.radius)
+        return divide(combine("mul", s.coefficient, abs(x)), s.radius)
     if isinstance(s, MPlusBall):
         return ZERO
     if isinstance(s, Scale):

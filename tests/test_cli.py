@@ -1,6 +1,11 @@
 import argparse
+import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -705,3 +710,72 @@ class TestPartition:
     def test_missing_tail_start(self, capsys):
         code, _, err = run(capsys, "partition")
         assert code == 2
+
+
+# -- the process entry: `run()` is `main()`, then a frozen heap and the exit ---
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
+VERIFY_SEED1 = ("verify-counterexample", "--seed", "1", "--samples", "30")
+
+
+def python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """`python -c code *argv` in a fresh interpreter that finds the package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_run_freezes_after_main_then_exits_with_its_code(self, monkeypatch, code):
+        calls = []
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        with pytest.raises(SystemExit) as stop:
+            cli.run()
+        assert stop.value.code == code
+        assert calls == ["main", "freeze"]
+
+    def test_main_in_process_never_freezes(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, *VERIFY_SEED1)
+        assert code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_running_as_a_module_freezes_and_prints_what_main_prints(self, capsys):
+        probe = (
+            "import contextlib, gc, io, json, runpy, sys\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)\n"
+            "    except SystemExit as stop:\n"
+            "        code = stop.code\n"
+            "print(json.dumps([code, gc.get_freeze_count(), out.getvalue()]))"
+        )
+        result = python(probe, *VERIFY_SEED1)
+        assert result.returncode == 0, result.stderr
+        code, frozen, out = json.loads(result.stdout)
+        assert code == 0
+        assert frozen > 0
+        _, in_process, _ = run(capsys, *VERIFY_SEED1)
+        assert out == in_process
+        assert out == (ROOT / "tests" / "golden" / "verify_default_seed1.json").read_text()
+
+    def test_console_script_wrapper_exits_zero_with_the_verdict(self):
+        wrapper = "import sys; from l0convex.cli import run; sys.exit(run())"
+        result = python(wrapper, "verify-counterexample", "--samples", "5")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["verdict"] == "NotInduced"
+        assert result.stderr.endswith("verdict: NotInduced\n")
+
+    def test_console_script_targets_run(self):
+        # read as text: tomllib is not in the standard library before 3.11
+        text = (ROOT / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'l0convex = "l0convex.cli:run"'

@@ -38,6 +38,8 @@ CASES = {
     "check_cc_diagonal_finite": "check cc --config {cfg}/cc_diagonal_finite.cfg",
     "check_cc_translate_ball": "check cc --config {cfg}/cc_translate_ball.cfg",
     "check_cc_translate_ball_late": "check cc --config {cfg}/cc_translate_ball_late.cfg",
+    # the third element lies outside the ball, but no cell of the partition glues it
+    "check_cc_finite_unglued": "check cc --config {cfg}/cc_finite_unglued.cfg",
     "eval_glue": ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
     "eval_seminorm_sup": (
         "eval",

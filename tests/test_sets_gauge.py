@@ -20,6 +20,8 @@ from l0convex import (
     classify,
     confirm_structural_flags,
     contains,
+    divide,
+    emax,
     emin,
     evaluate,
     gauge_closed_form,
@@ -122,6 +124,27 @@ class TestContains:
         for factor in (EcRv({1: 0}, 1), EcRv({2: 3}, 0), ZERO):
             with pytest.raises(ValueError, match=message):
                 Scale(factor, MPlusBall(ONE))
+
+    def test_ball_decides_with_its_largest_coefficient(self):
+        """A ball's one comparison against the largest coefficient agrees
+        with comparing every seminorm against the radius; the coefficient
+        is evaluated once and cannot be assigned."""
+        rng = sampling.make_rng(43)
+        outcomes = set()
+        for _ in range(300):
+            family = tuple(sampling.random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+            ball = Ball(family, sampling.random_positive_ecrv(rng))
+            assert ball.coefficient == sup_evaluate(family, ONE)
+            assert ball.coefficient is ball.coefficient
+            x = sampling.random_ecrv(rng)
+            if rng.random() < 0.5:  # near the boundary: x scaled to the largest seminorm
+                x = divide(x, emax(sup_evaluate(family, ONE), ONE))
+            inside = all(leq_everywhere(evaluate(p, x), ball.radius) for p in family)
+            assert contains(ball, x) == inside
+            outcomes.add(inside)
+        assert outcomes == {True, False}
+        with pytest.raises(AttributeError):
+            UNIT_BALL.coefficient = ZERO
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
