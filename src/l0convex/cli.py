@@ -230,15 +230,12 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """The process entry: `main()`, then exit with its code.
 
-    Once the report is written nothing reads the heap again, so the
-    heap is frozen first: the interpreter's exit-time collections skip
-    every object the run made, and a one-shot command does not spend
-    its last milliseconds on cyclic-GC passes over every module,
-    function and class it loaded.  Finalization still runs (atexit
-    handlers, the flush of stdout and stderr, module teardown); unlike
-    `os._exit`, a profiler's or a coverage tool's exit hook still
-    writes its data.  `main()` itself never freezes: a caller that runs
-    it many times in one process keeps a working collector.
+    The heap is frozen first, so the interpreter's exit-time collections
+    skip every module, function and class the run loaded: once the
+    report is written nothing reads them.  Finalization still runs
+    (atexit hooks, the flush of stdout and stderr, module teardown),
+    which `os._exit` would skip.  `main()` never freezes: a caller that
+    runs it many times in one process keeps a working collector.
     """
     code = main()
     gc.freeze()

@@ -169,19 +169,6 @@ class TestRelativeCc:
         assert not entry.precondition_ok
         assert not entry.counterexample  # not a closure failure
 
-    def test_elements_on_no_cell_are_not_checked(self):
-        """Two cells glue only the first two elements: an element past the
-        last cell is not part of the glue, so it is no precondition."""
-        ball = Ball((Weighted(ONE),), ONE)
-        half, outsider = EcRv.constant(Fraction(1, 2)), EcRv.constant(5)
-        seq = seq_of(half, half, outsider, tail=outsider)
-        (entry,) = relative_cc_check(ball, SPLIT_AT_1, [seq]).entries
-        assert entry.precondition_ok
-        assert entry.glue == half and entry.glue_in_set
-        # singleton cells glue every element, the third on atom 3
-        (entry,) = relative_cc_check(ball, PURE_SINGLETONS, [seq]).entries
-        assert not entry.precondition_ok
-
     def test_seminorm_identity_exact_on_singleton_tails(self):
         ball = Ball((Localized(EventSet.cofinite_excluding({1})),), EcRv.constant(4))
         seq = seq_of(EcRv.constant(3), tail=EcRv({2: 1}, 2))
