@@ -28,7 +28,7 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
         cells = list(part_spec.prefix_cells)
         tail_start = part_spec.tail_start
     elif args.cells is not None:
-        cells = cf.parse_event_list(args.cells, 1)
+        cells = syntax._parse_one("event_list", args.cells)
     if tail_start is None:
         raise cf.ConfigError("partition needs a spec, part.singletons_from, or --from")
     part = measure.build_countable_partition(config.space, cells, tail_start)

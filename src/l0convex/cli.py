@@ -21,7 +21,7 @@ import json
 import sys
 from typing import NoReturn
 
-from . import concatenation, l0, seminorms, sets, syntax, topology
+from . import l0, sets, syntax, topology
 from ._common import ParseError, UnsupportedShape, UsageError
 from .config import ConfigError, RunConfig, config_keys, parse_config
 
@@ -29,21 +29,11 @@ from .config import ConfigError, RunConfig, config_keys, parse_config
 # command runs only the ones its branch calls into, and `syntax` only when
 # it parses or formats a literal.  The `eval`, `check` and `partition`
 # handlers live in `_cli_eval`, `_cli_check` and `_cli_partition`, which
-# `main` imports only in the branch that runs them.  The evidence functions
-# the commands call stay attributes of this module, resolved on first use,
-# so code that reaches for `l0convex.cli.gauge_closed_form` (the
-# benchmark's tracer self-test does) finds the function in its module.
-_EVIDENCE_NAMES = {
-    "glue": concatenation,
-    "relative_cc_check": concatenation,
-    "axioms_check": seminorms,
-    "evaluate": seminorms,
-    "contains": sets,
-    "gauge_closed_form": sets,
-    "roundtrip_check": sets,
-    "base_axioms_step": topology,
-    "seminorm_induction_verdict": topology,
-}
+# `main` imports only in the branch that runs them.  Two evidence functions
+# stay attributes of this module, resolved on first use: the benchmark's
+# tracer self-test reaches for `l0convex.cli.gauge_closed_form`, and the
+# import tests pin `l0convex.cli.seminorm_induction_verdict`.
+_EVIDENCE_NAMES = {"gauge_closed_form": sets, "seminorm_induction_verdict": topology}
 
 
 def __getattr__(name: str):

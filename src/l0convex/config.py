@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import syntax
-from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase, ParseError
+from ._common import CounterexampleFamily, NeighborhoodBase, ParseError
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 
@@ -68,59 +68,6 @@ def _strip_quotes(value: str) -> str:
     return value
 
 
-def _parse_space_explicit(value: str, line: int) -> dict[int, Fraction]:
-    parser = syntax.Parser(value, line_offset=line - 1)
-
-    def entry() -> tuple[int, Fraction]:
-        parser.take("[")
-        atom = parser.integer()
-        parser.take(",")
-        if parser.peek() in "'\"":
-            quote = parser.text[parser.pos]
-            parser.pos += 1
-            weight = parser.rational()
-            parser.take(quote)
-        else:
-            weight = parser.rational()
-        parser.take("]")
-        return atom, weight
-
-    parser.take("[")
-    weights: dict[int, Fraction] = {}
-    if not parser.try_take("]"):
-        weights = dict(parser.items(entry))
-        parser.take("]")
-    parser.finish()
-    return weights
-
-
-def _parse_ec_list(value: str, line: int):
-    parser = syntax.Parser(value, line_offset=line - 1)
-    sequence = parser.ec_list()
-    parser.finish()
-    return sequence
-
-
-def parse_event_list(value: str, line: int) -> list[EventSet]:
-    parser = syntax.Parser(value, line_offset=line - 1)
-    cells = parser.bracket_list(parser.event)
-    parser.finish()
-    return cells
-
-
-def _parse_base(value: str, line: int) -> NeighborhoodBase:
-    value = value.strip()
-    if value == "counterexample":
-        return CounterexampleFamily()
-    parser = syntax.Parser(value, line_offset=line - 1)
-    name = parser.word()
-    if name != "from_seminorms":
-        raise ParseError(f"unknown base {name!r}", line, 1)
-    members = parser.bracket_list(parser.seminorm)
-    parser.finish()
-    return FromSeminorms(tuple(members))
-
-
 def _entries(text: str):
     """(line number, key, value) for each setting; comments and blank
     lines are skipped."""
@@ -144,37 +91,38 @@ def parse_config(text: str) -> RunConfig:
     explicit: dict[int, Fraction] = {}
     tail_coefficient: Optional[Fraction] = None
     for line_no, key, value in _entries(text):
+        def literal(method: str):  # the value as one literal of that kind
+            return syntax._parse_one(method, value, line_no - 1)
+
         try:
             if key == "seed":
                 config.seed = int(value)
             elif key == "samples":
                 config.samples = int(value)
             elif key == "space.explicit":
-                explicit = _parse_space_explicit(value, line_no)
+                explicit = literal("weights")
             elif key == "space.tail_coefficient":
                 tail_coefficient = Fraction(_strip_quotes(value))
             elif key == "base":
-                config.base = _parse_base(value, line_no)
+                config.base = literal("base")
             elif key == "seminorm":
-                config.seminorm = syntax.parse_seminorm(value, line_offset=line_no - 1)
+                config.seminorm = literal("seminorm")
             elif key == "set":
-                config.set_descriptor = syntax.parse_set(value, line_offset=line_no - 1)
+                config.set_descriptor = literal("set_descriptor")
             elif key == "seq.ec":
-                config.sequences.append(_parse_ec_list(value, line_no))
+                config.sequences.append(literal("ec_list"))
             elif key == "seq.diag":
                 from .concatenation import Diagonal
 
-                config.sequences.append(
-                    Diagonal(syntax.parse_ecrv(value, line_offset=line_no - 1))
-                )
+                config.sequences.append(Diagonal(literal("ecrv")))
             elif key == "part.finite":
-                config.prefix_cells = parse_event_list(value, line_no)
+                config.prefix_cells = literal("event_list")
             elif key == "part.singletons_from":
                 config.singletons_from = int(value)
             elif key == "epsilon":
-                config.epsilon = syntax.parse_ecrv(value, line_offset=line_no - 1)
+                config.epsilon = literal("ecrv")
             elif key == "delta":
-                config.delta = syntax.parse_ecrv(value, line_offset=line_no - 1)
+                config.delta = literal("ecrv")
             elif key == "expect":
                 if value not in ("pass", "fail"):
                     raise ConfigError(f"line {line_no}: expect must be pass or fail")

@@ -41,29 +41,25 @@ class EcRv:
     input to it; kernel results reduce with one gcd (see `_reduced`).
 
     `overrides` (a read-only mapping) and `tail` are `Fraction` views,
-    built on first use and cached, in the overrides' insertion order.
-    Immutable: assigning or deleting an attribute raises, so shared
-    constants such as `ONE` and the cached views and hash stay valid.
+    computed when read, in the overrides' insertion order.  Immutable:
+    assigning or deleting an attribute raises, so shared constants such
+    as `ONE` and the cached hash stay valid.
     """
 
-    # the cache slots (hash and views) stay unset until first use
-    __slots__ = ("_d", "_n", "_t", "_hash", "_overrides_view", "_tail_view")
+    # the hash slot stays unset until first use
+    __slots__ = ("_d", "_n", "_t", "_hash")
 
     def __init__(self, overrides: Mapping[int, Rational] | None = None, tail: Rational = 0):
         t = Fraction(tail)
-        kept: dict[int, Fraction] = {}
+        ratios = {}
         for j, v in (overrides or {}).items():
             _check_atom(j)
             v = Fraction(v)
-            if v != t:
-                kept[j] = v
-        # the lcm of reduced denominators leaves gcd 1 with the numerators
-        d = lcm(t.denominator, *(v.denominator for v in kept.values()))
-        _set_d(self, d)
-        _set_n(self, {j: v.numerator * (d // v.denominator) for j, v in kept.items()})
-        _set_t(self, t.numerator * (d // t.denominator))
-        _setattr(self, "_overrides_view", MappingProxyType(kept))
-        _setattr(self, "_tail_view", t)
+            ratios[j] = v.numerator, v.denominator
+        x = _from_ratios(ratios, (t.numerator, t.denominator))
+        _set_d(self, x._d)
+        _set_n(self, x._n)
+        _set_t(self, x._t)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EcRv is immutable; cannot set {name!r}")
@@ -76,22 +72,12 @@ class EcRv:
 
     @property
     def overrides(self) -> Mapping[int, Fraction]:
-        try:
-            return self._overrides_view
-        except AttributeError:
-            d = self._d
-            view = MappingProxyType({j: Fraction(v, d) for j, v in self._n.items()})
-            _setattr(self, "_overrides_view", view)
-            return view
+        d = self._d
+        return MappingProxyType({j: Fraction(v, d) for j, v in self._n.items()})
 
     @property
     def tail(self) -> Fraction:
-        try:
-            return self._tail_view
-        except AttributeError:
-            view = Fraction(self._t, self._d)
-            _setattr(self, "_tail_view", view)
-            return view
+        return Fraction(self._t, self._d)
 
     @classmethod
     def constant(cls, value: Rational) -> "EcRv":
@@ -102,8 +88,7 @@ class EcRv:
         return _make(value.denominator, {}, value.numerator)
 
     def value_at(self, j: int) -> Fraction:
-        over = self.overrides
-        return over[j] if j in over else self.tail
+        return Fraction(self._n.get(j, self._t), self._d)
 
     def values(self):
         """Every value taken somewhere: the tail plus the overrides."""

@@ -34,67 +34,47 @@ def require_samples(samples: int) -> None:
 
 
 # Every draw below reproduces a `random.Random` method on `getrandbits`:
-# `_randbelow(n)` draws n.bit_length() bits until the value is below n,
-# and `randint`, `sample` and `choice` are that loop plus an offset or an
-# index.  Values and the generator's state after each draw are the
-# method's own, without its layers of calls.
+# `_below` is `_randbelow`, and `randint`, `sample` and `choice` are it
+# plus an offset or an index.  Values and the generator's state after
+# each draw are the method's own, without its layers of calls.
 
 
-def _randint(rng: random.Random, a: int, b: int) -> int:
-    """`rng.randint(a, b)`, for the bounds that vary from draw to draw."""
-    n = b - a + 1
-    if n < 1:  # getrandbits could never draw below n
-        raise ValueError(f"empty range in randint({a}, {b})")
+def _below(rng: random.Random, n: int) -> int:
+    """`rng.randrange(n)`: n.bit_length() bits, drawn until below n."""
     k = n.bit_length()
     getrandbits = rng.getrandbits
     r = getrandbits(k)
     while r >= n:
         r = getrandbits(k)
-    return a + r
+    return r
 
 
-_SPAN = 2 * BOUND + 1  # the numerators -BOUND..BOUND
-_SPAN_BITS = _SPAN.bit_length()
-_BOUND_BITS = BOUND.bit_length()
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """`rng.randint(a, b)`, for the bounds that vary from draw to draw."""
+    if b < a:  # `_below(rng, 0)` would never return
+        raise ValueError(f"empty range in randint({a}, {b})")
+    return a + _below(rng, b - a + 1)
 
 
 def _ratio(rng: random.Random) -> tuple[int, int]:
     """`(randint(-BOUND, BOUND), randint(1, BOUND))`."""
-    getrandbits = rng.getrandbits
-    p = getrandbits(_SPAN_BITS)
-    while p >= _SPAN:
-        p = getrandbits(_SPAN_BITS)
-    q = getrandbits(_BOUND_BITS)
-    while q >= BOUND:
-        q = getrandbits(_BOUND_BITS)
-    return p - BOUND, q + 1
+    return _below(rng, 2 * BOUND + 1) - BOUND, _below(rng, BOUND) + 1
 
 
 def _positive_ratio(rng: random.Random) -> tuple[int, int]:
     """`(randint(1, BOUND), randint(1, BOUND))`."""
-    getrandbits = rng.getrandbits
-    p = getrandbits(_BOUND_BITS)
-    while p >= BOUND:
-        p = getrandbits(_BOUND_BITS)
-    q = getrandbits(_BOUND_BITS)
-    while q >= BOUND:
-        q = getrandbits(_BOUND_BITS)
-    return p + 1, q + 1
+    return _below(rng, BOUND) + 1, _below(rng, BOUND) + 1
 
 
 def _unit_ratio(rng: random.Random) -> tuple[int, int]:
     """A ratio p/q in [0, 1]: q = randint(1, BOUND), then p = randint(0, q)."""
-    d = _randint(rng, 1, BOUND)
-    return _randint(rng, 0, d), d
+    d = _below(rng, BOUND) + 1
+    return _below(rng, d + 1), d
 
 
 def _sign(rng: random.Random) -> int:
-    """`rng.choice((-1, 1))`: `_randbelow(2)` draws two bits at a time."""
-    getrandbits = rng.getrandbits
-    r = getrandbits(2)
-    while r >= 2:
-        r = getrandbits(2)
-    return 2 * r - 1
+    """`rng.choice((-1, 1))`."""
+    return 2 * _below(rng, 2) - 1
 
 
 def random_positive_fraction(rng: random.Random) -> Fraction:
@@ -108,15 +88,11 @@ def _random_atoms(rng: random.Random) -> list[int]:
     of the atoms not yet picked and moves the pool's last atom into the
     vacancy; this is that loop.
     """
-    count = _randint(rng, 0, MAX_OVERRIDES)
-    getrandbits = rng.getrandbits
+    count = _below(rng, MAX_OVERRIDES + 1)
     pool = list(range(1, ATOM_SPAN + 1))
     picked = []
     for n in range(ATOM_SPAN, ATOM_SPAN - count, -1):
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
-            j = getrandbits(k)
+        j = _below(rng, n)
         picked.append(pool[j])
         pool[j] = pool[n - 1]
     return picked

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Optional, Union
 
 from ._record import field, record
@@ -383,24 +383,26 @@ class RoundtripReport:
 def roundtrip_check(target, samples: int, seed: int) -> RoundtripReport:
     """Check that gauges and membership determine each other.
 
-    For a seminorm p: the gauge of the unit ball of p reproduces p
-    exactly.  For a ball U: membership agrees with gauge <= 1
-    everywhere, and gauge < 1 at every atom forces membership.
+    For a ball of seminorms (a seminorm p stands for its unit ball): the
+    gauge closed form equals the family's own evaluation, the max of
+    ||x||_p over the radius, so a wrong `Ball.coefficient` is caught.
+    For every set: membership agrees with gauge <= 1 everywhere, and
+    gauge < 1 at every atom forces membership.
     """
     sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
     report = RoundtripReport(samples=samples)
     if isinstance(target, (Ball, MPlusBall, Scale, Translate, Intersect)):
-        seminorm = None
         ball = target
     else:
-        seminorm = target
-        ball = Ball((seminorm,), ONE)
+        ball = Ball((target,), ONE)
     for i in range(samples):
         # alternate free points with members so the boundary gets exercised
         x = sample_member(ball, rng) if i % 2 else sampling.random_ecrv(rng)
         g = gauge_closed_form(ball, x)
-        if seminorm is not None and g != evaluate(seminorm, x):
+        if isinstance(ball, Ball) and g != divide(
+            reduce(emax, (evaluate(p, x) for p in ball.seminorms)), ball.radius
+        ):
             report.gauge_mismatches += 1
             report.witnesses.append(("gauge", x))
         member = contains(ball, x)

@@ -11,6 +11,8 @@ Grammar (whitespace-insensitive):
     sequence   ec[{|3}, {|5} | {|0}]   diag({|2})
     partition  finite[{1}, ~{1}]   singletons_from(3)
                singletons_from(3; {1}, {2})
+    base       counterexample   from_seminorms[s1, s2]
+    weights    [[1, "1/2"], [2, 1/4]]                 (explicit atom masses)
 
 Parsing is exact: every number becomes a Fraction, and parse errors
 carry a line and column.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase
 from ._common import ParseError  # re-exported
 from . import l0
 from .measure import EventSet, FinitePartition, SingletonTail
@@ -217,6 +220,39 @@ class Parser:
             self.take(")")
             return self._validated(SingletonTail, tuple(cells), start)
         raise self.error(f"unknown partition {name!r}")
+
+    def base(self) -> NeighborhoodBase:
+        name = self.word()
+        if name == "counterexample" and self.at_end():
+            return CounterexampleFamily()
+        if name != "from_seminorms":
+            raise ParseError(f"unknown base {name!r}", self.line_offset + 1, 1)
+        return FromSeminorms(tuple(self.bracket_list(self.seminorm)))
+
+    def weights(self) -> dict[int, Fraction]:
+        """`[[atom, weight], ...]`, possibly empty; a weight may be quoted."""
+        self.take("[")
+        if self.try_take("]"):
+            return {}
+        weights = dict(self.items(self._weight))
+        self.take("]")
+        return weights
+
+    def _weight(self) -> tuple[int, Fraction]:
+        self.take("[")
+        atom = self.integer()
+        self.take(",")
+        quote = self.peek()
+        if quote not in ("'", '"'):
+            quote = ""  # unquoted: take("") matches at once
+        self.take(quote)
+        weight = self.rational()
+        self.take(quote)
+        self.take("]")
+        return atom, weight
+
+    def event_list(self) -> list[EventSet]:
+        return self.bracket_list(self.event)
 
     def items(self, item) -> list:
         """One or more `item()`s separated by commas."""

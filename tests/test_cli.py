@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from l0convex import _cli_eval, cli
+from l0convex import _cli_eval, cli, sets
 from l0convex.cli import main
 from l0convex.config import parse_config
 from l0convex.topology import seminorm_induction_verdict
@@ -212,6 +213,49 @@ class TestVerify:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestWrongBallCoefficient:
+    """A `Ball.coefficient` off by a factor fails the roundtrip: its gauge
+    no longer equals the family's own evaluation over the radius."""
+
+    FACTORS = [Fraction(2), Fraction(1, 3)]
+
+    @pytest.fixture
+    def reads(self, monkeypatch, request):
+        counted = []
+        right = sets.Ball.coefficient.func
+
+        def wrong(ball):
+            counted.append(ball)
+            return right(ball) * request.param
+
+        monkeypatch.setattr(sets.Ball, "coefficient", property(wrong))
+        return counted
+
+    @pytest.mark.parametrize("reads", FACTORS, indirect=True, ids=["2x", "1/3x"])
+    def test_verify_on_a_seminorm_base_fails(self, capsys, tmp_path, reads):
+        config = tmp_path / "run.cfg"
+        config.write_text("base = from_seminorms[weighted({|1}), localized({2})]\n")
+        code, out, _ = run(
+            capsys, "verify-counterexample", "--seed", "1", "--samples", "30",
+            "--config", str(config),
+        )
+        assert reads  # the wrong coefficient was the one read
+        doc = json.loads(out)
+        steps = {step["name"]: step["pass"] for step in doc["steps"]}
+        assert steps["gauge_membership_roundtrip"] is False
+        assert (code, doc["pass"]) == (1, False)
+
+    @pytest.mark.parametrize("reads", FACTORS, indirect=True, ids=["2x", "1/3x"])
+    def test_check_roundtrip_on_a_ball_exits_1(self, capsys, tmp_path, reads):
+        config = tmp_path / "run.cfg"
+        config.write_text("set = ball(weighted({|1}), localized({2}); {|1})\n")
+        code, out, _ = run(
+            capsys, "check", "roundtrip", "--samples", "30", "--config", str(config)
+        )
+        assert reads
+        assert (code, json.loads(out)["pass"]) == (1, False)
 
 
 class TestSinglePipeline:
@@ -643,6 +687,55 @@ class TestErrorMapping:
         code, out, _ = run(capsys, "eval", "prob {1}", "--config", str(config))
         assert code == 0
         assert out.strip() == "1/2"
+
+
+class TestLiteralErrors:
+    """Each malformed `base`, `space.explicit` and `--cells` value gives
+    exactly this error line and exit code 2, located on the config line
+    (the second here, after a comment) and the value's column."""
+
+    @pytest.mark.parametrize(
+        "argv, key, value, line",
+        [
+            (("verify-counterexample",), "base", "from_seminorm[zero]",
+             "unknown base 'from_seminorm' (line 2, column 1)"),
+            (("verify-counterexample",), "base", "from_seminorms[]",
+             "expected a name (line 2, column 16)"),
+            (("verify-counterexample",), "base", "counterexample 1",
+             "unknown base 'counterexample' (line 2, column 1)"),
+            (("eval", "prob {1}"), "space.explicit", '[[1 "1/2"]]',
+             "expected ',' (line 2, column 5)"),
+            (("eval", "prob {1}"), "space.explicit", "[[1, '1/2\"]]",
+             "expected \"'\" (line 2, column 10)"),
+            (("eval", "prob {1}"), "space.explicit", "[[0, 1/2]]",
+             "space: explicit weights must cover atoms 1..N contiguously"),
+            (("eval", "prob {1}"), "space.explicit", "[[1, 1/2]",
+             "expected ']' (line 2, column 10)"),
+        ],
+        ids=[
+            "base-name", "base-empty-family", "base-trailing-input", "space-comma",
+            "space-quotes", "space-gap", "space-unclosed",
+        ],
+    )
+    def test_config_value(self, capsys, tmp_path, argv, key, value, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# malformed\n{key} = {value}\n")
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("value, column", [("[[1,", 5), ('[[1, "', 7)])
+    def test_weight_cut_short_is_a_usage_error(self, capsys, tmp_path, value, column):
+        """A value that ends where a weight or its opening quote should be
+        is bad input, never an internal error."""
+        config = tmp_path / "run.cfg"
+        config.write_text(f"space.explicit = {value}\n")
+        code, out, err = run(capsys, "eval", "prob {1}", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"error: expected an integer (line 1, column {column})\n"
+
+    def test_cells_flag(self, capsys):
+        code, out, err = run(capsys, "partition", "--from", "3", "--cells", "[{1},]")
+        assert (code, out, err) == (2, "", "error: expected '{' (line 1, column 6)\n")
 
 
 class TestReportHeader:

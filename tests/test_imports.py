@@ -1,5 +1,6 @@
 """The package loads a module only when a command reaches code that uses it."""
 
+import ast
 import json
 import os
 import subprocess
@@ -179,6 +180,31 @@ INDUCED = (
     {"syntax", "l0", "seminorms", "sets", "sampling", "topology"},
 )
 
+# The most syntax-tree nodes the package modules a row runs (CLI_IMPORT,
+# the row's own set and `__init__`) may hold: what each command compiles
+# at start-up, counted the same on every supported Python.  A bound only
+# falls; lower it when a change removes code from a row's modules.
+COMPILE_BUDGET = {
+    "verify-counterexample": 14577,
+    "check axioms": 12182,
+    "check roundtrip": 14528,
+    "check cc": 14873,
+    "check base": 13811,
+    "eval prob": 7768,
+    "eval gauge": 13414,
+    "eval contains": 13414,
+    "eval seminorm": 11068,
+    "eval glue": 14671,
+    "partition": 7882,
+    "partition SPEC": 7882,
+    "verify-counterexample on a seminorm base": 15875,
+}
+
+
+def tree_nodes(module: str) -> int:
+    path = Path(l0convex.__file__).with_name(f"{module}.py")
+    return sum(1 for _ in ast.walk(ast.parse(path.read_text())))
+
 
 def argv_with_config(tmp_path, argv, config):
     if config is None:
@@ -202,6 +228,12 @@ class TestImportBudget:
         code, loaded = loaded_after(CLI, *argv_with_config(tmp_path, argv, config), cwd=tmp_path)
         assert code == 0
         assert loaded == CLI_IMPORT | runs
+
+    @pytest.mark.parametrize("row", [*COMMANDS, "verify-counterexample on a seminorm base"])
+    def test_a_command_compiles_within_its_budget(self, row):
+        runs = COMMANDS[row][2] if row in COMMANDS else INDUCED[2]
+        compiled = sum(tree_nodes(m) for m in CLI_IMPORT | runs | {"__init__"})
+        assert compiled <= COMPILE_BUDGET[row]
 
     @pytest.mark.parametrize(
         "row", ["verify-counterexample", "eval glue", "check cc", "partition"]

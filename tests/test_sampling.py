@@ -12,7 +12,7 @@ from l0convex._common import UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
-from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _randint
+from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below, _randint
 from l0convex.seminorms import Localized, Weighted
 from l0convex.sets import (
     Ball,
@@ -24,6 +24,16 @@ from l0convex.sets import (
     gauge_closed_form,
     sample_member,
 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, BOUND, 2 * BOUND + 1])
+def test_below_matches_randrange_and_leaves_the_same_state(n):
+    """`_below` is the one rejection loop every draw is built on."""
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _below(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
 
 # every bound pair a sampler draws from; (0, d) for the unit ratio's d
 BOUNDS = [(-BOUND, BOUND), (1, BOUND), (0, MAX_OVERRIDES), (1, 3), (0, 0), (5, 6)]
