@@ -23,7 +23,7 @@ from typing import NoReturn
 
 from . import l0, sets, syntax, topology
 from ._common import ParseError, UnsupportedShape, UsageError
-from .config import ConfigError, RunConfig, config_keys, parse_config
+from .config import ConfigError, RunConfig, parse_config
 
 # The package binds the evidence modules and `syntax` lazily, so a one-shot
 # command runs only the ones its branch calls into, and `syntax` only when
@@ -93,7 +93,7 @@ def _load_config(args) -> tuple[RunConfig, dict]:
     if args.config:
         with open(args.config) as handle:
             text = handle.read()
-    config = parse_config(text)
+    config, keys = parse_config(text)
     run = args.command
     if run == "check":
         run += f" {args.target}"
@@ -103,7 +103,7 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         run += " SPEC"  # the literal gives the whole partition
     reads = [name.lstrip("-") for name in _READS.get(run, "").split()]
     given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
-    for name in given + config_keys(text):
+    for name in [*given, *keys]:
         if name.lstrip("-") not in reads:
             shown = name if name[:2] == "--" else repr(name)
             listing = f"only {', '.join(reads)}" if reads else "no flag or config key"

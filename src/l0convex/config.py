@@ -12,13 +12,15 @@ Example:
     part.singletons_from = 1
     expect = fail
 
-Unknown keys are rejected with the offending line number; every value
-parses through the exact literal grammar.
+Unknown keys and a key set twice are rejected with the offending line
+number; only `seq.ec` and `seq.diag` may repeat, each line adding one
+sequence.  Every value parses through the exact literal grammar of
+`syntax`: integers for `seed`, `samples` and `part.singletons_from`,
+a rational `p/q`, bare or quoted, for `space.tail_coefficient`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from . import syntax
@@ -61,16 +63,33 @@ class RunConfig:
         return None
 
 
-def _strip_quotes(value: str) -> str:
-    value = value.strip()
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-        return value[1:-1]
-    return value
+# Each key: the `RunConfig` field it sets and the `syntax.Parser` method
+# that reads its value.  A key is set once, but the `sequences` keys add
+# one sequence per line; the two `space` keys together build the space.
+_KEYS = {
+    "seed": ("seed", "integer"),
+    "samples": ("samples", "integer"),
+    "space.explicit": ("space", "weights"),
+    "space.tail_coefficient": ("space", "quoted_rational"),
+    "base": ("base", "base"),
+    "seminorm": ("seminorm", "seminorm"),
+    "set": ("set_descriptor", "set_descriptor"),
+    "seq.ec": ("sequences", "ec_list"),
+    "seq.diag": ("sequences", "ecrv"),
+    "part.finite": ("prefix_cells", "event_list"),
+    "part.singletons_from": ("singletons_from", "integer"),
+    "epsilon": ("epsilon", "ecrv"),
+    "delta": ("delta", "ecrv"),
+    "expect": ("expect", "word"),
+}
 
 
-def _entries(text: str):
-    """(line number, key, value) for each setting; comments and blank
-    lines are skipped."""
+def parse_config(text: str) -> tuple[RunConfig, dict[str, int]]:
+    """The config `text` sets, and each key it sets with the line that
+    first set it, in order.  Comments and blank lines are skipped."""
+    config = RunConfig()
+    lines: dict[str, int] = {}
+    space = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -78,69 +97,34 @@ def _entries(text: str):
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        yield line_no, key, value
-
-
-def config_keys(text: str) -> list[str]:
-    """The keys a config text sets, in order."""
-    return [key for _, key, _ in _entries(text)]
-
-
-def parse_config(text: str) -> RunConfig:
-    config = RunConfig()
-    explicit: dict[int, Fraction] = {}
-    tail_coefficient: Optional[Fraction] = None
-    for line_no, key, value in _entries(text):
-        def literal(method: str):  # the value as one literal of that kind
-            return syntax._parse_one(method, value, line_no - 1)
-
+        if key not in _KEYS:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        attr, method = _KEYS[key]
+        if key in lines and attr != "sequences":
+            raise ConfigError(f"line {line_no}: {key!r} is already set on line {lines[key]}")
+        lines.setdefault(key, line_no)
+        if key == "expect" and value not in ("pass", "fail"):
+            raise ConfigError(f"line {line_no}: expect must be pass or fail")
         try:
-            if key == "seed":
-                config.seed = int(value)
-            elif key == "samples":
-                config.samples = int(value)
-            elif key == "space.explicit":
-                explicit = literal("weights")
-            elif key == "space.tail_coefficient":
-                tail_coefficient = Fraction(_strip_quotes(value))
-            elif key == "base":
-                config.base = literal("base")
-            elif key == "seminorm":
-                config.seminorm = literal("seminorm")
-            elif key == "set":
-                config.set_descriptor = literal("set_descriptor")
-            elif key == "seq.ec":
-                config.sequences.append(literal("ec_list"))
-            elif key == "seq.diag":
-                from .concatenation import Diagonal
-
-                config.sequences.append(Diagonal(literal("ecrv")))
-            elif key == "part.finite":
-                config.prefix_cells = literal("event_list")
-            elif key == "part.singletons_from":
-                config.singletons_from = int(value)
-            elif key == "epsilon":
-                config.epsilon = literal("ecrv")
-            elif key == "delta":
-                config.delta = literal("ecrv")
-            elif key == "expect":
-                if value not in ("pass", "fail"):
-                    raise ConfigError(f"line {line_no}: expect must be pass or fail")
-                config.expect = value
-            else:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            value = syntax._parse_one(method, value, line_no - 1)
         except ParseError as exc:
             raise ConfigError(str(exc)) from None
-        except (ValueError, ZeroDivisionError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"line {line_no}: {exc}") from None
+        if key == "seq.diag":
+            from .concatenation import Diagonal
 
-    if explicit or tail_coefficient is not None:
+            value = Diagonal(value)
+        if attr == "sequences":
+            config.sequences.append(value)
+        elif attr == "space":
+            space[key] = value
+        else:
+            setattr(config, attr, value)
+
+    if space:
         try:
             config.space = DiscreteSpace(
-                explicit, tail_coefficient if tail_coefficient is not None else 1
+                space.get("space.explicit", {}), space.get("space.tail_coefficient", 1)
             )
         except ValueError as exc:
             raise ConfigError(f"space: {exc}") from None
-    return config
+    return config, lines

@@ -1,4 +1,4 @@
-"""Seeded random generators for the checker machinery and the test suite.
+"""Seeded random generators for the checker machinery.
 
 Defaults follow the reproducibility contract: at most 8 overrides on
 atoms 1..16, numerators and denominators bounded by 2**16, and every
@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from . import l0
 from ._common import UsageError
-from .measure import EventSet
 
 MAX_OVERRIDES = 8
 ATOM_SPAN = 16
@@ -47,13 +46,6 @@ def _below(rng: random.Random, n: int) -> int:
     while r >= n:
         r = getrandbits(k)
     return r
-
-
-def _randint(rng: random.Random, a: int, b: int) -> int:
-    """`rng.randint(a, b)`, for the bounds that vary from draw to draw."""
-    if b < a:  # `_below(rng, 0)` would never return
-        raise ValueError(f"empty range in randint({a}, {b})")
-    return a + _below(rng, b - a + 1)
 
 
 def _ratio(rng: random.Random) -> tuple[int, int]:
@@ -107,15 +99,6 @@ def random_ecrv(rng: random.Random, draw=_ratio):
     return l0._from_ratios({j: draw(rng) for j in _random_atoms(rng)}, draw(rng))
 
 
-def _nonnegative_ratio(rng: random.Random) -> tuple[int, int]:
-    p, q = _ratio(rng)
-    return abs(p), q
-
-
-def random_nonnegative_ecrv(rng: random.Random):
-    return random_ecrv(rng, draw=_nonnegative_ratio)
-
-
 def random_positive_ecrv(rng: random.Random):
     """An element of the strictly positive cone, e.g. a radius."""
     return random_ecrv(rng, draw=_positive_ratio)
@@ -147,22 +130,3 @@ def random_nonzero_tail_ecrv(rng: random.Random):
     while tail[0] == 0:
         tail = _ratio(rng)
     return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
-
-
-def random_event(rng: random.Random) -> EventSet:
-    return EventSet(_random_atoms(rng), cofinite=rng.random() < 0.5)
-
-
-def random_seminorm(rng: random.Random, depth: int = 1):
-    from . import seminorms
-
-    kinds = ["weighted", "localized"] + (["sup"] if depth > 0 else [])
-    kind = rng.choice(kinds)
-    if kind == "weighted":
-        return seminorms.Weighted(random_nonnegative_ecrv(rng))
-    if kind == "localized":
-        return seminorms.Localized(random_event(rng))
-    members = tuple(
-        random_seminorm(rng, depth - 1) for _ in range(_randint(rng, 1, 3))
-    )
-    return seminorms.FiniteSup(members)

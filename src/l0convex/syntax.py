@@ -92,7 +92,7 @@ class Parser:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        return self._validated(int, self.text[start : self.pos])  # int() caps its digits
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -120,7 +120,7 @@ class Parser:
         else:
             raise self.error("expected ':' or '|' in element literal")
         while self.try_take(","):
-            atom = self._atom(self.rational())
+            atom = self._once(self._atom(self.rational()), overrides)
             self.take(":")
             overrides[atom] = self.rational()
         self.take("|")
@@ -132,6 +132,12 @@ class Parser:
         if value.denominator != 1 or value < 1:
             raise self.error(f"atom index must be a positive integer, got {value}")
         return int(value)
+
+    def _once(self, atom: int, given: dict) -> int:
+        """`atom`, just read, unless `given` already holds a value there."""
+        if atom in given:
+            raise self.error(f"atom {atom} is given twice")
+        return atom
 
     def event(self) -> EventSet:
         cofinite = self.try_take("~")
@@ -230,26 +236,30 @@ class Parser:
         return FromSeminorms(tuple(self.bracket_list(self.seminorm)))
 
     def weights(self) -> dict[int, Fraction]:
-        """`[[atom, weight], ...]`, possibly empty; a weight may be quoted."""
+        """`[[atom, weight], ...]`, possibly empty, each atom once."""
+        weights: dict[int, Fraction] = {}
         self.take("[")
-        if self.try_take("]"):
-            return {}
-        weights = dict(self.items(self._weight))
-        self.take("]")
+        if not self.try_take("]"):
+            self.items(lambda: self._weight(weights))
+            self.take("]")
         return weights
 
-    def _weight(self) -> tuple[int, Fraction]:
+    def _weight(self, weights: dict[int, Fraction]):
         self.take("[")
-        atom = self.integer()
+        atom = self._once(self.integer(), weights)
         self.take(",")
+        weights[atom] = self.quoted_rational()
+        self.take("]")
+
+    def quoted_rational(self) -> Fraction:
+        """A rational, bare or in a pair of matching quotes."""
         quote = self.peek()
         if quote not in ("'", '"'):
             quote = ""  # unquoted: take("") matches at once
         self.take(quote)
-        weight = self.rational()
+        value = self.rational()
         self.take(quote)
-        self.take("]")
-        return atom, weight
+        return value
 
     def event_list(self) -> list[EventSet]:
         return self.bracket_list(self.event)

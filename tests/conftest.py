@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from l0convex import EcRv, EventSet, sampling
+from l0convex import EcRv, EventSet, sampling, seminorms
+from l0convex.sampling import _below, _random_atoms, _ratio, random_ecrv
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 atoms = st.integers(min_value=1, max_value=16)
@@ -47,3 +49,40 @@ def blind_weight(rng):
     w = abs(sampling.random_ecrv(rng))
     zeros = dict.fromkeys(rng.sample(range(1, 8), rng.randint(0, 3)), 0)
     return EcRv({**w.overrides, **zeros}, w.tail if rng.random() < 0.7 else 0)
+
+
+# The samplers only the tests draw from, on the package's own draws, so
+# every seeded test keeps the stream it had when they lived in `sampling`.
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """`rng.randint(a, b)`, for the bounds that vary from draw to draw."""
+    if b < a:  # `_below(rng, 0)` would never return
+        raise ValueError(f"empty range in randint({a}, {b})")
+    return a + _below(rng, b - a + 1)
+
+
+def _nonnegative_ratio(rng: random.Random) -> tuple[int, int]:
+    p, q = _ratio(rng)
+    return abs(p), q
+
+
+def random_nonnegative_ecrv(rng: random.Random):
+    return random_ecrv(rng, draw=_nonnegative_ratio)
+
+
+def random_event(rng: random.Random) -> EventSet:
+    return EventSet(_random_atoms(rng), cofinite=rng.random() < 0.5)
+
+
+def random_seminorm(rng: random.Random, depth: int = 1):
+    kinds = ["weighted", "localized"] + (["sup"] if depth > 0 else [])
+    kind = rng.choice(kinds)
+    if kind == "weighted":
+        return seminorms.Weighted(random_nonnegative_ecrv(rng))
+    if kind == "localized":
+        return seminorms.Localized(random_event(rng))
+    members = tuple(
+        random_seminorm(rng, depth - 1) for _ in range(_randint(rng, 1, 3))
+    )
+    return seminorms.FiniteSup(members)

@@ -43,6 +43,8 @@ from l0convex import (
 from l0convex import sampling
 from l0convex.cli import main
 
+from conftest import random_seminorm
+
 TOL = Fraction(1, 2**20)
 PROBES = tuple(range(1, 33))
 
@@ -75,7 +77,7 @@ def test_criterion_2_gauge_roundtrips():
     ok = True
     strict_cases = 0
     for _ in range(500):
-        p = sampling.random_seminorm(rng)
+        p = random_seminorm(rng)
         x = sampling.random_ecrv(rng)
         # the gauge of the unit ball of p reproduces p exactly
         unit = Ball((p,), ONE)
@@ -149,7 +151,7 @@ def test_criterion_6_forward_gluing():
     ok = True
     for _ in range(100):
         ball = Ball(
-            (sampling.random_seminorm(rng),), sampling.random_positive_ecrv(rng)
+            (random_seminorm(rng),), sampling.random_positive_ecrv(rng)
         )
         part = _random_finite_partition(rng)
         members = [sample_member(ball, rng) for _ in range(part.cell_count)]
@@ -214,7 +216,7 @@ def test_criterion_10_epslambda_agreement():
     rng = sampling.make_rng(111)
     ok = True
     for _ in range(500):
-        family = tuple(sampling.random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+        family = tuple(random_seminorm(rng) for _ in range(rng.randint(1, 3)))
         x = sampling.random_ecrv(rng)
         eps = sampling.random_positive_fraction(rng)
         lam = Fraction(rng.randint(1, 63), 64)

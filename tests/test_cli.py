@@ -12,7 +12,7 @@ import pytest
 
 from l0convex import _cli_eval, cli, sets
 from l0convex.cli import main
-from l0convex.config import parse_config
+from l0convex.config import _KEYS, parse_config
 from l0convex.topology import seminorm_induction_verdict
 
 
@@ -298,7 +298,7 @@ class TestSinglePipeline:
         assert len(cli_names) == len(set(cli_names))
         assert cli_names == names
 
-        parsed = parse_config(config.read_text())
+        parsed, _ = parse_config(config.read_text())
         verdict = seminorm_induction_verdict(
             parsed.base,
             seed=parsed.seed,
@@ -690,9 +690,10 @@ class TestErrorMapping:
 
 
 class TestLiteralErrors:
-    """Each malformed `base`, `space.explicit` and `--cells` value gives
-    exactly this error line and exit code 2, located on the config line
-    (the second here, after a comment) and the value's column."""
+    """Each malformed config value (an integer, a rational, an element,
+    `base`, `space.explicit`) and `--cells` value gives exactly this error
+    line and exit code 2, located on the config line (the second here,
+    after a comment) and the value's column."""
 
     @pytest.mark.parametrize(
         "argv, key, value, line",
@@ -711,10 +712,27 @@ class TestLiteralErrors:
              "space: explicit weights must cover atoms 1..N contiguously"),
             (("eval", "prob {1}"), "space.explicit", "[[1, 1/2]",
              "expected ']' (line 2, column 10)"),
+            (("eval", "prob {1}"), "space.explicit", '[[1, "1/4"], [1, "1/2"]]',
+             "atom 1 is given twice (line 2, column 16)"),
+            (("verify-counterexample",), "epsilon", "{1:2, 1:3 | 0}",
+             "atom 1 is given twice (line 2, column 8)"),
+            (("verify-counterexample",), "seed", "1_0",
+             "unexpected trailing input (line 2, column 2)"),
+            (("verify-counterexample",), "samples", "+5", "expected an integer (line 2, column 1)"),
+            (("check", "cc"), "part.singletons_from", "1.0",
+             "unexpected trailing input (line 2, column 2)"),
+            (("eval", "prob {1}"), "space.tail_coefficient", "1e-3",
+             "unexpected trailing input (line 2, column 2)"),
+            (("eval", "prob {1}"), "space.tail_coefficient", "'1/2\"",
+             "expected \"'\" (line 2, column 5)"),
+            (("eval", "prob {1}"), "space.tail_coefficient", "1/0",
+             "zero denominator (line 2, column 4)"),
         ],
         ids=[
             "base-name", "base-empty-family", "base-trailing-input", "space-comma",
-            "space-quotes", "space-gap", "space-unclosed",
+            "space-quotes", "space-gap", "space-unclosed", "space-atom-twice",
+            "element-atom-twice", "integer-underscore", "integer-plus", "integer-decimal",
+            "tail-exponent", "tail-quotes", "tail-zero-denominator",
         ],
     )
     def test_config_value(self, capsys, tmp_path, argv, key, value, line):
@@ -736,6 +754,85 @@ class TestLiteralErrors:
     def test_cells_flag(self, capsys):
         code, out, err = run(capsys, "partition", "--from", "3", "--cells", "[{1},]")
         assert (code, out, err) == (2, "", "error: expected '{' (line 1, column 6)\n")
+
+    def test_element_atom_twice_in_an_expression(self, capsys):
+        """The weight 5 at atom 1 would otherwise be dropped, and the
+        point {1:1 | 1} found inside the ball."""
+        code, out, err = run(
+            capsys, "eval", "contains ball(weighted({1:5, 1:1 | 1}); {|1}) {1:1 | 1}"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: atom 1 is given twice (line 1, column 31)\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() caps digits from 3.11 on"
+    )
+    def test_integer_past_the_digit_cap_is_a_usage_error(self, capsys):
+        digits = sys.get_int_max_str_digits() + 1
+        code, out, err = run(capsys, "eval", "prob {" + "1" * digits + "}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
+        assert err.endswith(f"(line 1, column {digits + 7})\n")
+
+    @pytest.mark.parametrize("value", ["4/3", "'4/3'", '"4/3"'])
+    def test_tail_coefficient_quoted_or_not(self, capsys, tmp_path, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f'space.explicit = [[1, "1/3"]]\nspace.tail_coefficient = {value}\n')
+        code, out, _ = run(capsys, "eval", "prob {1}", "--config", str(config))
+        assert (code, out) == (0, "1/3\n")
+
+
+# one well-formed value per config key
+KEY_VALUES = {
+    "seed": "1",
+    "samples": "5",
+    "space.explicit": '[[1, "1/2"]]',
+    "space.tail_coefficient": "1",
+    "base": "counterexample",
+    "seminorm": "zero",
+    "set": "m_plus_ball({|1})",
+    "seq.ec": "[| {|1}]",
+    "seq.diag": "{|2}",
+    "part.finite": "[{1}, ~{1}]",
+    "part.singletons_from": "1",
+    "epsilon": "{|1}",
+    "delta": "{|1/2}",
+    "expect": "fail",
+}
+APPENDED = [key for key, (attr, _) in _KEYS.items() if attr == "sequences"]
+
+
+class TestRepeatedKeys:
+    """A config key set twice exits 2 naming both lines, whatever the
+    command reads; each line of a sequence key adds one sequence."""
+
+    def test_sequence_keys_are_the_appended_ones(self):
+        assert APPENDED == ["seq.ec", "seq.diag"]
+
+    @pytest.mark.parametrize("key", [k for k in _KEYS if k not in APPENDED])
+    def test_key_set_twice_exits_2(self, capsys, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {KEY_VALUES[key]}\n# again\n{key} = {KEY_VALUES[key]}\n")
+        code, out, err = run(capsys, "verify-counterexample", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 3: {key!r} is already set on line 1\n"
+
+    @pytest.mark.parametrize("key", APPENDED)
+    def test_sequence_key_appends(self, key):
+        parsed, keys = parse_config(f"{key} = {KEY_VALUES[key]}\n{key} = {KEY_VALUES[key]}\n")
+        assert len(parsed.sequences) == 2
+        assert keys == {key: 1}
+
+    def test_check_cc_reads_two_diagonals(self, capsys, tmp_path):
+        path = tmp_path / "cc.cfg"
+        path.write_text(
+            "set = m_plus_ball({|1})\nseq.diag = {|2}\nseq.diag = {|3}\n"
+            "part.singletons_from = 1\nexpect = fail\n"
+        )
+        code, out, _ = run(capsys, "check", "cc", "--config", str(path))
+        assert code == 0
+        (step,) = json.loads(out)["steps"]
+        assert [e["sequence"] for e in step["inputs"]["entries"]] == ["diag({|2})", "diag({|3})"]
 
 
 class TestReportHeader:

@@ -12,7 +12,7 @@ from l0convex._common import UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
-from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below, _randint
+from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below
 from l0convex.seminorms import Localized, Weighted
 from l0convex.sets import (
     Ball,
@@ -24,6 +24,8 @@ from l0convex.sets import (
     gauge_closed_form,
     sample_member,
 )
+
+from conftest import _randint, random_seminorm
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, BOUND, 2 * BOUND + 1])
@@ -134,7 +136,7 @@ def test_random_ecrv_matches_the_reference():
 
 def _sets(rng):
     radius = sampling.random_positive_ecrv(rng)
-    ball = Ball((sampling.random_seminorm(rng), Weighted(ONE)), radius)
+    ball = Ball((random_seminorm(rng), Weighted(ONE)), radius)
     m_plus = MPlusBall(radius)
     factor = sampling.random_positive_ecrv(rng)
     return {

@@ -33,14 +33,14 @@ from l0convex import sampling
 from l0convex.concatenation import _late_pieces_in_set
 from l0convex.config import parse_config
 
-from conftest import ecrvs, events
+from conftest import ecrvs, events, random_seminorm
 
 UNIT = Weighted(ONE)
 
 # the family of tests/golden/induced.cfg: every seminorm shape, a sup nested in it
 INDUCED_FAMILY = parse_config(
     (Path(__file__).parent / "golden" / "induced.cfg").read_text()
-).base.family
+)[0].base.family
 
 
 def reference_evaluate(s, x):
@@ -70,7 +70,7 @@ def random_balls(seed, count):
     balls = [Ball(INDUCED_FAMILY, sampling.random_positive_ecrv(rng))]
     for _ in range(count - 1):
         family = tuple(
-            Zero() if rng.random() < 0.1 else sampling.random_seminorm(rng, depth=2)
+            Zero() if rng.random() < 0.1 else random_seminorm(rng, depth=2)
             for _ in range(rng.randint(1, 3))
         )
         balls.append(Ball(family, sampling.random_positive_ecrv(rng)))
@@ -112,7 +112,7 @@ class TestCoefficientKernel:
     def test_evaluate_matches_reference(self):
         rng = sampling.make_rng(11)
         seminorms = [Zero(), *INDUCED_FAMILY, FiniteSup(INDUCED_FAMILY)]
-        seminorms += [sampling.random_seminorm(rng, depth=2) for _ in range(60)]
+        seminorms += [random_seminorm(rng, depth=2) for _ in range(60)]
         assert {type(s) for s in seminorms} == {Zero, Weighted, Localized, FiniteSup}
         for s in seminorms:
             for _ in range(5):

@@ -39,7 +39,7 @@ from l0convex import (
 from l0convex import sampling
 from l0convex.sets import _certificate_witness, core_point, excluding_radius
 
-from conftest import blind_weight, ecrvs, positive_ecrvs
+from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
 
 UNIT_BALL = Ball((Weighted(ONE),), ONE)
 TOL = Fraction(1, 2**20)
@@ -132,7 +132,7 @@ class TestContains:
         rng = sampling.make_rng(43)
         outcomes = set()
         for _ in range(300):
-            family = tuple(sampling.random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+            family = tuple(random_seminorm(rng) for _ in range(rng.randint(1, 3)))
             ball = Ball(family, sampling.random_positive_ecrv(rng))
             assert ball.coefficient == sup_evaluate(family, ONE)
             assert ball.coefficient is ball.coefficient

@@ -133,7 +133,7 @@ class TestDescriptors:
 
 class TestConfig:
     def test_defaults(self):
-        config = parse_config("")
+        config, _ = parse_config("")
         assert config.seed == 42
         assert config.samples == 200
         assert not hasattr(config, "horizon") and not hasattr(config, "tolerance")
@@ -155,7 +155,8 @@ class TestConfig:
         delta = {1:4 | 1}
         expect = fail
         """
-        config = parse_config(text)
+        config, keys = parse_config(text)
+        assert (keys["seed"], keys["expect"], len(keys)) == (3, 15, 13)  # line 1 is blank
         assert config.seed == 7
         assert config.samples == 50
         assert config.space.atom_mass(1) == Fraction(1, 3)
@@ -177,11 +178,11 @@ class TestConfig:
         assert "line 2" in str(err.value)
 
     def test_partition_variants(self):
-        config = parse_config("part.finite = [{1}, ~{1}]")
+        config, _ = parse_config("part.finite = [{1}, ~{1}]")
         assert config.partition() == FinitePartition(
             (EventSet.finite({1}), EventSet.cofinite_excluding({1}))
         )
-        config = parse_config("part.finite = [{1}]\npart.singletons_from = 2")
+        config, _ = parse_config("part.finite = [{1}]\npart.singletons_from = 2")
         assert config.partition() == SingletonTail((EventSet.finite({1}),), 2)
 
     def test_bad_space_rejected(self):
@@ -194,7 +195,7 @@ class TestConfig:
         ids=["one", "two", "empty_prefix"],
     )
     def test_config_ec_list_matches_sequence_literal(self, body):
-        (sequence,) = parse_config(f"seq.ec = {body}").sequences
+        (sequence,) = parse_config(f"seq.ec = {body}")[0].sequences
         assert sequence == parse_sequence(f"ec{body}")
 
     def test_expect_validated(self):
