@@ -23,8 +23,8 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
             "seminorm_axioms",
             {"seminorm": syntax.format_seminorm(config.seminorm), "samples": config.samples},
             "homogeneity and triangle inequality hold exactly on all samples",
-            f"homogeneity failures: {report.homogeneity_failures}, "
-            f"triangle failures: {report.triangle_failures}",
+            f"homogeneity failures: {report.failures['homogeneity']}, "
+            f"triangle failures: {report.failures['triangle']}",
             report.passed,
         )
     elif target == "roundtrip":
@@ -35,14 +35,13 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
             raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
         report = sets.roundtrip_check(probe, config.samples, config.seed)
         formatter = syntax.format_seminorm if config.seminorm is not None else syntax.format_set
-        label = formatter(probe)
         step = EvidenceStep(
             "gauge_roundtrip",
-            {"target": label, "samples": config.samples},
+            {"target": formatter(probe), "samples": config.samples},
             "gauge reproduces the seminorm and membership agrees with gauge <= 1",
-            f"gauge mismatches: {report.gauge_mismatches}, membership "
-            f"mismatches: {report.membership_mismatches}, strict-inclusion "
-            f"failures: {report.strict_inclusion_failures}",
+            f"gauge mismatches: {report.failures['gauge']}, membership mismatches: "
+            f"{report.failures['membership']}, strict-inclusion failures: "
+            f"{report.failures['strict']}",
             report.passed,
         )
     elif target == "cc":

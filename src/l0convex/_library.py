@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import l0, sampling, seminorms, sets
-from ._record import field, record
+from ._record import record
 from .measure import CANONICAL, DiscreteSpace, EventSet
 
 # -- pointwise order with witness events -----------------------------------
@@ -73,50 +73,40 @@ def epslambda_membership(
 # -- sampled confirmation of the structural flags ---------------------------
 
 
-@record
-class FlagsConfirmation:
-    flags: sets.StructuralFlags
-    samples: int
-    convex_failures: int = 0
-    balanced_failures: int = 0
-    absorbent_failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.convex_failures or self.balanced_failures or self.absorbent_failures
-        )
-
-
 def confirm_structural_flags(
     s: sets.SetDescriptor, samples: int, seed: int
-) -> FlagsConfirmation:
-    """Randomized confirmation of the positive structural flags."""
-    sampling.require_samples(samples)
+) -> sampling.Tally:
+    """Randomized confirmation of the positive structural flags: the
+    checks `convex`, `balanced` and `absorbent`, each only where
+    `sets.structural_flags` claims it, with the points each one drew."""
     rng = sampling.make_rng(seed)
     flags = sets.structural_flags(s)
-    report = FlagsConfirmation(flags=flags, samples=samples)
-    for _ in range(samples):
+
+    def draw():
+        checks, example = {}, {}
         if flags.l0_convex:
             x1, x2 = sets.sample_member(s, rng), sets.sample_member(s, rng)
-            t = sampling.random_unit_interval_ecrv(rng)
-            mix = t * x1 + (l0.ONE - t) * x2
-            if not sets.contains(s, mix):
-                report.convex_failures += 1
-                report.witnesses.append(("convex", x1, x2, t))
+            t = sampling.random_ecrv(rng, draw=sampling._unit_ratio)  # values in [0, 1]
+            checks["convex"] = sets.contains(s, t * x1 + (l0.ONE - t) * x2)
+            example["convex"] = (x1, x2, t)
         if flags.l0_balanced:
             x = sets.sample_member(s, rng)
-            factor = sampling.random_balanced_factor(rng)
-            if not sets.contains(s, factor * x):
-                report.balanced_failures += 1
-                report.witnesses.append(("balanced", x, factor))
+            factor = sampling.random_ecrv(rng, draw=_balanced_ratio)
+            checks["balanced"] = sets.contains(s, factor * x)
+            example["balanced"] = (x, factor)
         if flags.l0_absorbent:
             x = sampling.random_ecrv(rng)
-            if not _absorbs(s, x):
-                report.absorbent_failures += 1
-                report.witnesses.append(("absorbent", x))
-    return report
+            checks["absorbent"] = _absorbs(s, x)
+            example["absorbent"] = x
+        return checks, example
+
+    return sampling.tally(samples, draw)
+
+
+def _balanced_ratio(rng) -> tuple[int, int]:
+    """A ratio p/q in [-1, 1]: a balancing multiplier's value."""
+    p, q = sampling._unit_ratio(rng)
+    return p * sampling._sign(rng), q
 
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:

@@ -73,9 +73,16 @@ def _flags(command: str) -> list[str]:
     return [name for name in names if name[:2] == "--" and name in ours]
 
 
+# A flag's integer, in the config's grammar: an optional '-', then digits.
+def _integer(text: str) -> int:
+    if text.removeprefix("-").isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+
+
 def _emit(report: dict, json_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(report["value"] + "\n" if "value" in report else text)  # eval: the value alone
     if json_path:
         with open(json_path, "w") as handle:
             handle.write(text)
@@ -159,32 +166,27 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument(
         "spec", nargs="?", help="partition literal, e.g. 'singletons_from(3; {1}, {2})'"
     )
-    part.add_argument("--from", dest="tail_start", type=int, default=None)
+    part.add_argument("--from", dest="tail_start", type=_integer)
     part.add_argument("--cells", help="prefix cells, e.g. [{1},{2}]")
 
     for name, sub in commands.choices.items():
         sub.add_argument("--config", help="path to a key=value config file")
         sub.add_argument("--json", help="also write the JSON report to this path")
         for flag in _flags(name):
-            sub.add_argument(flag, type=int, default=None)
+            sub.add_argument(flag, type=_integer)
     return parser
 
 
 def _run(args) -> int:
-    """Run the command: each group's handler returns its report, which this
-    module writes out (through `_emit`, but for eval's value line)."""
+    """Run the command: each group's handler returns its report, which
+    `_emit` writes out."""
     config, header = _load_config(args)
     command = args.command
     if command == "eval":
         from . import _cli_eval
 
         report = _cli_eval.cmd_eval(args, config, header)
-        print(report["value"])
-        if args.json:
-            with open(args.json, "w") as handle:
-                handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        return 0
-    if command == "check":
+    elif command == "check":
         from . import _cli_check
 
         report = _cli_check.cmd_check(args, config, header)
@@ -195,7 +197,7 @@ def _run(args) -> int:
     else:
         report = cmd_verify(args, config, header)
     _emit(report, args.json)
-    return 0 if report["pass"] else 1
+    return 0 if report.get("pass", True) else 1
 
 
 def main(argv=None) -> int:

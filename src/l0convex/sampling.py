@@ -8,10 +8,12 @@ stream derived from an explicit seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from . import l0
 from ._common import UsageError
+from ._record import record
 
 MAX_OVERRIDES = 8
 ATOM_SPAN = 16
@@ -30,6 +32,42 @@ def require_samples(samples: int) -> None:
     """Reject a sample count below 1: a check over no samples passes vacuously."""
     if samples < 1:
         raise UsageError(f"samples must be at least 1, got {samples}")
+
+
+@record
+class Tally:
+    """What `tally` saw over `samples` draws."""
+
+    samples: int
+    failures: Counter  # check name -> the number of draws that failed it
+    held: int  # the number of draws that held every check
+    example: dict  # the first failing draw's example, or the last draw's
+
+    @property
+    def passed(self) -> bool:
+        return not any(self.failures.values())
+
+
+def tally(samples: int, draw) -> Tally:
+    """Call `draw()` `samples` times and count what its checks found.
+
+    A draw returns its checks, a dict from each check's name to whether
+    it held, and its example, a dict of the values that describe the
+    draw.  Every sampled check of the package is one call of this loop.
+    """
+    require_samples(samples)
+    failures = Counter()
+    held = 0
+    first = None
+    for _ in range(samples):
+        checks, example = draw()
+        for name, ok in checks.items():
+            failures[name] += not ok
+        if all(checks.values()):
+            held += 1
+        elif first is None:
+            first = example
+    return Tally(samples, failures, held, example if first is None else first)
 
 
 # Every draw below reproduces a `random.Random` method on `getrandbits`:
@@ -102,21 +140,6 @@ def random_ecrv(rng: random.Random, draw=_ratio):
 def random_positive_ecrv(rng: random.Random):
     """An element of the strictly positive cone, e.g. a radius."""
     return random_ecrv(rng, draw=_positive_ratio)
-
-
-def random_unit_interval_ecrv(rng: random.Random):
-    """Values in [0, 1]: a convex-combination coefficient."""
-    return random_ecrv(rng, draw=_unit_ratio)
-
-
-def _balanced_ratio(rng: random.Random) -> tuple[int, int]:
-    p, q = _unit_ratio(rng)
-    return p * _sign(rng), q
-
-
-def random_balanced_factor(rng: random.Random):
-    """Values in [-1, 1]: a balancing multiplier."""
-    return random_ecrv(rng, draw=_balanced_ratio)
 
 
 def random_finite_support_ecrv(rng: random.Random):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Callable, Union
 
-from ._record import field, record
+from ._record import record
 from .l0 import EcRv, ZERO, classify, combine, emax, indicator, leq_everywhere
 from .measure import EventSet
 from . import sampling
@@ -99,43 +99,30 @@ def sup_evaluate(family, x: EcRv) -> EcRv:
     return combine("mul", _sup_coefficient(family), abs(x))
 
 
-@record
-class AxiomsReport:
-    samples: int
-    homogeneity_failures: int = 0
-    triangle_failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.homogeneity_failures == 0 and self.triangle_failures == 0
-
-
 def axioms_check(
     s: Seminorm | Callable[[EcRv], EcRv], sample_count: int, seed: int
-) -> AxiomsReport:
+) -> sampling.Tally:
     """Check homogeneity and the triangle inequality on random samples.
 
     Accepts either a grammar descriptor or a bare evaluator callable so
-    deliberately broken fixtures can be probed.  Failures are collected
-    as witness triples, not raised.
+    deliberately broken fixtures can be probed.  Failures are counted per
+    check, `homogeneity` and `triangle`, not raised; the example holds
+    the draw's `scalar`, `x` and `y`.
     """
-    sampling.require_samples(sample_count)
     ev = s if callable(s) else (lambda x: evaluate(s, x))
     rng = sampling.make_rng(seed)
-    report = AxiomsReport(samples=sample_count)
-    for _ in range(sample_count):
-        scalar = sampling.random_ecrv(rng)
-        x = sampling.random_ecrv(rng)
-        y = sampling.random_ecrv(rng)
-        if ev(combine("mul", scalar, x)) != combine("mul", abs(scalar), ev(x)):
-            report.homogeneity_failures += 1
-            report.witnesses.append(("homogeneity", scalar, x))
-        if not leq_everywhere(ev(x + y), ev(x) + ev(y)):
-            report.triangle_failures += 1
-            report.witnesses.append(("triangle", x, y))
-    # a nonzero offset at the origin is the cheapest homogeneity breaker
+
+    def draw():
+        scalar, x, y = (sampling.random_ecrv(rng) for _ in range(3))
+        return {
+            "homogeneity": ev(combine("mul", scalar, x)) == combine("mul", abs(scalar), ev(x)),
+            "triangle": leq_everywhere(ev(x + y), ev(x) + ev(y)),
+        }, {"scalar": scalar, "x": x, "y": y}
+
+    report = sampling.tally(sample_count, draw)
+    # a nonzero offset at the origin is the cheapest homogeneity breaker,
+    # and the simplest example of one
     if ev(ZERO) != ZERO:
-        report.homogeneity_failures += 1
-        report.witnesses.append(("homogeneity", ZERO, ZERO))
+        report.failures["homogeneity"] += 1
+        report.example = {"scalar": ZERO, "x": ZERO, "y": ZERO}
     return report

@@ -15,12 +15,13 @@ lemma by brute force on finite families and bracketing certificates.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Iterable, Optional, Union
 
-from ._record import field, record
+from ._record import record
 from .l0 import (
     EcRv,
     ZERO,
@@ -363,53 +364,36 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
 # -- gauge / membership roundtrips -----------------------------------------
 
 
-@record
-class RoundtripReport:
-    samples: int
-    gauge_mismatches: int = 0
-    membership_mismatches: int = 0
-    strict_inclusion_failures: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.gauge_mismatches
-            or self.membership_mismatches
-            or self.strict_inclusion_failures
-        )
-
-
-def roundtrip_check(target, samples: int, seed: int) -> RoundtripReport:
+def roundtrip_check(target, samples: int, seed: int) -> sampling.Tally:
     """Check that gauges and membership determine each other.
 
     For a ball of seminorms (a seminorm p stands for its unit ball): the
     gauge closed form equals the family's own evaluation, the max of
     ||x||_p over the radius, so a wrong `Ball.coefficient` is caught.
     For every set: membership agrees with gauge <= 1 everywhere, and
-    gauge < 1 at every atom forces membership.
+    gauge < 1 at every atom forces membership.  The checks are `gauge`,
+    `membership` and `strict`; the example is the drawn point `x`.
     """
-    sampling.require_samples(samples)
     rng = sampling.make_rng(seed)
-    report = RoundtripReport(samples=samples)
     if isinstance(target, (Ball, MPlusBall, Scale, Translate, Intersect)):
         ball = target
     else:
         ball = Ball((target,), ONE)
-    for i in range(samples):
-        # alternate free points with members so the boundary gets exercised
-        x = sample_member(ball, rng) if i % 2 else sampling.random_ecrv(rng)
+    # alternate free points with members so the boundary gets exercised
+    members = itertools.cycle((False, True))
+
+    def draw():
+        x = sample_member(ball, rng) if next(members) else sampling.random_ecrv(rng)
         g = gauge_closed_form(ball, x)
-        if isinstance(ball, Ball) and g != divide(
+        reproduced = not isinstance(ball, Ball) or g == divide(
             reduce(emax, (evaluate(p, x) for p in ball.seminorms)), ball.radius
-        ):
-            report.gauge_mismatches += 1
-            report.witnesses.append(("gauge", x))
+        )
         member = contains(ball, x)
-        if member != leq_everywhere(g, ONE):
-            report.membership_mismatches += 1
-            report.witnesses.append(("membership", x))
-        if lt_everywhere(g, ONE) and not member:
-            report.strict_inclusion_failures += 1
-            report.witnesses.append(("strict", x))
-    return report
+        checks = {
+            "gauge": reproduced,
+            "membership": member == leq_everywhere(g, ONE),
+            "strict": not (lt_everywhere(g, ONE) and not member),
+        }
+        return checks, {"x": x}
+
+    return sampling.tally(samples, draw)

@@ -47,38 +47,23 @@ from ._common import (  # re-exported: the records live in the leaf module
 # -- base axioms -----------------------------------------------------------
 
 
-@record
-class BaseAxiomReport:
-    meet_witness: EcRv
-    sum_witness: EcRv
-    scaling_witness: EcRv
-    samples: int
-    meet_failures: int = 0
-    sum_failures: int = 0
-    scaling_failures: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not (self.meet_failures or self.sum_failures or self.scaling_failures)
-
-
 def base_axiom_witnesses(
     base: NeighborhoodBase, eps: EcRv, delta: EcRv, samples: int, seed: int
-) -> BaseAxiomReport:
+) -> sampling.Tally:
     """Witness sets for the three neighborhood-base inclusions.
 
     U(eps ^ delta) lies in U(eps) and U(delta); U(eps/2) + U(eps/2) lies
     in U(eps); eps * U(delta/eps) lies in U(delta).  Each inclusion is
-    sample-verified through the membership test.
+    sample-verified through the membership test, as the checks `meet`,
+    `sum` and `scaling`; the example holds their radii (`meet_witness`,
+    `sum_witness`, `scaling_witness`) and the points drawn from them.
     """
-    sampling.require_samples(samples)
     for r in (eps, delta):
         if not classify(r).in_L0_plusplus:
             raise UsageError("radii must be strictly positive everywhere")
     meet = emin(eps, delta)
     half = eps * Fraction(1, 2)
     ratio = divide(delta, eps)
-    report = BaseAxiomReport(meet, half, ratio, samples)
     rng = sampling.make_rng(seed)
     u_eps, u_delta = base.base_set(eps), base.base_set(delta)
     u_meet, u_half, u_ratio = (
@@ -86,17 +71,26 @@ def base_axiom_witnesses(
         base.base_set(half),
         base.base_set(ratio),
     )
-    for _ in range(samples):
+
+    def draw():
         x = sample_member(u_meet, rng)
-        if not (contains(u_eps, x) and contains(u_delta, x)):
-            report.meet_failures += 1
         a, b = sample_member(u_half, rng), sample_member(u_half, rng)
-        if not contains(u_eps, a + b):
-            report.sum_failures += 1
         y = sample_member(u_ratio, rng)
-        if not contains(u_delta, eps * y):
-            report.scaling_failures += 1
-    return report
+        checks = {
+            "meet": contains(u_eps, x) and contains(u_delta, x),
+            "sum": contains(u_eps, a + b),
+            "scaling": contains(u_delta, eps * y),
+        }
+        return checks, {
+            "meet_witness": meet,
+            "sum_witness": half,
+            "scaling_witness": ratio,
+            "meet_point": x,
+            "sum_points": (a, b),
+            "scaling_point": y,
+        }
+
+    return sampling.tally(samples, draw)
 
 
 def base_axioms_step(
@@ -110,14 +104,15 @@ def base_axioms_step(
     eps = ONE if eps is None else eps
     delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
     report = base_axiom_witnesses(base, eps, delta, samples, seed)
+    w, failed = report.example, report.failures
     return EvidenceStep(
         name="base_axioms",
         inputs={"epsilon": repr(eps), "delta": repr(delta), "samples": samples},
         expected="meet, sum and scaling inclusions hold on all samples",
         observed=(
-            f"witnesses ({report.meet_witness!r}, {report.sum_witness!r}, "
-            f"{report.scaling_witness!r}); failures: {report.meet_failures}, "
-            f"{report.sum_failures}, {report.scaling_failures}"
+            f"witnesses ({w['meet_witness']!r}, {w['sum_witness']!r}, "
+            f"{w['scaling_witness']!r}); failures: {failed['meet']}, "
+            f"{failed['sum']}, {failed['scaling']}"
         ),
         passed=report.passed,
     )
@@ -158,57 +153,47 @@ def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
 # -- Hausdorff diagnosis ----------------------------------------------------
 
 
-@record
-class HausdorffReport:
-    hausdorff: bool
-    witness: Optional[EcRv]  # a nonzero point in every base set, or None
-    samples: int
-    checks_passed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.checks_passed == self.samples
-
-
 def hausdorff_report(
     base: NeighborhoodBase, samples: int = 100, seed: int = 0
-) -> HausdorffReport:
+) -> sampling.Tally:
     """Not Hausdorff iff the base-set shape has a nonzero core point, which
-    sampled base sets then hold; else sampled pairs are separated."""
-    sampling.require_samples(samples)
+    sampled base sets then hold; else sampled pairs are separated.  The
+    example's `witness` is that core point, or None on a Hausdorff base."""
     rng = sampling.make_rng(seed)
     unit = base.base_set(ONE)
     witness = core_point(unit)
-    if witness is not None:
-        hits = sum(
-            contains(base.base_set(sampling.random_positive_ecrv(rng)), witness)
-            for _ in range(samples)
-        )
-        return HausdorffReport(False, witness, samples, hits)
-    separated = 0
-    for _ in range(samples):
+
+    def held_by_base_set():
+        radius = sampling.random_positive_ecrv(rng)
+        inside = contains(base.base_set(radius), witness)
+        return {"contains_witness": inside}, {"witness": witness, "radius": radius}
+
+    def separated():
         x = sampling.random_ecrv(rng)
         y = sampling.random_ecrv(rng)
         while y == x:
             y = sampling.random_ecrv(rng)
         d = x - y
         eps = excluding_radius(unit, d)
-        separated += not contains(base.base_set(eps), d)
-    return HausdorffReport(True, None, samples, separated)
+        apart = not contains(base.base_set(eps), d)
+        return {"separated": apart}, {"witness": None, "x": x, "y": y, "epsilon": eps}
+
+    return sampling.tally(samples, separated if witness is None else held_by_base_set)
 
 
 def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> EvidenceStep:
     report = hausdorff_report(base, samples=samples, seed=seed)
+    witness = report.example["witness"]
     inputs = {"samples": samples}
-    if report.hausdorff:
+    if witness is None:
         expected = "distinct sampled points are separated by some base set"
-        observed = f"{report.checks_passed}/{report.samples} sampled pairs separated"
+        observed = f"{report.held}/{samples} sampled pairs separated"
     else:
-        inputs["witness"] = repr(report.witness)
+        inputs["witness"] = repr(witness)
         expected = "a nonzero point lies in every sampled base set"
         observed = (
-            f"non-Hausdorff, nonzero witness {report.witness!r} in "
-            f"{report.checks_passed}/{report.samples} sampled base sets"
+            f"non-Hausdorff, nonzero witness {witness!r} in "
+            f"{report.held}/{samples} sampled base sets"
         )
     return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, report.passed)
 
@@ -281,26 +266,13 @@ def seminorm_induction_verdict(
 def _sampled_step(
     name: str, samples: int, draw, expected: str, observed: str, **inputs
 ) -> EvidenceStep:
-    """One evidence step over `samples` draws; it passes iff every draw held.
-
-    `draw()` samples one case and returns whether its check held, plus the
-    values that describe the case; the step's example inputs are the
-    first failing draw's values, or the last draw's when every draw held.
-    `observed` is formatted with `held` and `samples`.
-    """
-    held = 0
-    example = failed = None
-    for _ in range(samples):
-        ok, example = draw()
-        held += ok
-        if failed is None and not ok:
-            failed = example
-    if failed is not None:
-        example = failed
-    inputs = {"samples": samples, **inputs, **{k: repr(v) for k, v in example.items()}}
-    return EvidenceStep(
-        name, inputs, expected, observed.format(held=held, samples=samples), held == samples
-    )
+    """One evidence step over `samples` draws of `sampling.tally`; it passes
+    iff every draw held.  The example inputs are the tally's example, and
+    `observed` is formatted with `held` and `samples`."""
+    report = sampling.tally(samples, draw)
+    inputs = {"samples": samples, **inputs, **{k: repr(v) for k, v in report.example.items()}}
+    observed = observed.format(held=report.held, samples=samples)
+    return EvidenceStep(name, inputs, expected, observed, report.passed)
 
 
 def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
@@ -308,7 +280,7 @@ def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[Evid
 
     def structural():
         ball = base.base_set(sampling.random_positive_ecrv(rng))
-        return structural_flags(ball).all_true(), {}
+        return {"structural": structural_flags(ball).all_true()}, {}
 
     rt = roundtrip_check(base.base_set(ONE), samples, seed)
     return [
@@ -321,7 +293,7 @@ def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[Evid
             name="gauge_membership_roundtrip",
             inputs={"ball_radius": repr(ONE), "samples": samples},
             expected="membership in a base ball agrees with gauge <= 1",
-            observed=f"{rt.membership_mismatches} mismatches",
+            observed=f"{samples - rt.held} mismatches",
             passed=rt.passed,
         ),
     ]
@@ -337,7 +309,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     def degenerate():
         u = base.base_set(sampling.random_positive_ecrv(rng))
         cert = gauge_upper_certificate(u, sampling.random_ecrv(rng))
-        return verify_certificate(cert), {"example_witness": cert.witness}
+        return {"verifies": verify_certificate(cert)}, {"example_witness": cert.witness}
 
     # 2. gauges shrink under inclusion: the order ball of the same radius
     #    lies in the base set; that its gauge is the larger one needs no
@@ -345,7 +317,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     def monotone():
         radius = sampling.random_positive_ecrv(rng)
         u, inner = base.base_set(radius), Ball((Weighted(ONE),), radius)
-        return contains(u, sample_member(inner, rng)), {}
+        return {"contained": contains(u, sample_member(inner, rng))}, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
     #    each point outside M is excluded from some base set, and each
@@ -354,7 +326,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
         separation = closure_membership(base, sampling.random_nonzero_tail_ecrv(rng)).separation
         inside = sampling.random_finite_support_ecrv(rng)
         closed = closure_membership(base, inside).member
-        return separation.excluded and closed, {
+        return {"excluded": separation.excluded, "closed": closed}, {
             "example_point": separation.point,
             "example_epsilon": separation.epsilon,
             "example_inside": inside,
@@ -364,7 +336,8 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     def escaping():
         radius = sampling.random_positive_ecrv(rng)
         failure = concatenation.cc_failure_witness(base.base_set(radius), radius)
-        return failure.valid, {"example_radius": failure.radius, "example_glue": failure.glue}
+        example = {"example_radius": failure.radius, "example_glue": failure.glue}
+        return {"valid": failure.valid}, example
 
     return [
         _sampled_step(

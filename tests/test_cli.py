@@ -741,6 +741,46 @@ class TestLiteralErrors:
         code, out, err = run(capsys, *argv, "--config", str(config))
         assert (code, out, err) == (2, "", f"error: {line}\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("verify-counterexample",), "--seed", "1_0"),
+            (("verify-counterexample",), "--samples", "+5"),
+            (("check", "base"), "--samples", "5.0"),
+            (("check", "base"), "--seed", " 5"),
+            (("check", "axioms"), "--seed", "0x10"),
+            (("partition",), "--from", "1_0"),
+            (("partition",), "--from", "-"),
+        ],
+        ids=[
+            "seed-underscore", "samples-plus", "samples-decimal", "seed-space",
+            "seed-hex", "from-underscore", "from-bare-minus",
+        ],
+    )
+    def test_flag_value(self, capsys, argv, flag, value):
+        """A flag takes the config's integer grammar, an optional '-' and
+        then digits; anything else exits 2 with a line naming the flag."""
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, flag, value])
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out) == (2, "")
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument {flag}: expected an integer, got {value!r}"
+        )
+
+    @pytest.mark.parametrize("value", ["7", "007", "-0", "1_0", "+5", "1.0", "1e3", "", "-"])
+    def test_flag_and_config_take_the_same_integers(self, capsys, tmp_path, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed = {value}\n")
+        codes = []
+        for argv in (["--seed", value], ["--config", str(config)]):
+            try:
+                codes.append(main(["check", "base", "--samples", "1", *argv]))
+            except SystemExit as stop:  # argparse refuses the flag's value
+                codes.append(stop.code)
+        capsys.readouterr()
+        assert codes[0] == codes[1] in (0, 2)
+
     @pytest.mark.parametrize("value, column", [("[[1,", 5), ('[[1, "', 7)])
     def test_weight_cut_short_is_a_usage_error(self, capsys, tmp_path, value, column):
         """A value that ends where a weight or its opening quote should be

@@ -208,3 +208,56 @@ def test_negative_seed_is_a_usage_error():
     assert sampling.make_rng(0).getstate() == random.Random(0).getstate()
     with pytest.raises(UsageError, match="seed must be at least 0, got -5"):
         sampling.make_rng(-5)
+
+
+class TestTally:
+    """`sampling.tally` is the one loop of every sampled check."""
+
+    @staticmethod
+    def draws(outcomes):
+        """A draw whose n-th call (from 1) returns the checks `outcomes[n - 1]`."""
+        calls = []
+
+        def draw():
+            calls.append(len(calls) + 1)
+            return outcomes[calls[-1] - 1], {"call": calls[-1]}
+
+        return draw
+
+    def test_counts_each_check_and_the_draws_that_held_all(self):
+        outcomes = [
+            {"a": True, "b": True},
+            {"a": False, "b": True},
+            {"a": False, "b": False},
+            {"a": True, "b": True},
+            {"a": True, "b": False},
+        ]
+        result = sampling.tally(5, self.draws(outcomes))
+        assert result.samples == 5
+        assert result.failures == {"a": 2, "b": 2}
+        assert result.held == 2
+        assert not result.passed
+
+    def test_keeps_the_first_failing_example(self):
+        outcomes = [{"a": True}, {"a": False}, {"a": True}, {"a": False}]
+        assert sampling.tally(4, self.draws(outcomes)).example == {"call": 2}
+
+    def test_keeps_the_last_example_when_every_draw_held(self):
+        result = sampling.tally(3, self.draws([{"a": True, "b": True}] * 3))
+        assert result.passed
+        assert result.held == 3
+        assert result.failures == {"a": 0, "b": 0}
+        assert result.example == {"call": 3}
+
+    def test_draws_exactly_samples_times(self):
+        draw = self.draws([{"a": True}] * 10)
+        sampling.tally(7, draw)
+        assert draw() == ({"a": True}, {"call": 8})
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_fewer_than_one_sample_rejected_before_any_draw(self, samples):
+        def draw():
+            raise AssertionError("drew")
+
+        with pytest.raises(UsageError, match="at least 1"):
+            sampling.tally(samples, draw)

@@ -270,23 +270,22 @@ class TestAxiomsCheck:
         )
         report = axioms_check(s, 1000, seed=5)
         assert report.passed
-        assert report.homogeneity_failures == 0
-        assert report.triangle_failures == 0
+        assert report.failures == {"homogeneity": 0, "triangle": 0}
 
     def test_broken_evaluator_caught_at_zero(self):
         broken = lambda x: abs(x) + ONE
         report = axioms_check(broken, 20, seed=7)
-        assert report.homogeneity_failures > 0
-        assert any(
-            kind == "homogeneity" and scalar == ZERO
-            for kind, scalar, _ in report.witnesses
-        )
+        assert report.failures["homogeneity"] > 0
+        # the origin's failure is the example: the simplest one there is
+        assert report.example == {"scalar": ZERO, "x": ZERO, "y": ZERO}
 
     def test_squaring_breaks_the_triangle_inequality(self):
         report = axioms_check(lambda x: x * x, 20, 1)
-        assert report.triangle_failures == 18
+        assert report.failures["triangle"] == 18
         assert not report.passed
-        assert any(kind == "triangle" for kind, _, _ in report.witnesses)
+        # the example is the first draw that broke a check, and it breaks this one
+        x, y = report.example["x"], report.example["y"]
+        assert not leq_everywhere((x + y) * (x + y), x * x + y * y)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):

@@ -375,7 +375,7 @@ class TestRoundtrip:
     def test_seminorm_reproduced_exactly(self):
         report = roundtrip_check(Localized(EventSet.finite({1})), 500, seed=29)
         assert report.passed
-        assert report.gauge_mismatches == 0
+        assert report.failures["gauge"] == 0
 
     def test_boundary_point_is_member(self):
         assert gauge_closed_form(UNIT_BALL, ONE) == ONE
@@ -391,8 +391,8 @@ class TestRoundtrip:
     def test_ball_membership_agreement(self):
         report = roundtrip_check(UNIT_BALL, 500, seed=37)
         assert report.passed
-        assert report.membership_mismatches == 0
-        assert report.strict_inclusion_failures == 0
+        assert report.failures["membership"] == 0
+        assert report.failures["strict"] == 0
 
     @given(ecrvs)
     def test_weighted_family_roundtrip(self, x):

@@ -19,6 +19,7 @@ from l0convex import (
     Zero,
     ZERO,
     ONE,
+    axioms_check,
     base_axiom_witnesses,
     classify,
     closure_membership,
@@ -56,14 +57,14 @@ class TestBaseAxioms:
             COUNTEREXAMPLE, ONE, EcRv.constant(Fraction(1, 2)), 200, seed=3
         )
         half = EcRv.constant(Fraction(1, 2))
-        assert report.meet_witness == half
-        assert report.sum_witness == half
-        assert report.scaling_witness == half
+        assert report.example["meet_witness"] == half
+        assert report.example["sum_witness"] == half
+        assert report.example["scaling_witness"] == half
         assert report.passed
 
     def test_seminorm_base_equal_radii(self):
         report = base_axiom_witnesses(UNIT_FAMILY, ONE, ONE, 100, seed=5)
-        assert report.meet_witness == ONE
+        assert report.example["meet_witness"] == ONE
         assert report.passed
 
     def test_pointwise_radii(self):
@@ -71,14 +72,16 @@ class TestBaseAxioms:
         delta = EcRv.constant(2)
         report = base_axiom_witnesses(COUNTEREXAMPLE, eps, delta, 200, seed=7)
         assert report.passed
-        assert report.meet_witness == EcRv({1: 2}, 1)
-        assert report.scaling_witness == EcRv({1: Fraction(1, 2)}, 2)
+        assert report.example["meet_witness"] == EcRv({1: 2}, 1)
+        assert report.example["scaling_witness"] == EcRv({1: Fraction(1, 2)}, 2)
 
     def test_inverted_base_fails_the_inclusions(self):
         half = EcRv.constant(Fraction(1, 2))
         report = base_axiom_witnesses(ReciprocalBase(), ONE, half, 30, seed=1)
-        assert (report.meet_failures, report.sum_failures, report.scaling_failures) == (11, 18, 0)
+        assert report.failures == {"meet": 11, "sum": 18, "scaling": 0}
         assert not report.passed
+        # the example is the first failing draw: its meet point escapes U(1)
+        assert not contains(MPlusBall(ONE), report.example["meet_point"])
         assert not topology.base_axioms_step(ReciprocalBase(), 30, 1).passed
 
     def test_radii_must_be_strictly_positive(self):
@@ -152,20 +155,18 @@ def _random_seminorm(rng) -> Seminorm:
 class TestHausdorff:
     def test_counterexample_not_hausdorff(self):
         report = hausdorff_report(COUNTEREXAMPLE, samples=100, seed=11)
-        assert not report.hausdorff
-        assert report.witness == EcRv({1: 1}, 0)
-        assert report.checks_passed == 100
+        assert report.example["witness"] == EcRv({1: 1}, 0)
+        assert report.held == 100
 
     def test_unit_family_separates(self):
         report = hausdorff_report(UNIT_FAMILY, samples=200, seed=13)
-        assert report.hausdorff
-        assert report.checks_passed == 200
+        assert report.example["witness"] is None
+        assert report.held == 200
 
     def test_zero_family_separates_nothing(self):
         report = hausdorff_report(FromSeminorms((Zero(),)), samples=10, seed=17)
-        assert not report.hausdorff
-        assert report.witness == EcRv({1: 1}, 0)
-        assert report.checks_passed == 10
+        assert report.example["witness"] == EcRv({1: 1}, 0)
+        assert report.held == 10
 
     @pytest.mark.parametrize(
         "seminorm, witness",
@@ -180,9 +181,8 @@ class TestHausdorff:
         # so a sampled pair pass would call these families Hausdorff
         base = FromSeminorms((seminorm,))
         report = hausdorff_report(base, samples=500, seed=3)
-        assert not report.hausdorff
-        assert report.witness == witness
-        assert report.checks_passed == 500
+        assert report.example["witness"] == witness
+        assert report.held == 500
         assert closure_membership(base, witness).member
         step = topology._hausdorff_step(base, 30, 1)
         assert step.passed and step.inputs["witness"] == repr(witness)
@@ -197,13 +197,14 @@ class TestHausdorff:
             base = FromSeminorms(family)
             report = hausdorff_report(base, samples=3, seed=i)
             separates = classify(sup_evaluate(family, ONE)).in_L0_plusplus
-            assert report.hausdorff == separates, family
-            assert report.hausdorff == (core_point(base.base_set(ONE)) is None), family
+            witness = report.example["witness"]
+            assert (witness is None) == separates, family
+            assert witness == core_point(base.base_set(ONE)), family
             assert report.passed, family
-            if not report.hausdorff:
-                assert not report.witness.is_zero()
-                assert closure_membership(base, report.witness).member, family
-            outcomes.add(report.hausdorff)
+            if witness is not None:
+                assert not witness.is_zero()
+                assert closure_membership(base, witness).member, family
+            outcomes.add(witness is None)
         assert outcomes == {True, False}
 
     def test_non_separating_family_has_concrete_non_separated_pair(self):
@@ -392,8 +393,7 @@ class TestBaseOfNeitherKind:
 
     def test_hausdorff_from_the_core_point(self):
         report = hausdorff_report(ReciprocalBase(), samples=5, seed=1)
-        assert not report.hausdorff
-        assert report.witness == EcRv({1: 1}, 0)
+        assert report.example["witness"] == EcRv({1: 1}, 0)
         assert report.passed
 
 
@@ -405,7 +405,7 @@ class TestSampledStep:
 
         def draw():
             calls.append(len(calls) + 1)
-            return calls[-1] not in failing, {"example_call": calls[-1]}
+            return {"held": calls[-1] not in failing}, {"example_call": calls[-1]}
 
         return draw
 
@@ -429,8 +429,13 @@ class TestSampledStep:
         lambda n: hausdorff_report(UNIT_FAMILY, samples=n, seed=1),
         lambda n: roundtrip_check(Weighted(ONE), n, seed=1),
         lambda n: confirm_structural_flags(MPlusBall(ONE), n, seed=1),
+        lambda n: axioms_check(Weighted(ONE), n, seed=1),
+        lambda n: topology._sampled_step("s", n, lambda: ({"held": True}, {}), "", ""),
     ],
-    ids=["base_axiom_witnesses", "hausdorff_report", "roundtrip_check", "confirm_structural_flags"],
+    ids=[
+        "base_axiom_witnesses", "hausdorff_report", "roundtrip_check",
+        "confirm_structural_flags", "axioms_check", "sampled_step",
+    ],
 )
 def test_sampled_check_without_samples_rejected(check, samples):
     """A sampled check over no samples would pass without checking anything."""
@@ -441,7 +446,7 @@ def test_sampled_check_without_samples_rejected(check, samples):
 RECORDS = sorted(
     {
         cls
-        for module in (_common, topology)
+        for module in (_common, topology, sampling)
         for cls in vars(module).values()
         if isinstance(cls, type)
         and cls.__module__ == module.__name__
