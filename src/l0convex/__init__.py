@@ -27,7 +27,7 @@ _EXPORTS_BY_MODULE = {
     "sets": (
         "Ball GaugeCertificate Intersect MPlusBall Scale Translate contains "
         "gauge_closed_form gauge_upper_certificate "
-        "roundtrip_check sample_member structural_flags verify_certificate"
+        "roundtrip_check sample_member verify_certificate"
     ),
     "topology": (
         "EvidenceReport base_axiom_witnesses closure_membership "
@@ -38,7 +38,10 @@ _EXPORTS_BY_MODULE = {
         "cc_failure_witness glue glue_identity_holds relative_cc_check "
         "reverse_partition_construct"
     ),
-    "_library": "OrderReport confirm_structural_flags epslambda_membership order_compare",
+    "_library": (
+        "OrderReport confirm_structural_flags epslambda_membership order_compare "
+        "structural_flags"
+    ),
 }
 # export name -> the module that defines it
 _EXPORTS = {

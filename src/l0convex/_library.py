@@ -3,9 +3,10 @@
 `order_compare` compares two elements pointwise and returns the exact
 witness events; the property tests of `leq_everywhere` and
 `lt_everywhere` use it as their reference.  `epslambda_membership`
-decides membership in an (eps, lambda) neighborhood, and
-`confirm_structural_flags` samples the structural flags of a set
-descriptor.  The package exports them (`l0convex.order_compare`), and
+decides membership in an (eps, lambda) neighborhood.
+`structural_flags` derives from a set descriptor's shape whether it is
+convex, absorbent and balanced, and `confirm_structural_flags` samples
+those flags.  The package exports them (`l0convex.order_compare`), and
 this module runs only when library code asks for one of them.
 """
 
@@ -70,6 +71,46 @@ def epslambda_membership(
     return space.probability(below) > 1 - lam
 
 
+# -- structural flags ------------------------------------------------------
+
+
+@record(frozen=True)
+class StructuralFlags:
+    l0_convex: bool
+    l0_absorbent: bool
+    l0_balanced: bool
+
+
+def structural_flags(s: sets.SetDescriptor) -> StructuralFlags:
+    """Convexity, absorbency and balancedness, derived from the shape.
+
+    Scaling by an invertible factor preserves all three.  Translation
+    preserves convexity only; the other two are flagged just for the
+    trivial offset.  Intersections of balanced absorbent sets stay
+    absorbent because the larger of two admissible scalings absorbs in
+    both members at once.
+    """
+    if isinstance(s, (sets.Ball, sets.MPlusBall)):
+        return StructuralFlags(True, True, True)
+    if isinstance(s, sets.Scale):
+        return structural_flags(s.inner)
+    if isinstance(s, sets.Translate):
+        inner = structural_flags(s.inner)
+        at_origin = s.offset.is_zero()
+        return StructuralFlags(
+            inner.l0_convex,
+            inner.l0_absorbent and at_origin,
+            inner.l0_balanced and at_origin,
+        )
+    if isinstance(s, sets.Intersect):
+        inner = [structural_flags(m) for m in s.members]
+        convex = all(f.l0_convex for f in inner)
+        balanced = all(f.l0_balanced for f in inner)
+        absorbent = balanced and all(f.l0_absorbent for f in inner)
+        return StructuralFlags(convex, absorbent, balanced)
+    raise TypeError(f"not a set descriptor: {s!r}")
+
+
 # -- sampled confirmation of the structural flags ---------------------------
 
 
@@ -78,9 +119,9 @@ def confirm_structural_flags(
 ) -> sampling.Tally:
     """Randomized confirmation of the positive structural flags: the
     checks `convex`, `balanced` and `absorbent`, each only where
-    `sets.structural_flags` claims it, with the points each one drew."""
+    `structural_flags` claims it, with the points each one drew."""
     rng = sampling.make_rng(seed)
-    flags = sets.structural_flags(s)
+    flags = structural_flags(s)
 
     def draw():
         checks, example = {}, {}

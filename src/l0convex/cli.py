@@ -205,16 +205,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (
-        ConfigError, ParseError, UsageError, UnsupportedShape, l0.NotInvertible, OSError
-    ) as exc:
-        # bad input; the library's UsageErrors include MalformedPrefix,
-        # and a missing or unreadable file is an OSError;
-        # the tuple is evaluated only when an exception arrives, so a
-        # command that never ran `l0` runs it only then
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # a defect in the program, never "a check failed"
+    except Exception as exc:
+        # bad input; the library's UsageErrors include MalformedPrefix, a
+        # missing or unreadable file is an OSError, and a result past
+        # Python's integer digit limit cannot be printed (its ValueError
+        # names `sys.set_int_max_str_digits`); the tuple is evaluated only
+        # when an exception arrives, so a command that never ran `l0`
+        # runs it only then
+        if isinstance(
+            exc, (ConfigError, ParseError, UsageError, UnsupportedShape, l0.NotInvertible, OSError)
+        ) or "int_max_str_digits" in str(exc):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # a defect in the program, never "a check failed"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

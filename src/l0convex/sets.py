@@ -174,49 +174,6 @@ def core_point(s: SetDescriptor) -> Optional[EcRv]:
     return next((x for x in points if excluding_radius(s, x) is None), None)
 
 
-# -- structural flags ------------------------------------------------------
-
-
-@record(frozen=True)
-class StructuralFlags:
-    l0_convex: bool
-    l0_absorbent: bool
-    l0_balanced: bool
-
-    def all_true(self) -> bool:
-        return self.l0_convex and self.l0_absorbent and self.l0_balanced
-
-
-def structural_flags(s: SetDescriptor) -> StructuralFlags:
-    """Convexity, absorbency and balancedness, derived from the shape.
-
-    Scaling by an invertible factor preserves all three.  Translation
-    preserves convexity only; the other two are flagged just for the
-    trivial offset.  Intersections of balanced absorbent sets stay
-    absorbent because the larger of two admissible scalings absorbs in
-    both members at once.
-    """
-    if isinstance(s, (Ball, MPlusBall)):
-        return StructuralFlags(True, True, True)
-    if isinstance(s, Scale):
-        return structural_flags(s.inner)
-    if isinstance(s, Translate):
-        inner = structural_flags(s.inner)
-        at_origin = s.offset.is_zero()
-        return StructuralFlags(
-            inner.l0_convex,
-            inner.l0_absorbent and at_origin,
-            inner.l0_balanced and at_origin,
-        )
-    if isinstance(s, Intersect):
-        inner = [structural_flags(m) for m in s.members]
-        convex = all(f.l0_convex for f in inner)
-        balanced = all(f.l0_balanced for f in inner)
-        absorbent = balanced and all(f.l0_absorbent for f in inner)
-        return StructuralFlags(convex, absorbent, balanced)
-    raise TypeError(f"not a set descriptor: {s!r}")
-
-
 # -- gauge closed forms ----------------------------------------------------
 
 

@@ -15,7 +15,8 @@ Grammar (whitespace-insensitive):
     weights    [[1, "1/2"], [2, 1/4]]                 (explicit atom masses)
 
 Parsing is exact: every number becomes a Fraction, and parse errors
-carry a line and column.
+carry a line and column.  A seminorm or set literal sits inside at most
+`MAX_NESTING` others.
 """
 
 from __future__ import annotations
@@ -31,11 +32,33 @@ from . import sets as sd
 from . import concatenation as cc
 
 
+# How many seminorm and set literals one such literal may sit inside: the
+# parser and every consumer of a descriptor recurse once per level.
+MAX_NESTING = 64
+
+
+def _nested(read):
+    """The literal reader `read`, refusing a literal nested past MAX_NESTING."""
+
+    def nested(parser):
+        parser.skip_ws()  # an error points at the literal itself
+        if parser.depth > MAX_NESTING:
+            raise parser.error(f"a literal nested more than {MAX_NESTING} levels deep")
+        parser.depth += 1
+        try:
+            return read(parser)
+        finally:
+            parser.depth -= 1
+
+    return nested
+
+
 class Parser:
     def __init__(self, text: str, line_offset: int = 0):
         self.text = text
         self.pos = 0
         self.line_offset = line_offset
+        self.depth = 0  # the seminorm and set literals open at `pos`
 
     def _location(self) -> tuple[int, int]:
         consumed = self.text[: self.pos]
@@ -146,61 +169,35 @@ class Parser:
         if not self.try_take("}"):
             atoms = self.items(self.integer)
             self.take("}")
-        try:
-            return EventSet(atoms, cofinite=cofinite)
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        return self._validated(EventSet, atoms, cofinite)
 
+    @_nested
     def seminorm(self) -> sn.Seminorm:
         name = self.word()
         if name == "zero":
             return sn.Zero()
         if name == "weighted":
-            self.take("(")
-            w = self.ecrv()
-            self.take(")")
-            return self._validated(sn.Weighted, w)
+            return self._validated(sn.Weighted, *self.arguments(self.ecrv))
         if name == "localized":
-            self.take("(")
-            e = self.event()
-            self.take(")")
-            return sn.Localized(e)
+            return sn.Localized(*self.arguments(self.event))
         if name == "sup":
-            members = self.bracket_list(self.seminorm)
-            return sn.FiniteSup(tuple(members))
+            return sn.FiniteSup(tuple(self.bracket_list(self.seminorm)))
         raise self.error(f"unknown seminorm {name!r}")
 
+    @_nested
     def set_descriptor(self) -> sd.SetDescriptor:
         name = self.word()
         if name == "ball":
-            self.take("(")
-            members = self.items(self.seminorm)
-            self.take(";")
-            radius = self.ecrv()
-            self.take(")")
+            members, radius = self.arguments(lambda: self.items(self.seminorm), self.ecrv)
             return self._validated(sd.Ball, tuple(members), radius)
         if name == "m_plus_ball":
-            self.take("(")
-            radius = self.ecrv()
-            self.take(")")
-            return self._validated(sd.MPlusBall, radius)
+            return self._validated(sd.MPlusBall, *self.arguments(self.ecrv))
         if name == "scale":
-            self.take("(")
-            factor = self.ecrv()
-            self.take(";")
-            inner = self.set_descriptor()
-            self.take(")")
-            return self._validated(sd.Scale, factor, inner)
+            return self._validated(sd.Scale, *self.arguments(self.ecrv, self.set_descriptor))
         if name == "translate":
-            self.take("(")
-            offset = self.ecrv()
-            self.take(";")
-            inner = self.set_descriptor()
-            self.take(")")
-            return sd.Translate(offset, inner)
+            return sd.Translate(*self.arguments(self.ecrv, self.set_descriptor))
         if name == "intersect":
-            members = self.bracket_list(self.set_descriptor)
-            return sd.Intersect(tuple(members))
+            return sd.Intersect(tuple(self.bracket_list(self.set_descriptor)))
         raise self.error(f"unknown set {name!r}")
 
     def sequence(self) -> cc.SequenceSpec:
@@ -208,17 +205,13 @@ class Parser:
         if name == "ec":
             return self.ec_list()
         if name == "diag":
-            self.take("(")
-            value = self.ecrv()
-            self.take(")")
-            return cc.Diagonal(value)
+            return cc.Diagonal(*self.arguments(self.ecrv))
         raise self.error(f"unknown sequence {name!r}")
 
     def partition(self):
         name = self.word()
         if name == "finite":
-            cells = self.bracket_list(self.event)
-            return self._validated(FinitePartition, tuple(cells))
+            return self._validated(FinitePartition, tuple(self.event_list()))
         if name == "singletons_from":
             self.take("(")
             start = self.integer()
@@ -270,6 +263,15 @@ class Parser:
         while self.try_take(","):
             items.append(item())
         return items
+
+    def arguments(self, *readers) -> list:
+        """`(a)` or `(a; b)`: the value of each of one or two readers."""
+        values = []
+        for opening, read in zip("(;", readers):
+            self.take(opening)
+            values.append(read())
+        self.take(")")
+        return values
 
     def bracket_list(self, item) -> list:
         """`[a, b, ...]` with at least one `item()`."""

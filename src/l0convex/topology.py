@@ -29,7 +29,6 @@ from .sets import (
     gauge_closed_form,
     gauge_upper_certificate,
     sample_member,
-    structural_flags,
     verify_certificate,
     roundtrip_check,
 )
@@ -276,19 +275,8 @@ def _sampled_step(
 
 
 def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
-    rng = sampling.make_rng(seed)
-
-    def structural():
-        ball = base.base_set(sampling.random_positive_ecrv(rng))
-        return {"structural": structural_flags(ball).all_true()}, {}
-
     rt = roundtrip_check(base.base_set(ONE), samples, seed)
     return [
-        _sampled_step(
-            "base_sets_structural", samples, structural,
-            "every base ball is convex, absorbent and balanced",
-            "{held}/{samples} balls pass",
-        ),
         EvidenceStep(
             name="gauge_membership_roundtrip",
             inputs={"ball_radius": repr(ONE), "samples": samples},

@@ -281,7 +281,6 @@ class TestSinglePipeline:
                 "base = from_seminorms[weighted({|1}), localized({2})]\n",
                 [
                     "base_axioms",
-                    "base_sets_structural",
                     "gauge_membership_roundtrip",
                     "hausdorff_diagnosis",
                 ],
@@ -308,6 +307,59 @@ class TestSinglePipeline:
         )
         assert cli_names == [step.name for step in verdict.steps]
         assert steps == [step.to_json() for step in verdict.steps]
+
+
+def sup_nested(levels):
+    return "sup[" * levels + "weighted({|1})" + "]" * levels
+
+
+def scale_nested(levels):
+    return "scale({|2}; " * (levels - 1) + "ball(weighted({|1}); {|1})" + ")" * (levels - 1)
+
+
+def intersect_nested(levels):
+    return "intersect[" * (levels - 1) + "ball(weighted({|1}); {|1})" + "]" * (levels - 1)
+
+
+# Each command that reads a seminorm or a set: its argv and config text
+# for a literal nested `levels` deep.
+NESTED_INPUTS = {
+    "eval seminorm": lambda n: (("eval", f"seminorm {sup_nested(n)} {{1:2 | 3}}"), None),
+    "eval gauge": lambda n: (("eval", f"gauge {scale_nested(n)} {{1:2 | 3}}"), None),
+    "eval contains": lambda n: (("eval", f"contains {scale_nested(n)} {{1:2 | 3}}"), None),
+    "check axioms": lambda n: (
+        ("check", "axioms", "--samples", "5"), f"seminorm = {sup_nested(n)}"
+    ),
+    "check roundtrip": lambda n: (
+        ("check", "roundtrip", "--samples", "5"), f"set = {scale_nested(n)}"
+    ),
+    "check cc": lambda n: (
+        ("check", "cc"),
+        f"set = {intersect_nested(n)}\nseq.diag = {{|1/2}}\npart.singletons_from = 1",
+    ),
+    "verify": lambda n: (
+        ("verify-counterexample", "--samples", "5"),
+        f"base = from_seminorms[{sup_nested(n)}]",
+    ),
+}
+
+
+class TestNestingLimit:
+    """Every command reads a literal nested 64 deep, and refuses one nested
+    a level deeper with exit code 2, never an internal error."""
+
+    @pytest.mark.parametrize("levels, expected", [(64, 0), (65, 2)], ids=["64", "65"])
+    @pytest.mark.parametrize("inputs", NESTED_INPUTS.values(), ids=NESTED_INPUTS)
+    def test_depth(self, capsys, tmp_path, inputs, levels, expected):
+        argv, text = inputs(levels)
+        if text is not None:
+            (tmp_path / "run.cfg").write_text(text + "\n")
+            argv = (*argv, "--config", str(tmp_path / "run.cfg"))
+        code, out, err = run(capsys, *argv)
+        assert code == expected, err
+        if expected:
+            assert out == ""
+            assert err.startswith("error: a literal nested more than 64 levels deep (line 1, ")
 
 
 class TestVacuousRuns:
@@ -813,6 +865,24 @@ class TestLiteralErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
         assert err.endswith(f"(line 1, column {digits + 7})\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() caps digits from 3.11 on"
+    )
+    @pytest.mark.parametrize(
+        "expression",
+        [
+            # P({j}) = 2**-j, whose denominator has more digits than the cap
+            lambda cap: f"prob {{{4 * cap}}}",
+            # each factor is legal input; their product is not printable
+            lambda cap: f"seminorm weighted({{|{'9' * (cap - 1)}}}) {{|{'9' * (cap - 1)}}}",
+        ],
+        ids=["prob", "seminorm"],
+    )
+    def test_result_past_the_digit_cap_is_a_usage_error(self, capsys, expression):
+        code, out, err = run(capsys, "eval", expression(sys.get_int_max_str_digits()))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit")
 
     @pytest.mark.parametrize("value", ["4/3", "'4/3'", '"4/3"'])
     def test_tail_coefficient_quoted_or_not(self, capsys, tmp_path, value):

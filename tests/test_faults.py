@@ -2,9 +2,11 @@
 
 Each row patches one function, in every package module that bound it,
 and counts its calls to prove the patch was reached.  The verdict is
-the library's own, at seed 1 over 30 samples; the named steps must fail
-and so must the report as a whole, and every failing step must say so:
-its `observed` text differs from the one of the run without the fault.
+the library's own, at seed 1 over 30 samples; exactly the named steps
+fail, and so does the report as a whole, and every failing step says
+so: its `observed` text differs from the one of the run without the
+fault.  Every step of each base's report is named by some row, so no
+step passes whatever the code computes.
 """
 
 import sys
@@ -16,7 +18,7 @@ from l0convex import CounterexampleFamily, FromSeminorms, sets
 from l0convex.l0 import ONE, EcRv
 from l0convex.measure import EventSet
 from l0convex.seminorms import Localized, Weighted
-from l0convex.sets import MPlusBall
+from l0convex.sets import Ball, MPlusBall
 from l0convex.topology import seminorm_induction_verdict
 
 INDUCED = FromSeminorms((Weighted(ONE), Localized(EventSet.finite({2}))))
@@ -69,16 +71,19 @@ def scaled_result(name, factor):
     return rebound(name, wrong_version)
 
 
-def membership_at_twice_the_radius(right, calls):
-    """`contains` deciding `M + B_r` as if it were `M + B_2r`."""
+def m_plus_ball_decided_as(shape):
+    """`contains` deciding `M + B_r` as the set `shape(r)`."""
 
-    def wrong(s, x):
-        if isinstance(s, MPlusBall):
-            calls.append(s)
-            s = MPlusBall(s.radius * 2)
-        return right(s, x)
+    def wrong_version(right, calls):
+        def wrong(s, x):
+            if isinstance(s, MPlusBall):
+                calls.append(s)
+                s = shape(s.radius)
+            return right(s, x)
 
-    return wrong
+        return wrong
+
+    return rebound("contains", wrong_version)
 
 
 def certificate_with_half_its_tail(right, calls):
@@ -94,7 +99,7 @@ def certificate_with_half_its_tail(right, calls):
     return wrong
 
 
-# (fault, base, the steps it must fail)
+# (fault, base, exactly the steps it fails)
 FAULTS = {
     "ball-coefficient-2x": (wrong_coefficient(2), INDUCED, {"gauge_membership_roundtrip"}),
     "ball-coefficient-1/3x": (
@@ -102,25 +107,40 @@ FAULTS = {
     ),
     "ball-members-3x-induced": (scaled_result("sample_member", 3), INDUCED, {"base_axioms"}),
     "ball-members-3x-not-induced": (
-        scaled_result("sample_member", 3), NOT_INDUCED, {"gauge_monotonicity"}
+        scaled_result("sample_member", 3),
+        NOT_INDUCED,
+        {"base_axioms", "gauge_monotonicity", "zero_family_contradiction"},
     ),
     "excluding-radius-4x-induced": (
         scaled_result("excluding_radius", 4), INDUCED, {"hausdorff_diagnosis"}
     ),
     "excluding-radius-4x-not-induced": (
-        scaled_result("excluding_radius", 4), NOT_INDUCED, {"proper_closed_submodule"}
+        scaled_result("excluding_radius", 4),
+        NOT_INDUCED,
+        {"proper_closed_submodule", "zero_family_contradiction"},
     ),
     "m-plus-ball-membership-2x": (
-        rebound("contains", membership_at_twice_the_radius),
+        m_plus_ball_decided_as(lambda radius: MPlusBall(radius * 2)),
         NOT_INDUCED,
-        {"proper_closed_submodule", "concatenation_failure"},
+        {"concatenation_failure", "proper_closed_submodule", "zero_family_contradiction"},
     ),
     "m-plus-ball-certificate-half-tail": (
         rebound("_certificate_witness", certificate_with_half_its_tail),
         NOT_INDUCED,
-        {"gauge_degeneracy"},
+        {"gauge_degeneracy", "zero_family_contradiction"},
+    ),
+    "m-plus-ball-membership-as-order-ball": (
+        m_plus_ball_decided_as(lambda radius: Ball((Weighted(ONE),), radius)),
+        NOT_INDUCED,
+        {
+            "base_axioms",
+            "concatenation_failure",
+            "hausdorff_diagnosis",
+            "zero_family_contradiction",
+        },
     ),
 }
+BASES = {"induced": INDUCED, "not-induced": NOT_INDUCED}
 
 
 @pytest.mark.parametrize("fault, base, failing", FAULTS.values(), ids=FAULTS)
@@ -131,16 +151,23 @@ def test_fault_fails_its_steps(monkeypatch, fault, base, failing):
     fault(monkeypatch, calls)
     report = seminorm_induction_verdict(base, seed=1, samples=30)
     assert calls  # the patched function is the one the verdict ran
-    passed = {step.name: step.passed for step in report.steps}
-    assert failing <= set(passed)
-    assert not any(passed[name] for name in failing)
+    assert {step.name for step in report.steps if not step.passed} == failing
     assert report.passed is False
     for step in report.steps:
         if not step.passed:  # a failing step must not read like a passing one
             assert step.observed != observed[step.name], step.name
 
 
-@pytest.mark.parametrize("base", [INDUCED, NOT_INDUCED], ids=["induced", "not-induced"])
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES)
 def test_every_step_passes_without_a_fault(base):
     """The rows above fail because of their fault, not of the base."""
     assert seminorm_induction_verdict(base, seed=1, samples=30).passed
+
+
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES)
+def test_every_step_has_a_fault_that_fails_it(base):
+    """A step that no row fails could pass whatever the code computes: a
+    new step arrives with a row, or is deleted."""
+    steps = {step.name for step in seminorm_induction_verdict(base, seed=1, samples=30).steps}
+    named = set().union(*(failing for _, row_base, failing in FAULTS.values() if row_base is base))
+    assert steps - named == set()

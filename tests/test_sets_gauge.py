@@ -37,6 +37,7 @@ from l0convex import (
     verify_certificate,
 )
 from l0convex import sampling
+from l0convex._library import StructuralFlags
 from l0convex.sets import _certificate_witness, core_point, excluding_radius
 
 from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
@@ -155,16 +156,17 @@ class TestContains:
             Scale(EcRv({1: 0}, 1), UNIT_BALL)
 
 
+ALL_THREE = StructuralFlags(l0_convex=True, l0_absorbent=True, l0_balanced=True)
+
+
 class TestStructuralFlags:
     def test_m_plus_ball_all_three(self):
-        flags = structural_flags(MPlusBall(ONE))
-        assert flags.all_true()
+        assert structural_flags(MPlusBall(ONE)) == ALL_THREE
         confirmation = confirm_structural_flags(MPlusBall(ONE), 1000, seed=11)
         assert confirmation.passed
 
     def test_ball_all_three(self):
-        flags = structural_flags(UNIT_BALL)
-        assert flags.all_true()
+        assert structural_flags(UNIT_BALL) == ALL_THREE
         assert confirm_structural_flags(UNIT_BALL, 300, seed=13).passed
 
     def test_translate_breaks_balance(self):
@@ -178,7 +180,7 @@ class TestStructuralFlags:
 
     def test_intersect_preserves(self):
         both = Intersect((UNIT_BALL, MPlusBall(ONE)))
-        assert structural_flags(both).all_true()
+        assert structural_flags(both) == ALL_THREE
 
     def test_intersect_with_m_plus_ball_absorbs(self):
         """The intersection's witness is the larger of its members'
@@ -188,11 +190,11 @@ class TestStructuralFlags:
 
     def test_translate_at_origin_absorbs(self):
         at_origin = Translate(ZERO, MPlusBall(ONE))
-        assert structural_flags(at_origin).all_true()
+        assert structural_flags(at_origin) == ALL_THREE
         assert confirm_structural_flags(at_origin, 200, seed=19).passed
 
     def test_scale_preserves(self):
-        assert structural_flags(Scale(EcRv.constant(-3), MPlusBall(ONE))).all_true()
+        assert structural_flags(Scale(EcRv.constant(-3), MPlusBall(ONE))) == ALL_THREE
 
 
 class TestGaugeClosedForm:

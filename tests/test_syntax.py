@@ -21,6 +21,7 @@ from l0convex import (
 )
 from l0convex.config import ConfigError, parse_config
 from l0convex.syntax import (
+    MAX_NESTING,
     ParseError,
     format_partition,
     format_seminorm,
@@ -129,6 +130,66 @@ class TestDescriptors:
         for parse, fmt, text in objects:
             value = parse(text)
             assert parse(fmt(value)) == value
+
+
+# A literal nested `levels` deep: its innermost literal sits inside that
+# many seminorm and set literals.
+NESTED = {
+    "sup": (
+        parse_seminorm,
+        format_seminorm,
+        lambda levels: "sup[" * levels + "zero" + "]" * levels,
+    ),
+    "ball": (
+        parse_set,
+        format_set,
+        lambda levels: "ball(" + "sup[" * (levels - 1) + "zero" + "]" * (levels - 1) + "; {|1})",
+    ),
+    "scale": (
+        parse_set,
+        format_set,
+        lambda levels: "scale({|2}; " * levels + "m_plus_ball({|1})" + ")" * levels,
+    ),
+    "translate": (
+        parse_set,
+        format_set,
+        lambda levels: "translate({|1}; " * levels + "m_plus_ball({|1})" + ")" * levels,
+    ),
+    "intersect": (
+        parse_set,
+        format_set,
+        lambda levels: "intersect[" * levels + "m_plus_ball({|1})" + "]" * levels,
+    ),
+}
+
+
+class TestNesting:
+    """A seminorm or set literal sits inside at most MAX_NESTING others;
+    one level deeper is a parse error at the innermost literal."""
+
+    @pytest.mark.parametrize("parse, fmt, literal", NESTED.values(), ids=NESTED)
+    def test_at_the_limit_the_literal_is_read(self, parse, fmt, literal):
+        text = literal(MAX_NESTING)
+        assert fmt(parse(text)) == text
+
+    @pytest.mark.parametrize("parse, fmt, literal", NESTED.values(), ids=NESTED)
+    def test_one_level_deeper_is_a_located_parse_error(self, parse, fmt, literal):
+        text = literal(MAX_NESTING + 1)
+        innermost = max(text.rfind("zero"), text.rfind("m_plus_ball"))
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert caught.value.message == "a literal nested more than 64 levels deep"
+        assert (caught.value.line, caught.value.column) == (1, innermost + 1)
+
+    def test_the_depth_is_counted_per_literal(self):
+        """Literals side by side do not add up: only nesting counts."""
+        deep = NESTED["sup"][2](MAX_NESTING - 1)
+        assert len(parse_seminorm(f"sup[{deep}, {deep}, {deep}]").members) == 3
+
+    def test_a_config_value_is_limited_too(self):
+        text = NESTED["sup"][2](MAX_NESTING + 1)
+        with pytest.raises(ConfigError, match=r"64 levels deep \(line 2, column 261\)"):
+            parse_config(f"# a comment\nseminorm = {text}\n")
 
 
 class TestConfig:
