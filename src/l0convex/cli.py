@@ -15,10 +15,9 @@ pass, 1 a check failed, 2 usage or config error, 3 internal error.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from . import l0, sets, syntax, topology
@@ -66,23 +65,19 @@ _READS = {
 
 
 def _flags(command: str) -> list[str]:
-    """The flags some row of `command` reads, in the order the table first
-    names them (so every usage line lists --seed before --samples)."""
-    names = dict.fromkeys(name for reads in _READS.values() for name in reads.split())
-    ours = " ".join(reads for row, reads in _READS.items() if row.split()[0] == command).split()
-    return [name for name in names if name[:2] == "--" and name in ours]
-
-
-# A flag's integer, in the config's grammar: an optional '-', then digits.
-def _integer(text: str) -> int:
-    if text.removeprefix("-").isdigit():
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    """The flags some row of `command` reads, in the order its rows first
+    name them (so every usage line lists --seed before --samples)."""
+    rows = [reads for row, reads in _READS.items() if row.split()[0] == command]
+    return [*dict.fromkeys(name for name in " ".join(rows).split() if name[:2] == "--")]
 
 
 def _emit(report: dict, json_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(report["value"] + "\n" if "value" in report else text)  # eval: the value alone
+    text = ""
+    if json_path or "value" not in report:  # eval prints the value alone
+        import json
+
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    sys.stdout.write(report["value"] + "\n" if "value" in report else text)
     if json_path:
         with open(json_path, "w") as handle:
             handle.write(text)
@@ -147,34 +142,88 @@ def cmd_verify(args, config: RunConfig, header: dict) -> dict:
 # -- entry point -------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="l0convex",
-        description="Exact checks for seminorm-induced and degenerate module topologies",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+# Each command's positional argument as its usage line shows it: a bare
+# name is required, a bracketed one may be left out.  `check` takes one
+# of its `_READS` targets.
+_POSITIONAL = {
+    "verify-counterexample": "",
+    "eval": "EXPRESSION",
+    "check": "TARGET",
+    "partition": "[SPEC]",
+}
+_TARGETS = [row[6:] for row in _READS if row[:6] == "check "]
 
-    commands.add_parser("verify-counterexample", help="run the full evidence pipeline")
 
-    ev = commands.add_parser("eval", help="evaluate one expression")
-    ev.add_argument("expression")
+def _options(command: str) -> dict[str, str]:
+    """Each flag `command` takes, with the attribute that holds its value."""
+    extra = {"--from": "tail_start", "--cells": "cells"} if command == "partition" else {}
+    return {"--config": "config", "--json": "json", **extra} | {f: f[2:] for f in _flags(command)}
 
-    check = commands.add_parser("check", help="run one named check")
-    check.add_argument("target", choices=["axioms", "roundtrip", "cc", "base"])
 
-    part = commands.add_parser("partition", help="build a halving-mass partition")
-    part.add_argument(
-        "spec", nargs="?", help="partition literal, e.g. 'singletons_from(3; {1}, {2})'"
-    )
-    part.add_argument("--from", dest="tail_start", type=_integer)
-    part.add_argument("--cells", help="prefix cells, e.g. [{1},{2}]")
+def _is_flag(word: str) -> bool:
+    # as in argparse: `-` alone and a negative number such as `-5` are values
+    return word[:1] == "-" and word != "-" and not word[1:2].isdecimal()
 
-    for name, sub in commands.choices.items():
-        sub.add_argument("--config", help="path to a key=value config file")
-        sub.add_argument("--json", help="also write the JSON report to this path")
-        for flag in _flags(name):
-            sub.add_argument(flag, type=_integer)
-    return parser
+
+def _refuse(message: str) -> NoReturn:
+    sys.stderr.write(f"l0convex: error: {message}\n")
+    raise SystemExit(2)
+
+
+# A flag's integer, in the config's grammar: an optional '-', then digits.
+def _integer(flag: str, text: str) -> int:
+    if text.removeprefix("-").isdecimal():
+        return int(text)
+    _refuse(f"argument {flag}: expected an integer, got {text!r}")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read the command line: a command, its positional argument and its
+    flags, each given at most once by its full name, as `--name value` or
+    `--name=value`.  Bad usage exits 2 after an `l0convex: error:` line;
+    `-h` or `--help` prints every command with its flags and exits 0."""
+    if "-h" in argv or "--help" in argv:
+        for command, shown in _POSITIONAL.items():
+            flags = (f"[{flag} {flag[2:].upper()}]" for flag in _options(command))
+            print(f"l0convex {command} {shown}".rstrip(), *flags)
+        print("TARGET:", *_TARGETS)
+        raise SystemExit(0)
+    command = argv[0] if argv else ""
+    if command not in _POSITIONAL:
+        _refuse(f"expected a command ({', '.join(_POSITIONAL)}), got {command!r}")
+    # every attribute a handler reads; None where the command line is silent
+    names = "expression target spec tail_start cells config json seed samples"
+    args = SimpleNamespace(command=command, **dict.fromkeys(names.split()))
+    options, extras = _options(command), []
+    positional = _POSITIONAL[command].strip("[]").lower()
+    words = iter(argv[1:])
+    for word in words:
+        flag, equals, value = word.partition("=")
+        if not _is_flag(word):
+            if not positional or getattr(args, positional) is not None:
+                extras.append(word)
+            elif positional == "target" and word not in _TARGETS:
+                choices = ", ".join(_TARGETS)
+                _refuse(f"argument target: invalid choice: {word!r} (choose from {choices})")
+            else:
+                setattr(args, positional, word)
+        elif flag not in options:
+            extras.append(word)  # an abbreviation too: a flag is named in full
+        elif getattr(args, options[flag]) is not None:
+            _refuse(f"argument {flag}: given twice")
+        else:
+            if not equals:
+                value = next(words, None)
+                if value is None or _is_flag(value):
+                    _refuse(f"argument {flag}: expected one argument")
+            if flag in ("--from", *_flags(command)):
+                value = _integer(flag, value)
+            setattr(args, options[flag], value)
+    if _POSITIONAL[command].isalpha() and getattr(args, positional) is None:
+        _refuse(f"the following arguments are required: {positional}")
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _run(args) -> int:
@@ -201,21 +250,21 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(parse_args(sys.argv[1:] if argv is None else argv))
     except Exception as exc:
         # bad input; the library's UsageErrors include MalformedPrefix, a
-        # missing or unreadable file is an OSError, and a result past
-        # Python's integer digit limit cannot be printed (its ValueError
-        # names `sys.set_int_max_str_digits`); the tuple is evaluated only
+        # missing or unreadable file is an OSError, and an integer past
+        # Python's digit limit can be neither read nor printed (its
+        # ValueError names `sys.set_int_max_str_digits`, which a shell user
+        # reaches through the environment); the tuple is evaluated only
         # when an exception arrives, so a command that never ran `l0`
         # runs it only then
         if isinstance(
             exc, (ConfigError, ParseError, UsageError, UnsupportedShape, l0.NotInvertible, OSError)
         ) or "int_max_str_digits" in str(exc):
-            print(f"error: {exc}", file=sys.stderr)
+            knob = "the PYTHONINTMAXSTRDIGITS environment variable"
+            print(f"error: {exc}".replace("sys.set_int_max_str_digits()", knob), file=sys.stderr)
             return 2
         # a defect in the program, never "a check failed"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
-import argparse
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -551,7 +552,7 @@ IGNORED = [
 ]
 
 # The probe horizon and the certificate tolerance are no input of any
-# command: argparse refuses the flag, the config parser the keys.
+# command: the command-line parser refuses the flag, the config parser the keys.
 # (command line, config text, the input the error line names, the line)
 DROPPED = [
     (("verify-counterexample", "--horizon", "1"), INDUCED, "--horizon",
@@ -570,6 +571,32 @@ DROPPED = [
      "error: line 1: unknown key 'tolerance'"),
 ]
 REFUSED = [(*row, f"error: {row[2]} would be ignored: ") for row in IGNORED] + DROPPED
+
+# A positional argument that each command parses with, and the attribute
+# that holds each flag's value.
+POSITIONALS = {
+    "verify-counterexample": (),
+    "eval": ("prob {1}",),
+    "check": ("base",),
+    "partition": (SPEC,),
+}
+FLAG_ATTRIBUTES = {
+    "--seed": "seed",
+    "--samples": "samples",
+    "--from": "tail_start",
+    "--cells": "cells",
+    "--config": "config",
+    "--json": "json",
+}
+
+
+def parse_exit(argv):
+    """The exit code and the last stderr line of a command line that the
+    parser refuses."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as stop:
+        cli.parse_args(list(argv))
+    return stop.value.code, stderr.getvalue().splitlines()[-1]
 
 
 class TestIgnoredInputs:
@@ -595,16 +622,9 @@ class TestIgnoredInputs:
         assert captured.err.splitlines()[-1].startswith(line)
 
     def test_registered_flags_are_the_rows_union(self):
-        (commands,) = [
-            action
-            for action in cli.build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        registered = {
-            name: {flag for action in sub._actions for flag in action.option_strings}
-            & {"--seed", "--horizon", "--samples"}
-            for name, sub in commands.choices.items()
-        }
+        """Each command takes exactly the flags its `_READS` rows name, plus
+        --config and --json, plus --from and --cells on partition: each of
+        those parses, and any other flag exits 2."""
         union = {
             name: {
                 flag
@@ -613,15 +633,29 @@ class TestIgnoredInputs:
                 for flag in reads.split()
                 if flag.startswith("--")
             }
-            for name in registered
+            for name in POSITIONALS
         }
-        assert registered == union
-        assert registered == {
+        assert union == {
             "verify-counterexample": {"--seed", "--samples"},
             "check": {"--seed", "--samples"},
             "eval": set(),
             "partition": set(),
         }
+        candidates = {*FLAG_ATTRIBUTES, "--horizon", "--tolerance", "--expression", "--target"}
+        for name, positional in POSITIONALS.items():
+            takes = union[name] | {"--config", "--json"}
+            if name == "partition":
+                takes |= {"--from", "--cells"}
+            assert set(cli._options(name)) == takes
+            for flag in sorted(candidates):
+                if flag in takes:
+                    args = cli.parse_args([name, *positional, flag, "7"])
+                    value = 7 if flag in {"--seed", "--samples", "--from"} else "7"
+                    assert getattr(args, FLAG_ATTRIBUTES[flag]) == value, (name, flag)
+                else:
+                    assert parse_exit([name, *positional, flag, "7"]) == (
+                        2, f"l0convex: error: unrecognized arguments: {flag} 7"
+                    ), (name, flag)
 
     def test_one_verify_row(self):
         assert [row for row in cli._READS if row.split()[0] == "verify-counterexample"] == [
@@ -637,6 +671,103 @@ class TestIgnoredInputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["partition"] == SPEC
+
+
+class TestCommandLine:
+    """The parser reads a command, its positional argument and its flags,
+    as `--name value` or `--name=value`; each flag once, by its full name."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("check", "base", "--samples", "3", "--samples", "4"), "--samples"),
+            (("verify-counterexample", "--samples", "3", "--samples=3"), "--samples"),
+            (("verify-counterexample", "--seed", "1", "--seed", "2"), "--seed"),
+            (("check", "axioms", "--seed=1", "--seed", "1"), "--seed"),
+            (("partition", "--from", "3", "--from", "4"), "--from"),
+            (("eval", "prob {1}", "--config", "a.cfg", "--config", "b.cfg"), "--config"),
+            (("check", "base", "--config", "a.cfg", "--config=a.cfg"), "--config"),
+            (("check", "base", "--json", "a.json", "--json", "b.json"), "--json"),
+            (("partition", "--cells", "[{1}]", "--cells", "[{2}]"), "--cells"),
+        ],
+    )
+    def test_flag_given_twice_exits_2(self, capsys, argv, flag):
+        """The second value would silently win; the flag is refused instead."""
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out) == (2, "")
+        assert captured.err == f"l0convex: error: argument {flag}: given twice\n"
+
+    @pytest.mark.parametrize(
+        "argv, unknown",
+        [
+            (("check", "base", "--samp", "3", "--se", "2"), "--samp 3 --se 2"),
+            (("check", "base", "--conf", "run.cfg"), "--conf run.cfg"),
+            (("eval", "prob {1}", "--conf=run.cfg"), "--conf=run.cfg"),
+            (("partition", SPEC, "--fr", "3"), "--fr 3"),
+            (("verify-counterexample", "--sample", "3"), "--sample 3"),
+        ],
+    )
+    def test_abbreviated_flag_exits_2(self, capsys, argv, unknown):
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out) == (2, "")
+        assert captured.err == f"l0convex: error: unrecognized arguments: {unknown}\n"
+
+    def test_name_equals_value(self):
+        args = cli.parse_args(["check", "base", "--seed=5", "--samples", "-3", "--config=a=b.cfg"])
+        assert (args.command, args.target, args.seed, args.samples) == ("check", "base", 5, -3)
+        assert args.config == "a=b.cfg"  # split at the first '='
+
+    def test_attributes(self):
+        args = cli.parse_args(["partition", "--json", "out.json", "--from", "3", "--cells", "[{1}]"])
+        assert vars(args) == {
+            "command": "partition", "expression": None, "target": None, "spec": None,
+            "tail_start": 3, "cells": "[{1}]", "config": None, "json": "out.json",
+            "seed": None, "samples": None,
+        }
+        assert cli.parse_args(["partition", SPEC]).spec == SPEC
+        assert cli.parse_args(["eval", "--json", "-", "prob {1}"]).expression == "prob {1}"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("check", "base", "--samples"), "argument --samples: expected one argument"),
+            (("check", "base", "--json", "--seed", "3"), "argument --json: expected one argument"),
+            (("partition", "--cells"), "argument --cells: expected one argument"),
+            (("verify",), "expected a command (verify-counterexample, eval, check, partition), got 'verify'"),
+            ((), "expected a command (verify-counterexample, eval, check, partition), got ''"),
+            (("--seed", "3", "check", "base"), "expected a command (verify-counterexample, eval, check, partition), got '--seed'"),
+            (("check", "bases"), "argument target: invalid choice: 'bases' (choose from axioms, roundtrip, cc, base)"),
+            (("check",), "the following arguments are required: target"),
+            (("eval", "--json", "out.json"), "the following arguments are required: expression"),
+            (("eval", "prob {1}", "prob {2}"), "unrecognized arguments: prob {2}"),
+            (("check", "base", "cc"), "unrecognized arguments: cc"),
+            (("verify-counterexample", "base"), "unrecognized arguments: base"),
+            (("verify-counterexample", "-x"), "unrecognized arguments: -x"),
+        ],
+    )
+    def test_usage_error_exits_2(self, argv, line):
+        assert parse_exit(argv) == (2, f"l0convex: error: {line}")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("check", "base", "--help"), ("eval", "-h")])
+    def test_help_lists_every_command_and_its_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.err) == (0, "")
+        assert captured.out == (
+            "l0convex verify-counterexample [--config CONFIG] [--json JSON] [--seed SEED]"
+            " [--samples SAMPLES]\n"
+            "l0convex eval EXPRESSION [--config CONFIG] [--json JSON]\n"
+            "l0convex check TARGET [--config CONFIG] [--json JSON] [--seed SEED]"
+            " [--samples SAMPLES]\n"
+            "l0convex partition [SPEC] [--config CONFIG] [--json JSON] [--from FROM]"
+            " [--cells CELLS]\n"
+            "TARGET: axioms roundtrip cc base\n"
+        )
 
 
 class TestErrorMapping:
@@ -865,6 +996,9 @@ class TestLiteralErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
         assert err.endswith(f"(line 1, column {digits + 7})\n")
+        # the knob a shell user can reach, not the call a program would make
+        assert "use the PYTHONINTMAXSTRDIGITS environment variable" in err
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.skipif(
         not hasattr(sys, "get_int_max_str_digits"), reason="int() caps digits from 3.11 on"
@@ -883,6 +1017,8 @@ class TestLiteralErrors:
         code, out, err = run(capsys, "eval", expression(sys.get_int_max_str_digits()))
         assert (code, out) == (2, "")
         assert err.startswith("error: Exceeds the limit")
+        assert "use the PYTHONINTMAXSTRDIGITS environment variable" in err
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("value", ["4/3", "'4/3'", '"4/3"'])
     def test_tail_coefficient_quoted_or_not(self, capsys, tmp_path, value):
