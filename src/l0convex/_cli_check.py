@@ -19,13 +19,12 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
         if config.seminorm is None:
             raise ConfigError("check axioms needs a 'seminorm' key in the config")
         report = seminorms.axioms_check(config.seminorm, config.samples, config.seed)
-        step = EvidenceStep(
+        step = report.step(
             "seminorm_axioms",
-            {"seminorm": syntax.format_seminorm(config.seminorm), "samples": config.samples},
             "homogeneity and triangle inequality hold exactly on all samples",
-            f"homogeneity failures: {report.failures['homogeneity']}, "
-            f"triangle failures: {report.failures['triangle']}",
-            report.passed,
+            "homogeneity failures: {failures[homogeneity]}, "
+            "triangle failures: {failures[triangle]}",
+            seminorm=syntax.format_seminorm(config.seminorm),
         )
     elif target == "roundtrip":
         probe = config.seminorm if config.seminorm is not None else config.set_descriptor
@@ -35,14 +34,12 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
             raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
         report = sets.roundtrip_check(probe, config.samples, config.seed)
         formatter = syntax.format_seminorm if config.seminorm is not None else syntax.format_set
-        step = EvidenceStep(
+        step = report.step(
             "gauge_roundtrip",
-            {"target": formatter(probe), "samples": config.samples},
             "gauge reproduces the seminorm and membership agrees with gauge <= 1",
-            f"gauge mismatches: {report.failures['gauge']}, membership mismatches: "
-            f"{report.failures['membership']}, strict-inclusion failures: "
-            f"{report.failures['strict']}",
-            report.passed,
+            "gauge mismatches: {failures[gauge]}, membership mismatches: "
+            "{failures[membership]}, strict-inclusion failures: {failures[strict]}",
+            target=formatter(probe),
         )
     elif target == "cc":
         if config.set_descriptor is None or not config.sequences:

@@ -5,7 +5,7 @@ default certificate tolerance live here so
 that loading them costs only this module: `config` needs a default base
 and every `check` and `partition` report builds an `EvidenceStep`,
 neither of which should pull in `topology` or `sets`, and `config` and
-`cli` catch `ParseError` without running the literal parser.  The
+`cli` catch the input errors without running the literal parser.  The
 modules that use them (`topology`, `sets`, `syntax`) re-export each
 name, so `l0convex.topology.EvidenceStep`,
 `l0convex.sets.UnsupportedShape` and `l0convex.syntax.ParseError` are
@@ -26,17 +26,18 @@ if TYPE_CHECKING:
 DEFAULT_TOLERANCE = Fraction(1, 2**20)
 
 
-class UnsupportedShape(TypeError):
-    """No gauge closed form for this descriptor."""
-
-
 class UsageError(ValueError):
     """An input outside what a check accepts: a count below its limit, an
     atom index below 1, or inputs that do not fit together.  The CLI maps
-    it to exit code 2; a plain ValueError from the library is a defect."""
+    it and its subclasses, the package's input errors, to exit code 2; a
+    plain ValueError from the library is a defect."""
 
 
-class ParseError(ValueError):
+class UnsupportedShape(UsageError, TypeError):
+    """No gauge closed form for this descriptor."""
+
+
+class ParseError(UsageError):
     """A literal that does not parse, located by line and column."""
 
     def __init__(self, message: str, line: int, column: int):

@@ -10,18 +10,20 @@ Commands:
 
 The JSON report goes to stdout (and to --json PATH if given); one
 human-readable line per step goes to stderr.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage or config error, 3 internal error.
+pass, 1 a check failed, 2 usage or config error, 3 internal error, 4 the
+output cannot be written (stdout is closed, or its reader left).
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from types import SimpleNamespace
 from typing import NoReturn
 
-from . import l0, sets, syntax, topology
-from ._common import ParseError, UnsupportedShape, UsageError
+from . import sets, syntax, topology
+from ._common import UsageError
 from .config import ConfigError, RunConfig, parse_config
 
 # The package binds the evidence modules and `syntax` lazily, so a one-shot
@@ -93,8 +95,12 @@ def _load_config(args) -> tuple[RunConfig, dict]:
     the report header: the schema, plus `seed` and `samples` if read."""
     text = ""
     if args.config:
-        with open(args.config) as handle:
-            text = handle.read()
+        with open(args.config, "rb") as handle:
+            data = handle.read()
+        try:  # UTF-8, a leading byte order mark skipped
+            text = data.decode("utf-8").removeprefix("\ufeff")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc.reason} at byte {exc.start}") from None
     config, keys = parse_config(text)
     run = args.command
     if run == "check":
@@ -186,7 +192,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         for command, shown in _POSITIONAL.items():
             flags = (f"[{flag} {flag[2:].upper()}]" for flag in _options(command))
             print(f"l0convex {command} {shown}".rstrip(), *flags)
-        print("TARGET:", *_TARGETS)
+        print("TARGET:", *_TARGETS, flush=True)
         raise SystemExit(0)
     command = argv[0] if argv else ""
     if command not in _POSITIONAL:
@@ -250,19 +256,25 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        print("error: stdout is closed, so no output can be written", file=sys.stderr)
+        return 4
     try:
-        return _run(parse_args(sys.argv[1:] if argv is None else argv))
+        code = _run(parse_args(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()  # a reader that left fails this write here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left: say nothing, and point stdout at the
+        # null device, so the interpreter's flush at exit has nothing to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
     except Exception as exc:
-        # bad input; the library's UsageErrors include MalformedPrefix, a
-        # missing or unreadable file is an OSError, and an integer past
-        # Python's digit limit can be neither read nor printed (its
+        # bad input: the package's input errors, a file named on the
+        # command line that cannot be opened, and an integer past Python's
+        # digit limit, which can be neither read nor printed (its
         # ValueError names `sys.set_int_max_str_digits`, which a shell user
-        # reaches through the environment); the tuple is evaluated only
-        # when an exception arrives, so a command that never ran `l0`
-        # runs it only then
-        if isinstance(
-            exc, (ConfigError, ParseError, UsageError, UnsupportedShape, l0.NotInvertible, OSError)
-        ) or "int_max_str_digits" in str(exc):
+        # reaches through the environment)
+        if isinstance(exc, (UsageError, OSError)) or "int_max_str_digits" in str(exc):
             knob = "the PYTHONINTMAXSTRDIGITS environment variable"
             print(f"error: {exc}".replace("sys.set_int_max_str_digits()", knob), file=sys.stderr)
             return 2

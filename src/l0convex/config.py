@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from . import syntax
-from ._common import CounterexampleFamily, NeighborhoodBase, ParseError
+from ._common import CounterexampleFamily, NeighborhoodBase, ParseError, UsageError
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
     from .sets import SetDescriptor
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     pass
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import l0
-from ._common import UsageError
+from ._common import EvidenceStep, UsageError
 from ._record import record
 
 MAX_OVERRIDES = 8
@@ -47,13 +47,28 @@ class Tally:
     def passed(self) -> bool:
         return not any(self.failures.values())
 
+    def step(self, name: str, expected: str, observed: str, **inputs) -> EvidenceStep:
+        """The evidence step these draws decide: it passes iff no check
+        failed, and its inputs are `samples` plus `inputs`.  `observed` is
+        a `str.format` template over the fields, and `failed`, the number
+        of draws that failed some check: "{failures[meet]}",
+        "{example[witness]!r}" or "{failed} mismatches"."""
+        return EvidenceStep(
+            name,
+            {"samples": self.samples, **inputs},
+            expected,
+            observed.format(**vars(self), failed=self.samples - self.held),
+            self.passed,
+        )
+
 
 def tally(samples: int, draw) -> Tally:
     """Call `draw()` `samples` times and count what its checks found.
 
     A draw returns its checks, a dict from each check's name to whether
     it held, and its example, a dict of the values that describe the
-    draw.  Every sampled check of the package is one call of this loop.
+    draw.  Every sampled check of the package is one call of this loop,
+    and every sampled report step is the `step` of its tally.
     """
     require_samples(samples)
     failures = Counter()

@@ -103,17 +103,14 @@ def base_axioms_step(
     eps = ONE if eps is None else eps
     delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
     report = base_axiom_witnesses(base, eps, delta, samples, seed)
-    w, failed = report.example, report.failures
-    return EvidenceStep(
-        name="base_axioms",
-        inputs={"epsilon": repr(eps), "delta": repr(delta), "samples": samples},
-        expected="meet, sum and scaling inclusions hold on all samples",
-        observed=(
-            f"witnesses ({w['meet_witness']!r}, {w['sum_witness']!r}, "
-            f"{w['scaling_witness']!r}); failures: {failed['meet']}, "
-            f"{failed['sum']}, {failed['scaling']}"
-        ),
-        passed=report.passed,
+    return report.step(
+        "base_axioms",
+        "meet, sum and scaling inclusions hold on all samples",
+        "witnesses ({example[meet_witness]!r}, {example[sum_witness]!r}, "
+        "{example[scaling_witness]!r}); failures: {failures[meet]}, "
+        "{failures[sum]}, {failures[scaling]}",
+        epsilon=repr(eps),
+        delta=repr(delta),
     )
 
 
@@ -172,10 +169,9 @@ def hausdorff_report(
         y = sampling.random_ecrv(rng)
         while y == x:
             y = sampling.random_ecrv(rng)
-        d = x - y
-        eps = excluding_radius(unit, d)
-        apart = not contains(base.base_set(eps), d)
-        return {"separated": apart}, {"witness": None, "x": x, "y": y, "epsilon": eps}
+        separation = closure_membership(base, x - y).separation
+        example = {"witness": None, "x": x, "y": y, "epsilon": separation.epsilon}
+        return {"separated": separation.excluded}, example
 
     return sampling.tally(samples, separated if witness is None else held_by_base_set)
 
@@ -183,18 +179,19 @@ def hausdorff_report(
 def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> EvidenceStep:
     report = hausdorff_report(base, samples=samples, seed=seed)
     witness = report.example["witness"]
-    inputs = {"samples": samples}
     if witness is None:
-        expected = "distinct sampled points are separated by some base set"
-        observed = f"{report.held}/{samples} sampled pairs separated"
-    else:
-        inputs["witness"] = repr(witness)
-        expected = "a nonzero point lies in every sampled base set"
-        observed = (
-            f"non-Hausdorff, nonzero witness {witness!r} in "
-            f"{report.held}/{samples} sampled base sets"
+        return report.step(
+            "hausdorff_diagnosis",
+            "distinct sampled points are separated by some base set",
+            "{held}/{samples} sampled pairs separated",
         )
-    return EvidenceStep("hausdorff_diagnosis", inputs, expected, observed, report.passed)
+    return report.step(
+        "hausdorff_diagnosis",
+        "a nonzero point lies in every sampled base set",
+        "non-Hausdorff, nonzero witness {example[witness]!r} in "
+        "{held}/{samples} sampled base sets",
+        witness=repr(witness),
+    )
 
 
 # -- the induction verdict ---------------------------------------------------
@@ -241,7 +238,14 @@ def seminorm_induction_verdict(
     if degenerate:
         steps += _not_induced_steps(base, seed, samples)
     else:
-        steps += _induced_steps(base, seed, samples)
+        steps.append(
+            roundtrip_check(unit, samples, seed).step(
+                "gauge_membership_roundtrip",
+                "membership in a base ball agrees with gauge <= 1",
+                "{failed} mismatches",
+                ball_radius=repr(ONE),
+            )
+        )
     steps.append(_hausdorff_step(base, samples, seed))
     if not degenerate:
         return EvidenceReport("induced", unit.seminorms, steps, seed)
@@ -265,26 +269,12 @@ def seminorm_induction_verdict(
 def _sampled_step(
     name: str, samples: int, draw, expected: str, observed: str, **inputs
 ) -> EvidenceStep:
-    """One evidence step over `samples` draws of `sampling.tally`; it passes
-    iff every draw held.  The example inputs are the tally's example, and
-    `observed` is formatted with `held` and `samples`."""
+    """One evidence step over `samples` draws of `sampling.tally`, with the
+    example's values among its inputs; `observed` is a `Tally.step`
+    template."""
     report = sampling.tally(samples, draw)
-    inputs = {"samples": samples, **inputs, **{k: repr(v) for k, v in report.example.items()}}
-    observed = observed.format(held=report.held, samples=samples)
-    return EvidenceStep(name, inputs, expected, observed, report.passed)
-
-
-def _induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
-    rt = roundtrip_check(base.base_set(ONE), samples, seed)
-    return [
-        EvidenceStep(
-            name="gauge_membership_roundtrip",
-            inputs={"ball_radius": repr(ONE), "samples": samples},
-            expected="membership in a base ball agrees with gauge <= 1",
-            observed=f"{samples - rt.held} mismatches",
-            passed=rt.passed,
-        ),
-    ]
+    example = {k: repr(v) for k, v in report.example.items()}
+    return report.step(name, expected, observed, **inputs, **example)
 
 
 def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -14,6 +15,7 @@ import pytest
 from l0convex import _cli_eval, cli, sets
 from l0convex.cli import main
 from l0convex.config import _KEYS, parse_config
+from l0convex.l0 import NotInvertible
 from l0convex.topology import seminorm_induction_verdict
 
 
@@ -810,6 +812,19 @@ class TestErrorMapping:
         assert out == ""
         assert err == "internal error: ValueError: arithmetic defect\n"
 
+    def test_not_invertible_from_the_kernel_exits_3(self, capsys, monkeypatch):
+        """Every divisor a command reaches is checked before the kernel sees
+        it (a scale factor, a ball radius, the base-axiom radii), so a
+        NotInvertible on a command path is a defect, not bad input."""
+
+        def broken(x):
+            raise NotInvertible(f"{x!r} takes the value 0")
+
+        monkeypatch.setattr(sets, "reciprocal", broken)
+        code, out, err = run(capsys, "eval", "gauge scale({|2}; ball(weighted({|1}); {|1})) {|1}")
+        assert (code, out) == (3, "")
+        assert err == "internal error: NotInvertible: {|2} takes the value 0\n"
+
     @pytest.mark.parametrize(
         "argv, text",
         [
@@ -910,12 +925,14 @@ class TestLiteralErrors:
              "expected \"'\" (line 2, column 5)"),
             (("eval", "prob {1}"), "space.tail_coefficient", "1/0",
              "zero denominator (line 2, column 4)"),
+            (("verify-counterexample",), "seed", "1\0",
+             "unexpected trailing input (line 2, column 2)"),
         ],
         ids=[
             "base-name", "base-empty-family", "base-trailing-input", "space-comma",
             "space-quotes", "space-gap", "space-unclosed", "space-atom-twice",
             "element-atom-twice", "integer-underscore", "integer-plus", "integer-decimal",
-            "tail-exponent", "tail-quotes", "tail-zero-denominator",
+            "tail-exponent", "tail-quotes", "tail-zero-denominator", "integer-nul",
         ],
     )
     def test_config_value(self, capsys, tmp_path, argv, key, value, line):
@@ -1215,3 +1232,99 @@ class TestProcessEntry:
         text = (ROOT / "pyproject.toml").read_text()
         scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert scripts.strip() == 'l0convex = "l0convex.cli:run"'
+
+
+# -- every input and output surface, each in a child process ------------------
+
+BOM = b"\xef\xbb\xbf"
+BUFFERED = {"PYTHONUNBUFFERED": None}  # stdout buffered, as on a plain interpreter
+
+
+def cannot_open(code: int, name: str) -> str:
+    """The error line for a file named on the command line that cannot be opened."""
+    return f"error: [Errno {code}] {os.strerror(code)}: {name!r}\n"
+
+
+def spawn(tmp_path, argv, stdout, env):
+    """Exit code, stdout and stderr of `python -m l0convex.cli *argv` run in
+    `tmp_path`, its stdout left open (`pipe`), closed before the start
+    (`closed`), a pipe whose reader left before the start (`reader-left`),
+    or a pipe whose reader takes one byte and leaves (`one-byte`)."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    env = {key: value for key, value in env.items() if value is not None}
+    command = [sys.executable, "-m", "l0convex.cli", *argv]
+    kwargs = {"cwd": tmp_path, "env": env, "stderr": subprocess.PIPE, "text": True}
+    if stdout == "one-byte":
+        with subprocess.Popen(command, stdout=subprocess.PIPE, **kwargs) as proc:
+            proc.stdout.read(1)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        return proc.returncode, "", err
+    if stdout == "pipe":
+        result = subprocess.run(command, stdout=subprocess.PIPE, **kwargs)
+    elif stdout == "closed":
+        result = subprocess.run(command, preexec_fn=lambda: os.close(1), **kwargs)
+    else:  # reader-left
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            result = subprocess.run(command, stdout=writer, **kwargs)
+        finally:
+            os.close(writer)
+    return result.returncode, result.stdout or "", result.stderr
+
+
+CHECK_BASE = ("check", "base", "--samples", "1", "--config")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes and pipes file descriptors")
+class TestInputOutputSurfaces:
+    """A config file's bytes, a path given for a file, and the state of
+    stdout each give one exit code and one message.  Output failures exit
+    4 and nothing else does; a reader that left gets no message, and the
+    interpreter's flush at exit finds nothing left to fail on."""
+
+    @pytest.mark.parametrize(
+        "files, argv, stdout, env, code, err, header",
+        [
+            ({"run.cfg": b"seed = \xff\n"}, (*CHECK_BASE, "run.cfg"), "pipe", {}, 2,
+             "error: config is not UTF-8: invalid start byte at byte 7\n", None),
+            ({"run.cfg": BOM + b"seed = \xff\n"}, (*CHECK_BASE, "run.cfg"), "pipe", {}, 2,
+             "error: config is not UTF-8: invalid start byte at byte 10\n", None),
+            ({"run.cfg": BOM + b"seed = 3\n"}, (*CHECK_BASE, "run.cfg"), "pipe", {}, 0,
+             "PASS  base_axioms\n", {"seed": 3}),
+            ({"run.cfg": b"seed = 3\r\n\r\nsamples = 2\r\n"}, ("check", "base", "--config",
+             "run.cfg"), "pipe", {}, 0, "PASS  base_axioms\n", {"seed": 3, "samples": 2}),
+            ({"dir": None}, (*CHECK_BASE, "dir"), "pipe", {}, 2,
+             cannot_open(errno.EISDIR, "dir"), None),
+            ({}, (*CHECK_BASE, "missing.cfg"), "pipe", {}, 2,
+             cannot_open(errno.ENOENT, "missing.cfg"), None),
+            ({"dir": None}, ("eval", "prob {1}", "--json", "dir"), "pipe", {}, 2,
+             cannot_open(errno.EISDIR, "dir"), None),
+            ({}, ("eval", "prob {1}"), "closed", {}, 4,
+             "error: stdout is closed, so no output can be written\n", None),
+            ({}, ("--help",), "reader-left", {"PYTHONUNBUFFERED": "1"}, 4, "", None),
+            ({}, ("--help",), "reader-left", BUFFERED, 4, "", None),
+            ({}, ("eval", "prob {1}"), "reader-left", BUFFERED, 4, "", None),
+            # 75,261 bytes: more than a pipe holds, so the write outlasts the reader
+            ({}, ("eval", "prob {250000}"), "one-byte",
+             {**BUFFERED, "PYTHONINTMAXSTRDIGITS": "0"}, 4, "", None),
+        ],
+        ids=[
+            "config-not-utf8", "config-bom-not-utf8", "config-bom", "config-crlf",
+            "config-directory", "config-missing", "json-directory", "stdout-closed",
+            "help-reader-left-unbuffered", "help-reader-left-buffered",
+            "eval-reader-left", "eval-reader-leaves-after-one-byte",
+        ],
+    )
+    def test_surface(self, tmp_path, files, argv, stdout, env, code, err, header):
+        for name, data in files.items():
+            if data is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_bytes(data)
+        got_code, out, got_err = spawn(tmp_path, argv, stdout, env)
+        assert (got_code, got_err) == (code, err)
+        if header is not None:
+            assert json.loads(out).items() >= header.items()

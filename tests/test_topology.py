@@ -1,4 +1,5 @@
 import typing
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -419,6 +420,53 @@ class TestSampledStep:
         step = topology._sampled_step("s", 5, self.draws(set()), "", "{held}/{samples}")
         assert step.passed
         assert step.inputs == {"samples": 5, "example_call": "5"}
+
+    # `Tally.step` on failing tallies built by hand, against the f-strings
+    # the report steps were written with before they were templates
+
+    def test_failed_counts_a_draw_that_failed_two_checks_once(self):
+        report = sampling.Tally(5, Counter(gauge=1, membership=1), 4, {"x": ONE})
+        step = report.step("gauge_membership_roundtrip", "", "{failed} mismatches", r="1")
+        assert step.observed == f"{5 - report.held} mismatches" == "1 mismatches"
+        assert (step.passed, step.inputs) == (False, {"samples": 5, "r": "1"})
+
+    def test_a_check_that_never_failed_reads_zero(self):
+        report = sampling.Tally(3, Counter(gauge=2), 1, {"x": ONE})
+        step = report.step(
+            "gauge_roundtrip",
+            "",
+            "gauge mismatches: {failures[gauge]}, membership mismatches: "
+            "{failures[membership]}, strict-inclusion failures: {failures[strict]}",
+        )
+        assert step.observed == (
+            f"gauge mismatches: {report.failures['gauge']}, membership mismatches: "
+            f"{report.failures['membership']}, strict-inclusion failures: "
+            f"{report.failures['strict']}"
+        )
+        assert step.observed.endswith("membership mismatches: 0, strict-inclusion failures: 0")
+        assert not step.passed
+
+    def test_example_conversion_is_repr(self):
+        w = {
+            "meet_witness": EcRv({2: 1}, 0),
+            "sum_witness": Fraction(1, 2),
+            "scaling_witness": "1/2",
+        }
+        failed = Counter(meet=0, sum=2, scaling=1)
+        report = sampling.Tally(4, failed, 2, w)
+        step = report.step(
+            "base_axioms",
+            "",
+            "witnesses ({example[meet_witness]!r}, {example[sum_witness]!r}, "
+            "{example[scaling_witness]!r}); failures: {failures[meet]}, "
+            "{failures[sum]}, {failures[scaling]}",
+        )
+        assert step.observed == (
+            f"witnesses ({w['meet_witness']!r}, {w['sum_witness']!r}, "
+            f"{w['scaling_witness']!r}); failures: {failed['meet']}, "
+            f"{failed['sum']}, {failed['scaling']}"
+        )
+        assert step.observed == "witnesses ({2:1 | 0}, Fraction(1, 2), '1/2'); failures: 0, 2, 1"
 
 
 @pytest.mark.parametrize("samples", [0, -1])
