@@ -10,7 +10,7 @@ module objects, like the evidence functions everywhere in the front end.
 from __future__ import annotations
 
 from . import config as cf, measure, syntax
-from ._common import EvidenceStep
+from ._common import EvidenceStep, ratio_text
 
 
 def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
@@ -33,16 +33,16 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
         raise cf.ConfigError("partition needs a spec, part.singletons_from, or --from")
     part = measure.build_countable_partition(config.space, cells, tail_start)
     omega_prime = measure.EventSet.cofinite_excluding(range(1, tail_start))
-    remainder = config.space.probability(omega_prime)
+    # the masses are (numerator, positive denominator) pairs in lowest terms
+    rp, rq = config.space._probability(omega_prime)
     masses = []
     law_holds = True
     for n in range(1, 21):
-        cell = part.cell(part.prefix_count + n)
-        mass = config.space.probability(cell)
-        masses.append(str(mass))
-        law_holds = law_holds and mass == remainder / 2**n
+        p, q = config.space._probability(part.cell(part.prefix_count + n))
+        masses.append(ratio_text(p, q))
+        law_holds = law_holds and p * (rq << n) == rp * q  # p/q == (rp/rq) / 2**n
     positive = all(
-        config.space.probability(part.cell(k)) > 0
+        config.space._probability(part.cell(k))[0] > 0
         for k in range(1, part.prefix_count + 21)
     )
     step = EvidenceStep(
@@ -56,7 +56,7 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
         **header,
         "command": "partition",
         "partition": syntax.format_partition(part),
-        "tail_mass": str(remainder),
+        "tail_mass": ratio_text(rp, rq),
         "tail_cell_masses": masses,
         "steps": [step.to_json()],
         "pass": step.passed,

@@ -1,8 +1,9 @@
 """The small records several modules and every command share.
 
-The neighborhood-base kinds, the report step, the input errors and the
-default certificate tolerance live here so
-that loading them costs only this module: `config` needs a default base
+The neighborhood-base kinds, the report step, the input errors, the
+default certificate tolerance and the two helpers that read and print
+rationals as integer pairs live here so that loading them costs only
+this module: `config` needs a default base
 and every `check` and `partition` report builds an `EvidenceStep`,
 neither of which should pull in `topology` or `sets`, and `config` and
 `cli` catch the input errors without running the literal parser.  The
@@ -14,16 +15,54 @@ these same objects.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from collections import namedtuple
+from math import gcd
 
 from . import seminorms, sets  # bound lazily: neither runs until a base set is built
 from ._record import record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .l0 import EcRv
 
-DEFAULT_TOLERANCE = Fraction(1, 2**20)
+
+def __getattr__(name: str):
+    # DEFAULT_TOLERANCE, the default certificate tolerance: the constant
+    # element 2**-20, built when `sets` or `topology` first imports it.
+    # Built at import here, it would run `l0` on the `eval prob` and
+    # `partition` paths, which load this module but not `l0`, and `l0`
+    # imports this module, so the two would import each other.
+    if name != "DEFAULT_TOLERANCE":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .l0 import _make
+
+    value = globals()[name] = _make(2**20, {}, 1)
+    return value
+
+
+# A rational as the literal parser reads it: (numerator, positive
+# denominator) in lowest terms, a pair that `rational_pair`, and so the
+# checking constructor `EcRv`, reads by the names a Fraction gives them.
+Ratio = namedtuple("Ratio", ["numerator", "denominator"])
+
+
+def rational_pair(value: int | Fraction | Ratio) -> tuple[int, int]:
+    """`value` as (numerator, positive denominator) in lowest terms: an int,
+    a Fraction or a Ratio as it is, anything else (a float, a Decimal, a
+    string) through `Fraction`, as the package has always read rationals."""
+    if not hasattr(value, "denominator"):
+        from fractions import Fraction
+
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def ratio_text(p: int, q: int) -> str:
+    """p/q, for a positive q, as `str(Fraction(p, q))` prints it."""
+    g = gcd(p, q)
+    return f"{p // g}/{q // g}" if q != g else str(p // g)
 
 
 class UsageError(ValueError):
@@ -65,7 +104,7 @@ class CounterexampleFamily:
         return sets.MPlusBall(radius)
 
 
-NeighborhoodBase = Union[FromSeminorms, CounterexampleFamily]
+NeighborhoodBase = FromSeminorms | CounterexampleFamily
 
 
 @record

@@ -152,5 +152,5 @@ def _balanced_ratio(rng) -> tuple[int, int]:
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
     """Is x in xi*S for the closed-form certificate witness xi?"""
-    witness = sets._certificate_witness(s, x, (), Fraction(1))
+    witness = sets._certificate_witness(s, x, (), l0.ONE)
     return sets.contains(sets.Scale(witness, s), x)

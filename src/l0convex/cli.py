@@ -11,7 +11,8 @@ Commands:
 The JSON report goes to stdout (and to --json PATH if given); one
 human-readable line per step goes to stderr.  Exit codes: 0 all checks
 pass, 1 a check failed, 2 usage or config error, 3 internal error, 4 the
-output cannot be written (stdout is closed, or its reader left).
+output cannot be written (stdout is closed, its reader left, or writing
+it fails).
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import NoReturn
 
 from . import sets, syntax, topology
 from ._common import UsageError
 from .config import ConfigError, RunConfig, parse_config
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 # The package binds the evidence modules and `syntax` lazily, so a one-shot
 # command runs only the ones its branch calls into, and `syntax` only when
@@ -73,13 +77,84 @@ def _flags(command: str) -> list[str]:
     return [*dict.fromkeys(name for name in " ".join(rows).split() if name[:2] == "--")]
 
 
+# -- output ------------------------------------------------------------------
+
+# What `json.dumps` writes for each ASCII character it escapes: a short
+# escape where JSON has one, else `\\u00XX`.
+_ESCAPES = {n: f"\\u{n:04x}" for n in (*range(32), 127)} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')
+}
+
+
+def _quoted(text: str) -> str:
+    """`text` as `json.dumps` writes a string: in ASCII, with every
+    character past it as the `\\uXXXX` of its UTF-16 code units."""
+    text = text.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join([c if c.isascii() else _code_units(c) for c in text])
+    return f'"{text}"'
+
+
+def _code_units(c: str) -> str:
+    units = c.encode("utf-16-be", "surrogatepass").hex()
+    return "".join(["\\u" + units[i : i + 4] for i in range(0, len(units), 4)])
+
+
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)`, byte for byte, for
+    what a report holds: dicts with string keys, lists, tuples, strings,
+    ints, booleans and None.  Anything else, a float or a set too, raises
+    TypeError."""
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, str):
+        return _quoted(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_json(item, inner) for item in value]
+    elif isinstance(value, dict) and all(type(key) is str for key in value):
+        brackets = "{}"
+        items = [f"{_quoted(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+    else:
+        raise TypeError(f"a report holds no {type(value).__name__} like {value!r:.40}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+class _OutputFailed(Exception):
+    """Writing stdout failed with the OSError that is its `__cause__`."""
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout and flush it, or raise `_OutputFailed`.
+
+    The bytes go to stdout's binary layer until every one is out: with
+    PYTHONUNBUFFERED set that layer is the raw file, which may take only
+    part of a write, and the text layer would drop the rest silently.
+    """
+    out = sys.stdout
+    try:
+        binary = getattr(out, "buffer", None)
+        if binary is None:  # an in-memory text stream, such as io.StringIO
+            out.write(text)
+            return
+        out.flush()  # text written earlier goes first
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[binary.write(data) or 0 :]  # None: a non-blocking file took nothing
+        binary.flush()
+    except OSError as exc:
+        raise _OutputFailed() from exc
+
+
 def _emit(report: dict, json_path: str | None) -> None:
     text = ""
     if json_path or "value" not in report:  # eval prints the value alone
-        import json
-
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(report["value"] + "\n" if "value" in report else text)
+        text = _json(report) + "\n"
+    _write_stdout(report["value"] + "\n" if "value" in report else text)
     if json_path:
         with open(json_path, "w") as handle:
             handle.write(text)
@@ -189,10 +264,12 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     `--name=value`.  Bad usage exits 2 after an `l0convex: error:` line;
     `-h` or `--help` prints every command with its flags and exits 0."""
     if "-h" in argv or "--help" in argv:
+        lines = []
         for command, shown in _POSITIONAL.items():
-            flags = (f"[{flag} {flag[2:].upper()}]" for flag in _options(command))
-            print(f"l0convex {command} {shown}".rstrip(), *flags)
-        print("TARGET:", *_TARGETS, flush=True)
+            flags = [f"[{flag} {flag[2:].upper()}]" for flag in _options(command)]
+            lines.append(" ".join([f"l0convex {command} {shown}".rstrip(), *flags]))
+        lines.append(" ".join(["TARGET:", *_TARGETS]))
+        _write_stdout("".join(line + "\n" for line in lines))
         raise SystemExit(0)
     command = argv[0] if argv else ""
     if command not in _POSITIONAL:
@@ -260,13 +337,14 @@ def main(argv=None) -> int:
         print("error: stdout is closed, so no output can be written", file=sys.stderr)
         return 4
     try:
-        code = _run(parse_args(sys.argv[1:] if argv is None else argv))
-        sys.stdout.flush()  # a reader that left fails this write here, not at exit
-        return code
-    except BrokenPipeError:
-        # the reader of stdout left: say nothing, and point stdout at the
-        # null device, so the interpreter's flush at exit has nothing to fail
+        return _run(parse_args(sys.argv[1:] if argv is None else argv))
+    except _OutputFailed as failed:
+        # point stdout at the null device, so the interpreter's flush at
+        # exit finds nothing left to fail on; a reader that left gets no
+        # message, any other failure one line
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(failed.__cause__, BrokenPipeError):
+            print(f"error: {failed.__cause__}", file=sys.stderr)
         return 4
     except Exception as exc:
         # bad input: the package's input errors, a file named on the

@@ -18,8 +18,6 @@ set and the value name, and at one atom past all of them.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from ._record import field, record
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO, _single_atom
 from .measure import EventSet, FinitePartition, Partition, SingletonTail
@@ -47,7 +45,7 @@ class Diagonal:
     value: EcRv
 
 
-SequenceSpec = Union[EventuallyConstantSeq, Diagonal]
+SequenceSpec = EventuallyConstantSeq | Diagonal
 
 
 def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
@@ -58,7 +56,7 @@ def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
 
 def _cell_walk(
     seq: SequenceSpec, part: Partition
-) -> tuple[list[tuple[EventSet, EcRv]], Optional[int], EcRv]:
+) -> tuple[list[tuple[EventSet, EcRv]], int | None, EcRv]:
     """The cells to compare one by one, the late atom and the late value.
 
     Each cell comes with the sequence's element on it: every cell of a
@@ -81,7 +79,7 @@ def _cell_walk(
     return cells, late, value
 
 
-def _from_atom(x: EcRv, late: Optional[int]) -> EcRv:
+def _from_atom(x: EcRv, late: int | None) -> EcRv:
     """x on the atoms from late on, zero below; zero for no late atom."""
     if late is None:
         return ZERO
@@ -130,7 +128,7 @@ class CcEntry:
     precondition_ok: bool
     glue: EcRv
     glue_in_set: bool
-    seminorm_identity_ok: Optional[bool]  # None unless the set is a ball
+    seminorm_identity_ok: bool | None  # None unless the set is a ball
 
     @property
     def counterexample(self) -> bool:

@@ -21,13 +21,12 @@ a rational `p/q`, bare or quoted, for `space.tail_coefficient`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from . import syntax
 from ._common import CounterexampleFamily, NeighborhoodBase, ParseError, UsageError
 from ._record import field, record
 from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .concatenation import SequenceSpec
     from .l0 import EcRv
@@ -45,13 +44,13 @@ class RunConfig:
     seed: int = 42
     samples: int = 200
     base: NeighborhoodBase = field(default_factory=CounterexampleFamily)
-    seminorm: Optional[Seminorm] = None
-    set_descriptor: Optional[SetDescriptor] = None
+    seminorm: Seminorm | None = None
+    set_descriptor: SetDescriptor | None = None
     sequences: list[SequenceSpec] = field(default_factory=list)
     prefix_cells: list[EventSet] = field(default_factory=list)
-    singletons_from: Optional[int] = None
-    epsilon: Optional[EcRv] = None
-    delta: Optional[EcRv] = None
+    singletons_from: int | None = None
+    epsilon: EcRv | None = None
+    delta: EcRv | None = None
     expect: str = "pass"
 
     def partition(self):

@@ -14,15 +14,19 @@ inspecting the overrides and the tails.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Callable, Mapping, Union
 
+from ._common import ratio_text, rational_pair
 from ._record import record
 from .measure import EventSet, _check_atom
 
-Rational = Union[Fraction, int]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Mapping
+    from fractions import Fraction
+
+    Rational = int | Fraction
 _setattr = object.__setattr__  # the one way to write an EcRv's slots
 
 
@@ -41,7 +45,9 @@ class EcRv:
     input to it; kernel results reduce with one gcd (see `_reduced`).
 
     `overrides` (a read-only mapping) and `tail` are `Fraction` views,
-    computed when read, in the overrides' insertion order.  Immutable:
+    computed when read, in the overrides' insertion order; like
+    `value_at` and `values`, they import `fractions` on first use, and
+    nothing else does: `repr` prints the integers.  Immutable:
     assigning or deleting an attribute raises, so shared constants such
     as `ONE` and the cached hash stay valid.
     """
@@ -50,13 +56,12 @@ class EcRv:
     __slots__ = ("_d", "_n", "_t", "_hash")
 
     def __init__(self, overrides: Mapping[int, Rational] | None = None, tail: Rational = 0):
-        t = Fraction(tail)
+        t = rational_pair(tail)
         ratios = {}
         for j, v in (overrides or {}).items():
             _check_atom(j)
-            v = Fraction(v)
-            ratios[j] = v.numerator, v.denominator
-        x = _from_ratios(ratios, (t.numerator, t.denominator))
+            ratios[j] = rational_pair(v)
+        x = _from_ratios(ratios, t)
         _set_d(self, x._d)
         _set_n(self, x._n)
         _set_t(self, x._t)
@@ -72,22 +77,27 @@ class EcRv:
 
     @property
     def overrides(self) -> Mapping[int, Fraction]:
+        from fractions import Fraction
+
         d = self._d
         return MappingProxyType({j: Fraction(v, d) for j, v in self._n.items()})
 
     @property
     def tail(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._t, self._d)
 
     @classmethod
     def constant(cls, value: Rational) -> "EcRv":
         if type(value) is int:
             return _make(1, {}, value)
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        return _make(value.denominator, {}, value.numerator)
+        p, q = rational_pair(value)
+        return _make(q, {}, p)
 
     def value_at(self, j: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._n.get(j, self._t), self._d)
 
     def values(self):
@@ -115,8 +125,9 @@ class EcRv:
             return h
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{j}:{v}" for j, v in sorted(self.overrides.items()))
-        return "{" + inner + (" | " if inner else "|") + f"{self.tail}" + "}"
+        d = self._d
+        inner = ", ".join([f"{j}:{ratio_text(v, d)}" for j, v in sorted(self._n.items())])
+        return "{" + inner + (" | " if inner else "|") + ratio_text(self._t, d) + "}"
 
     # -- ring and lattice operations (pointwise, re-canonicalized) --
 
@@ -371,9 +382,9 @@ def _single_atom(x: EcRv, j: int) -> EcRv:
     return _make(x._d // g, {j: v // g}, 0)
 
 
-def _leq_at(x: EcRv, y: EcRv, atoms, slack: Rational) -> bool:
-    """x(j) <= y(j) + slack at every atom j of `atoms`."""
-    dx, dy, p, q = x._d, y._d, slack.numerator, slack.denominator
+def _leq_at(x: EcRv, y: EcRv, atoms, slack: EcRv) -> bool:
+    """x(j) <= y(j) + slack at every atom j of `atoms`, for a constant slack."""
+    dx, dy, p, q = x._d, y._d, slack._t, slack._d
     xn, yn, xt, yt = x._n, y._n, x._t, y._t
     # a/dx <= b/dy + p/q  iff  a*dy*q <= (b*q + p*dy)*dx, all denominators positive
     return all(xn.get(j, xt) * dy * q <= (yn.get(j, yt) * q + p * dy) * dx for j in atoms)

@@ -8,12 +8,16 @@ finite prefix follow a geometric dyadic law.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Union
 
-from ._common import UsageError
+from ._common import UsageError, ratio_text, rational_pair
 from ._record import record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from fractions import Fraction
 
 
 class MalformedPrefix(UsageError):
@@ -123,6 +127,16 @@ _set_atoms, _set_cofinite = EventSet.atoms.__set__, EventSet.cofinite.__set__
 OMEGA = EventSet.full()
 
 
+def _ratio_sum(pairs) -> tuple[int, int]:
+    """The sum of (integer, positive integer) pairs, in lowest terms."""
+    p, q = 0, 1
+    for a, b in pairs:
+        d = lcm(q, b)
+        p, q = p * (d // q) + a * (d // b), d
+    g = gcd(p, q)
+    return p // g, q // g
+
+
 class DiscreteSpace:
     """Probability space on the positive integers.
 
@@ -130,25 +144,30 @@ class DiscreteSpace:
     P({j}) = c * 2**-j for j > N.  Total mass 1 is an exact rational
     identity because the tail sums to c * 2**-N.  Immutable and hashable:
     the shared default space must not change under its other users.
+
+    The masses are kept as (numerator, positive denominator) pairs in
+    lowest terms.  `explicit`, `tail_coefficient`, `atom_mass`,
+    `mass_from` and `probability` give them as `Fraction`s, importing
+    `fractions` on first use; the commands read the pairs.
     """
 
-    __slots__ = ("explicit", "tail_coefficient")
+    __slots__ = ("_explicit", "_c")
 
     def __init__(self, explicit=None, tail_coefficient=1):
-        explicit = {int(j): Fraction(w) for j, w in (explicit or {}).items()}
-        c = Fraction(tail_coefficient)
+        explicit = {int(j): rational_pair(w) for j, w in (explicit or {}).items()}
+        c = rational_pair(tail_coefficient)
         n = len(explicit)
         if set(explicit) != set(range(1, n + 1)):
             raise UsageError("explicit weights must cover atoms 1..N contiguously")
-        if any(not (0 < w < 1) for w in explicit.values()):
+        if any(not (0 < p < q) for p, q in explicit.values()):
             raise UsageError("explicit weights must lie in (0, 1)")
-        if c <= 0:
+        if c[0] <= 0:
             raise UsageError("tail coefficient must be positive")
-        total = sum(explicit.values(), Fraction(0)) + c * Fraction(1, 2**n)
-        if total != 1:
-            raise UsageError(f"total mass is {total}, expected exactly 1")
-        object.__setattr__(self, "explicit", MappingProxyType(explicit))
-        object.__setattr__(self, "tail_coefficient", c)
+        total = _ratio_sum([*explicit.values(), (c[0], c[1] << n)])
+        if total != (1, 1):
+            raise UsageError(f"total mass is {ratio_text(*total)}, expected exactly 1")
+        object.__setattr__(self, "_explicit", explicit)
+        object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"DiscreteSpace is immutable; cannot set {name!r}")
@@ -165,35 +184,64 @@ class DiscreteSpace:
         return cls({}, 1)
 
     @property
+    def explicit(self) -> MappingProxyType[int, Fraction]:
+        """The explicit masses, a read-only mapping from atom to `Fraction`."""
+        from fractions import Fraction
+
+        return MappingProxyType({j: Fraction(*w) for j, w in self._explicit.items()})
+
+    @property
+    def tail_coefficient(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self._c)
+
+    @property
     def explicit_count(self) -> int:
-        return len(self.explicit)
+        return len(self._explicit)
 
     def atom_mass(self, j: int) -> Fraction:
+        from fractions import Fraction
+
         _check_atom(j)
-        if j in self.explicit:
-            return self.explicit[j]
-        return self.tail_coefficient * Fraction(1, 2**j)
+        return Fraction(*self._mass(j))
 
     def mass_from(self, j: int) -> Fraction:
         """Exact mass of the cofinite event {k : k >= j}; requires j > N."""
+        from fractions import Fraction
+
         if j <= self.explicit_count:
             raise UsageError("tail mass only defined beyond the explicit prefix")
-        return self.tail_coefficient * Fraction(1, 2 ** (j - 1))
+        return Fraction(self._c[0], self._c[1] << (j - 1))
 
     def probability(self, event: EventSet) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(*self._probability(event))
+
+    def _mass(self, j):
+        """The mass of the valid atom j, as a pair not always in lowest terms."""
+        if j in self._explicit:
+            return self._explicit[j]
+        p, q = self._c
+        return p, q << j
+
+    def _probability(self, event):
+        """P(event) as a (numerator, positive denominator) pair in lowest terms."""
         if event.cofinite:
-            return 1 - self.probability(event.complement())
-        return sum((self.atom_mass(j) for j in event.atoms), Fraction(0))
+            p, q = self._probability(event.complement())
+            return q - p, q
+        return _ratio_sum(map(self._mass, event.atoms))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DiscreteSpace)
-            and self.explicit == other.explicit
-            and self.tail_coefficient == other.tail_coefficient
+            and self._explicit == other._explicit
+            and self._c == other._c
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.explicit.items()), self.tail_coefficient))
+        return hash((frozenset(self._explicit.items()), self._c))
 
     def __repr__(self) -> str:
         return f"DiscreteSpace({dict(self.explicit)!r}, {self.tail_coefficient!r})"
@@ -277,7 +325,7 @@ class SingletonTail:
         return len(self.prefix_cells)
 
 
-Partition = Union[FinitePartition, SingletonTail]
+Partition = FinitePartition | SingletonTail
 
 
 def build_countable_partition(

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from fractions import Fraction
 
 from . import l0
 from ._common import EvidenceStep, UsageError
 from ._record import record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAX_OVERRIDES = 8
 ATOM_SPAN = 16
@@ -123,6 +126,8 @@ def _sign(rng: random.Random) -> int:
 
 
 def random_positive_fraction(rng: random.Random) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(*_positive_ratio(rng))
 
 

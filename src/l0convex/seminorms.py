@@ -13,12 +13,15 @@ grammar extension, not to establish the axioms for the shipped shapes.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from typing import Callable, Union
 
 from ._record import record
 from .l0 import EcRv, ZERO, classify, combine, emax, indicator, leq_everywhere
 from .measure import EventSet
 from . import sampling
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 
 @record(frozen=True)
@@ -71,7 +74,7 @@ class FiniteSup:
         return _sup_coefficient(self.members)
 
 
-Seminorm = Union[Zero, Weighted, Localized, FiniteSup]
+Seminorm = Zero | Weighted | Localized | FiniteSup
 
 _SHAPES = (Zero, Weighted, Localized, FiniteSup)
 

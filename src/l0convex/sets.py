@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Iterable, Optional, Union
 
 from ._record import record
 from .l0 import (
@@ -27,6 +25,7 @@ from .l0 import (
     ZERO,
     ONE,
     classify,
+    _coerce,
     combine,
     emax,
     divide,
@@ -47,6 +46,11 @@ from .measure import _check_atom
 from .seminorms import Seminorm, evaluate, _sup_coefficient
 from . import sampling
 from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from fractions import Fraction
 
 
 @record(frozen=True)
@@ -110,7 +114,7 @@ class Intersect:
             raise ValueError("Intersect needs at least one member")
 
 
-SetDescriptor = Union[Ball, MPlusBall, Scale, Translate, Intersect]
+SetDescriptor = Ball | MPlusBall | Scale | Translate | Intersect
 
 
 def contains(s: SetDescriptor, x: EcRv) -> bool:
@@ -132,7 +136,7 @@ def contains(s: SetDescriptor, x: EcRv) -> bool:
 # -- the core: points a shape holds at every radius ------------------------
 
 
-def excluding_radius(s: SetDescriptor, x: EcRv) -> Optional[EcRv]:
+def excluding_radius(s: SetDescriptor, x: EcRv) -> EcRv | None:
     """A radius at which the shape of s excludes x, or None if no radius
     does: half the sup seminorm at x for a ball, half |x| on M + B, and
     1 wherever that vanishes.  s's own radius plays no part."""
@@ -166,7 +170,7 @@ def _deciding_atoms(s: SetDescriptor, value: EcRv = ZERO, start: int = 1) -> lis
     return sorted(j for j in named if j >= start) + [max([start - 1, *named]) + 1]
 
 
-def core_point(s: SetDescriptor) -> Optional[EcRv]:
+def core_point(s: SetDescriptor) -> EcRv | None:
     """The first deciding atom's indicator that the shape of s holds at
     every radius, or None.  Those points form an L0-submodule, so it has
     a nonzero point exactly when it holds some atom's indicator."""
@@ -218,7 +222,8 @@ class GaugeCertificate:
 
     The witness is strictly positive, `point in witness * target_set`
     holds by the membership test alone, and at every probe atom the
-    witness does not exceed the claimed bound by more than tolerance.
+    witness does not exceed the claimed bound by more than tolerance, a
+    positive constant element.
     """
 
     target_set: SetDescriptor
@@ -226,7 +231,7 @@ class GaugeCertificate:
     witness: EcRv
     probe_atoms: tuple[int, ...]
     claimed_bound: EcRv
-    tolerance: Fraction
+    tolerance: EcRv
 
 
 def verify_certificate(cert: GaugeCertificate) -> bool:
@@ -244,28 +249,31 @@ def gauge_upper_certificate(
     s: SetDescriptor,
     x: EcRv,
     probe_atoms: Iterable[int] = DEFAULT_PROBE_ATOMS,
-    tol: Fraction = DEFAULT_TOLERANCE,
+    tol: EcRv | int | Fraction = DEFAULT_TOLERANCE,
 ) -> GaugeCertificate:
+    """A certificate for the gauge of x in s; `tol` is a positive rational
+    or constant element, kept as a constant element."""
     probes = tuple(probe_atoms)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _coerce(tol)
+    if tol._n or tol._t <= 0:
+        raise ValueError("tolerance must be a positive constant")
     bound = gauge_closed_form(s, x)
     witness = _certificate_witness(s, x, probes, tol)
     return GaugeCertificate(s, x, witness, probes, bound, tol)
 
 
 def _certificate_witness(
-    s: SetDescriptor, x: EcRv, probes: tuple[int, ...], tol: Fraction
+    s: SetDescriptor, x: EcRv, probes: tuple[int, ...], tol: EcRv
 ) -> EcRv:
+    """The witness of a certificate for the constant tolerance `tol`."""
     if x.is_zero():
-        return EcRv.constant(tol / 2)
+        return _scaled(tol, 1, 2)
     if isinstance(s, MPlusBall):
         # membership only constrains the tail; the probe atoms can sit
         # at the tolerance because finite excursions are absorbed by M
         # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
         p, q = _abs_tail_ratio(x, s.radius)
-        ratio = (tol.numerator, tol.denominator)
+        ratio = (tol._t, tol._d)
         over = dict.fromkeys(map(_check_atom, probes), ratio)
         return _from_ratios(over, (p, q) if p > q else (1, 1))
     if isinstance(s, Scale):
@@ -280,7 +288,7 @@ def _certificate_witness(
             witness = emax(witness, _certificate_witness(member, x, probes, tol))
         return witness
     if isinstance(s, Ball):
-        return gauge_closed_form(s, x) + tol / 2
+        return gauge_closed_form(s, x) + _scaled(tol, 1, 2)
     raise UnsupportedShape(f"no gauge certificate for {type(s).__name__}")
 
 
@@ -311,7 +319,7 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
         for _ in range(128):
             if contains(s, candidate):
                 return candidate
-            candidate = candidate * Fraction(1, 2)
+            candidate = _scaled(candidate, 1, 2)
         if contains(s, ZERO):
             return ZERO
         raise ValueError(f"could not sample a member of {s!r}")

@@ -14,22 +14,27 @@ Grammar (whitespace-insensitive):
     base       counterexample   from_seminorms[s1, s2]
     weights    [[1, "1/2"], [2, 1/4]]                 (explicit atom masses)
 
-Parsing is exact: every number becomes a Fraction, and parse errors
-carry a line and column.  A seminorm or set literal sits inside at most
-`MAX_NESTING` others.
+Parsing is exact: every number becomes a `Ratio`, a (numerator,
+positive denominator) pair in lowest terms (`parse_rational` gives it as
+a Fraction), and parse errors carry a line and column.  A seminorm or
+set literal sits inside at most `MAX_NESTING` others.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase
+from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase, Ratio, ratio_text
 from ._common import ParseError  # re-exported
 from . import l0
 from .measure import EventSet, FinitePartition, SingletonTail
 from . import seminorms as sn
 from . import sets as sd
 from . import concatenation as cc
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # How many seminorm and set literals one such literal may sit inside: the
@@ -117,20 +122,22 @@ class Parser:
             raise self.error("expected an integer")
         return self._validated(int, self.text[start : self.pos])  # int() caps its digits
 
-    def rational(self) -> Fraction:
+    def rational(self) -> Ratio:
+        """`p` or `p/q`, as (numerator, positive denominator) in lowest terms."""
         num = self.integer()
-        if self.try_take("/"):
-            den = self.integer()
-            if den == 0:
-                raise self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
+        if not self.try_take("/"):
+            return Ratio(num, 1)
+        den = self.integer()
+        if den == 0:
+            raise self.error("zero denominator")
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return Ratio(num // g, den // g)
 
     # -- composite literals --
 
     def ecrv(self) -> l0.EcRv:
         self.take("{")
-        overrides: dict[int, Fraction] = {}
+        overrides: dict[int, Ratio] = {}
         if self.try_take("|"):
             tail = self.rational()
             self.take("}")
@@ -151,10 +158,11 @@ class Parser:
         self.take("}")
         return l0.EcRv(overrides, tail)
 
-    def _atom(self, value: Fraction) -> int:
-        if value.denominator != 1 or value < 1:
-            raise self.error(f"atom index must be a positive integer, got {value}")
-        return int(value)
+    def _atom(self, value: Ratio) -> int:
+        p, q = value
+        if q != 1 or p < 1:
+            raise self.error(f"atom index must be a positive integer, got {ratio_text(p, q)}")
+        return p
 
     def _once(self, atom: int, given: dict) -> int:
         """`atom`, just read, unless `given` already holds a value there."""
@@ -228,23 +236,23 @@ class Parser:
             raise ParseError(f"unknown base {name!r}", self.line_offset + 1, 1)
         return FromSeminorms(tuple(self.bracket_list(self.seminorm)))
 
-    def weights(self) -> dict[int, Fraction]:
+    def weights(self) -> dict[int, Ratio]:
         """`[[atom, weight], ...]`, possibly empty, each atom once."""
-        weights: dict[int, Fraction] = {}
+        weights: dict[int, Ratio] = {}
         self.take("[")
         if not self.try_take("]"):
             self.items(lambda: self._weight(weights))
             self.take("]")
         return weights
 
-    def _weight(self, weights: dict[int, Fraction]):
+    def _weight(self, weights: dict[int, Ratio]):
         self.take("[")
         atom = self._once(self.integer(), weights)
         self.take(",")
         weights[atom] = self.quoted_rational()
         self.take("]")
 
-    def quoted_rational(self) -> Fraction:
+    def quoted_rational(self) -> Ratio:
         """A rational, bare or in a pair of matching quotes."""
         quote = self.peek()
         if quote not in ("'", '"'):
@@ -310,7 +318,9 @@ def _parse_one(method_name: str, text: str, line_offset: int = 0):
 
 
 def parse_rational(text: str, line_offset: int = 0) -> Fraction:
-    return _parse_one("rational", text, line_offset)
+    from fractions import Fraction
+
+    return Fraction(*_parse_one("rational", text, line_offset))
 
 
 def parse_ecrv(text: str, line_offset: int = 0) -> l0.EcRv:

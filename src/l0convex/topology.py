@@ -13,11 +13,8 @@ and order comparisons alone.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
-
 from ._record import record
-from .l0 import EcRv, ONE, classify, divide, emin
+from .l0 import EcRv, ONE, classify, divide, emin, _make, _scaled
 from . import concatenation
 from .seminorms import Seminorm, Weighted
 from .sets import (
@@ -40,6 +37,7 @@ from ._common import (  # re-exported: the records live in the leaf module
     FromSeminorms,
     NeighborhoodBase,
     UsageError,
+    ratio_text,
 )
 
 
@@ -61,7 +59,7 @@ def base_axiom_witnesses(
         if not classify(r).in_L0_plusplus:
             raise UsageError("radii must be strictly positive everywhere")
     meet = emin(eps, delta)
-    half = eps * Fraction(1, 2)
+    half = _scaled(eps, 1, 2)
     ratio = divide(delta, eps)
     rng = sampling.make_rng(seed)
     u_eps, u_delta = base.base_set(eps), base.base_set(delta)
@@ -96,12 +94,12 @@ def base_axioms_step(
     base: NeighborhoodBase,
     samples: int,
     seed: int,
-    eps: Optional[EcRv] = None,
-    delta: Optional[EcRv] = None,
+    eps: EcRv | None = None,
+    delta: EcRv | None = None,
 ) -> EvidenceStep:
     """The base_axioms step at radii `eps` and `delta`, by default 1 and 1/2."""
     eps = ONE if eps is None else eps
-    delta = EcRv.constant(Fraction(1, 2)) if delta is None else delta
+    delta = _make(2, {}, 1) if delta is None else delta  # 1/2
     report = base_axiom_witnesses(base, eps, delta, samples, seed)
     return report.step(
         "base_axioms",
@@ -129,7 +127,7 @@ class SeparationWitness:
 @record(frozen=True)
 class ClosureResult:
     member: bool
-    separation: Optional[SeparationWitness] = None
+    separation: SeparationWitness | None = None
 
 
 def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
@@ -200,7 +198,7 @@ def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> Evidence
 @record
 class EvidenceReport:
     verdict: str  # "induced" | "not_induced"
-    family: Optional[tuple[Seminorm, ...]]
+    family: tuple[Seminorm, ...] | None
     steps: list[EvidenceStep]
     seed: int
 
@@ -213,8 +211,8 @@ def seminorm_induction_verdict(
     base: NeighborhoodBase,
     seed: int = 0,
     samples: int = 20,
-    epsilon: Optional[EcRv] = None,
-    delta: Optional[EcRv] = None,
+    epsilon: EcRv | None = None,
+    delta: EcRv | None = None,
 ) -> EvidenceReport:
     """Every step of the verify-counterexample report, in report order.
 
@@ -322,7 +320,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
             "gauge_degeneracy", samples, degenerate,
             "every gauge certificate verifies against the zero closed form",
             "{held}/{samples} certificates verify",
-            tolerance=str(DEFAULT_TOLERANCE),
+            tolerance=ratio_text(DEFAULT_TOLERANCE._t, DEFAULT_TOLERANCE._d),
             probe_atoms=f"{DEFAULT_PROBE_ATOMS[0]}..{DEFAULT_PROBE_ATOMS[-1]}",
         ),
         _sampled_step(

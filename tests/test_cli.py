@@ -17,6 +17,7 @@ from l0convex.cli import main
 from l0convex.config import _KEYS, parse_config
 from l0convex.l0 import NotInvertible
 from l0convex.topology import seminorm_induction_verdict
+import test_imports
 
 
 def run(capsys, *argv):
@@ -1249,7 +1250,8 @@ def spawn(tmp_path, argv, stdout, env):
     """Exit code, stdout and stderr of `python -m l0convex.cli *argv` run in
     `tmp_path`, its stdout left open (`pipe`), closed before the start
     (`closed`), a pipe whose reader left before the start (`reader-left`),
-    or a pipe whose reader takes one byte and leaves (`one-byte`)."""
+    a pipe whose reader takes one byte and leaves (`one-byte`), or the full
+    device, on which every write fails with ENOSPC (`full`)."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, **env}
     env = {key: value for key, value in env.items() if value is not None}
@@ -1263,6 +1265,9 @@ def spawn(tmp_path, argv, stdout, env):
         return proc.returncode, "", err
     if stdout == "pipe":
         result = subprocess.run(command, stdout=subprocess.PIPE, **kwargs)
+    elif stdout == "full":
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(command, stdout=full, **kwargs)
     elif stdout == "closed":
         result = subprocess.run(command, preexec_fn=lambda: os.close(1), **kwargs)
     else:  # reader-left
@@ -1276,6 +1281,9 @@ def spawn(tmp_path, argv, stdout, env):
 
 
 CHECK_BASE = ("check", "base", "--samples", "1", "--config")
+UNBUFFERED = {"PYTHONUNBUFFERED": "1"}  # stdout's binary layer is the raw file
+NO_SPACE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+needs_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes and pipes file descriptors")
@@ -1310,12 +1318,25 @@ class TestInputOutputSurfaces:
             # 75,261 bytes: more than a pipe holds, so the write outlasts the reader
             ({}, ("eval", "prob {250000}"), "one-byte",
              {**BUFFERED, "PYTHONINTMAXSTRDIGITS": "0"}, 4, "", None),
+            # unbuffered, the raw file takes what the pipe holds; the rest must
+            # still be written, and fail, rather than be dropped with exit 0
+            ({}, ("eval", "prob {250000}"), "one-byte",
+             {**UNBUFFERED, "PYTHONINTMAXSTRDIGITS": "0"}, 4, "", None),
+            pytest.param({}, ("eval", "prob {1}"), "full", UNBUFFERED, 4, NO_SPACE, None,
+                         marks=needs_full),
+            pytest.param({}, ("eval", "prob {1}"), "full", BUFFERED, 4, NO_SPACE, None,
+                         marks=needs_full),
+            pytest.param({}, ("--help",), "full", BUFFERED, 4, NO_SPACE, None, marks=needs_full),
+            pytest.param({}, (*CHECK_BASE, "missing.cfg"), "full", BUFFERED, 2,
+                         cannot_open(errno.ENOENT, "missing.cfg"), None, marks=needs_full),
         ],
         ids=[
             "config-not-utf8", "config-bom-not-utf8", "config-bom", "config-crlf",
             "config-directory", "config-missing", "json-directory", "stdout-closed",
             "help-reader-left-unbuffered", "help-reader-left-buffered",
             "eval-reader-left", "eval-reader-leaves-after-one-byte",
+            "eval-reader-leaves-after-one-byte-unbuffered", "eval-full-device-unbuffered",
+            "eval-full-device-buffered", "help-full-device", "bad-input-full-device",
         ],
     )
     def test_surface(self, tmp_path, files, argv, stdout, env, code, err, header):
@@ -1328,3 +1349,99 @@ class TestInputOutputSurfaces:
         assert (got_code, got_err) == (code, err)
         if header is not None:
             assert json.loads(out).items() >= header.items()
+
+    def test_a_reader_that_stays_gets_every_byte(self, tmp_path):
+        """75,261 bytes, more than a pipe holds, unbuffered: the raw file may
+        take them in several writes, and every one arrives."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"1/{2**250000}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        env = {**UNBUFFERED, "PYTHONINTMAXSTRDIGITS": "0"}
+        code, out, err = spawn(tmp_path, ("eval", "prob {250000}"), "pipe", env)
+        assert (code, err) == (0, "")
+        assert len(out) == 75261 and out == expected
+
+
+# -- the report emitter --------------------------------------------------------
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+class TestReportEmitter:
+    """`cli._json` writes a report as `json.dumps(report, sort_keys=True,
+    indent=2)` does, byte for byte, and refuses what a report never holds."""
+
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "tests" / "golden").glob("*.json")), ids=lambda path: path.stem
+    )
+    def test_every_golden_report(self, path):
+        text = path.read_text()
+        report = json.loads(text)
+        assert cli._json(report) + "\n" == dumps(report) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [row[:2] for row in [*test_imports.COMMANDS.values(), test_imports.INDUCED]],
+        ids=[*test_imports.COMMANDS, "verify-counterexample on a seminorm base"],
+    )
+    def test_a_fresh_report_of_every_reads_row(self, monkeypatch, tmp_path, argv, config):
+        reports = []
+        emit = cli._emit
+
+        def record(report, json_path):
+            reports.append(report)
+            return emit(report, json_path)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        monkeypatch.chdir(tmp_path)
+        argv = [*test_imports.argv_with_config(tmp_path, argv, config), "--json", "report.json"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        (report,) = reports
+        assert cli._json(report) == dumps(report)
+        assert (tmp_path / "report.json").read_text() == dumps(report) + "\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "plain ASCII, printable: ~ !",
+            'a "quoted" word, a back\\slash and \\" both',
+            "".join(map(chr, range(32))) + "\x7f",
+            "BMP text: é ü ß € 中文   ﻿ ￿",
+            "astral text: \U0001F600 \U00010000 \U0010FFFF",
+            "lone surrogates: \ud800 \udfff",
+        ],
+        ids=["empty", "ascii", "quotes", "controls", "bmp", "astral", "surrogates"],
+    )
+    def test_strings(self, text):
+        for value in (text, {text: [text]}, [{"key": text}, (text, text)]):
+            assert cli._json(value) == dumps(value)
+
+    def test_other_values(self):
+        value = {
+            "ints": [0, -1, 2**70, True, False],
+            "none": None,
+            "empty": [{}, [], ()],
+            "nested": {"b": {"d": [[]], "c": 1}, "a": ({"z": None},)},
+        }
+        assert cli._json(value) == dumps(value)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1, 2}, {"steps": [0.0]}, {1: "an int key"}, b"bytes"],
+        ids=["float", "set", "nested-float", "int-key", "bytes"],
+    )
+    def test_what_no_report_holds_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    def test_a_report_the_emitter_refuses_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_verify", lambda *args: {"pass": True, "ratio": 0.5})
+        code, out, err = run(capsys, "verify-counterexample", "--samples", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: TypeError: ")

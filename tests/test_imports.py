@@ -43,10 +43,28 @@ print("[%d, [%s]]" % (code, ", ".join('"%s"' % name for name in found)))
 """
 
 
-def loaded_after(code: str, *argv: str, cwd=None) -> tuple[int, set[str]]:
+# The stdlib modules no command path imports: `fractions` (with `decimal`
+# and `numbers`), `json` and `typing`, and the `re` and `enum` that each of
+# them pulls in.
+HEAVY = ("re", "enum", "typing", "decimal", "numbers", "fractions", "json")
+# Runs the CLI in-process, then prints the exit code and which of HEAVY are
+# imported.  It runs under `python -S`, so no `site` hook has imported any of
+# them first, and the probe itself imports none of them.
+CLEAN = """
+import io, sys
+from l0convex.cli import main
+sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+code = main(sys.argv[1:])
+sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+found = sorted(set(%r) & set(sys.modules))
+print("[%%d, [%%s]]" %% (code, ", ".join('"%%s"' %% name for name in found)))
+""" % (HEAVY,)
+
+
+def loaded_after(code: str, *argv: str, cwd=None, flags=()) -> tuple[int, set[str]]:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -201,19 +219,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14053,
-    "check axioms": 12380,
-    "check roundtrip": 14394,
-    "check cc": 14848,
-    "check base": 13236,
-    "eval prob": 8226,
-    "eval gauge": 13440,
-    "eval contains": 13440,
-    "eval seminorm": 11426,
-    "eval glue": 14697,
-    "partition": 8340,
-    "partition SPEC": 8340,
-    "verify-counterexample on a seminorm base": 15410,
+    "verify-counterexample": 15068,
+    "check axioms": 13506,
+    "check roundtrip": 15543,
+    "check cc": 15978,
+    "check base": 14261,
+    "eval prob": 9345,
+    "eval gauge": 14583,
+    "eval contains": 14583,
+    "eval seminorm": 12546,
+    "eval glue": 15830,
+    "partition": 9472,
+    "partition SPEC": 9472,
+    "verify-counterexample on a seminorm base": 16552,
 }
 
 
@@ -259,9 +277,23 @@ class TestImportBudget:
         if argv[0] == "eval" and "--json" not in argv:
             assert "json" not in imported
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [row[:2] for row in [*COMMANDS.values(), INDUCED]],
+        ids=[*COMMANDS, "verify-counterexample on a seminorm base"],
+    )
+    def test_a_command_imports_no_heavy_stdlib_module(self, tmp_path, argv, config):
+        """Rationals are integer pairs, the report has its own emitter and
+        annotations need no `typing`: under `python -S` no command imports
+        `fractions`, `json` or `typing`, nor the `re` and `enum` behind them."""
+        argv = (*argv_with_config(tmp_path, argv, config), "--json", "report.json")
+        code, imported = loaded_after(CLEAN, *argv, cwd=tmp_path, flags=("-S",))
+        assert (code, imported) == (0, set())
+        assert json.loads((tmp_path / "report.json").read_text())["schema"] == 3
+
     def test_eval_imports_json_for_its_report_file(self, tmp_path):
         code, imported = loaded_after(STDLIB, "eval", "prob {1,3}", "--json", "out.json", cwd=tmp_path)
-        assert (code, imported) == (0, {"json"})
+        assert (code, imported) == (0, set())
         assert json.loads((tmp_path / "out.json").read_text())["value"] == "5/8"
 
     @pytest.mark.parametrize("row", [*COMMANDS, "verify-counterexample on a seminorm base"])

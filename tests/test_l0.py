@@ -471,6 +471,6 @@ class TestIntegerKernel:
             assert_integer_form(piece)
             assert piece == indicator_mul(EventSet.finite({j}), x)
         slack = abs(c)
-        assert _leq_at(x, y, probes, slack) == all(
+        assert _leq_at(x, y, probes, EcRv.constant(slack)) == all(
             ref_x[j - 1] <= ref_y[j - 1] + slack for j in probes
         )

@@ -105,6 +105,9 @@ class TestProbability:
         assert space.probability(EventSet.full()) == 1
         assert space.atom_mass(1) == Fraction(1, 3)
         assert space.atom_mass(2) == Fraction(4, 3) * Fraction(1, 4)
+        views = [*space.explicit.values(), space.tail_coefficient, space.atom_mass(2)]
+        views += [space.mass_from(2), space.probability(EventSet.finite({1, 2}))]
+        assert all(type(v) is Fraction for v in views)  # the public views stay Fractions
 
     def test_bad_total_mass_rejected(self):
         with pytest.raises(ValueError):

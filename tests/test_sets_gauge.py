@@ -327,7 +327,7 @@ class TestCertificates:
             assert classify(cert.witness).in_L0_plusplus
             assert contains(Scale(cert.witness, target), x)
             for j in cert.probe_atoms:
-                assert cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + cert.tolerance
+                assert cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + cert.tolerance.tail
 
     def test_ball_like_intersection_witness_is_the_closed_form(self):
         """On ball-like intersections the larger of the members' witnesses
@@ -342,7 +342,7 @@ class TestCertificates:
             ))
             x = sampling.random_ecrv(rng)
             for probes, tol in (((1, 2), TOL), ((), Fraction(1))):
-                witness = _certificate_witness(s, x, probes, tol)
+                witness = _certificate_witness(s, x, probes, EcRv.constant(tol))
                 assert witness == gauge_closed_form(s, x) + tol / 2
             assert verify_certificate(gauge_upper_certificate(s, x))
 

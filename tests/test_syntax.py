@@ -23,6 +23,7 @@ from l0convex.config import ConfigError, parse_config
 from l0convex.syntax import (
     MAX_NESTING,
     ParseError,
+    Parser,
     format_partition,
     format_seminorm,
     format_sequence,
@@ -42,6 +43,15 @@ class TestLiterals:
         assert parse_rational("3/2") == Fraction(3, 2)
         assert parse_rational("-1/2") == Fraction(-1, 2)
         assert parse_rational("7") == 7
+
+    def test_rationals_are_read_as_integer_pairs(self):
+        """The parser reads (numerator, positive denominator) in lowest
+        terms; the public `parse_rational` still returns a Fraction."""
+        assert Parser("6/-4").rational() == (-3, 2)
+        assert Parser("6/-4").rational().denominator == 2  # read by EcRv as a Fraction's
+        assert Parser("0/-5").rational() == (0, 1)
+        assert Parser("'3'").quoted_rational() == (3, 1)
+        assert type(parse_rational("6/4")) is Fraction and parse_rational("6/4") == Fraction(3, 2)
 
     def test_ecrv_forms(self):
         assert parse_ecrv("{1:3, 2:-1/2 | 0}") == EcRv({1: 3, 2: Fraction(-1, 2)}, 0)
