@@ -15,32 +15,31 @@ l0convex import EcRv` runs `l0convex.l0` and nothing else.
 
 _EXPORTS_BY_MODULE = {
     "measure": (
-        "CANONICAL DiscreteSpace EventSet FinitePartition MalformedPrefix "
-        "SingletonTail build_countable_partition"
+        "CANONICAL DiscreteSpace FinitePartition MalformedPrefix SingletonTail "
+        "build_countable_partition"
     ),
     "l0": (
         "EcRv NotInvertible ZERO ONE classify combine divide emax emin "
         "indicator indicator_mul leq_everywhere lt_everywhere reciprocal"
     ),
-    "seminorms": "FiniteSup Localized Weighted Zero axioms_check evaluate sup_evaluate",
-    "_common": "CounterexampleFamily FromSeminorms UnsupportedShape",
-    "sets": (
-        "Ball GaugeCertificate Intersect MPlusBall Scale Translate contains "
-        "gauge_closed_form gauge_upper_certificate "
-        "roundtrip_check sample_member verify_certificate"
-    ),
+    "seminorms": "FiniteSup Localized Weighted Zero evaluate",
+    "_common": "CounterexampleFamily EventSet FromSeminorms UnsupportedShape",
+    "sets": "Ball Intersect MPlusBall Scale Translate contains gauge_closed_form",
+    "sampling": "roundtrip_check sample_member",
     "topology": (
-        "EvidenceReport base_axiom_witnesses closure_membership "
-        "hausdorff_report seminorm_induction_verdict"
+        "EvidenceReport GaugeCertificate base_axiom_witnesses closure_membership "
+        "gauge_upper_certificate hausdorff_report seminorm_induction_verdict "
+        "verify_certificate"
     ),
     "concatenation": (
         "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "
         "cc_failure_witness glue glue_identity_holds relative_cc_check "
         "reverse_partition_construct"
     ),
+    "_cli_check": "axioms_check",
     "_library": (
         "OrderReport confirm_structural_flags epslambda_membership order_compare "
-        "structural_flags"
+        "structural_flags sup_evaluate"
     ),
 }
 # export name -> the module that defines it

@@ -6,7 +6,7 @@ imports `cli`, which runs as `__main__` under `python -m l0convex.cli`.
 
 from __future__ import annotations
 
-from . import concatenation, seminorms, sets, syntax
+from . import concatenation, measure, seminorms, sets, syntax
 from ._common import ParseError, ratio_text
 from .config import RunConfig
 
@@ -27,7 +27,8 @@ def run_eval(expr: str, config: RunConfig) -> str:
     if op == "prob":
         event = parser.event()
         parser.finish()
-        return ratio_text(*config.space._probability(event))
+        space = config.space or measure.CANONICAL
+        return ratio_text(*space._probability(event))
     if op == "seminorm":
         s = parser.seminorm()
         x = parser.ecrv()

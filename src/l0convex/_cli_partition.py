@@ -31,18 +31,19 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
         cells = syntax._parse_one("event_list", args.cells)
     if tail_start is None:
         raise cf.ConfigError("partition needs a spec, part.singletons_from, or --from")
-    part = measure.build_countable_partition(config.space, cells, tail_start)
+    space = config.space or measure.CANONICAL
+    part = measure.build_countable_partition(space, cells, tail_start)
     omega_prime = measure.EventSet.cofinite_excluding(range(1, tail_start))
     # the masses are (numerator, positive denominator) pairs in lowest terms
-    rp, rq = config.space._probability(omega_prime)
+    rp, rq = space._probability(omega_prime)
     masses = []
     law_holds = True
     for n in range(1, 21):
-        p, q = config.space._probability(part.cell(part.prefix_count + n))
+        p, q = space._probability(part.cell(part.prefix_count + n))
         masses.append(ratio_text(p, q))
         law_holds = law_holds and p * (rq << n) == rp * q  # p/q == (rp/rq) / 2**n
     positive = all(
-        config.space._probability(part.cell(k))[0] > 0
+        space._probability(part.cell(k))[0] > 0
         for k in range(1, part.prefix_count + 21)
     )
     step = EvidenceStep(

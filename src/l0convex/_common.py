@@ -1,16 +1,17 @@
 """The small records several modules and every command share.
 
 The neighborhood-base kinds, the report step, the input errors, the
-default certificate tolerance and the two helpers that read and print
+finite and cofinite events and the two helpers that read and print
 rationals as integer pairs live here so that loading them costs only
-this module: `config` needs a default base
-and every `check` and `partition` report builds an `EvidenceStep`,
-neither of which should pull in `topology` or `sets`, and `config` and
-`cli` catch the input errors without running the literal parser.  The
-modules that use them (`topology`, `sets`, `syntax`) re-export each
-name, so `l0convex.topology.EvidenceStep`,
-`l0convex.sets.UnsupportedShape` and `l0convex.syntax.ParseError` are
-these same objects.
+this module: `config` needs a default base, every `check` and
+`partition` report builds an `EvidenceStep`, and a seminorm, an element
+and the literal parser all name events, none of which should pull in
+`topology`, `sets` or the probability spaces of `measure`; and `config`
+and `cli` catch the input errors without running the literal parser.
+The modules that use them (`topology`, `sets`, `syntax`, `measure`)
+re-export each name, so `l0convex.topology.EvidenceStep`,
+`l0convex.sets.UnsupportedShape`, `l0convex.syntax.ParseError` and
+`l0convex.measure.EventSet` are these same objects.
 """
 
 from __future__ import annotations
@@ -23,23 +24,10 @@ from ._record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
     from .l0 import EcRv
-
-
-def __getattr__(name: str):
-    # DEFAULT_TOLERANCE, the default certificate tolerance: the constant
-    # element 2**-20, built when `sets` or `topology` first imports it.
-    # Built at import here, it would run `l0` on the `eval prob` and
-    # `partition` paths, which load this module but not `l0`, and `l0`
-    # imports this module, so the two would import each other.
-    if name != "DEFAULT_TOLERANCE":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .l0 import _make
-
-    value = globals()[name] = _make(2**20, {}, 1)
-    return value
 
 
 # A rational as the literal parser reads it: (numerator, positive
@@ -84,6 +72,109 @@ class ParseError(UsageError):
         self.message = message
         self.line = line
         self.column = column
+
+
+def _check_atom(j: int) -> int:
+    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
+        raise UsageError(f"atom index must be a positive integer, got {j!r}")
+    return j
+
+
+class EventSet:
+    """A finite or cofinite set of atoms.
+
+    Cofinite sets are stored by their excluded atoms, so complementation
+    is an involution and union/intersection/difference stay inside the
+    class.  Immutable: assigning or deleting an attribute raises, so a
+    shared event such as `OMEGA`, and every record hashed through one,
+    keeps its value and its hash.
+    """
+
+    __slots__ = ("atoms", "cofinite")
+
+    def __init__(self, atoms: Iterable[int] = (), cofinite: bool = False):
+        _set_atoms(self, frozenset(_check_atom(j) for j in atoms))
+        _set_cofinite(self, bool(cofinite))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EventSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EventSet is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return EventSet, (self.atoms, self.cofinite)
+
+    @classmethod
+    def finite(cls, atoms: Iterable[int]) -> "EventSet":
+        return cls(atoms, cofinite=False)
+
+    @classmethod
+    def cofinite_excluding(cls, atoms: Iterable[int]) -> "EventSet":
+        return cls(atoms, cofinite=True)
+
+    @classmethod
+    def empty(cls) -> "EventSet":
+        return cls((), cofinite=False)
+
+    @classmethod
+    def full(cls) -> "EventSet":
+        return cls((), cofinite=True)
+
+    def __contains__(self, j: int) -> bool:
+        return (j in self.atoms) != self.cofinite
+
+    def complement(self) -> "EventSet":
+        return EventSet(self.atoms, cofinite=not self.cofinite)
+
+    __invert__ = complement
+
+    def union(self, other: "EventSet") -> "EventSet":
+        if not self.cofinite and not other.cofinite:
+            return EventSet(self.atoms | other.atoms)
+        if self.cofinite and other.cofinite:
+            return EventSet(self.atoms & other.atoms, cofinite=True)
+        fin, cof = (self, other) if not self.cofinite else (other, self)
+        return EventSet(cof.atoms - fin.atoms, cofinite=True)
+
+    __or__ = union
+
+    def intersection(self, other: "EventSet") -> "EventSet":
+        return (self.complement() | other.complement()).complement()
+
+    __and__ = intersection
+
+    def difference(self, other: "EventSet") -> "EventSet":
+        return self & other.complement()
+
+    __sub__ = difference
+
+    def is_empty(self) -> bool:
+        return not self.cofinite and not self.atoms
+
+    def isdisjoint(self, other: "EventSet") -> bool:
+        return (self & other).is_empty()
+
+    def issubset(self, other: "EventSet") -> bool:
+        return (self - other).is_empty()
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, EventSet)
+            and self.cofinite == other.cofinite
+            and self.atoms == other.atoms
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.cofinite, self.atoms))
+
+    def __repr__(self) -> str:
+        body = "{" + ",".join(str(j) for j in sorted(self.atoms)) + "}"
+        return "~" + body if self.cofinite else body
+
+
+_set_atoms, _set_cofinite = EventSet.atoms.__set__, EventSet.cofinite.__set__
+OMEGA = EventSet.full()
 
 
 @record(frozen=True)

@@ -4,19 +4,23 @@
 witness events; the property tests of `leq_everywhere` and
 `lt_everywhere` use it as their reference.  `epslambda_membership`
 decides membership in an (eps, lambda) neighborhood.
+`sup_evaluate` evaluates the pointwise maximum of a seminorm family.
 `structural_flags` derives from a set descriptor's shape whether it is
 convex, absorbent and balanced, and `confirm_structural_flags` samples
 those flags.  The package exports them (`l0convex.order_compare`), and
 this module runs only when library code asks for one of them.
+`random_positive_fraction` draws a positive rational for the property
+tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import l0, sampling, seminorms, sets
+from . import l0, sampling, seminorms, sets, topology
 from ._record import record
-from .measure import CANONICAL, DiscreteSpace, EventSet
+from ._common import EventSet
+from .measure import CANONICAL, DiscreteSpace
 
 # -- pointwise order with witness events -----------------------------------
 
@@ -53,6 +57,14 @@ def order_compare(x: l0.EcRv, y: l0.EcRv) -> OrderReport:
 # -- (eps, lambda) neighborhoods --------------------------------------------
 
 
+def sup_evaluate(family, x: l0.EcRv) -> l0.EcRv:
+    """Pointwise maximum of a finite family of seminorms at x."""
+    family = tuple(family)
+    if not family:
+        raise ValueError("sup_evaluate needs at least one seminorm")
+    return l0.combine("mul", seminorms._sup_coefficient(family), abs(x))
+
+
 def epslambda_membership(
     family,
     eps: Fraction,
@@ -66,7 +78,7 @@ def epslambda_membership(
         raise ValueError("eps must be positive")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    norm = seminorms.sup_evaluate(family, x)
+    norm = sup_evaluate(family, x)
     below = order_compare(norm, l0.EcRv.constant(eps)).strict_set
     return space.probability(below) > 1 - lam
 
@@ -126,12 +138,12 @@ def confirm_structural_flags(
     def draw():
         checks, example = {}, {}
         if flags.l0_convex:
-            x1, x2 = sets.sample_member(s, rng), sets.sample_member(s, rng)
+            x1, x2 = sampling.sample_member(s, rng), sampling.sample_member(s, rng)
             t = sampling.random_ecrv(rng, draw=sampling._unit_ratio)  # values in [0, 1]
             checks["convex"] = sets.contains(s, t * x1 + (l0.ONE - t) * x2)
             example["convex"] = (x1, x2, t)
         if flags.l0_balanced:
-            x = sets.sample_member(s, rng)
+            x = sampling.sample_member(s, rng)
             factor = sampling.random_ecrv(rng, draw=_balanced_ratio)
             checks["balanced"] = sets.contains(s, factor * x)
             example["balanced"] = (x, factor)
@@ -152,5 +164,10 @@ def _balanced_ratio(rng) -> tuple[int, int]:
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
     """Is x in xi*S for the closed-form certificate witness xi?"""
-    witness = sets._certificate_witness(s, x, (), l0.ONE)
+    witness = topology._certificate_witness(s, x, (), l0.ONE)
     return sets.contains(sets.Scale(witness, s), x)
+
+
+def random_positive_fraction(rng) -> Fraction:
+    """`Fraction(randint(1, BOUND), randint(1, BOUND))`."""
+    return Fraction(*sampling._positive_ratio(rng))

@@ -10,9 +10,10 @@ Commands:
 
 The JSON report goes to stdout (and to --json PATH if given); one
 human-readable line per step goes to stderr.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage or config error, 3 internal error, 4 the
-output cannot be written (stdout is closed, its reader left, or writing
-it fails).
+pass, 1 a check failed, 2 usage or config error (a --json path that
+cannot be opened among them), 3 internal error, 4 the output cannot be
+written (stdout is closed, its reader left, or writing stdout or the
+--json file fails).
 """
 
 from __future__ import annotations
@@ -125,7 +126,8 @@ def _json(value, indent: str = "\n") -> str:
 
 
 class _OutputFailed(Exception):
-    """Writing stdout failed with the OSError that is its `__cause__`."""
+    """Writing stdout or the --json report file failed with the OSError
+    that is its `__cause__`."""
 
 
 def _write_stdout(text: str) -> None:
@@ -134,6 +136,8 @@ def _write_stdout(text: str) -> None:
     The bytes go to stdout's binary layer until every one is out: with
     PYTHONUNBUFFERED set that layer is the raw file, which may take only
     part of a write, and the text layer would drop the rest silently.
+    On a failure stdout is pointed at the null device, so the
+    interpreter's flush at exit finds nothing left to fail on.
     """
     out = sys.stdout
     try:
@@ -147,17 +151,31 @@ def _write_stdout(text: str) -> None:
             data = data[binary.write(data) or 0 :]  # None: a non-blocking file took nothing
         binary.flush()
     except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         raise _OutputFailed() from exc
 
 
 def _emit(report: dict, json_path: str | None) -> None:
+    """Write the report: stdout, then the --json file, then one line per
+    step on stderr.  The file is opened before stdout gets a byte, so a
+    path that cannot be opened is bad input (exit 2) with stdout empty;
+    a failure to write or close it is an output failure (exit 4)."""
     text = ""
     if json_path or "value" not in report:  # eval prints the value alone
         text = _json(report) + "\n"
-    _write_stdout(report["value"] + "\n" if "value" in report else text)
-    if json_path:
-        with open(json_path, "w") as handle:
-            handle.write(text)
+    handle = open(json_path, "w") if json_path else None
+    try:
+        _write_stdout(report["value"] + "\n" if "value" in report else text)
+    except _OutputFailed:
+        if handle is not None:
+            handle.close()  # nothing was written to it, so this cannot fail
+        raise
+    if handle is not None:
+        try:
+            with handle:  # closed on the way out, even when a write failed
+                handle.write(text)
+        except OSError as exc:
+            raise _OutputFailed() from exc
     for step in report.get("steps", ()):
         tag = "PASS" if step["pass"] else "FAIL"
         print(f"{tag}  {step['name']}", file=sys.stderr)
@@ -339,10 +357,7 @@ def main(argv=None) -> int:
     try:
         return _run(parse_args(sys.argv[1:] if argv is None else argv))
     except _OutputFailed as failed:
-        # point stdout at the null device, so the interpreter's flush at
-        # exit finds nothing left to fail on; a reader that left gets no
-        # message, any other failure one line
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # a reader that left gets no message, any other failure one line
         if not isinstance(failed.__cause__, BrokenPipeError):
             print(f"error: {failed.__cause__}", file=sys.stderr)
         return 4

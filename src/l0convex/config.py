@@ -21,15 +21,15 @@ a rational `p/q`, bare or quoted, for `space.tail_coefficient`.
 
 from __future__ import annotations
 
-from . import syntax
-from ._common import CounterexampleFamily, NeighborhoodBase, ParseError, UsageError
+from . import measure, syntax  # bound lazily: a space or a partition runs `measure`
+from ._common import CounterexampleFamily, EventSet, NeighborhoodBase, ParseError, UsageError
 from ._record import field, record
-from .measure import CANONICAL, DiscreteSpace, EventSet, FinitePartition, SingletonTail
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .concatenation import SequenceSpec
     from .l0 import EcRv
+    from .measure import DiscreteSpace
     from .seminorms import Seminorm
     from .sets import SetDescriptor
 
@@ -40,7 +40,7 @@ class ConfigError(UsageError):
 
 @record
 class RunConfig:
-    space: DiscreteSpace = field(default_factory=lambda: CANONICAL)
+    space: DiscreteSpace | None = None  # None: the dyadic space `measure.CANONICAL`
     seed: int = 42
     samples: int = 200
     base: NeighborhoodBase = field(default_factory=CounterexampleFamily)
@@ -56,9 +56,9 @@ class RunConfig:
     def partition(self):
         """Assemble the configured partition, if any."""
         if self.singletons_from is not None:
-            return SingletonTail(tuple(self.prefix_cells), self.singletons_from)
+            return measure.SingletonTail(tuple(self.prefix_cells), self.singletons_from)
         if self.prefix_cells:
-            return FinitePartition(tuple(self.prefix_cells))
+            return measure.FinitePartition(tuple(self.prefix_cells))
         return None
 
 
@@ -121,7 +121,7 @@ def parse_config(text: str) -> tuple[RunConfig, dict[str, int]]:
 
     if space:
         try:
-            config.space = DiscreteSpace(
+            config.space = measure.DiscreteSpace(
                 space.get("space.explicit", {}), space.get("space.tail_coefficient", 1)
             )
         except ValueError as exc:

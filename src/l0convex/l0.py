@@ -17,9 +17,8 @@ import operator
 from math import gcd, lcm
 from types import MappingProxyType
 
-from ._common import ratio_text, rational_pair
+from ._common import EventSet, _check_atom, ratio_text, rational_pair
 from ._record import record
-from .measure import EventSet, _check_atom
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -329,62 +328,10 @@ def classify(x: EcRv) -> Classification:
 
 
 # -- integer shortcuts for hot callers that would otherwise read the
-# Fraction views and rebuild through the checking constructor --
-
-
-def _with_tail(x: EcRv, p: int, q: int) -> EcRv:
-    """x's overrides with the tail p/q in place of its tail, for an
-    integer p and a positive integer q, not necessarily coprime."""
-    d = lcm(x._d, q)
-    scale, t = d // x._d, p * (d // q)
-    return _reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)
-
-
-def _scaled(x: EcRv, p: int, q: int) -> EcRv:
-    """x * p/q for an integer p and a positive integer q: the numerators
-    times p over the denominator times q.  Zero for p == 0, where every
-    override would equal the tail."""
-    if not p:
-        return ZERO
-    return _reduced(x._d * q, {j: v * p for j, v in x._n.items()}, x._t * p)
-
-
-def _half_abs_or_one(x: EcRv) -> EcRv:
-    """|v|/2 where x takes a nonzero value v, and 1 where it is zero."""
-    d = 2 * x._d
-    t = abs(x._t) or d
-    return _reduced(d, {j: w for j, v in x._n.items() if (w := abs(v) or d) != t}, t)
+# Fraction views; those that only `sets`, `sampling` or `topology` call
+# live in `sets` and `topology` --
 
 
 def _takes_zero(x: EcRv) -> bool:
     """x is 0 at some atom: no reciprocal."""
     return x._t == 0 or 0 in x._n.values()
-
-
-def _abs_tail_leq(x: EcRv, y: EcRv, f: EcRv = ONE) -> bool:
-    """|tail(x)| <= |tail(f)| * tail(y), for f with a nonzero tail: x / f
-    lies in M + B_y (x itself for the default f, one)."""
-    return abs(x._t) * f._d * y._d <= y._t * abs(f._t) * x._d
-
-
-def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
-    """|tail(x)| / tail(y) as an (integer, positive integer) pair, for y
-    with a positive tail; not reduced."""
-    return abs(x._t) * y._d, y._t * x._d
-
-
-def _single_atom(x: EcRv, j: int) -> EcRv:
-    """x(j) at the atom j, zero elsewhere: `indicator_mul` of {j}."""
-    v = x._n.get(j, x._t)
-    if not v:
-        return ZERO
-    g = gcd(x._d, v)
-    return _make(x._d // g, {j: v // g}, 0)
-
-
-def _leq_at(x: EcRv, y: EcRv, atoms, slack: EcRv) -> bool:
-    """x(j) <= y(j) + slack at every atom j of `atoms`, for a constant slack."""
-    dx, dy, p, q = x._d, y._d, slack._t, slack._d
-    xn, yn, xt, yt = x._n, y._n, x._t, y._t
-    # a/dx <= b/dy + p/q  iff  a*dy*q <= (b*q + p*dy)*dx, all denominators positive
-    return all(xn.get(j, xt) * dy * q <= (yn.get(j, yt) * q + p * dy) * dx for j in atoms)

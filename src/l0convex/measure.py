@@ -4,6 +4,11 @@ Atoms are the positive integers.  Events are the finite and cofinite
 subsets, which form a Boolean algebra with decidable membership and
 exactly computable probability as long as the atom masses beyond a
 finite prefix follow a geometric dyadic law.
+
+The events themselves (`EventSet`, the full event `OMEGA`) live in
+`_common`, which every command loads, and are re-exported here: a
+seminorm, an element or a literal names events without running this
+module.  It runs where a probability or a partition is needed.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from types import MappingProxyType
 
-from ._common import UsageError, ratio_text, rational_pair
+from ._common import OMEGA, EventSet  # re-exported
+from ._common import UsageError, _check_atom, ratio_text, rational_pair
 from ._record import record
 
 TYPE_CHECKING = False
@@ -22,109 +28,6 @@ if TYPE_CHECKING:
 
 class MalformedPrefix(UsageError):
     """Prefix cells overlap or leave gaps below the tail start."""
-
-
-def _check_atom(j: int) -> int:
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise UsageError(f"atom index must be a positive integer, got {j!r}")
-    return j
-
-
-class EventSet:
-    """A finite or cofinite set of atoms.
-
-    Cofinite sets are stored by their excluded atoms, so complementation
-    is an involution and union/intersection/difference stay inside the
-    class.  Immutable: assigning or deleting an attribute raises, so a
-    shared event such as `OMEGA`, and every record hashed through one,
-    keeps its value and its hash.
-    """
-
-    __slots__ = ("atoms", "cofinite")
-
-    def __init__(self, atoms: Iterable[int] = (), cofinite: bool = False):
-        _set_atoms(self, frozenset(_check_atom(j) for j in atoms))
-        _set_cofinite(self, bool(cofinite))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EventSet is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EventSet is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return EventSet, (self.atoms, self.cofinite)
-
-    @classmethod
-    def finite(cls, atoms: Iterable[int]) -> "EventSet":
-        return cls(atoms, cofinite=False)
-
-    @classmethod
-    def cofinite_excluding(cls, atoms: Iterable[int]) -> "EventSet":
-        return cls(atoms, cofinite=True)
-
-    @classmethod
-    def empty(cls) -> "EventSet":
-        return cls((), cofinite=False)
-
-    @classmethod
-    def full(cls) -> "EventSet":
-        return cls((), cofinite=True)
-
-    def __contains__(self, j: int) -> bool:
-        return (j in self.atoms) != self.cofinite
-
-    def complement(self) -> "EventSet":
-        return EventSet(self.atoms, cofinite=not self.cofinite)
-
-    __invert__ = complement
-
-    def union(self, other: "EventSet") -> "EventSet":
-        if not self.cofinite and not other.cofinite:
-            return EventSet(self.atoms | other.atoms)
-        if self.cofinite and other.cofinite:
-            return EventSet(self.atoms & other.atoms, cofinite=True)
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return EventSet(cof.atoms - fin.atoms, cofinite=True)
-
-    __or__ = union
-
-    def intersection(self, other: "EventSet") -> "EventSet":
-        return (self.complement() | other.complement()).complement()
-
-    __and__ = intersection
-
-    def difference(self, other: "EventSet") -> "EventSet":
-        return self & other.complement()
-
-    __sub__ = difference
-
-    def is_empty(self) -> bool:
-        return not self.cofinite and not self.atoms
-
-    def isdisjoint(self, other: "EventSet") -> bool:
-        return (self & other).is_empty()
-
-    def issubset(self, other: "EventSet") -> bool:
-        return (self - other).is_empty()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EventSet)
-            and self.cofinite == other.cofinite
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cofinite, self.atoms))
-
-    def __repr__(self) -> str:
-        body = "{" + ",".join(str(j) for j in sorted(self.atoms)) + "}"
-        return "~" + body if self.cofinite else body
-
-
-_set_atoms, _set_cofinite = EventSet.atoms.__set__, EventSet.cofinite.__set__
-OMEGA = EventSet.full()
 
 
 def _ratio_sum(pairs) -> tuple[int, int]:

@@ -3,20 +3,29 @@
 Defaults follow the reproducibility contract: at most 8 overrides on
 atoms 1..16, numerators and denominators bounded by 2**16, and every
 stream derived from an explicit seed.
+
+The members of a set (`sample_member`) and the gauge/membership
+roundtrip are drawn here too: only the sampled commands call them, and
+every one of those loads this module, where `eval` and `check cc`,
+which load `sets`, never call them.  They reach the set shapes through
+the `sets` module object, so loading this module runs no set code.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
+from functools import reduce
 
-from . import l0
+from . import l0, seminorms, sets  # bound lazily: `sets` runs when a member is drawn
 from ._common import EvidenceStep, UsageError
 from ._record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from .l0 import EcRv
+    from .sets import SetDescriptor
 
 MAX_OVERRIDES = 8
 ATOM_SPAN = 16
@@ -125,12 +134,6 @@ def _sign(rng: random.Random) -> int:
     return 2 * _below(rng, 2) - 1
 
 
-def random_positive_fraction(rng: random.Random) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(*_positive_ratio(rng))
-
-
 def _random_atoms(rng: random.Random) -> list[int]:
     """`rng.sample(range(1, ATOM_SPAN + 1), randint(0, MAX_OVERRIDES))`.
 
@@ -173,3 +176,70 @@ def random_nonzero_tail_ecrv(rng: random.Random):
     while tail[0] == 0:
         tail = _ratio(rng)
     return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
+
+
+# -- members of a set, and the gauge/membership roundtrip --------------------
+
+
+def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
+    """A random element of the set, boundary included for ball shapes."""
+    if isinstance(s, sets.Ball):
+        x = random_ecrv(rng)
+        g = sets.gauge_closed_form(s, x)
+        if rng.random() < 0.25 and l0.classify(g).in_L0_plusplus:
+            return x * l0.reciprocal(g)  # gauge exactly one: a boundary point
+        p, q = _unit_ratio(rng)  # x scaled by p/q in [0, 1]
+        return sets._scaled(x, p, q) * l0.reciprocal(l0.ONE + g)
+    if isinstance(s, sets.MPlusBall):
+        x = random_ecrv(rng)
+        p, q = _unit_ratio(rng)
+        r = s.radius  # the tail is +-p/q times the radius's tail
+        return sets._with_tail(x, _sign(rng) * p * r._t, q * r._d)
+    if isinstance(s, sets.Scale):
+        return s.factor * sample_member(s.inner, rng)
+    if isinstance(s, sets.Translate):
+        return s.offset + sample_member(s.inner, rng)
+    if isinstance(s, sets.Intersect):
+        # halving any candidate eventually lands in a balanced absorbent set
+        candidate = sample_member(s.members[0], rng)
+        for _ in range(128):
+            if sets.contains(s, candidate):
+                return candidate
+            candidate = sets._scaled(candidate, 1, 2)
+        if sets.contains(s, l0.ZERO):
+            return l0.ZERO
+        raise ValueError(f"could not sample a member of {s!r}")
+    raise TypeError(f"not a set descriptor: {s!r}")
+
+
+def roundtrip_check(target, samples: int, seed: int) -> Tally:
+    """Check that gauges and membership determine each other.
+
+    For a ball of seminorms (a seminorm p stands for its unit ball): the
+    gauge closed form equals the family's own evaluation, the max of
+    ||x||_p over the radius, so a wrong `Ball.coefficient` is caught.
+    For every set: membership agrees with gauge <= 1 everywhere, and
+    gauge < 1 at every atom forces membership.  The checks are `gauge`,
+    `membership` and `strict`; the example is the drawn point `x`.
+    """
+    rng = make_rng(seed)
+    one = l0.ONE
+    ball = target if isinstance(target, sets.SetDescriptor) else sets.Ball((target,), one)
+    # alternate free points with members so the boundary gets exercised
+    members = itertools.cycle((False, True))
+
+    def draw():
+        x = sample_member(ball, rng) if next(members) else random_ecrv(rng)
+        g = sets.gauge_closed_form(ball, x)
+        reproduced = not isinstance(ball, sets.Ball) or g == l0.divide(
+            reduce(l0.emax, (seminorms.evaluate(p, x) for p in ball.seminorms)), ball.radius
+        )
+        member = sets.contains(ball, x)
+        checks = {
+            "gauge": reproduced,
+            "membership": member == l0.leq_everywhere(g, one),
+            "strict": not (l0.lt_everywhere(g, one) and not member),
+        }
+        return checks, {"x": x}
+
+    return tally(samples, draw)

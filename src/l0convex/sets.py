@@ -11,13 +11,18 @@ Gauge values are pointwise infima.  On an atomic space the lattice
 infimum of a family bounded below agrees with the atomwise infimum,
 which is what makes the closed forms exact; the test suite checks this
 lemma by brute force on finite families and bracketing certificates.
+
+This module holds what every set question needs.  Drawing members
+(`sampling.sample_member`) and the gauge/membership roundtrip
+(`sampling.roundtrip_check`) live in `sampling`, and the gauge
+certificates in `topology`: the `eval` and `check cc` commands load
+this module and call none of them.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from functools import cached_property, reduce
+from functools import cached_property
+from math import gcd, lcm
 
 from ._record import record
 from .l0 import (
@@ -25,32 +30,17 @@ from .l0 import (
     ZERO,
     ONE,
     classify,
-    _coerce,
     combine,
     emax,
     divide,
     leq_everywhere,
-    lt_everywhere,
     reciprocal,
-    _abs_tail_leq,
-    _abs_tail_ratio,
-    _from_ratios,
-    _half_abs_or_one,
-    _leq_at,
-    _scaled,
-    _single_atom,
+    _make,
+    _reduced,
     _takes_zero,
-    _with_tail,
 )
-from .measure import _check_atom
-from .seminorms import Seminorm, evaluate, _sup_coefficient
-from . import sampling
-from ._common import DEFAULT_TOLERANCE, UnsupportedShape  # re-exported
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections.abc import Iterable
-    from fractions import Fraction
+from .seminorms import Seminorm, _sup_coefficient
+from ._common import UnsupportedShape  # re-exported
 
 
 @record(frozen=True)
@@ -216,149 +206,45 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
     raise UnsupportedShape(f"no gauge closed form for {type(s).__name__}")
 
 
-@record(frozen=True)
-class GaugeCertificate:
-    """A re-checkable upper bound on the gauge of `point` in `target_set`.
-
-    The witness is strictly positive, `point in witness * target_set`
-    holds by the membership test alone, and at every probe atom the
-    witness does not exceed the claimed bound by more than tolerance, a
-    positive constant element.
-    """
-
-    target_set: SetDescriptor
-    point: EcRv
-    witness: EcRv
-    probe_atoms: tuple[int, ...]
-    claimed_bound: EcRv
-    tolerance: EcRv
+# -- integer shortcuts over an element's parts (see `l0._reduced`), for the
+# questions above, the members `sampling` draws and the certificates
+# `topology` builds: every command that calls one loads this module --------
 
 
-def verify_certificate(cert: GaugeCertificate) -> bool:
-    if not classify(cert.witness).in_L0_plusplus:
-        return False
-    if not contains(Scale(cert.witness, cert.target_set), cert.point):
-        return False
-    return _leq_at(cert.witness, cert.claimed_bound, cert.probe_atoms, cert.tolerance)
+def _abs_tail_leq(x: EcRv, y: EcRv, f: EcRv = ONE) -> bool:
+    """|tail(x)| <= |tail(f)| * tail(y), for f with a nonzero tail: x / f
+    lies in M + B_y (x itself for the default f, one)."""
+    return abs(x._t) * f._d * y._d <= y._t * abs(f._t) * x._d
 
 
-DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
+def _half_abs_or_one(x: EcRv) -> EcRv:
+    """|v|/2 where x takes a nonzero value v, and 1 where it is zero."""
+    d = 2 * x._d
+    t = abs(x._t) or d
+    return _reduced(d, {j: w for j, v in x._n.items() if (w := abs(v) or d) != t}, t)
 
 
-def gauge_upper_certificate(
-    s: SetDescriptor,
-    x: EcRv,
-    probe_atoms: Iterable[int] = DEFAULT_PROBE_ATOMS,
-    tol: EcRv | int | Fraction = DEFAULT_TOLERANCE,
-) -> GaugeCertificate:
-    """A certificate for the gauge of x in s; `tol` is a positive rational
-    or constant element, kept as a constant element."""
-    probes = tuple(probe_atoms)
-    tol = _coerce(tol)
-    if tol._n or tol._t <= 0:
-        raise ValueError("tolerance must be a positive constant")
-    bound = gauge_closed_form(s, x)
-    witness = _certificate_witness(s, x, probes, tol)
-    return GaugeCertificate(s, x, witness, probes, bound, tol)
+def _scaled(x: EcRv, p: int, q: int) -> EcRv:
+    """x * p/q for an integer p and a positive integer q: the numerators
+    times p over the denominator times q.  Zero for p == 0, where every
+    override would equal the tail."""
+    if not p:
+        return ZERO
+    return _reduced(x._d * q, {j: v * p for j, v in x._n.items()}, x._t * p)
 
 
-def _certificate_witness(
-    s: SetDescriptor, x: EcRv, probes: tuple[int, ...], tol: EcRv
-) -> EcRv:
-    """The witness of a certificate for the constant tolerance `tol`."""
-    if x.is_zero():
-        return _scaled(tol, 1, 2)
-    if isinstance(s, MPlusBall):
-        # membership only constrains the tail; the probe atoms can sit
-        # at the tolerance because finite excursions are absorbed by M
-        # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
-        p, q = _abs_tail_ratio(x, s.radius)
-        ratio = (tol._t, tol._d)
-        over = dict.fromkeys(map(_check_atom, probes), ratio)
-        return _from_ratios(over, (p, q) if p > q else (1, 1))
-    if isinstance(s, Scale):
-        return _certificate_witness(s.inner, reciprocal(s.factor) * x, probes, tol)
-    if isinstance(s, Translate) and s.offset.is_zero():
-        return _certificate_witness(s.inner, x, probes, tol)
-    if isinstance(s, Intersect):
-        # the larger scaling holds x in every balanced member at once; on
-        # ball members this is the intersection's closed form plus tol/2
-        witness = _certificate_witness(s.members[0], x, probes, tol)
-        for member in s.members[1:]:
-            witness = emax(witness, _certificate_witness(member, x, probes, tol))
-        return witness
-    if isinstance(s, Ball):
-        return gauge_closed_form(s, x) + _scaled(tol, 1, 2)
-    raise UnsupportedShape(f"no gauge certificate for {type(s).__name__}")
+def _single_atom(x: EcRv, j: int) -> EcRv:
+    """x(j) at the atom j, zero elsewhere: `indicator_mul` of {j}."""
+    v = x._n.get(j, x._t)
+    if not v:
+        return ZERO
+    g = gcd(x._d, v)
+    return _make(x._d // g, {j: v // g}, 0)
 
 
-# -- membership sampling ---------------------------------------------------
-
-
-def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
-    """A random element of the set, boundary included for ball shapes."""
-    if isinstance(s, Ball):
-        x = sampling.random_ecrv(rng)
-        g = gauge_closed_form(s, x)
-        if rng.random() < 0.25 and classify(g).in_L0_plusplus:
-            return x * reciprocal(g)  # gauge exactly one: a boundary point
-        p, q = sampling._unit_ratio(rng)  # x scaled by p/q in [0, 1]
-        return _scaled(x, p, q) * reciprocal(ONE + g)
-    if isinstance(s, MPlusBall):
-        x = sampling.random_ecrv(rng)
-        p, q = sampling._unit_ratio(rng)
-        r = s.radius  # the tail is +-p/q times the radius's tail
-        return _with_tail(x, sampling._sign(rng) * p * r._t, q * r._d)
-    if isinstance(s, Scale):
-        return s.factor * sample_member(s.inner, rng)
-    if isinstance(s, Translate):
-        return s.offset + sample_member(s.inner, rng)
-    if isinstance(s, Intersect):
-        # halving any candidate eventually lands in a balanced absorbent set
-        candidate = sample_member(s.members[0], rng)
-        for _ in range(128):
-            if contains(s, candidate):
-                return candidate
-            candidate = _scaled(candidate, 1, 2)
-        if contains(s, ZERO):
-            return ZERO
-        raise ValueError(f"could not sample a member of {s!r}")
-    raise TypeError(f"not a set descriptor: {s!r}")
-
-
-# -- gauge / membership roundtrips -----------------------------------------
-
-
-def roundtrip_check(target, samples: int, seed: int) -> sampling.Tally:
-    """Check that gauges and membership determine each other.
-
-    For a ball of seminorms (a seminorm p stands for its unit ball): the
-    gauge closed form equals the family's own evaluation, the max of
-    ||x||_p over the radius, so a wrong `Ball.coefficient` is caught.
-    For every set: membership agrees with gauge <= 1 everywhere, and
-    gauge < 1 at every atom forces membership.  The checks are `gauge`,
-    `membership` and `strict`; the example is the drawn point `x`.
-    """
-    rng = sampling.make_rng(seed)
-    if isinstance(target, (Ball, MPlusBall, Scale, Translate, Intersect)):
-        ball = target
-    else:
-        ball = Ball((target,), ONE)
-    # alternate free points with members so the boundary gets exercised
-    members = itertools.cycle((False, True))
-
-    def draw():
-        x = sample_member(ball, rng) if next(members) else sampling.random_ecrv(rng)
-        g = gauge_closed_form(ball, x)
-        reproduced = not isinstance(ball, Ball) or g == divide(
-            reduce(emax, (evaluate(p, x) for p in ball.seminorms)), ball.radius
-        )
-        member = contains(ball, x)
-        checks = {
-            "gauge": reproduced,
-            "membership": member == leq_everywhere(g, ONE),
-            "strict": not (lt_everywhere(g, ONE) and not member),
-        }
-        return checks, {"x": x}
-
-    return sampling.tally(samples, draw)
+def _with_tail(x: EcRv, p: int, q: int) -> EcRv:
+    """x's overrides with the tail p/q in place of its tail, for an
+    integer p and a positive integer q, not necessarily coprime."""
+    d = lcm(x._d, q)
+    scale, t = d // x._d, p * (d // q)
+    return _reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)

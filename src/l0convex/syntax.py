@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._common import CounterexampleFamily, FromSeminorms, NeighborhoodBase, Ratio, ratio_text
+from ._common import CounterexampleFamily, EventSet, FromSeminorms, NeighborhoodBase
+from ._common import Ratio, ratio_text
 from ._common import ParseError  # re-exported
 from . import l0
-from .measure import EventSet, FinitePartition, SingletonTail
+from . import measure
 from . import seminorms as sn
 from . import sets as sd
 from . import concatenation as cc
@@ -219,13 +220,13 @@ class Parser:
     def partition(self):
         name = self.word()
         if name == "finite":
-            return self._validated(FinitePartition, tuple(self.event_list()))
+            return self._validated(measure.FinitePartition, tuple(self.event_list()))
         if name == "singletons_from":
             self.take("(")
             start = self.integer()
             cells = self.items(self.event) if self.try_take(";") else []
             self.take(")")
-            return self._validated(SingletonTail, tuple(cells), start)
+            return self._validated(measure.SingletonTail, tuple(cells), start)
         raise self.error(f"unknown partition {name!r}")
 
     def base(self) -> NeighborhoodBase:
@@ -381,7 +382,7 @@ def format_sequence(seq: cc.SequenceSpec) -> str:
 
 
 def format_partition(part) -> str:
-    if isinstance(part, FinitePartition):
+    if isinstance(part, measure.FinitePartition):
         return "finite[" + ", ".join(repr(c) for c in part.cells) + "]"
     cells = "; " + ", ".join(repr(c) for c in part.prefix_cells) if part.prefix_cells else ""
     return f"singletons_from({part.tail_start}{cells})"

@@ -9,36 +9,58 @@ step of the verify-counterexample report, each sampled fact checked by
 one step; for a degenerate base they rule out any inducing family of
 seminorms.  Every evidence step is re-checkable from membership tests
 and order comparisons alone.
+
+The gauge certificates live here, next to the one step that builds
+them (`gauge_degeneracy`), and not in `sets`: the commands that load
+`sets` for a single question (`eval`, `check cc`) never compile them.
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .l0 import EcRv, ONE, classify, divide, emin, _make, _scaled
+from .l0 import (
+    EcRv,
+    ONE,
+    classify,
+    divide,
+    emax,
+    emin,
+    reciprocal,
+    _coerce,
+    _from_ratios,
+    _make,
+)
 from . import concatenation
 from .seminorms import Seminorm, Weighted
 from .sets import (
-    DEFAULT_PROBE_ATOMS,
     Ball,
+    Intersect,
+    MPlusBall,
+    Scale,
+    SetDescriptor,
+    Translate,
     contains,
     core_point,
     excluding_radius,
     gauge_closed_form,
-    gauge_upper_certificate,
-    sample_member,
-    verify_certificate,
-    roundtrip_check,
+    _scaled,
 )
 from . import sampling
 from ._common import (  # re-exported: the records live in the leaf module
-    DEFAULT_TOLERANCE,
     CounterexampleFamily,
     EvidenceStep,
     FromSeminorms,
     NeighborhoodBase,
+    UnsupportedShape,
     UsageError,
+    _check_atom,
     ratio_text,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from fractions import Fraction
 
 
 # -- base axioms -----------------------------------------------------------
@@ -70,9 +92,9 @@ def base_axiom_witnesses(
     )
 
     def draw():
-        x = sample_member(u_meet, rng)
-        a, b = sample_member(u_half, rng), sample_member(u_half, rng)
-        y = sample_member(u_ratio, rng)
+        x = sampling.sample_member(u_meet, rng)
+        a, b = sampling.sample_member(u_half, rng), sampling.sample_member(u_half, rng)
+        y = sampling.sample_member(u_ratio, rng)
         checks = {
             "meet": contains(u_eps, x) and contains(u_delta, x),
             "sum": contains(u_eps, a + b),
@@ -192,6 +214,101 @@ def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> Evidence
     )
 
 
+# -- gauge certificates -------------------------------------------------------
+
+# The default certificate tolerance, the constant element 2**-20, and the
+# default probe atoms.
+DEFAULT_TOLERANCE = _make(2**20, {}, 1)
+DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
+
+
+@record(frozen=True)
+class GaugeCertificate:
+    """A re-checkable upper bound on the gauge of `point` in `target_set`.
+
+    The witness is strictly positive, `point in witness * target_set`
+    holds by the membership test alone, and at every probe atom the
+    witness does not exceed the claimed bound by more than tolerance, a
+    positive constant element.
+    """
+
+    target_set: SetDescriptor
+    point: EcRv
+    witness: EcRv
+    probe_atoms: tuple[int, ...]
+    claimed_bound: EcRv
+    tolerance: EcRv
+
+
+def verify_certificate(cert: GaugeCertificate) -> bool:
+    if not classify(cert.witness).in_L0_plusplus:
+        return False
+    if not contains(Scale(cert.witness, cert.target_set), cert.point):
+        return False
+    return _leq_at(cert.witness, cert.claimed_bound, cert.probe_atoms, cert.tolerance)
+
+
+def gauge_upper_certificate(
+    s: SetDescriptor,
+    x: EcRv,
+    probe_atoms: Iterable[int] = DEFAULT_PROBE_ATOMS,
+    tol: EcRv | int | Fraction = DEFAULT_TOLERANCE,
+) -> GaugeCertificate:
+    """A certificate for the gauge of x in s; `tol` is a positive rational
+    or constant element, kept as a constant element."""
+    probes = tuple(probe_atoms)
+    tol = _coerce(tol)
+    if tol._n or tol._t <= 0:
+        raise ValueError("tolerance must be a positive constant")
+    bound = gauge_closed_form(s, x)
+    witness = _certificate_witness(s, x, probes, tol)
+    return GaugeCertificate(s, x, witness, probes, bound, tol)
+
+
+def _certificate_witness(
+    s: SetDescriptor, x: EcRv, probes: tuple[int, ...], tol: EcRv
+) -> EcRv:
+    """The witness of a certificate for the constant tolerance `tol`."""
+    if x.is_zero():
+        return _scaled(tol, 1, 2)
+    if isinstance(s, MPlusBall):
+        # membership only constrains the tail; the probe atoms can sit
+        # at the tolerance because finite excursions are absorbed by M
+        # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
+        p, q = _abs_tail_ratio(x, s.radius)
+        ratio = (tol._t, tol._d)
+        over = dict.fromkeys(map(_check_atom, probes), ratio)
+        return _from_ratios(over, (p, q) if p > q else (1, 1))
+    if isinstance(s, Scale):
+        return _certificate_witness(s.inner, reciprocal(s.factor) * x, probes, tol)
+    if isinstance(s, Translate) and s.offset.is_zero():
+        return _certificate_witness(s.inner, x, probes, tol)
+    if isinstance(s, Intersect):
+        # the larger scaling holds x in every balanced member at once; on
+        # ball members this is the intersection's closed form plus tol/2
+        witness = _certificate_witness(s.members[0], x, probes, tol)
+        for member in s.members[1:]:
+            witness = emax(witness, _certificate_witness(member, x, probes, tol))
+        return witness
+    if isinstance(s, Ball):
+        return gauge_closed_form(s, x) + _scaled(tol, 1, 2)
+    raise UnsupportedShape(f"no gauge certificate for {type(s).__name__}")
+
+
+def _leq_at(x: EcRv, y: EcRv, atoms, slack: EcRv) -> bool:
+    """x(j) <= y(j) + slack at every atom j of `atoms`, for a constant slack."""
+    dx, dy, p, q = x._d, y._d, slack._t, slack._d
+    xn, yn, xt, yt = x._n, y._n, x._t, y._t
+    # a/dx <= b/dy + p/q  iff  a*dy*q <= (b*q + p*dy)*dx, all denominators positive
+    return all(xn.get(j, xt) * dy * q <= (yn.get(j, yt) * q + p * dy) * dx for j in atoms)
+
+
+def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
+    """|tail(x)| / tail(y) as an (integer, positive integer) pair, for y
+    with a positive tail; not reduced."""
+    return abs(x._t) * y._d, y._t * x._d
+
+
 # -- the induction verdict ---------------------------------------------------
 
 
@@ -237,7 +354,7 @@ def seminorm_induction_verdict(
         steps += _not_induced_steps(base, seed, samples)
     else:
         steps.append(
-            roundtrip_check(unit, samples, seed).step(
+            sampling.roundtrip_check(unit, samples, seed).step(
                 "gauge_membership_roundtrip",
                 "membership in a base ball agrees with gauge <= 1",
                 "{failed} mismatches",
@@ -293,7 +410,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     def monotone():
         radius = sampling.random_positive_ecrv(rng)
         u, inner = base.base_set(radius), Ball((Weighted(ONE),), radius)
-        return {"contained": contains(u, sample_member(inner, rng))}, {}
+        return {"contained": contains(u, sampling.sample_member(inner, rng))}, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
     #    each point outside M is excluded from some base set, and each

@@ -1350,6 +1350,32 @@ class TestInputOutputSurfaces:
         if header is not None:
             assert json.loads(out).items() >= header.items()
 
+    @pytest.mark.parametrize(
+        "path, code, out, err",
+        [
+            ("missing/report.json", 2, "", cannot_open(errno.ENOENT, "missing/report.json")),
+            ("dir", 2, "", cannot_open(errno.EISDIR, "dir")),
+            pytest.param("/dev/full", 4, "1/2\n", NO_SPACE, marks=needs_full),
+        ],
+        ids=["json-missing-directory", "json-directory-stdout-empty", "json-full-device"],
+    )
+    def test_the_report_file(self, tmp_path, path, code, out, err):
+        """The --json file is opened before stdout gets a byte, so a path
+        that cannot be opened is bad input with stdout empty; a failure to
+        write or close the file is an output failure, after stdout."""
+        (tmp_path / "dir").mkdir()
+        argv = ("eval", "prob {1}", "--json", path)
+        assert spawn(tmp_path, argv, "pipe", {}) == (code, out, err)
+
+    @needs_full
+    def test_a_verify_report_file_on_the_full_device(self, tmp_path):
+        """A report longer than one write: stdout holds all of it, and the
+        step lines that follow the file never come."""
+        argv = ("verify-counterexample", "--samples", "1", "--json", "/dev/full")
+        code, out, err = spawn(tmp_path, argv, "pipe", {})
+        assert (code, err) == (4, NO_SPACE)
+        assert json.loads(out)["verdict"] == "NotInduced"
+
     def test_a_reader_that_stays_gets_every_byte(self, tmp_path):
         """75,261 bytes, more than a pipe holds, unbuffered: the raw file may
         take them in several writes, and every one arrives."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from l0convex import CounterexampleFamily, FromSeminorms, sets
+from l0convex import CounterexampleFamily, FromSeminorms, sampling, sets, topology
 from l0convex.l0 import ONE, EcRv
 from l0convex.measure import EventSet
 from l0convex.seminorms import Localized, Weighted
@@ -38,27 +38,27 @@ def wrong_coefficient(factor):
     return patch
 
 
-def rebound(name, wrong_version):
-    """`sets.<name>` replaced by `wrong_version(right, calls)`, bound anew
+def rebound(home, name, wrong_version):
+    """`<home>.<name>` replaced by `wrong_version(right, calls)`, bound anew
     in every module that imported the name by value."""
 
     def patch(monkeypatch, calls):
-        right = getattr(sets, name)
+        right = getattr(home, name)
         wrong = wrong_version(right, calls)
         modules = [
             module
             for key, module in sys.modules.items()
             if key.startswith("l0convex.") and vars(module).get(name) is right
         ]
-        assert sets in modules
+        assert home in modules
         for module in modules:
             monkeypatch.setattr(module, name, wrong)
 
     return patch
 
 
-def scaled_result(name, factor):
-    """`sets.<name>` with its result times `factor`."""
+def scaled_result(home, name, factor):
+    """`<home>.<name>` with its result times `factor`."""
 
     def wrong_version(right, calls):
         def wrong(*args):
@@ -68,7 +68,7 @@ def scaled_result(name, factor):
 
         return wrong
 
-    return rebound(name, wrong_version)
+    return rebound(home, name, wrong_version)
 
 
 def m_plus_ball_decided_as(shape):
@@ -83,7 +83,7 @@ def m_plus_ball_decided_as(shape):
 
         return wrong
 
-    return rebound("contains", wrong_version)
+    return rebound(sets, "contains", wrong_version)
 
 
 def certificate_with_half_its_tail(right, calls):
@@ -105,17 +105,17 @@ FAULTS = {
     "ball-coefficient-1/3x": (
         wrong_coefficient(Fraction(1, 3)), INDUCED, {"gauge_membership_roundtrip"}
     ),
-    "ball-members-3x-induced": (scaled_result("sample_member", 3), INDUCED, {"base_axioms"}),
+    "ball-members-3x-induced": (scaled_result(sampling, "sample_member", 3), INDUCED, {"base_axioms"}),
     "ball-members-3x-not-induced": (
-        scaled_result("sample_member", 3),
+        scaled_result(sampling, "sample_member", 3),
         NOT_INDUCED,
         {"base_axioms", "gauge_monotonicity", "zero_family_contradiction"},
     ),
     "excluding-radius-4x-induced": (
-        scaled_result("excluding_radius", 4), INDUCED, {"hausdorff_diagnosis"}
+        scaled_result(sets, "excluding_radius", 4), INDUCED, {"hausdorff_diagnosis"}
     ),
     "excluding-radius-4x-not-induced": (
-        scaled_result("excluding_radius", 4),
+        scaled_result(sets, "excluding_radius", 4),
         NOT_INDUCED,
         {"proper_closed_submodule", "zero_family_contradiction"},
     ),
@@ -125,7 +125,7 @@ FAULTS = {
         {"concatenation_failure", "proper_closed_submodule", "zero_family_contradiction"},
     ),
     "m-plus-ball-certificate-half-tail": (
-        rebound("_certificate_witness", certificate_with_half_its_tail),
+        rebound(topology, "_certificate_witness", certificate_with_half_its_tail),
         NOT_INDUCED,
         {"gauge_degeneracy", "zero_family_contradiction"},
     ),

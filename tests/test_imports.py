@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -99,14 +100,25 @@ class TestExports:
         assert not hasattr(l0convex, "sys")
 
     def test_old_paths_give_the_same_objects(self):
-        from l0convex import _common, sets, topology
+        from l0convex import _common, measure, sets, topology
 
         assert topology.EvidenceStep is _common.EvidenceStep
         assert topology.CounterexampleFamily is l0convex.CounterexampleFamily
         assert topology.FromSeminorms is l0convex.FromSeminorms
         assert sets.UnsupportedShape is l0convex.UnsupportedShape is _common.UnsupportedShape
-        assert sets.DEFAULT_TOLERANCE is topology.DEFAULT_TOLERANCE is _common.DEFAULT_TOLERANCE
+        assert measure.EventSet is l0convex.EventSet is _common.EventSet
+        assert measure.OMEGA is _common.OMEGA
         assert l0convex.topology is topology
+
+    def test_every_export_lives_in_the_module_the_table_names(self):
+        """A placement guard: `_EXPORTS_BY_MODULE` says where each name
+        lives, and the package serves that very object."""
+        import importlib
+
+        for module, names in l0convex._EXPORTS_BY_MODULE.items():
+            home = importlib.import_module(f"l0convex.{module}")
+            for name in names.split():
+                assert getattr(home, name) is getattr(l0convex, name), (module, name)
 
     def test_parse_error_lives_in_the_leaf_module(self):
         from l0convex import _common, config, syntax
@@ -134,6 +146,40 @@ class TestExports:
             with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
                 getattr(module, name)
 
+    def test_moved_code_lives_where_its_commands_run_it(self):
+        """Each function lives in the module that every command calling it
+        loads: the names below moved, and their old modules no longer
+        serve them."""
+        from l0convex import _cli_check, _common, _library, l0, sampling, seminorms, sets
+        from l0convex import topology
+
+        moved = {
+            (sets, "sample_member"): sampling,
+            (sets, "roundtrip_check"): sampling,
+            (sets, "GaugeCertificate"): topology,
+            (sets, "gauge_upper_certificate"): topology,
+            (sets, "verify_certificate"): topology,
+            (sets, "_certificate_witness"): topology,
+            (sets, "DEFAULT_PROBE_ATOMS"): topology,
+            (sets, "DEFAULT_TOLERANCE"): topology,
+            (_common, "DEFAULT_TOLERANCE"): topology,
+            (l0, "_leq_at"): topology,
+            (l0, "_abs_tail_ratio"): topology,
+            (l0, "_abs_tail_leq"): sets,
+            (l0, "_half_abs_or_one"): sets,
+            (l0, "_scaled"): sets,
+            (l0, "_single_atom"): sets,
+            (l0, "_with_tail"): sets,
+            (seminorms, "axioms_check"): _cli_check,
+            (seminorms, "sup_evaluate"): _library,
+            (sampling, "random_positive_fraction"): _library,
+        }
+        for (old, name), new in moved.items():
+            assert getattr(new, name) is not None, (new, name)
+            with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+                getattr(old, name)
+        assert topology.DEFAULT_TOLERANCE == l0.EcRv.constant(Fraction(1, 2**20))
+
     def test_cli_keeps_the_names_it_imported(self):
         from l0convex import cli, sets, topology
 
@@ -144,14 +190,14 @@ class TestExports:
 
 
 # What `import l0convex.cli` runs, before any command does.
-CLI_IMPORT = {"cli", "config", "measure", "_record", "_common"}
+CLI_IMPORT = {"cli", "config", "_record", "_common"}
 # One command per `cli._READS` row: its argv, its config file text (or
 # None) and the package modules it runs besides CLI_IMPORT.
 COMMANDS = {
     "verify-counterexample": (
         ("verify-counterexample", "--samples", "3"),
         None,
-        {"l0", "seminorms", "sets", "sampling", "topology", "concatenation"},
+        {"l0", "seminorms", "sets", "sampling", "topology", "concatenation", "measure"},
     ),
     "check axioms": (
         ("check", "axioms", "--samples", "3"),
@@ -166,14 +212,14 @@ COMMANDS = {
     "check cc": (
         ("check", "cc"),
         "set = m_plus_ball({|1})\nseq.diag = {|2}\npart.singletons_from = 1\nexpect = fail\n",
-        {"_cli_check", "syntax", "l0", "seminorms", "sets", "concatenation"},
+        {"_cli_check", "syntax", "l0", "seminorms", "sets", "concatenation", "measure"},
     ),
     "check base": (
         ("check", "base", "--samples", "3"),
         None,
         {"_cli_check", "l0", "seminorms", "sets", "sampling", "topology"},
     ),
-    "eval prob": (("eval", "prob {1,3}"), None, {"_cli_eval", "syntax"}),
+    "eval prob": (("eval", "prob {1,3}"), None, {"_cli_eval", "syntax", "measure"}),
     "eval gauge": (
         ("eval", "gauge m_plus_ball({|1}) {|5}"),
         None,
@@ -192,17 +238,17 @@ COMMANDS = {
     "eval glue": (
         ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
         None,
-        {"_cli_eval", "syntax", "l0", "seminorms", "sets", "concatenation"},
+        {"_cli_eval", "syntax", "l0", "seminorms", "sets", "concatenation", "measure"},
     ),
     "partition": (
         ("partition", "--from", "3", "--cells", "[{1},{2}]"),
         None,
-        {"_cli_partition", "syntax"},
+        {"_cli_partition", "syntax", "measure"},
     ),
     "partition SPEC": (
         ("partition", "singletons_from(3; {1}, {2})"),
         None,
-        {"_cli_partition", "syntax"},
+        {"_cli_partition", "syntax", "measure"},
     ),
 }
 # verify on a seminorm base parses the base and formats the family, and
@@ -219,19 +265,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 15068,
-    "check axioms": 13506,
-    "check roundtrip": 15543,
-    "check cc": 15978,
-    "check base": 14261,
-    "eval prob": 9345,
-    "eval gauge": 14583,
-    "eval contains": 14583,
-    "eval seminorm": 12546,
-    "eval glue": 15830,
-    "partition": 9472,
-    "partition SPEC": 9472,
-    "verify-counterexample on a seminorm base": 16552,
+    "verify-counterexample": 14802,
+    "check axioms": 12165,
+    "check roundtrip": 13514,
+    "check cc": 14646,
+    "check base": 12998,
+    "eval prob": 9276,
+    "eval gauge": 11796,
+    "eval contains": 11796,
+    "eval seminorm": 10447,
+    "eval glue": 14275,
+    "partition": 9396,
+    "partition SPEC": 9396,
+    "verify-counterexample on a seminorm base": 15008,
 }
 
 
@@ -341,6 +387,17 @@ class TestImportBudget:
         probe = "import json, sys, types, l0convex; code = l0convex.sampling.BOUND; " + LOADED
         _, loaded = loaded_after(probe)
         assert "sampling" in loaded and "topology" not in loaded
+
+    def test_a_config_without_a_space_or_partition_runs_no_measure(self):
+        """`RunConfig()` and `parse_config("seed = 1")` leave `measure`
+        unrun: only a probability or a partition needs it."""
+        probe = (
+            "import json, sys, types; from l0convex.config import RunConfig, parse_config; "
+            "RunConfig(); config, _ = parse_config('seed = 1'); code = config.seed; " + LOADED
+        )
+        code, loaded = loaded_after(probe)
+        assert code == 1
+        assert loaded == {"config", "syntax", "_record", "_common"}
 
     def test_eval_prob(self):
         code, loaded = loaded_after(CLI, "eval", "prob {1}")

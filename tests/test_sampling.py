@@ -12,7 +12,7 @@ from l0convex._common import UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
-from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below
+from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below, sample_member
 from l0convex.seminorms import Localized, Weighted
 from l0convex.sets import (
     Ball,
@@ -22,7 +22,6 @@ from l0convex.sets import (
     Translate,
     contains,
     gauge_closed_form,
-    sample_member,
 )
 
 from conftest import _randint, random_seminorm
@@ -109,7 +108,7 @@ def reference_unit_fraction(rng):
 
 
 def reference_sample_member(s, rng):
-    """`sets.sample_member` on Fractions, `randint`, `sample` and `choice`."""
+    """`sampling.sample_member` on Fractions, `randint`, `sample` and `choice`."""
     if isinstance(s, Ball):
         x = reference_random_ecrv(rng)
         g = gauge_closed_form(s, x)
