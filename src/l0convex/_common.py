@@ -1,26 +1,25 @@
-"""The small records several modules and every command share.
+"""The record machinery and the small records every command shares.
 
-The neighborhood-base kinds, the report step, the input errors, the
-finite and cofinite events and the two helpers that read and print
-rationals as integer pairs live here so that loading them costs only
-this module: `config` needs a default base, every `check` and
-`partition` report builds an `EvidenceStep`, and a seminorm, an element
-and the literal parser all name events, none of which should pull in
-`topology`, `sets` or the probability spaces of `measure`; and `config`
-and `cli` catch the input errors without running the literal parser.
-The modules that use them (`topology`, `sets`, `syntax`, `measure`)
-re-export each name, so `l0convex.topology.EvidenceStep`,
+`record` is the package's one way to write a value class.  The
+neighborhood-base kinds, the report step, the input errors, the rationals
+the literal parser reads, the finite and cofinite events and the two
+helpers that read and print rationals as integer pairs live here so that
+loading them costs only this module: `config` needs a default base, every
+`check` and `partition` report builds an `EvidenceStep`, and a seminorm,
+an element and the literal parser all name events, none of which should
+pull in `topology`, `sets` or the probability spaces of `measure`; and
+`config` and `cli` catch the input errors without running the literal
+parser.  The modules that use them (`topology`, `sets`, `syntax`,
+`measure`) re-export each name, so `l0convex.topology.EvidenceStep`,
 `l0convex.sets.UnsupportedShape`, `l0convex.syntax.ParseError` and
 `l0convex.measure.EventSet` are these same objects.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd
 
 from . import seminorms, sets  # bound lazily: neither runs until a base set is built
-from ._record import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -30,10 +29,148 @@ if TYPE_CHECKING:
     from .l0 import EcRv
 
 
-# A rational as the literal parser reads it: (numerator, positive
-# denominator) in lowest terms, a pair that `rational_pair`, and so the
-# checking constructor `EcRv`, reads by the names a Fraction gives them.
-Ratio = namedtuple("Ratio", ["numerator", "denominator"])
+# -- records -------------------------------------------------------------------
+
+# The methods `record` installs and a record class must not write itself.
+_METHODS = ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__")
+
+
+class _Factory:
+    """The default of a field built per instance."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+def field(*, default_factory) -> _Factory:
+    """A field whose default is `default_factory()`, called per instance."""
+    return _Factory(default_factory)
+
+
+def record(cls=None, /, *, frozen: bool = False):
+    """Make `cls` a record class; `frozen=True` makes its instances immutable.
+
+    The part of `dataclasses` this package uses, without code generation.
+    The fields are the class's own annotations, in order, and the methods
+    are closures over the field names:
+
+    - `__init__` takes each field positionally or by keyword; a field left
+      out takes its class-level default, or a fresh `default_factory()`
+      when declared as `field(default_factory=...)`.  It then calls
+      `__post_init__` when the class defines one.
+    - `__repr__` is `QualName(f=v, ...)`, unless the class writes its own.
+    - `__eq__` compares the tuples of field values, and only between
+      objects of the same class.
+    - A frozen record hashes its field tuple and rejects assigning or
+      deleting any attribute with `AttributeError`.  A mutable record is
+      unhashable.
+
+    For these classes the behaviour is that of `dataclasses.dataclass`.
+    The stdlib decorator compiles source text for every method of every
+    class and imports `inspect`, about 45 ms on each start, more than most
+    commands take.  Anything outside the subset (another option, a base
+    class, a class that writes one of the other methods itself) raises
+    `TypeError` instead of being ignored.  Introspection shows
+    `__init__(*args, **kwargs)`: the field list is the class's annotations.
+    """
+    if cls is None:
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
+
+
+def _build(cls, frozen: bool):
+    if cls.__bases__ != (object,):
+        raise TypeError(f"record class {cls.__qualname__} must not have a base class")
+    clash = [name for name in _METHODS if name in vars(cls)]
+    if clash:
+        raise TypeError(f"record class {cls.__qualname__} defines {', '.join(clash)}")
+    names = tuple(vars(cls).get("__annotations__", ()))
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    for name, default in defaults.items():
+        if isinstance(default, _Factory):
+            delattr(cls, name)
+    n = len(names)
+    post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bind(cls, names, defaults, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def values(obj) -> tuple:
+        return tuple([getattr(obj, name) for name in names])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in names])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    methods = [__init__, __eq__] + ([__hash__] if frozen else [])
+    if "__repr__" not in vars(cls):
+        methods.append(__repr__)
+    for method in methods:
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if frozen:
+        cls.__setattr__ = _frozen_setattr
+        cls.__delattr__ = _frozen_delattr
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+def _bind(cls, names, defaults, args, kwargs) -> list:
+    """The value of every field, in field order, for one constructor call."""
+    where = f"{cls.__qualname__}.__init__()"
+    if len(args) > len(names):
+        raise TypeError(f"{where} takes {len(names)} arguments but {len(args)} were given")
+    given = dict(zip(names, args))
+    for key, value in kwargs.items():
+        if key not in names:
+            raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
+        if key in given:
+            raise TypeError(f"{where} got multiple values for argument {key!r}")
+        given[key] = value
+    out = []
+    for name in names:
+        if name in given:
+            out.append(given[name])
+        elif name in defaults:
+            default = defaults[name]
+            out.append(default.make() if isinstance(default, _Factory) else default)
+        else:
+            raise TypeError(f"{where} missing required argument {name!r}")
+    return out
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+# -- rationals -----------------------------------------------------------------
+
+
+@record(frozen=True)
+class Ratio:
+    """A rational as the literal parser reads it: a positive denominator,
+    in lowest terms.  `rational_pair`, and so the checking constructor
+    `EcRv`, reads it by the names a Fraction gives the two integers."""
+
+    numerator: int
+    denominator: int
 
 
 def rational_pair(value: int | Fraction | Ratio) -> tuple[int, int]:
@@ -80,62 +217,59 @@ def _check_atom(j: int) -> int:
     return j
 
 
+@record(frozen=True)
 class EventSet:
     """A finite or cofinite set of atoms.
 
     Cofinite sets are stored by their excluded atoms, so complementation
     is an involution and union/intersection/difference stay inside the
-    class.  Immutable: assigning or deleting an attribute raises, so a
-    shared event such as `OMEGA`, and every record hashed through one,
-    keeps its value and its hash.
+    class.  `atoms` takes any iterable of atom indices, each checked, and
+    holds them as a frozenset.  A frozen record: assigning or deleting an
+    attribute raises, so a shared event such as `OMEGA`, and every record
+    hashed through one, keeps its value and its hash.
     """
 
-    __slots__ = ("atoms", "cofinite")
+    atoms: frozenset[int] = frozenset()
+    cofinite: bool = False
 
-    def __init__(self, atoms: Iterable[int] = (), cofinite: bool = False):
-        _set_atoms(self, frozenset(_check_atom(j) for j in atoms))
-        _set_cofinite(self, bool(cofinite))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"EventSet is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"EventSet is immutable; cannot delete {name!r}")
+    def __post_init__(self):
+        atoms = frozenset([_check_atom(j) for j in self.atoms])
+        self.__dict__.update(atoms=atoms, cofinite=bool(self.cofinite))
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return EventSet, (self.atoms, self.cofinite)
 
     @classmethod
     def finite(cls, atoms: Iterable[int]) -> "EventSet":
-        return cls(atoms, cofinite=False)
+        return cls(atoms, False)
 
     @classmethod
     def cofinite_excluding(cls, atoms: Iterable[int]) -> "EventSet":
-        return cls(atoms, cofinite=True)
+        return cls(atoms, True)
 
     @classmethod
     def empty(cls) -> "EventSet":
-        return cls((), cofinite=False)
+        return cls((), False)
 
     @classmethod
     def full(cls) -> "EventSet":
-        return cls((), cofinite=True)
+        return cls((), True)
 
     def __contains__(self, j: int) -> bool:
         return (j in self.atoms) != self.cofinite
 
     def complement(self) -> "EventSet":
-        return EventSet(self.atoms, cofinite=not self.cofinite)
+        return EventSet(self.atoms, not self.cofinite)
 
     __invert__ = complement
 
     def union(self, other: "EventSet") -> "EventSet":
         if not self.cofinite and not other.cofinite:
-            return EventSet(self.atoms | other.atoms)
+            return EventSet(self.atoms | other.atoms, False)
         if self.cofinite and other.cofinite:
-            return EventSet(self.atoms & other.atoms, cofinite=True)
+            return EventSet(self.atoms & other.atoms, True)
         fin, cof = (self, other) if not self.cofinite else (other, self)
-        return EventSet(cof.atoms - fin.atoms, cofinite=True)
+        return EventSet(cof.atoms - fin.atoms, True)
 
     __or__ = union
 
@@ -158,22 +292,11 @@ class EventSet:
     def issubset(self, other: "EventSet") -> bool:
         return (self - other).is_empty()
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EventSet)
-            and self.cofinite == other.cofinite
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.cofinite, self.atoms))
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the literal syntax, as reports print it
         body = "{" + ",".join(str(j) for j in sorted(self.atoms)) + "}"
         return "~" + body if self.cofinite else body
 
 
-_set_atoms, _set_cofinite = EventSet.atoms.__set__, EventSet.cofinite.__set__
 OMEGA = EventSet.full()
 
 

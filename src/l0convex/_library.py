@@ -18,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import l0, sampling, seminorms, sets, topology
-from ._record import record
-from ._common import EventSet
+from ._common import EventSet, record
 from .measure import CANONICAL, DiscreteSpace
 
 # -- pointwise order with witness events -----------------------------------

@@ -13,7 +13,8 @@ human-readable line per step goes to stderr.  Exit codes: 0 all checks
 pass, 1 a check failed, 2 usage or config error (a --json path that
 cannot be opened among them), 3 internal error, 4 the output cannot be
 written (stdout is closed, its reader left, or writing stdout or the
---json file fails).
+--json file fails).  A stderr that is closed or cannot be written loses
+its lines and changes no exit code.
 """
 
 from __future__ import annotations
@@ -155,6 +156,19 @@ def _write_stdout(text: str) -> None:
         raise _OutputFailed() from exc
 
 
+def _note(line: str) -> None:
+    """Write `line` to stderr, or lose it if stderr cannot take it.
+
+    A stderr closed at the start (`2>&-`) is None, where `print` would
+    write to stdout and corrupt the report; one that cannot be written
+    raises OSError.  Neither changes the exit code the run earned."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            pass
+
+
 def _emit(report: dict, json_path: str | None) -> None:
     """Write the report: stdout, then the --json file, then one line per
     step on stderr.  The file is opened before stdout gets a byte, so a
@@ -178,9 +192,9 @@ def _emit(report: dict, json_path: str | None) -> None:
             raise _OutputFailed() from exc
     for step in report.get("steps", ()):
         tag = "PASS" if step["pass"] else "FAIL"
-        print(f"{tag}  {step['name']}", file=sys.stderr)
+        _note(f"{tag}  {step['name']}")
     if "verdict" in report:
-        print(f"verdict: {report['verdict']}", file=sys.stderr)
+        _note(f"verdict: {report['verdict']}")
 
 
 def _load_config(args) -> tuple[RunConfig, dict]:
@@ -265,7 +279,7 @@ def _is_flag(word: str) -> bool:
 
 
 def _refuse(message: str) -> NoReturn:
-    sys.stderr.write(f"l0convex: error: {message}\n")
+    _note(f"l0convex: error: {message}")
     raise SystemExit(2)
 
 
@@ -352,14 +366,14 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     if sys.stdout is None:  # started with stdout closed (`>&-`)
-        print("error: stdout is closed, so no output can be written", file=sys.stderr)
+        _note("error: stdout is closed, so no output can be written")
         return 4
     try:
         return _run(parse_args(sys.argv[1:] if argv is None else argv))
     except _OutputFailed as failed:
         # a reader that left gets no message, any other failure one line
         if not isinstance(failed.__cause__, BrokenPipeError):
-            print(f"error: {failed.__cause__}", file=sys.stderr)
+            _note(f"error: {failed.__cause__}")
         return 4
     except Exception as exc:
         # bad input: the package's input errors, a file named on the
@@ -369,10 +383,10 @@ def main(argv=None) -> int:
         # reaches through the environment)
         if isinstance(exc, (UsageError, OSError)) or "int_max_str_digits" in str(exc):
             knob = "the PYTHONINTMAXSTRDIGITS environment variable"
-            print(f"error: {exc}".replace("sys.set_int_max_str_digits()", knob), file=sys.stderr)
+            _note(f"error: {exc}".replace("sys.set_int_max_str_digits()", knob))
             return 2
         # a defect in the program, never "a check failed"
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"internal error: {type(exc).__name__}: {exc}")
         return 3
 
 

@@ -18,9 +18,8 @@ set and the value name, and at one atom past all of them.
 
 from __future__ import annotations
 
-from ._record import field, record
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO
-from ._common import EventSet
+from ._common import EventSet, field, record
 from .measure import FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
 from .sets import Ball, SetDescriptor, contains, gauge_closed_form, _deciding_atoms, _single_atom

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from . import measure, syntax  # bound lazily: a space or a partition runs `measure`
 from ._common import CounterexampleFamily, EventSet, NeighborhoodBase, ParseError, UsageError
-from ._record import field, record
+from ._common import field, record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -17,8 +17,7 @@ import operator
 from math import gcd, lcm
 from types import MappingProxyType
 
-from ._common import EventSet, _check_atom, ratio_text, rational_pair
-from ._record import record
+from ._common import EventSet, _check_atom, ratio_text, rational_pair, record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -26,7 +25,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     Rational = int | Fraction
-_setattr = object.__setattr__  # the one way to write an EcRv's slots
 
 
 class NotInvertible(ZeroDivisionError):
@@ -48,11 +46,10 @@ class EcRv:
     `value_at` and `values`, they import `fractions` on first use, and
     nothing else does: `repr` prints the integers.  Immutable:
     assigning or deleting an attribute raises, so shared constants such
-    as `ONE` and the cached hash stay valid.
+    as `ONE` keep their value and their hash.
     """
 
-    # the hash slot stays unset until first use
-    __slots__ = ("_d", "_n", "_t", "_hash")
+    __slots__ = ("_d", "_n", "_t")
 
     def __init__(self, overrides: Mapping[int, Rational] | None = None, tail: Rational = 0):
         t = rational_pair(tail)
@@ -116,12 +113,7 @@ class EcRv:
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self._d, self._t, frozenset(self._n.items())))
-            _setattr(self, "_hash", h)
-            return h
+        return hash((self._d, self._t, frozenset(self._n.items())))
 
     def __repr__(self) -> str:
         d = self._d

@@ -17,8 +17,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from ._common import OMEGA, EventSet  # re-exported
-from ._common import UsageError, _check_atom, ratio_text, rational_pair
-from ._record import record
+from ._common import UsageError, _check_atom, ratio_text, rational_pair, record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

@@ -19,8 +19,7 @@ from collections import Counter
 from functools import reduce
 
 from . import l0, seminorms, sets  # bound lazily: `sets` runs when a member is drawn
-from ._common import EvidenceStep, UsageError
-from ._record import record
+from ._common import EvidenceStep, UsageError, record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:

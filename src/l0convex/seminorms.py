@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 
-from ._record import record
 from .l0 import EcRv, ZERO, classify, combine, emax, indicator
-from ._common import EventSet
+from ._common import EventSet, record
 
 
 @record(frozen=True)

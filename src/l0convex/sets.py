@@ -24,7 +24,6 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd, lcm
 
-from ._record import record
 from .l0 import (
     EcRv,
     ZERO,
@@ -40,7 +39,7 @@ from .l0 import (
     _takes_zero,
 )
 from .seminorms import Seminorm, _sup_coefficient
-from ._common import UnsupportedShape  # re-exported
+from ._common import UnsupportedShape, record  # UnsupportedShape is re-exported
 
 
 @record(frozen=True)

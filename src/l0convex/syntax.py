@@ -14,8 +14,8 @@ Grammar (whitespace-insensitive):
     base       counterexample   from_seminorms[s1, s2]
     weights    [[1, "1/2"], [2, 1/4]]                 (explicit atom masses)
 
-Parsing is exact: every number becomes a `Ratio`, a (numerator,
-positive denominator) pair in lowest terms (`parse_rational` gives it as
+Parsing is exact: every number becomes a `Ratio`, a numerator over a
+positive denominator in lowest terms (`parse_rational` gives it as
 a Fraction), and parse errors carry a line and column.  A seminorm or
 set literal sits inside at most `MAX_NESTING` others.
 """
@@ -160,7 +160,7 @@ class Parser:
         return l0.EcRv(overrides, tail)
 
     def _atom(self, value: Ratio) -> int:
-        p, q = value
+        p, q = value.numerator, value.denominator
         if q != 1 or p < 1:
             raise self.error(f"atom index must be a positive integer, got {ratio_text(p, q)}")
         return p
@@ -321,7 +321,8 @@ def _parse_one(method_name: str, text: str, line_offset: int = 0):
 def parse_rational(text: str, line_offset: int = 0) -> Fraction:
     from fractions import Fraction
 
-    return Fraction(*_parse_one("rational", text, line_offset))
+    value = _parse_one("rational", text, line_offset)
+    return Fraction(value.numerator, value.denominator)
 
 
 def parse_ecrv(text: str, line_offset: int = 0) -> l0.EcRv:

@@ -17,7 +17,6 @@ them (`gauge_degeneracy`), and not in `sets`: the commands that load
 
 from __future__ import annotations
 
-from ._record import record
 from .l0 import (
     EcRv,
     ONE,
@@ -55,6 +54,7 @@ from ._common import (  # re-exported: the records live in the leaf module
     UsageError,
     _check_atom,
     ratio_text,
+    record,
 )
 
 TYPE_CHECKING = False

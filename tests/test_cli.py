@@ -1251,7 +1251,9 @@ def spawn(tmp_path, argv, stdout, env):
     `tmp_path`, its stdout left open (`pipe`), closed before the start
     (`closed`), a pipe whose reader left before the start (`reader-left`),
     a pipe whose reader takes one byte and leaves (`one-byte`), or the full
-    device, on which every write fails with ENOSPC (`full`)."""
+    device, on which every write fails with ENOSPC (`full`).  With stdout
+    left open, stderr may be closed before the start (`stderr-closed`) or
+    open for reading only, so that every write fails (`stderr-read-only`)."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, **env}
     env = {key: value for key, value in env.items() if value is not None}
@@ -1270,6 +1272,11 @@ def spawn(tmp_path, argv, stdout, env):
             result = subprocess.run(command, stdout=full, **kwargs)
     elif stdout == "closed":
         result = subprocess.run(command, preexec_fn=lambda: os.close(1), **kwargs)
+    elif stdout == "stderr-closed":
+        result = subprocess.run(command, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2), **kwargs)
+    elif stdout == "stderr-read-only":
+        with open(os.devnull, "rb") as read_only:
+            result = subprocess.run(command, stdout=subprocess.PIPE, **{**kwargs, "stderr": read_only})
     else:  # reader-left
         reader, writer = os.pipe()
         os.close(reader)
@@ -1277,7 +1284,7 @@ def spawn(tmp_path, argv, stdout, env):
             result = subprocess.run(command, stdout=writer, **kwargs)
         finally:
             os.close(writer)
-    return result.returncode, result.stdout or "", result.stderr
+    return result.returncode, result.stdout or "", result.stderr or ""
 
 
 CHECK_BASE = ("check", "base", "--samples", "1", "--config")
@@ -1289,9 +1296,10 @@ needs_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev
 @pytest.mark.skipif(os.name != "posix", reason="closes and pipes file descriptors")
 class TestInputOutputSurfaces:
     """A config file's bytes, a path given for a file, and the state of
-    stdout each give one exit code and one message.  Output failures exit
-    4 and nothing else does; a reader that left gets no message, and the
-    interpreter's flush at exit finds nothing left to fail on."""
+    stdout each give one exit code and one message; a closed stderr
+    changes no exit code.  Output failures exit 4 and nothing else does;
+    a reader that left gets no message, and the interpreter's flush at
+    exit finds nothing left to fail on."""
 
     @pytest.mark.parametrize(
         "files, argv, stdout, env, code, err, header",
@@ -1329,6 +1337,12 @@ class TestInputOutputSurfaces:
             pytest.param({}, ("--help",), "full", BUFFERED, 4, NO_SPACE, None, marks=needs_full),
             pytest.param({}, (*CHECK_BASE, "missing.cfg"), "full", BUFFERED, 2,
                          cannot_open(errno.ENOENT, "missing.cfg"), None, marks=needs_full),
+            # the step, verdict and error lines are lost, and nothing else
+            ({}, CHECK_BASE[:-1], "stderr-closed", {}, 0, "", {"samples": 1, "pass": True}),
+            ({}, CHECK_BASE[:-1], "stderr-read-only", {}, 0, "", {"samples": 1, "pass": True}),
+            ({}, ("eval", "prob {9"), "stderr-closed", {}, 2, "", None),
+            ({}, ("eval", "prob {9"), "stderr-read-only", {}, 2, "", None),
+            ({}, ("check", "nothing"), "stderr-closed", {}, 2, "", None),
         ],
         ids=[
             "config-not-utf8", "config-bom-not-utf8", "config-bom", "config-crlf",
@@ -1337,6 +1351,8 @@ class TestInputOutputSurfaces:
             "eval-reader-left", "eval-reader-leaves-after-one-byte",
             "eval-reader-leaves-after-one-byte-unbuffered", "eval-full-device-unbuffered",
             "eval-full-device-buffered", "help-full-device", "bad-input-full-device",
+            "stderr-closed", "stderr-read-only", "parse-error-stderr-closed",
+            "parse-error-stderr-read-only", "usage-error-stderr-closed",
         ],
     )
     def test_surface(self, tmp_path, files, argv, stdout, env, code, err, header):
@@ -1347,7 +1363,9 @@ class TestInputOutputSurfaces:
                 (tmp_path / name).write_bytes(data)
         got_code, out, got_err = spawn(tmp_path, argv, stdout, env)
         assert (got_code, got_err) == (code, err)
-        if header is not None:
+        if header is None:
+            assert out == ""
+        else:
             assert json.loads(out).items() >= header.items()
 
     @pytest.mark.parametrize(

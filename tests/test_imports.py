@@ -190,7 +190,7 @@ class TestExports:
 
 
 # What `import l0convex.cli` runs, before any command does.
-CLI_IMPORT = {"cli", "config", "_record", "_common"}
+CLI_IMPORT = {"cli", "config", "_common"}
 # One command per `cli._READS` row: its argv, its config file text (or
 # None) and the package modules it runs besides CLI_IMPORT.
 COMMANDS = {
@@ -265,19 +265,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14802,
-    "check axioms": 12165,
-    "check roundtrip": 13514,
-    "check cc": 14646,
-    "check base": 12998,
-    "eval prob": 9276,
-    "eval gauge": 11796,
-    "eval contains": 11796,
-    "eval seminorm": 10447,
-    "eval glue": 14275,
-    "partition": 9396,
-    "partition SPEC": 9396,
-    "verify-counterexample on a seminorm base": 15008,
+    "verify-counterexample": 14668,
+    "check axioms": 12052,
+    "check roundtrip": 13400,
+    "check cc": 14531,
+    "check base": 12866,
+    "eval prob": 9196,
+    "eval gauge": 11683,
+    "eval contains": 11683,
+    "eval seminorm": 10335,
+    "eval glue": 14160,
+    "partition": 9316,
+    "partition SPEC": 9316,
+    "verify-counterexample on a seminorm base": 14893,
 }
 
 
@@ -397,7 +397,7 @@ class TestImportBudget:
         )
         code, loaded = loaded_after(probe)
         assert code == 1
-        assert loaded == {"config", "syntax", "_record", "_common"}
+        assert loaded == {"config", "syntax", "_common"}
 
     def test_eval_prob(self):
         code, loaded = loaded_after(CLI, "eval", "prob {1}")

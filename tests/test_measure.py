@@ -16,6 +16,7 @@ from l0convex import (
     SingletonTail,
     build_countable_partition,
 )
+from l0convex._common import UsageError
 from l0convex.measure import OMEGA
 
 from conftest import events, prob_by_summation
@@ -70,6 +71,17 @@ class TestEventSet:
             with pytest.raises(AttributeError):
                 copied.cofinite = False
 
+    def test_a_frozen_record_that_checks_its_atoms(self):
+        event = EventSet(iter([3, 1, 3]))
+        assert event.atoms == frozenset({1, 3}) and event.cofinite is False
+        assert EventSet(cofinite=1) == OMEGA and EventSet(cofinite=1).cofinite is True
+        assert repr(EventSet.finite({1, 3})) == "{1,3}" and repr(OMEGA) == "~{}"
+        with pytest.raises(AttributeError, match="cannot assign to field 'atoms'"):
+            event.atoms = frozenset()
+        for bad in (0, -2, True, 1.0):
+            with pytest.raises(UsageError, match="atom index must be a positive integer"):
+                EventSet([1, bad])
+
 
 class TestProbability:
     def test_finite_sum(self):
@@ -123,6 +135,28 @@ class TestProbability:
         assert hash(space) == hash(DiscreteSpace({1: "1/3"}, "4/3"))
         assert hash(CANONICAL) == hash(DiscreteSpace.canonical())
         assert {space, CANONICAL} == {DiscreteSpace.canonical(), space}
+        with pytest.raises(AttributeError, match="cannot delete 'x'"):
+            del space.x
+
+    def test_space_copies_rebuild_through_the_constructor(self):
+        space = DiscreteSpace({1: Fraction(1, 3)}, Fraction(4, 3))
+        for copied in (copy.copy(space), copy.deepcopy(space), pickle.loads(pickle.dumps(space))):
+            assert copied == space and hash(copied) == hash(space)
+            assert copied.explicit == {1: Fraction(1, 3)}
+            with pytest.raises(AttributeError):
+                copied.tail_coefficient = 1
+
+    def test_space_repr(self):
+        space = DiscreteSpace({1: Fraction(1, 3)}, Fraction(4, 3))
+        assert repr(space) == "DiscreteSpace({1: Fraction(1, 3)}, Fraction(4, 3))"
+        assert repr(CANONICAL) == "DiscreteSpace({}, Fraction(1, 1))"
+
+    def test_tail_mass_only_beyond_the_explicit_prefix(self):
+        space = DiscreteSpace({1: Fraction(1, 3), 2: Fraction(1, 3)}, Fraction(4, 3))
+        assert space.mass_from(3) == Fraction(1, 3)
+        for j in (1, 2):
+            with pytest.raises(UsageError, match="beyond the explicit prefix"):
+                space.mass_from(j)
 
 
 class TestPartitions:
@@ -134,6 +168,10 @@ class TestPartitions:
             FinitePartition(
                 (EventSet.finite({1}), EventSet.cofinite_excluding(set()))
             )  # overlap
+        with pytest.raises(UsageError, match="at least one cell"):
+            FinitePartition(())
+        with pytest.raises(UsageError, match="cells must be nonempty"):
+            FinitePartition((EventSet.empty(), EventSet.full()))
 
     def test_singleton_tail_cells(self):
         part = SingletonTail((EventSet.finite({1, 2}),), 3)

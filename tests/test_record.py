@@ -10,7 +10,7 @@ import pytest
 
 import l0convex
 from l0convex import ONE, Ball, CounterexampleFamily, Weighted
-from l0convex._record import field, record
+from l0convex._common import field, record
 
 STDLIB = (dataclasses.dataclass, dataclasses.field)
 RECORD = (record, field)
@@ -148,13 +148,28 @@ class TestUnsupported:
                 x: int
 
     def test_own_method_rejected(self):
-        with pytest.raises(TypeError):
-            @record
-            class Shown:
-                x: int
+        for name in ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+            body = {"__annotations__": {"x": "int"}, name: lambda self, *args: None}
+            with pytest.raises(TypeError, match=name):
+                record(frozen=True)(type("Own", (), body))
 
-                def __repr__(self):
-                    return "shown"
+
+def test_own_repr_kept():
+    """A class that writes its own `__repr__` keeps it, as under `dataclasses`."""
+
+    def shown(decorate, _field):
+        @decorate(frozen=True)
+        class Shown:
+            x: int
+
+            def __repr__(self):
+                return f"<{self.x}>"
+
+        return Shown
+
+    for cls in both(shown):
+        assert repr(cls(3)) == "<3>"
+        assert cls(3) == cls(3) and hash(cls(3)) == hash(cls(3))
 
 
 def test_cli_start_up_skips_dataclasses_and_inspect():

@@ -10,7 +10,7 @@ import pytest
 from l0convex import concatenation, sampling
 from l0convex._common import UsageError
 from l0convex.concatenation import Diagonal
-from l0convex.l0 import ONE, EcRv, classify, reciprocal
+from l0convex.l0 import ONE, ZERO, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
 from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below, sample_member
 from l0convex.seminorms import Localized, Weighted
@@ -157,6 +157,21 @@ def test_sample_member_matches_the_reference(shape):
         for _ in range(3):
             assert sample_member(s, ours) == reference_sample_member(s, theirs)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_member_of_an_intersection_no_halving_enters():
+    """After 128 halvings outside the intersection the sampler falls back
+    to zero when the set holds it, and raises when it does not."""
+    near_one = Translate(ONE, Ball((Weighted(ONE),), EcRv.constant(Fraction(1, 4))))
+    small = Ball((Weighted(ONE),), EcRv.constant(Fraction(1, 8)))
+    with pytest.raises(ValueError, match="could not sample a member"):
+        sample_member(Intersect((near_one, small)), random.Random(1))  # empty
+    tiny = Ball((Weighted(ONE),), EcRv.constant(Fraction(1, 2**200)))
+    for seed in range(5):
+        rng = random.Random(seed)
+        first = sample_member(Ball((Weighted(ONE),), ONE), random.Random(seed))
+        assert not contains(tiny, first * Fraction(1, 2**128))  # no halving enters
+        assert sample_member(Intersect((Ball((Weighted(ONE),), ONE), tiny)), rng) == ZERO
 
 
 # -- the gluing pieces on a singleton-tail partition with prefix cells

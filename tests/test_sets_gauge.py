@@ -39,7 +39,7 @@ from l0convex import (
 from l0convex import sampling
 from l0convex._library import StructuralFlags
 from l0convex.sets import core_point, excluding_radius
-from l0convex.topology import _certificate_witness
+from l0convex.topology import GaugeCertificate, _certificate_witness
 
 from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
 
@@ -346,6 +346,16 @@ class TestCertificates:
                 witness = _certificate_witness(s, x, probes, EcRv.constant(tol))
                 assert witness == gauge_closed_form(s, x) + tol / 2
             assert verify_certificate(gauge_upper_certificate(s, x))
+
+    def test_a_witness_that_misses_the_point_is_rejected(self):
+        cert = gauge_upper_certificate(UNIT_BALL, EcRv.constant(5), probe_atoms=(1,), tol=TOL)
+        assert verify_certificate(cert)
+        half = EcRv.constant(Fraction(1, 2))  # strictly positive, below the bound: 5 is not in half the ball
+        forged = GaugeCertificate(
+            cert.target_set, cert.point, half, cert.probe_atoms, cert.claimed_bound, cert.tolerance
+        )
+        assert not contains(Scale(half, UNIT_BALL), cert.point)
+        assert not verify_certificate(forged)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from l0convex import (
     Weighted,
     Zero,
 )
+from l0convex._common import Ratio
 from l0convex.config import ConfigError, parse_config
 from l0convex.syntax import (
     MAX_NESTING,
@@ -47,10 +48,13 @@ class TestLiterals:
     def test_rationals_are_read_as_integer_pairs(self):
         """The parser reads (numerator, positive denominator) in lowest
         terms; the public `parse_rational` still returns a Fraction."""
-        assert Parser("6/-4").rational() == (-3, 2)
+        assert Parser("6/-4").rational() == Ratio(-3, 2)
         assert Parser("6/-4").rational().denominator == 2  # read by EcRv as a Fraction's
-        assert Parser("0/-5").rational() == (0, 1)
-        assert Parser("'3'").quoted_rational() == (3, 1)
+        assert Parser("0/-5").rational() == Ratio(0, 1)
+        assert Parser("'3'").quoted_rational() == Ratio(3, 1)
+        assert repr(Ratio(-3, 2)) == "Ratio(numerator=-3, denominator=2)"
+        with pytest.raises(AttributeError):
+            Ratio(1, 2).numerator = 3
         assert type(parse_rational("6/4")) is Fraction and parse_rational("6/4") == Fraction(3, 2)
 
     def test_ecrv_forms(self):
@@ -75,6 +79,25 @@ class TestLiterals:
             parse_ecrv("{1:3, 2:x | 0}")
         assert err.value.line == 1
         assert err.value.column == 9
+
+    @pytest.mark.parametrize(
+        "parse, text, message, column",
+        [
+            (parse_seminorm, "norm({|1})", "unknown seminorm 'norm'", 7),
+            (parse_set, "sup[zero]", "unknown set 'sup'", 6),
+            (parse_sequence, "seq[{|1}]", "unknown sequence 'seq'", 6),
+            (parse_partition, "cells[{1}]", "unknown partition 'cells'", 8),
+            (parse_ecrv, "{1, 2}", "expected ':' or '|' in element literal", 5),
+        ],
+        ids=["seminorm", "set", "sequence", "partition", "element"],
+    )
+    def test_unknown_names_are_located(self, parse, text, message, column):
+        """Each error is located on the line it sits on: here the second,
+        after two spaces."""
+        with pytest.raises(ParseError) as err:
+            parse("\n  " + text)
+        assert (err.value.message, err.value.line, err.value.column) == (message, 2, column)
+        assert str(err.value) == f"{message} (line 2, column {column})"
 
     def test_bad_atom(self):
         with pytest.raises(ParseError):

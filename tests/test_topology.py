@@ -498,7 +498,7 @@ RECORDS = sorted(
         for cls in vars(module).values()
         if isinstance(cls, type)
         and cls.__module__ == module.__name__
-        and getattr(vars(cls).get("__init__"), "__module__", None) == "l0convex._record"
+        and getattr(vars(cls).get("__init__"), "__module__", None) == "l0convex._common"
     },
     key=lambda cls: cls.__name__,
 )
@@ -515,4 +515,6 @@ def test_record_annotations_resolve(cls):
 
 def test_every_record_class_is_checked():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"EvidenceReport", "FromSeminorms", "CounterexampleFamily", "EvidenceStep"} <= names
+    assert {
+        "EvidenceReport", "FromSeminorms", "CounterexampleFamily", "EvidenceStep", "EventSet", "Ratio"
+    } <= names
