@@ -27,10 +27,10 @@ _EXPORTS_BY_MODULE = {
     "sets": "Ball Intersect MPlusBall Scale Translate contains gauge_closed_form",
     "sampling": "roundtrip_check sample_member",
     "topology": (
-        "EvidenceReport GaugeCertificate base_axiom_witnesses closure_membership "
-        "gauge_upper_certificate hausdorff_report seminorm_induction_verdict "
-        "verify_certificate"
+        "EvidenceReport base_axiom_witnesses closure_membership hausdorff_report "
+        "seminorm_induction_verdict"
     ),
+    "_not_induced": "GaugeCertificate gauge_upper_certificate verify_certificate",
     "concatenation": (
         "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "
         "cc_failure_witness glue glue_identity_holds relative_cc_check "

@@ -75,15 +75,22 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
         if config.seminorm is not None and config.set_descriptor is not None:
             raise ConfigError("'set' would be ignored: check roundtrip reads 'seminorm' or 'set'")
         report = sampling.roundtrip_check(probe, config.samples, config.seed)
-        formatter = syntax.format_seminorm if config.seminorm is not None else syntax.format_set
+        if config.seminorm is not None:
+            shown = syntax.format_seminorm(probe)
+        else:
+            from ._syntax_extra import format_set
+
+            shown = format_set(probe)
         step = report.step(
             "gauge_roundtrip",
             "gauge reproduces the seminorm and membership agrees with gauge <= 1",
             "gauge mismatches: {failures[gauge]}, membership mismatches: "
             "{failures[membership]}, strict-inclusion failures: {failures[strict]}",
-            target=formatter(probe),
+            target=shown,
         )
     elif target == "cc":
+        from . import _syntax_extra as sx
+
         if config.set_descriptor is None or not config.sequences:
             raise ConfigError("check cc needs 'set' and at least one sequence")
         part = config.partition()
@@ -93,7 +100,7 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
         outcome = "fail" if not report.closure_holds else "pass"
         entries = [
             {
-                "sequence": syntax.format_sequence(e.sequence),
+                "sequence": sx.format_sequence(e.sequence),
                 "precondition_ok": e.precondition_ok,
                 "glue": repr(e.glue),
                 "glue_in_set": e.glue_in_set,
@@ -104,8 +111,8 @@ def cmd_check(args, config: RunConfig, header: dict) -> dict:
         step = EvidenceStep(
             "relative_concatenation",
             {
-                "set": syntax.format_set(config.set_descriptor),
-                "partition": syntax.format_partition(part),
+                "set": sx.format_set(config.set_descriptor),
+                "partition": sx.format_partition(part),
                 "entries": entries,
             },
             f"closure outcome matches the declared expectation ({config.expect})",

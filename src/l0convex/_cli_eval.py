@@ -35,6 +35,10 @@ def run_eval(expr: str, config: RunConfig) -> str:
         parser.finish()
         return repr(seminorms.evaluate(s, x))
     if op == "glue":
+        from ._syntax_extra import FullParser
+
+        parser = FullParser(expr)  # reads sequences and partitions too
+        parser.word()
         seq = parser.sequence()
         part = parser.partition()
         parser.finish()

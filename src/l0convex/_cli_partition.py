@@ -2,14 +2,15 @@
 
 `cli` imports this module only in the branch that runs `partition`; it
 never imports `cli`, which runs as `__main__` under `python -m
-l0convex.cli`.  The command needs `measure` and the literal parser, and
-no element arithmetic.  The package functions it calls go through their
-module objects, like the evidence functions everywhere in the front end.
+l0convex.cli`.  The command needs `measure` and the full literal parser
+of `_syntax_extra`, and no element arithmetic.  The package functions it
+calls go through their module objects, like the evidence functions
+everywhere in the front end.
 """
 
 from __future__ import annotations
 
-from . import config as cf, measure, syntax
+from . import _syntax_extra, config as cf, measure, syntax
 from ._common import EvidenceStep, ratio_text
 
 
@@ -22,7 +23,7 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
                 raise cf.ConfigError(
                     f"{flag} would be ignored: the spec literal sets the partition"
                 )
-        part_spec = syntax.parse_partition(args.spec)
+        part_spec = _syntax_extra.parse_partition(args.spec)
         if not isinstance(part_spec, measure.SingletonTail):
             raise cf.ConfigError("the partition builder takes a singletons_from(...) spec")
         cells = list(part_spec.prefix_cells)
@@ -56,7 +57,7 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
     return {
         **header,
         "command": "partition",
-        "partition": syntax.format_partition(part),
+        "partition": _syntax_extra.format_partition(part),
         "tail_mass": ratio_text(rp, rq),
         "tail_cell_masses": masses,
         "steps": [step.to_json()],

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import l0, sampling, seminorms, sets, topology
+from . import _not_induced, l0, sampling, seminorms, sets
 from ._common import EventSet, record
 from .measure import CANONICAL, DiscreteSpace
 
@@ -163,7 +163,7 @@ def _balanced_ratio(rng) -> tuple[int, int]:
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
     """Is x in xi*S for the closed-form certificate witness xi?"""
-    witness = topology._certificate_witness(s, x, (), l0.ONE)
+    witness = _not_induced._certificate_witness(s, x, (), l0.ONE)
     return sets.contains(sets.Scale(witness, s), x)
 
 

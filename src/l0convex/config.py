@@ -16,7 +16,10 @@ Unknown keys and a key set twice are rejected with the offending line
 number; only `seq.ec` and `seq.diag` may repeat, each line adding one
 sequence.  Every value parses through the exact literal grammar of
 `syntax`: integers for `seed`, `samples` and `part.singletons_from`,
-a rational `p/q`, bare or quoted, for `space.tail_coefficient`.
+a rational `p/q`, bare or quoted, for `space.tail_coefficient`.  The
+keys `seq.ec`, `part.finite`, `space.explicit` and
+`space.tail_coefficient` load `_syntax_extra`, whose parser reads their
+values; no other key does.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ class RunConfig:
         return None
 
 
-# Each key: the `RunConfig` field it sets and the `syntax.Parser` method
-# that reads its value.  A key is set once, but the `sequences` keys add
-# one sequence per line; the two `space` keys together build the space.
+# Each key: the `RunConfig` field it sets and the parser method that reads
+# its value, a `syntax.Parser` method where that class has it, else one of
+# `_syntax_extra.FullParser`.  A key is set once, but the `sequences` keys
+# add one sequence per line; the two `space` keys together build the space.
 _KEYS = {
     "seed": ("seed", "integer"),
     "samples": ("samples", "integer"),

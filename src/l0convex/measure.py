@@ -56,11 +56,13 @@ class DiscreteSpace:
     __slots__ = ("_explicit", "_c")
 
     def __init__(self, explicit=None, tail_coefficient=1):
-        explicit = {int(j): rational_pair(w) for j, w in (explicit or {}).items()}
+        explicit = {j: rational_pair(w) for j, w in (explicit or {}).items()}
         c = rational_pair(tail_coefficient)
         n = len(explicit)
         if set(explicit) != set(range(1, n + 1)):
             raise UsageError("explicit weights must cover atoms 1..N contiguously")
+        for j in explicit:  # 1.0 and True equal atom 1, but an atom is an int
+            _check_atom(j)
         if any(not (0 < p < q) for p, q in explicit.values()):
             raise UsageError("explicit weights must lie in (0, 1)")
         if c[0] <= 0:

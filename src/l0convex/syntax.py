@@ -8,16 +8,26 @@ Grammar (whitespace-insensitive):
     seminorm   zero   weighted({|2})   localized({2})   sup[s1, s2]
     set        ball(s1, s2; {|1})   m_plus_ball({|1})
                scale({|2}; S)   translate({|1}; S)   intersect[S1, S2]
+    base       counterexample   from_seminorms[s1, s2]
     sequence   ec[{|3}, {|5} | {|0}]   diag({|2})
     partition  finite[{1}, ~{1}]   singletons_from(3)
                singletons_from(3; {1}, {2})
-    base       counterexample   from_seminorms[s1, s2]
     weights    [[1, "1/2"], [2, 1/4]]                 (explicit atom masses)
+
+`Parser` reads the literals every parsing command reads: integers,
+rationals, elements, events, seminorms, sets and bases, and
+`format_seminorm` prints a seminorm.  The sequences, partitions and
+space weights, which only gluing, partitions and a configured space
+need, are read by the subclass `_syntax_extra.FullParser`, which also
+holds `parse_sequence`, `parse_partition` and the formatters of sets,
+sequences and partitions; only a command that reads or prints such a
+literal loads it.
 
 Parsing is exact: every number becomes a `Ratio`, a numerator over a
 positive denominator in lowest terms (`parse_rational` gives it as
-a Fraction), and parse errors carry a line and column.  A seminorm or
-set literal sits inside at most `MAX_NESTING` others.
+a Fraction), and parse errors carry a line and column.  An integer is
+an optional '-' and then decimal digits, as a flag's integer is.  A
+seminorm or set literal sits inside at most `MAX_NESTING` others.
 """
 
 from __future__ import annotations
@@ -28,10 +38,8 @@ from ._common import CounterexampleFamily, EventSet, FromSeminorms, Neighborhood
 from ._common import Ratio, ratio_text
 from ._common import ParseError  # re-exported
 from . import l0
-from . import measure
 from . import seminorms as sn
 from . import sets as sd
-from . import concatenation as cc
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -84,10 +92,6 @@ class Parser:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, token: str):
         self.skip_ws()
         if not self.text.startswith(token, self.pos):
@@ -117,7 +121,7 @@ class Parser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             raise self.error("expected an integer")
@@ -209,26 +213,6 @@ class Parser:
             return sd.Intersect(tuple(self.bracket_list(self.set_descriptor)))
         raise self.error(f"unknown set {name!r}")
 
-    def sequence(self) -> cc.SequenceSpec:
-        name = self.word()
-        if name == "ec":
-            return self.ec_list()
-        if name == "diag":
-            return cc.Diagonal(*self.arguments(self.ecrv))
-        raise self.error(f"unknown sequence {name!r}")
-
-    def partition(self):
-        name = self.word()
-        if name == "finite":
-            return self._validated(measure.FinitePartition, tuple(self.event_list()))
-        if name == "singletons_from":
-            self.take("(")
-            start = self.integer()
-            cells = self.items(self.event) if self.try_take(";") else []
-            self.take(")")
-            return self._validated(measure.SingletonTail, tuple(cells), start)
-        raise self.error(f"unknown partition {name!r}")
-
     def base(self) -> NeighborhoodBase:
         name = self.word()
         if name == "counterexample" and self.at_end():
@@ -236,35 +220,6 @@ class Parser:
         if name != "from_seminorms":
             raise ParseError(f"unknown base {name!r}", self.line_offset + 1, 1)
         return FromSeminorms(tuple(self.bracket_list(self.seminorm)))
-
-    def weights(self) -> dict[int, Ratio]:
-        """`[[atom, weight], ...]`, possibly empty, each atom once."""
-        weights: dict[int, Ratio] = {}
-        self.take("[")
-        if not self.try_take("]"):
-            self.items(lambda: self._weight(weights))
-            self.take("]")
-        return weights
-
-    def _weight(self, weights: dict[int, Ratio]):
-        self.take("[")
-        atom = self._once(self.integer(), weights)
-        self.take(",")
-        weights[atom] = self.quoted_rational()
-        self.take("]")
-
-    def quoted_rational(self) -> Ratio:
-        """A rational, bare or in a pair of matching quotes."""
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            quote = ""  # unquoted: take("") matches at once
-        self.take(quote)
-        value = self.rational()
-        self.take(quote)
-        return value
-
-    def event_list(self) -> list[EventSet]:
-        return self.bracket_list(self.event)
 
     def items(self, item) -> list:
         """One or more `item()`s separated by commas."""
@@ -289,17 +244,6 @@ class Parser:
         self.take("]")
         return items
 
-    def ec_list(self) -> cc.EventuallyConstantSeq:
-        """`[x1, x2 | tail]`, the body of an `ec[...]` sequence literal."""
-        self.take("[")
-        prefix = []
-        if not self.try_take("|"):
-            prefix = self.items(self.ecrv)
-            self.take("|")
-        tail = self.ecrv()
-        self.take("]")
-        return cc.EventuallyConstantSeq(tuple(prefix), tail)
-
     def _validated(self, ctor, *args):
         try:
             return ctor(*args)
@@ -312,7 +256,13 @@ class Parser:
 
 
 def _parse_one(method_name: str, text: str, line_offset: int = 0):
-    parser = Parser(text, line_offset)
+    """The one literal `text` holds, read by the parser method `method_name`:
+    a `Parser` method, or one that only `_syntax_extra.FullParser` has,
+    which loads that module."""
+    parser_class = Parser
+    if not hasattr(Parser, method_name):
+        from ._syntax_extra import FullParser as parser_class
+    parser = parser_class(text, line_offset)
     value = getattr(parser, method_name)()
     parser.finish()
     return value
@@ -341,14 +291,6 @@ def parse_set(text: str, line_offset: int = 0) -> sd.SetDescriptor:
     return _parse_one("set_descriptor", text, line_offset)
 
 
-def parse_sequence(text: str, line_offset: int = 0) -> cc.SequenceSpec:
-    return _parse_one("sequence", text, line_offset)
-
-
-def parse_partition(text: str, line_offset: int = 0):
-    return _parse_one("partition", text, line_offset)
-
-
 # -- canonical formatting (round-trips through the parsers) ------------------
 
 
@@ -360,30 +302,3 @@ def format_seminorm(s: sn.Seminorm) -> str:
     if isinstance(s, sn.Localized):
         return f"localized({s.event!r})"
     return "sup[" + ", ".join(format_seminorm(m) for m in s.members) + "]"
-
-
-def format_set(s: sd.SetDescriptor) -> str:
-    if isinstance(s, sd.Ball):
-        inner = ", ".join(format_seminorm(p) for p in s.seminorms)
-        return f"ball({inner}; {s.radius!r})"
-    if isinstance(s, sd.MPlusBall):
-        return f"m_plus_ball({s.radius!r})"
-    if isinstance(s, sd.Scale):
-        return f"scale({s.factor!r}; {format_set(s.inner)})"
-    if isinstance(s, sd.Translate):
-        return f"translate({s.offset!r}; {format_set(s.inner)})"
-    return "intersect[" + ", ".join(format_set(m) for m in s.members) + "]"
-
-
-def format_sequence(seq: cc.SequenceSpec) -> str:
-    if isinstance(seq, cc.Diagonal):
-        return f"diag({seq.value!r})"
-    prefix = ", ".join(repr(x) for x in seq.prefix)
-    return f"ec[{prefix}{' ' if prefix else ''}| {seq.tail_element!r}]"
-
-
-def format_partition(part) -> str:
-    if isinstance(part, measure.FinitePartition):
-        return "finite[" + ", ".join(repr(c) for c in part.cells) + "]"
-    cells = "; " + ", ".join(repr(c) for c in part.prefix_cells) if part.prefix_cells else ""
-    return f"singletons_from({part.tail_start}{cells})"

@@ -969,7 +969,9 @@ class TestLiteralErrors:
             f"error: argument {flag}: expected an integer, got {value!r}"
         )
 
-    @pytest.mark.parametrize("value", ["7", "007", "-0", "1_0", "+5", "1.0", "1e3", "", "-"])
+    @pytest.mark.parametrize(
+        "value", ["7", "007", "-0", "1_0", "+5", "1.0", "1e3", "", "-", "²", "1²", "٣"]
+    )
     def test_flag_and_config_take_the_same_integers(self, capsys, tmp_path, value):
         config = tmp_path / "run.cfg"
         config.write_text(f"seed = {value}\n")
@@ -991,6 +993,20 @@ class TestLiteralErrors:
         code, out, err = run(capsys, "eval", "prob {1}", "--config", str(config))
         assert (code, out) == (2, "")
         assert err == f"error: expected an integer (line 1, column {column})\n"
+
+    @pytest.mark.parametrize(
+        "expression, line",
+        [
+            ("prob {²}", "expected an integer (line 1, column 7)"),
+            ("prob {1²}", "expected '}' (line 1, column 8)"),
+        ],
+        ids=["superscript-digit", "superscript-after-a-digit"],
+    )
+    def test_an_integer_has_decimal_digits_only(self, capsys, expression, line):
+        """An integer literal takes the digits a flag's integer takes: a
+        superscript two is a digit to `str.isdigit` but no decimal digit."""
+        code, out, err = run(capsys, "eval", expression)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
     def test_cells_flag(self, capsys):
         code, out, err = run(capsys, "partition", "--from", "3", "--cells", "[{1},]")

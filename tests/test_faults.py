@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from l0convex import CounterexampleFamily, FromSeminorms, sampling, sets, topology
+from l0convex import CounterexampleFamily, FromSeminorms, _not_induced, sampling, sets
 from l0convex.l0 import ONE, EcRv
 from l0convex.measure import EventSet
 from l0convex.seminorms import Localized, Weighted
@@ -125,7 +125,7 @@ FAULTS = {
         {"concatenation_failure", "proper_closed_submodule", "zero_family_contradiction"},
     ),
     "m-plus-ball-certificate-half-tail": (
-        rebound(topology, "_certificate_witness", certificate_with_half_its_tail),
+        rebound(_not_induced, "_certificate_witness", certificate_with_half_its_tail),
         NOT_INDUCED,
         {"gauge_degeneracy", "zero_family_contradiction"},
     ),

@@ -150,21 +150,25 @@ class TestExports:
         """Each function lives in the module that every command calling it
         loads: the names below moved, and their old modules no longer
         serve them."""
-        from l0convex import _cli_check, _common, _library, l0, sampling, seminorms, sets
-        from l0convex import topology
+        from l0convex import _cli_check, _common, _library, _not_induced, _syntax_extra, l0
+        from l0convex import sampling, seminorms, sets, syntax, topology
 
+        certificates = (
+            "GaugeCertificate", "gauge_upper_certificate", "verify_certificate",
+            "_certificate_witness", "DEFAULT_PROBE_ATOMS", "DEFAULT_TOLERANCE",
+        )
         moved = {
             (sets, "sample_member"): sampling,
             (sets, "roundtrip_check"): sampling,
-            (sets, "GaugeCertificate"): topology,
-            (sets, "gauge_upper_certificate"): topology,
-            (sets, "verify_certificate"): topology,
-            (sets, "_certificate_witness"): topology,
-            (sets, "DEFAULT_PROBE_ATOMS"): topology,
-            (sets, "DEFAULT_TOLERANCE"): topology,
-            (_common, "DEFAULT_TOLERANCE"): topology,
-            (l0, "_leq_at"): topology,
-            (l0, "_abs_tail_ratio"): topology,
+            **{(sets, name): _not_induced for name in certificates},
+            **{(topology, name): _not_induced for name in certificates},
+            (_common, "DEFAULT_TOLERANCE"): _not_induced,
+            (l0, "_leq_at"): _not_induced,
+            (l0, "_abs_tail_ratio"): _not_induced,
+            (topology, "_leq_at"): _not_induced,
+            (topology, "_abs_tail_ratio"): _not_induced,
+            (topology, "_not_induced_steps"): _not_induced,
+            (topology, "_sampled_step"): _not_induced,
             (l0, "_abs_tail_leq"): sets,
             (l0, "_half_abs_or_one"): sets,
             (l0, "_scaled"): sets,
@@ -173,12 +177,27 @@ class TestExports:
             (seminorms, "axioms_check"): _cli_check,
             (seminorms, "sup_evaluate"): _library,
             (sampling, "random_positive_fraction"): _library,
+            **{
+                (syntax.Parser, name): _syntax_extra.FullParser
+                for name in (
+                    "sequence", "ec_list", "partition", "event_list", "weights",
+                    "_weight", "quoted_rational", "peek",
+                )
+            },
+            **{
+                (syntax, name): _syntax_extra
+                for name in (
+                    "parse_sequence", "parse_partition",
+                    "format_set", "format_sequence", "format_partition",
+                )
+            },
         }
         for (old, name), new in moved.items():
             assert getattr(new, name) is not None, (new, name)
             with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
                 getattr(old, name)
-        assert topology.DEFAULT_TOLERANCE == l0.EcRv.constant(Fraction(1, 2**20))
+        assert _not_induced.DEFAULT_TOLERANCE == l0.EcRv.constant(Fraction(1, 2**20))
+        assert issubclass(_syntax_extra.FullParser, syntax.Parser)
 
     def test_cli_keeps_the_names_it_imported(self):
         from l0convex import cli, sets, topology
@@ -197,7 +216,10 @@ COMMANDS = {
     "verify-counterexample": (
         ("verify-counterexample", "--samples", "3"),
         None,
-        {"l0", "seminorms", "sets", "sampling", "topology", "concatenation", "measure"},
+        {
+            "l0", "seminorms", "sets", "sampling", "topology", "_not_induced",
+            "concatenation", "measure",
+        },
     ),
     "check axioms": (
         ("check", "axioms", "--samples", "3"),
@@ -212,7 +234,10 @@ COMMANDS = {
     "check cc": (
         ("check", "cc"),
         "set = m_plus_ball({|1})\nseq.diag = {|2}\npart.singletons_from = 1\nexpect = fail\n",
-        {"_cli_check", "syntax", "l0", "seminorms", "sets", "concatenation", "measure"},
+        {
+            "_cli_check", "syntax", "_syntax_extra", "l0", "seminorms", "sets",
+            "concatenation", "measure",
+        },
     ),
     "check base": (
         ("check", "base", "--samples", "3"),
@@ -238,21 +263,25 @@ COMMANDS = {
     "eval glue": (
         ("eval", "glue ec[{|3} | {|5}] finite[{1}, ~{1}]"),
         None,
-        {"_cli_eval", "syntax", "l0", "seminorms", "sets", "concatenation", "measure"},
+        {
+            "_cli_eval", "syntax", "_syntax_extra", "l0", "seminorms", "sets",
+            "concatenation", "measure",
+        },
     ),
     "partition": (
         ("partition", "--from", "3", "--cells", "[{1},{2}]"),
         None,
-        {"_cli_partition", "syntax", "measure"},
+        {"_cli_partition", "syntax", "_syntax_extra", "measure"},
     ),
     "partition SPEC": (
         ("partition", "singletons_from(3; {1}, {2})"),
         None,
-        {"_cli_partition", "syntax", "measure"},
+        {"_cli_partition", "syntax", "_syntax_extra", "measure"},
     ),
 }
 # verify on a seminorm base parses the base and formats the family, and
-# runs no concatenation code
+# runs neither the NotInduced steps nor concatenation code, nor the
+# readers and formatters of sequences, partitions and sets
 INDUCED = (
     ("verify-counterexample", "--samples", "3"),
     "base = from_seminorms[weighted({|1})]\n",
@@ -265,19 +294,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14668,
-    "check axioms": 12052,
-    "check roundtrip": 13400,
-    "check cc": 14531,
-    "check base": 12866,
-    "eval prob": 9196,
-    "eval gauge": 11683,
-    "eval contains": 11683,
-    "eval seminorm": 10335,
-    "eval glue": 14160,
-    "partition": 9316,
-    "partition SPEC": 9316,
-    "verify-counterexample on a seminorm base": 14893,
+    "verify-counterexample": 14724,
+    "check axioms": 11246,
+    "check roundtrip": 12594,
+    "check cc": 14590,
+    "check base": 11758,
+    "eval prob": 8406,
+    "eval gauge": 10885,
+    "eval contains": 10885,
+    "eval seminorm": 9537,
+    "eval glue": 14227,
+    "partition": 9368,
+    "partition SPEC": 9368,
+    "verify-counterexample on a seminorm base": 12961,
 }
 
 

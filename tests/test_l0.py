@@ -27,7 +27,7 @@ from l0convex import (
 from l0convex import sampling
 from l0convex.l0 import _from_ratios, _takes_zero
 from l0convex.sets import _abs_tail_leq, _half_abs_or_one, _scaled, _single_atom, _with_tail
-from l0convex.topology import _leq_at
+from l0convex._not_induced import _leq_at
 
 from conftest import atoms, ecrvs, events, rationals, values_upto
 

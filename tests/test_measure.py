@@ -125,6 +125,13 @@ class TestProbability:
         with pytest.raises(ValueError):
             DiscreteSpace({1: Fraction(1, 2)}, 2)
 
+    @pytest.mark.parametrize("atom", [1.7, "1", True, 1.0])
+    def test_an_atom_that_is_no_integer_is_refused(self, atom):
+        """Each of these keys was read as atom 1 through `int`."""
+        with pytest.raises(UsageError):
+            DiscreteSpace({atom: Fraction(1, 2)}, 1)
+        assert DiscreteSpace({1: Fraction(1, 2)}, 1).atom_mass(1) == Fraction(1, 2)
+
     def test_space_is_immutable_and_hashable(self):
         with pytest.raises(AttributeError):
             CANONICAL.tail_coefficient = 2

@@ -39,7 +39,7 @@ from l0convex import (
 from l0convex import sampling
 from l0convex._library import StructuralFlags
 from l0convex.sets import core_point, excluding_radius
-from l0convex.topology import GaugeCertificate, _certificate_witness
+from l0convex._not_induced import GaugeCertificate, _certificate_witness
 
 from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
 

@@ -20,22 +20,25 @@ from l0convex import (
     Zero,
 )
 from l0convex._common import Ratio
-from l0convex.config import ConfigError, parse_config
+from l0convex.config import _KEYS, ConfigError, RunConfig, parse_config
 from l0convex.syntax import (
     MAX_NESTING,
     ParseError,
     Parser,
-    format_partition,
     format_seminorm,
-    format_sequence,
-    format_set,
     parse_ecrv,
     parse_event,
-    parse_partition,
     parse_rational,
     parse_seminorm,
-    parse_sequence,
     parse_set,
+)
+from l0convex._syntax_extra import (
+    FullParser,
+    format_partition,
+    format_sequence,
+    format_set,
+    parse_partition,
+    parse_sequence,
 )
 
 
@@ -51,7 +54,7 @@ class TestLiterals:
         assert Parser("6/-4").rational() == Ratio(-3, 2)
         assert Parser("6/-4").rational().denominator == 2  # read by EcRv as a Fraction's
         assert Parser("0/-5").rational() == Ratio(0, 1)
-        assert Parser("'3'").quoted_rational() == Ratio(3, 1)
+        assert FullParser("'3'").quoted_rational() == Ratio(3, 1)
         assert repr(Ratio(-3, 2)) == "Ratio(numerator=-3, denominator=2)"
         with pytest.raises(AttributeError):
             Ratio(1, 2).numerator = 3
@@ -295,3 +298,31 @@ class TestConfig:
     def test_expect_validated(self):
         with pytest.raises(ConfigError):
             parse_config("expect = maybe")
+
+    # One valid value per config key, each set away from its default.
+    ONE_VALUE_PER_KEY = {
+        "seed": "7",
+        "samples": "5",
+        "space.explicit": '[[1, "1/2"]]',
+        "space.tail_coefficient": "'1'",
+        "base": "from_seminorms[zero]",
+        "seminorm": "localized({1})",
+        "set": "m_plus_ball({|1})",
+        "seq.ec": "[{|3} | {|5}]",
+        "seq.diag": "{|2}",
+        "part.finite": "[{1}, ~{1}]",
+        "part.singletons_from": "3",
+        "epsilon": "{|1}",
+        "delta": "{|1/2}",
+        "expect": "fail",
+    }
+
+    @pytest.mark.parametrize("key", sorted(ONE_VALUE_PER_KEY))
+    def test_every_key_has_a_reader(self, key):
+        """Each key's reader, in `syntax.Parser` or in the full parser of
+        `_syntax_extra`, reads a valid value into the key's field."""
+        assert set(self.ONE_VALUE_PER_KEY) == set(_KEYS)
+        config, lines = parse_config(f"{key} = {self.ONE_VALUE_PER_KEY[key]}\n")
+        attr = _KEYS[key][0]
+        assert lines == {key: 1}
+        assert getattr(config, attr) != getattr(RunConfig(), attr)

@@ -34,7 +34,7 @@ from l0convex import (
     order_compare,
     roundtrip_check,
 )
-from l0convex import _common, concatenation, sampling, topology
+from l0convex import _common, _not_induced, concatenation, sampling, topology
 from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
@@ -411,13 +411,13 @@ class TestSampledStep:
         return draw
 
     def test_failing_step_reports_the_first_failing_draw(self):
-        step = topology._sampled_step("s", 5, self.draws({2, 4}), "", "{held}/{samples}")
+        step = _not_induced._sampled_step("s", 5, self.draws({2, 4}), "", "{held}/{samples}")
         assert not step.passed
         assert step.observed == "3/5"
         assert step.inputs == {"samples": 5, "example_call": "2"}
 
     def test_passing_step_reports_the_last_draw(self):
-        step = topology._sampled_step("s", 5, self.draws(set()), "", "{held}/{samples}")
+        step = _not_induced._sampled_step("s", 5, self.draws(set()), "", "{held}/{samples}")
         assert step.passed
         assert step.inputs == {"samples": 5, "example_call": "5"}
 
@@ -478,7 +478,7 @@ class TestSampledStep:
         lambda n: roundtrip_check(Weighted(ONE), n, seed=1),
         lambda n: confirm_structural_flags(MPlusBall(ONE), n, seed=1),
         lambda n: axioms_check(Weighted(ONE), n, seed=1),
-        lambda n: topology._sampled_step("s", n, lambda: ({"held": True}, {}), "", ""),
+        lambda n: _not_induced._sampled_step("s", n, lambda: ({"held": True}, {}), "", ""),
     ],
     ids=[
         "base_axiom_witnesses", "hausdorff_report", "roundtrip_check",
@@ -494,7 +494,7 @@ def test_sampled_check_without_samples_rejected(check, samples):
 RECORDS = sorted(
     {
         cls
-        for module in (_common, topology, sampling)
+        for module in (_common, topology, _not_induced, sampling)
         for cls in vars(module).values()
         if isinstance(cls, type)
         and cls.__module__ == module.__name__
@@ -516,5 +516,6 @@ def test_record_annotations_resolve(cls):
 def test_every_record_class_is_checked():
     names = {cls.__name__ for cls in RECORDS}
     assert {
-        "EvidenceReport", "FromSeminorms", "CounterexampleFamily", "EvidenceStep", "EventSet", "Ratio"
+        "EvidenceReport", "FromSeminorms", "CounterexampleFamily", "EvidenceStep", "EventSet",
+        "Ratio", "GaugeCertificate",
     } <= names
