@@ -37,10 +37,7 @@ _EXPORTS_BY_MODULE = {
         "reverse_partition_construct"
     ),
     "_cli_check": "axioms_check",
-    "_library": (
-        "OrderReport confirm_structural_flags epslambda_membership order_compare "
-        "structural_flags sup_evaluate"
-    ),
+    "_library": "epslambda_membership sup_evaluate",
 }
 # export name -> the module that defines it
 _EXPORTS = {

@@ -36,11 +36,9 @@ if TYPE_CHECKING:
 # command runs only the ones its branch calls into, and `syntax` only when
 # it parses or formats a literal.  The `eval`, `check` and `partition`
 # handlers live in `_cli_eval`, `_cli_check` and `_cli_partition`, which
-# `main` imports only in the branch that runs them.  Two evidence functions
-# stay attributes of this module, resolved on first use: the benchmark's
-# tracer self-test reaches for `l0convex.cli.gauge_closed_form`, and the
-# import tests pin `l0convex.cli.seminorm_induction_verdict`.
-_EVIDENCE_NAMES = {"gauge_closed_form": sets, "seminorm_induction_verdict": topology}
+# `main` imports only in the branch that runs them.  The benchmark's tracer
+# self-test reads `l0convex.cli.gauge_closed_form`, resolved on first use.
+_EVIDENCE_NAMES = {"gauge_closed_form": sets}
 
 
 def __getattr__(name: str):

@@ -295,8 +295,7 @@ def _holds_everywhere(rel: Callable[[int, int], bool], x: EcRv, y: EcRv) -> bool
 
 
 def leq_everywhere(x: EcRv, y: EcRv) -> bool:
-    """x <= y at every atom; the library-only `order_compare` also returns
-    the witness events."""
+    """x <= y at every atom."""
     return _holds_everywhere(operator.le, x, y)
 
 

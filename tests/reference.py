@@ -1,0 +1,136 @@
+"""Test-only references: the package neither runs nor exports them.
+
+`order_compare` compares two elements pointwise and returns the exact
+witness events; the property tests of `leq_everywhere` and
+`lt_everywhere` use it as their reference.  `structural_flags` derives
+from a set descriptor's shape whether it is convex, absorbent and
+balanced, and `confirm_structural_flags` samples those flags.
+`random_positive_fraction` draws a positive rational on the package's
+own draws.
+"""
+
+from fractions import Fraction
+
+from l0convex import _not_induced, l0, sampling, sets
+from l0convex._common import EventSet, record
+
+# -- pointwise order with witness events -----------------------------------
+
+
+@record(frozen=True)
+class OrderReport:
+    """Pointwise comparison of two elements, with the exact witness events."""
+
+    leq_everywhere: bool
+    strict_set: EventSet
+    equal_set: EventSet
+
+
+def order_compare(x: l0.EcRv, y: l0.EcRv) -> OrderReport:
+    """Exact pointwise comparison; the strict/equal sets cover all atoms
+    where the relation holds (finite or cofinite by eventual constancy)."""
+    probed = set(x.overrides) | set(y.overrides)
+    strict_atoms = {j for j in probed if x.value_at(j) < y.value_at(j)}
+    equal_atoms = {j for j in probed if x.value_at(j) == y.value_at(j)}
+    if x.tail < y.tail:
+        strict = EventSet.cofinite_excluding(probed - strict_atoms)
+    else:
+        strict = EventSet.finite(strict_atoms)
+    if x.tail == y.tail:
+        equal = EventSet.cofinite_excluding(probed - equal_atoms)
+    else:
+        equal = EventSet.finite(equal_atoms)
+    leq = x.tail <= y.tail and all(
+        x.value_at(j) <= y.value_at(j) for j in probed
+    )
+    return OrderReport(leq, strict, equal)
+
+
+# -- structural flags ------------------------------------------------------
+
+
+@record(frozen=True)
+class StructuralFlags:
+    l0_convex: bool
+    l0_absorbent: bool
+    l0_balanced: bool
+
+
+def structural_flags(s: sets.SetDescriptor) -> StructuralFlags:
+    """Convexity, absorbency and balancedness, derived from the shape.
+
+    Scaling by an invertible factor preserves all three.  Translation
+    preserves convexity only; the other two are flagged just for the
+    trivial offset.  Intersections of balanced absorbent sets stay
+    absorbent because the larger of two admissible scalings absorbs in
+    both members at once.
+    """
+    if isinstance(s, (sets.Ball, sets.MPlusBall)):
+        return StructuralFlags(True, True, True)
+    if isinstance(s, sets.Scale):
+        return structural_flags(s.inner)
+    if isinstance(s, sets.Translate):
+        inner = structural_flags(s.inner)
+        at_origin = s.offset.is_zero()
+        return StructuralFlags(
+            inner.l0_convex,
+            inner.l0_absorbent and at_origin,
+            inner.l0_balanced and at_origin,
+        )
+    if isinstance(s, sets.Intersect):
+        inner = [structural_flags(m) for m in s.members]
+        convex = all(f.l0_convex for f in inner)
+        balanced = all(f.l0_balanced for f in inner)
+        absorbent = balanced and all(f.l0_absorbent for f in inner)
+        return StructuralFlags(convex, absorbent, balanced)
+    raise TypeError(f"not a set descriptor: {s!r}")
+
+
+# -- sampled confirmation of the structural flags ---------------------------
+
+
+def confirm_structural_flags(
+    s: sets.SetDescriptor, samples: int, seed: int
+) -> sampling.Tally:
+    """Randomized confirmation of the positive structural flags: the
+    checks `convex`, `balanced` and `absorbent`, each only where
+    `structural_flags` claims it, with the points each one drew."""
+    rng = sampling.make_rng(seed)
+    flags = structural_flags(s)
+
+    def draw():
+        checks, example = {}, {}
+        if flags.l0_convex:
+            x1, x2 = sampling.sample_member(s, rng), sampling.sample_member(s, rng)
+            t = sampling.random_ecrv(rng, draw=sampling._unit_ratio)  # values in [0, 1]
+            checks["convex"] = sets.contains(s, t * x1 + (l0.ONE - t) * x2)
+            example["convex"] = (x1, x2, t)
+        if flags.l0_balanced:
+            x = sampling.sample_member(s, rng)
+            factor = sampling.random_ecrv(rng, draw=_balanced_ratio)
+            checks["balanced"] = sets.contains(s, factor * x)
+            example["balanced"] = (x, factor)
+        if flags.l0_absorbent:
+            x = sampling.random_ecrv(rng)
+            checks["absorbent"] = _absorbs(s, x)
+            example["absorbent"] = x
+        return checks, example
+
+    return sampling.tally(samples, draw)
+
+
+def _balanced_ratio(rng) -> tuple[int, int]:
+    """A ratio p/q in [-1, 1]: a balancing multiplier's value."""
+    p, q = sampling._unit_ratio(rng)
+    return p * sampling._sign(rng), q
+
+
+def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
+    """Is x in xi*S for the closed-form certificate witness xi?"""
+    witness = _not_induced._certificate_witness(s, x, (), l0.ONE)
+    return sets.contains(sets.Scale(witness, s), x)
+
+
+def random_positive_fraction(rng) -> Fraction:
+    """`Fraction(randint(1, BOUND), randint(1, BOUND))`."""
+    return Fraction(*sampling._positive_ratio(rng))

@@ -40,10 +40,11 @@ from l0convex import (
     verify_certificate,
     EventuallyConstantSeq,
 )
-from l0convex import _library, sampling
+from l0convex import sampling
 from l0convex.cli import main
 
 from conftest import random_seminorm
+from reference import random_positive_fraction
 
 TOL = Fraction(1, 2**20)
 PROBES = tuple(range(1, 33))
@@ -218,7 +219,7 @@ def test_criterion_10_epslambda_agreement():
     for _ in range(500):
         family = tuple(random_seminorm(rng) for _ in range(rng.randint(1, 3)))
         x = sampling.random_ecrv(rng)
-        eps = _library.random_positive_fraction(rng)
+        eps = random_positive_fraction(rng)
         lam = Fraction(rng.randint(1, 63), 64)
         # independent oracle: enumerate atoms, add the exact geometric tail
         norm = sup_evaluate(family, x)

@@ -62,6 +62,23 @@ print("[%%d, [%%s]]" %% (code, ", ".join('"%%s"' %% name for name in found)))
 """ % (HEAVY,)
 
 
+# `l0convex.__all__`, sorted: a change of the exports shows in this list.
+EXPORTS = """
+    Ball CANONICAL CcFailureWitness CounterexampleFamily Diagonal
+    DiscreteSpace EcRv EventSet EventuallyConstantSeq EvidenceReport
+    FinitePartition FiniteSup FromSeminorms GaugeCertificate
+    GaugeNotBelowOne Intersect Localized MPlusBall MalformedPrefix
+    NotInvertible ONE Scale SingletonTail Translate UnsupportedShape
+    Weighted ZERO Zero axioms_check base_axiom_witnesses
+    build_countable_partition cc_failure_witness classify closure_membership
+    combine contains divide emax emin epslambda_membership evaluate
+    gauge_closed_form gauge_upper_certificate glue glue_identity_holds
+    hausdorff_report indicator indicator_mul leq_everywhere lt_everywhere
+    reciprocal relative_cc_check reverse_partition_construct roundtrip_check
+    sample_member seminorm_induction_verdict sup_evaluate verify_certificate
+"""
+
+
 def loaded_after(code: str, *argv: str, cwd=None, flags=()) -> tuple[int, set[str]]:
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
@@ -85,7 +102,7 @@ class TestExports:
         assert set(l0convex.__all__) <= set(dir(l0convex))
 
     def test_no_export_is_a_module(self):
-        assert len(l0convex.__all__) == 62
+        assert l0convex.__all__ == EXPORTS.split()
         modules = [n for n in l0convex.__all__ if isinstance(getattr(l0convex, n), types.ModuleType)]
         assert modules == []
 
@@ -126,22 +143,27 @@ class TestExports:
         assert syntax.ParseError is _common.ParseError is config.ParseError
 
     def test_library_only_code_lives_in_library(self):
-        """The package exports and `_library` give the same objects; the
-        modules they left no longer serve them."""
-        from l0convex import _library, l0, sets, topology
+        """`_library` serves the (eps, lambda) pair, which the package
+        exports; the test-only references live in `tests/reference.py`, and
+        neither the package nor the modules they left serve them."""
+        from l0convex import _library, l0, sampling, seminorms, sets, topology
 
-        assert l0convex.order_compare is _library.order_compare
-        assert l0convex.OrderReport is _library.OrderReport
         assert l0convex.epslambda_membership is _library.epslambda_membership
-        assert l0convex.confirm_structural_flags is _library.confirm_structural_flags
-        assert l0convex.structural_flags is _library.structural_flags
+        assert l0convex.sup_evaluate is _library.sup_evaluate
+        references = (
+            "order_compare", "OrderReport", "structural_flags", "StructuralFlags",
+            "confirm_structural_flags", "random_positive_fraction",
+        )
         for module, name in (
+            *((module, name) for module in (l0convex, _library) for name in references),
             (l0, "order_compare"),
             (l0, "OrderReport"),
             (topology, "epslambda_membership"),
+            (seminorms, "sup_evaluate"),
             (sets, "confirm_structural_flags"),
             (sets, "structural_flags"),
             (sets, "StructuralFlags"),
+            (sampling, "random_positive_fraction"),
         ):
             with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
                 getattr(module, name)
@@ -176,7 +198,6 @@ class TestExports:
             (l0, "_with_tail"): sets,
             (seminorms, "axioms_check"): _cli_check,
             (seminorms, "sup_evaluate"): _library,
-            (sampling, "random_positive_fraction"): _library,
             **{
                 (syntax.Parser, name): _syntax_extra.FullParser
                 for name in (
@@ -200,10 +221,9 @@ class TestExports:
         assert issubclass(_syntax_extra.FullParser, syntax.Parser)
 
     def test_cli_keeps_the_names_it_imported(self):
-        from l0convex import cli, sets, topology
+        from l0convex import cli, sets
 
         assert cli.gauge_closed_form is sets.gauge_closed_form
-        assert cli.seminorm_induction_verdict is topology.seminorm_induction_verdict
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             cli.no_such_name
 
@@ -294,19 +314,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14724,
-    "check axioms": 11246,
-    "check roundtrip": 12594,
-    "check cc": 14590,
-    "check base": 11758,
-    "eval prob": 8406,
-    "eval gauge": 10885,
-    "eval contains": 10885,
-    "eval seminorm": 9537,
-    "eval glue": 14227,
-    "partition": 9368,
-    "partition SPEC": 9368,
-    "verify-counterexample on a seminorm base": 12961,
+    "verify-counterexample": 14721,
+    "check axioms": 11243,
+    "check roundtrip": 12591,
+    "check cc": 14587,
+    "check base": 11755,
+    "eval prob": 8403,
+    "eval gauge": 10882,
+    "eval contains": 10882,
+    "eval seminorm": 9534,
+    "eval glue": 14224,
+    "partition": 9365,
+    "partition SPEC": 9365,
+    "verify-counterexample on a seminorm base": 12958,
 }
 
 
@@ -416,6 +436,24 @@ class TestImportBudget:
         probe = "import json, sys, types, l0convex; code = l0convex.sampling.BOUND; " + LOADED
         _, loaded = loaded_after(probe)
         assert "sampling" in loaded and "topology" not in loaded
+
+    def test_the_epslambda_pair_runs_neither_sets_nor_the_not_induced_steps(self):
+        """Importing the (eps, lambda) pair runs at most the modules it
+        calls, and deciding a membership runs exactly those."""
+        pair = {"_common", "_library", "l0", "measure", "seminorms"}
+        probe = (
+            "import json, sys, types; "
+            "from l0convex import epslambda_membership, sup_evaluate; code = 0; " + LOADED
+        )
+        _, imported = loaded_after(probe)
+        assert imported <= pair
+        probe = (
+            "import json, sys, types; "
+            "from l0convex import ONE, Weighted, epslambda_membership, sup_evaluate; "
+            "code = epslambda_membership((Weighted(ONE),), 2, '1/2', ONE); " + LOADED
+        )
+        member, ran = loaded_after(probe)
+        assert (member, ran) == (True, pair)
 
     def test_a_config_without_a_space_or_partition_runs_no_measure(self):
         """`RunConfig()` and `parse_config("seed = 1")` leave `measure`

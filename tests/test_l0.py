@@ -21,7 +21,6 @@ from l0convex import (
     indicator_mul,
     leq_everywhere,
     lt_everywhere,
-    order_compare,
     reciprocal,
 )
 from l0convex import sampling
@@ -30,6 +29,7 @@ from l0convex.sets import _abs_tail_leq, _half_abs_or_one, _scaled, _single_atom
 from l0convex._not_induced import _leq_at
 
 from conftest import atoms, ecrvs, events, rationals, values_upto
+from reference import order_compare
 
 OPS = {
     "add": lambda a, b: a + b,

@@ -18,7 +18,6 @@ from l0convex import (
     ZERO,
     ONE,
     classify,
-    confirm_structural_flags,
     contains,
     divide,
     emax,
@@ -28,20 +27,18 @@ from l0convex import (
     indicator_mul,
     gauge_upper_certificate,
     leq_everywhere,
-    order_compare,
     reciprocal,
     roundtrip_check,
     sample_member,
-    structural_flags,
     sup_evaluate,
     verify_certificate,
 )
 from l0convex import sampling
-from l0convex._library import StructuralFlags
 from l0convex.sets import core_point, excluding_radius
 from l0convex._not_induced import GaugeCertificate, _certificate_witness
 
 from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
+from reference import StructuralFlags, confirm_structural_flags, order_compare, structural_flags
 
 UNIT_BALL = Ball((Weighted(ONE),), ONE)
 TOL = Fraction(1, 2**20)

@@ -25,13 +25,11 @@ from l0convex import (
     classify,
     closure_membership,
     reciprocal,
-    confirm_structural_flags,
     contains,
     epslambda_membership,
     hausdorff_report,
     seminorm_induction_verdict,
     sup_evaluate,
-    order_compare,
     roundtrip_check,
 )
 from l0convex import _common, _not_induced, concatenation, sampling, topology
@@ -39,6 +37,7 @@ from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
 from conftest import blind_weight, ecrvs
+from reference import confirm_structural_flags, order_compare
 
 COUNTEREXAMPLE = CounterexampleFamily()
 UNIT_FAMILY = FromSeminorms((Weighted(ONE),))
