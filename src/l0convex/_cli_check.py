@@ -49,10 +49,12 @@ def axioms_check(
     # a nonzero offset at the origin is the cheapest homogeneity breaker,
     # and the simplest example of one
     zero = l0.ZERO
-    if ev(zero) != zero:
-        report.failures["homogeneity"] += 1
-        report.example = {"scalar": zero, "x": zero, "y": zero}
-    return report
+    if ev(zero) == zero:
+        return report
+    failures = report.failures.copy()
+    failures["homogeneity"] += 1
+    example = {"scalar": zero, "x": zero, "y": zero}
+    return sampling.Tally(report.samples, failures, report.held, example)
 
 
 def cmd_check(args, config: RunConfig, header: dict) -> dict:

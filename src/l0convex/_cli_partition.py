@@ -26,7 +26,7 @@ def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
         part_spec = _syntax_extra.parse_partition(args.spec)
         if not isinstance(part_spec, measure.SingletonTail):
             raise cf.ConfigError("the partition builder takes a singletons_from(...) spec")
-        cells = list(part_spec.prefix_cells)
+        cells = part_spec.prefix_cells
         tail_start = part_spec.tail_start
     elif args.cells is not None:
         cells = syntax._parse_one("event_list", args.cells)

@@ -35,50 +35,29 @@ if TYPE_CHECKING:
 _METHODS = ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
 
-class _Factory:
-    """The default of a field built per instance."""
+def record(cls):
+    """Make `cls` a record class, whose instances are immutable values.
 
-    def __init__(self, make):
-        self.make = make
-
-
-def field(*, default_factory) -> _Factory:
-    """A field whose default is `default_factory()`, called per instance."""
-    return _Factory(default_factory)
-
-
-def record(cls=None, /, *, frozen: bool = False):
-    """Make `cls` a record class; `frozen=True` makes its instances immutable.
-
-    The part of `dataclasses` this package uses, without code generation.
-    The fields are the class's own annotations, in order, and the methods
-    are closures over the field names:
+    The part of a frozen `dataclasses.dataclass` this package uses,
+    without code generation.  The fields are the class's own annotations,
+    in order, and the methods are closures over the field names:
 
     - `__init__` takes each field positionally or by keyword; a field left
-      out takes its class-level default, or a fresh `default_factory()`
-      when declared as `field(default_factory=...)`.  It then calls
-      `__post_init__` when the class defines one.
+      out takes its class-level default.  It then calls `__post_init__`
+      when the class defines one.
     - `__repr__` is `QualName(f=v, ...)`, unless the class writes its own.
     - `__eq__` compares the tuples of field values, and only between
-      objects of the same class.
-    - A frozen record hashes its field tuple and rejects assigning or
-      deleting any attribute with `AttributeError`.  A mutable record is
-      unhashable.
+      objects of the same class; `__hash__` hashes that tuple.
+    - Assigning or deleting any attribute raises `AttributeError`.
 
-    For these classes the behaviour is that of `dataclasses.dataclass`.
-    The stdlib decorator compiles source text for every method of every
-    class and imports `inspect`, about 45 ms on each start, more than most
-    commands take.  Anything outside the subset (another option, a base
-    class, a class that writes one of the other methods itself) raises
-    `TypeError` instead of being ignored.  Introspection shows
-    `__init__(*args, **kwargs)`: the field list is the class's annotations.
+    For these classes the behaviour is that of the stdlib decorator, which
+    compiles source text for every method of every class and imports
+    `inspect`, about 45 ms on each start, more than most commands take.
+    Anything outside the subset (an option, a base class, a class that
+    writes one of the other methods itself) raises `TypeError` instead of
+    being ignored.  Introspection shows `__init__(*args, **kwargs)`: the
+    field list is the class's annotations.
     """
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
     if cls.__bases__ != (object,):
         raise TypeError(f"record class {cls.__qualname__} must not have a base class")
     clash = [name for name in _METHODS if name in vars(cls)]
@@ -86,9 +65,6 @@ def _build(cls, frozen: bool):
         raise TypeError(f"record class {cls.__qualname__} defines {', '.join(clash)}")
     names = tuple(vars(cls).get("__annotations__", ()))
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
-    for name, default in defaults.items():
-        if isinstance(default, _Factory):
-            delattr(cls, name)
     n = len(names)
     post_init = hasattr(cls, "__post_init__")
 
@@ -114,17 +90,14 @@ def _build(cls, frozen: bool):
     def __hash__(self) -> int:
         return hash(values(self))
 
-    methods = [__init__, __eq__] + ([__hash__] if frozen else [])
+    methods = [__init__, __eq__, __hash__]
     if "__repr__" not in vars(cls):
         methods.append(__repr__)
     for method in methods:
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
-    else:
-        cls.__hash__ = None
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 
@@ -145,8 +118,7 @@ def _bind(cls, names, defaults, args, kwargs) -> list:
         if name in given:
             out.append(given[name])
         elif name in defaults:
-            default = defaults[name]
-            out.append(default.make() if isinstance(default, _Factory) else default)
+            out.append(defaults[name])
         else:
             raise TypeError(f"{where} missing required argument {name!r}")
     return out
@@ -163,7 +135,7 @@ def _frozen_delattr(self, name):
 # -- rationals -----------------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class Ratio:
     """A rational as the literal parser reads it: a positive denominator,
     in lowest terms.  `rational_pair`, and so the checking constructor
@@ -217,7 +189,7 @@ def _check_atom(j: int) -> int:
     return j
 
 
-@record(frozen=True)
+@record
 class EventSet:
     """A finite or cofinite set of atoms.
 
@@ -300,7 +272,7 @@ class EventSet:
 OMEGA = EventSet.full()
 
 
-@record(frozen=True)
+@record
 class FromSeminorms:
     """Base sets are the balls of a finite seminorm family."""
 
@@ -310,7 +282,7 @@ class FromSeminorms:
         return sets.Ball(self.family, radius)
 
 
-@record(frozen=True)
+@record
 class CounterexampleFamily:
     """Base sets are M + B_eps; all their gauges are identically zero."""
 

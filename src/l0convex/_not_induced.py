@@ -36,7 +36,7 @@ DEFAULT_TOLERANCE = _make(2**20, {}, 1)
 DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
 
 
-@record(frozen=True)
+@record
 class GaugeCertificate:
     """A re-checkable upper bound on the gauge of `point` in `target_set`.
 

@@ -40,7 +40,7 @@ class FullParser(syntax.Parser):
     def partition(self):
         name = self.word()
         if name == "finite":
-            return self._validated(measure.FinitePartition, tuple(self.event_list()))
+            return self._validated(measure.FinitePartition, self.event_list())
         if name == "singletons_from":
             self.take("(")
             start = self.integer()
@@ -49,8 +49,8 @@ class FullParser(syntax.Parser):
             return self._validated(measure.SingletonTail, tuple(cells), start)
         raise self.error(f"unknown partition {name!r}")
 
-    def event_list(self) -> list[EventSet]:
-        return self.bracket_list(self.event)
+    def event_list(self) -> tuple[EventSet, ...]:
+        return tuple(self.bracket_list(self.event))
 
     def weights(self) -> dict[int, Ratio]:
         """`[[atom, weight], ...]`, possibly empty, each atom once."""

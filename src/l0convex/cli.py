@@ -221,8 +221,8 @@ def _load_config(args) -> tuple[RunConfig, dict]:
             shown = name if name[:2] == "--" else repr(name)
             listing = f"only {', '.join(reads)}" if reads else "no flag or config key"
             raise ConfigError(f"{shown} would be ignored: {run} reads {listing}")
-    for flag in given:
-        setattr(config, flag[2:], getattr(args, flag[2:]))
+    flags = {flag[2:]: getattr(args, flag[2:]) for flag in given}
+    config = RunConfig(**{**vars(config), **flags})  # a flag wins over its config key
     # zero samples would make every sampled step pass vacuously
     if config.samples < 1:
         raise ConfigError(f"samples must be at least 1, got {config.samples}")

@@ -19,7 +19,7 @@ set and the value name, and at one atom past all of them.
 from __future__ import annotations
 
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO
-from ._common import EventSet, field, record
+from ._common import EventSet, record
 from .measure import FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
 from .sets import Ball, SetDescriptor, contains, gauge_closed_form, _deciding_atoms, _single_atom
@@ -29,7 +29,7 @@ class GaugeNotBelowOne(ValueError):
     """Reverse construction needs the gauge strictly below one everywhere."""
 
 
-@record(frozen=True)
+@record
 class EventuallyConstantSeq:
     prefix: tuple[EcRv, ...]
     tail_element: EcRv
@@ -38,7 +38,7 @@ class EventuallyConstantSeq:
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail_element
 
 
-@record(frozen=True)
+@record
 class Diagonal:
     """x_n = value restricted to the n-th cell."""
 
@@ -139,7 +139,7 @@ class CcEntry:
 @record
 class CcReport:
     target: SetDescriptor
-    entries: list[CcEntry] = field(default_factory=list)
+    entries: tuple[CcEntry, ...]
 
     @property
     def closure_holds(self) -> bool:
@@ -174,7 +174,7 @@ def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:
 
 
 def relative_cc_check(
-    s: SetDescriptor, part: Partition, seqs: list[SequenceSpec]
+    s: SetDescriptor, part: Partition, seqs: tuple[SequenceSpec, ...]
 ) -> CcReport:
     """For sequences inside s, does every glue stay inside s?
 
@@ -183,24 +183,25 @@ def relative_cc_check(
     seminorm-of-glue identity: evaluating the glue equals gluing the
     evaluations along the same partition.
     """
-    report = CcReport(target=s)
+    entries = []
     for seq in seqs:
         pre_ok = _elements_in_set(s, seq, part)
         glued = glue(seq, part)
-        entry = CcEntry(seq, pre_ok, glued, contains(s, glued), None)
+        inside = contains(s, glued)
+        identity_ok = None
         if isinstance(s, Ball):
-            entry.seminorm_identity_ok = all(
+            identity_ok = all(
                 evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part)
                 for p in s.seminorms
             )
-        report.entries.append(entry)
-    return report
+        entries.append(CcEntry(seq, pre_ok, glued, inside, identity_ok))
+    return CcReport(s, tuple(entries))
 
 
 # -- the closure failure for M + B_eps ---------------------------------------
 
 
-@record(frozen=True)
+@record
 class CcFailureWitness:
     radius: EcRv
     sequence: Diagonal
@@ -224,7 +225,7 @@ def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcFailureWitness:
     """
     seq = Diagonal(2 * eps)
     part = SingletonTail((), 1)
-    (entry,) = relative_cc_check(u, part, [seq]).entries
+    (entry,) = relative_cc_check(u, part, (seq,)).entries
     return CcFailureWitness(
         eps, seq, part, entry.glue, entry.precondition_ok, entry.glue_in_set
     )

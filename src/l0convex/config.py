@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from . import measure, syntax  # bound lazily: a space or a partition runs `measure`
 from ._common import CounterexampleFamily, EventSet, NeighborhoodBase, ParseError, UsageError
-from ._common import field, record
+from ._common import record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -46,11 +46,11 @@ class RunConfig:
     space: DiscreteSpace | None = None  # None: the dyadic space `measure.CANONICAL`
     seed: int = 42
     samples: int = 200
-    base: NeighborhoodBase = field(default_factory=CounterexampleFamily)
+    base: NeighborhoodBase = CounterexampleFamily()
     seminorm: Seminorm | None = None
     set_descriptor: SetDescriptor | None = None
-    sequences: list[SequenceSpec] = field(default_factory=list)
-    prefix_cells: list[EventSet] = field(default_factory=list)
+    sequences: tuple[SequenceSpec, ...] = ()
+    prefix_cells: tuple[EventSet, ...] = ()
     singletons_from: int | None = None
     epsilon: EcRv | None = None
     delta: EcRv | None = None
@@ -59,9 +59,9 @@ class RunConfig:
     def partition(self):
         """Assemble the configured partition, if any."""
         if self.singletons_from is not None:
-            return measure.SingletonTail(tuple(self.prefix_cells), self.singletons_from)
+            return measure.SingletonTail(self.prefix_cells, self.singletons_from)
         if self.prefix_cells:
-            return measure.FinitePartition(tuple(self.prefix_cells))
+            return measure.FinitePartition(self.prefix_cells)
         return None
 
 
@@ -90,7 +90,7 @@ _KEYS = {
 def parse_config(text: str) -> tuple[RunConfig, dict[str, int]]:
     """The config `text` sets, and each key it sets with the line that
     first set it, in order.  Comments and blank lines are skipped."""
-    config = RunConfig()
+    values: dict = {}
     lines: dict[str, int] = {}
     space = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -117,17 +117,17 @@ def parse_config(text: str) -> tuple[RunConfig, dict[str, int]]:
 
             value = Diagonal(value)
         if attr == "sequences":
-            config.sequences.append(value)
+            values["sequences"] = (*values.get("sequences", ()), value)
         elif attr == "space":
             space[key] = value
         else:
-            setattr(config, attr, value)
+            values[attr] = value
 
     if space:
         try:
-            config.space = measure.DiscreteSpace(
+            values["space"] = measure.DiscreteSpace(
                 space.get("space.explicit", {}), space.get("space.tail_coefficient", 1)
             )
         except ValueError as exc:
             raise ConfigError(f"space: {exc}") from None
-    return config, lines
+    return RunConfig(**values), lines

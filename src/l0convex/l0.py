@@ -304,7 +304,7 @@ def lt_everywhere(x: EcRv, y: EcRv) -> bool:
     return _holds_everywhere(operator.lt, x, y)
 
 
-@record(frozen=True)
+@record
 class Classification:
     in_L0_plus: bool
     in_L0_plusplus: bool
@@ -319,8 +319,8 @@ def classify(x: EcRv) -> Classification:
 
 
 # -- integer shortcuts for hot callers that would otherwise read the
-# Fraction views; those that only `sets`, `sampling` or `topology` call
-# live in `sets` and `topology` --
+# Fraction views; those that only `sets`, `sampling` or `_not_induced`
+# call live in `sets` and `_not_induced` --
 
 
 def _takes_zero(x: EcRv) -> bool:

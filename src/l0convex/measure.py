@@ -154,7 +154,7 @@ class DiscreteSpace:
 CANONICAL = DiscreteSpace.canonical()
 
 
-@record(frozen=True)
+@record
 class FinitePartition:
     """Finitely many pairwise disjoint cells covering all atoms.
 
@@ -188,7 +188,7 @@ class FinitePartition:
         return len(self.cells)
 
 
-@record(frozen=True)
+@record
 class SingletonTail:
     """Finitely many prefix cells below tail_start, then singleton cells.
 

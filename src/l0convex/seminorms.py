@@ -20,7 +20,7 @@ from .l0 import EcRv, ZERO, classify, combine, emax, indicator
 from ._common import EventSet, record
 
 
-@record(frozen=True)
+@record
 class Zero:
     """The zero seminorm."""
 
@@ -29,7 +29,7 @@ class Zero:
         return ZERO
 
 
-@record(frozen=True)
+@record
 class Weighted:
     """||x|| = weight * |x| with a nonnegative weight."""
 
@@ -44,7 +44,7 @@ class Weighted:
         return self.weight
 
 
-@record(frozen=True)
+@record
 class Localized:
     """||x|| = |x| on the event, 0 off it."""
 
@@ -55,7 +55,7 @@ class Localized:
         return indicator(self.event)
 
 
-@record(frozen=True)
+@record
 class FiniteSup:
     """Pointwise maximum of finitely many seminorms."""
 

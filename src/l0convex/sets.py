@@ -15,7 +15,7 @@ lemma by brute force on finite families and bracketing certificates.
 This module holds what every set question needs.  Drawing members
 (`sampling.sample_member`) and the gauge/membership roundtrip
 (`sampling.roundtrip_check`) live in `sampling`, and the gauge
-certificates in `topology`: the `eval` and `check cc` commands load
+certificates in `_not_induced`: the `eval` and `check cc` commands load
 this module and call none of them.
 """
 
@@ -42,7 +42,7 @@ from .seminorms import Seminorm, _sup_coefficient
 from ._common import UnsupportedShape, record  # UnsupportedShape is re-exported
 
 
-@record(frozen=True)
+@record
 class Ball:
     """{x : ||x|| <= radius for every seminorm in the list}."""
 
@@ -62,7 +62,7 @@ class Ball:
         return _sup_coefficient(self.seminorms)
 
 
-@record(frozen=True)
+@record
 class MPlusBall:
     """M + B_radius: a finitely supported part plus an order-ball part.
 
@@ -78,7 +78,7 @@ class MPlusBall:
             raise ValueError("radius must be strictly positive everywhere")
 
 
-@record(frozen=True)
+@record
 class Scale:
     factor: EcRv
     inner: "SetDescriptor"
@@ -88,13 +88,13 @@ class Scale:
             raise ValueError("scale factor must be invertible (no zero value)")
 
 
-@record(frozen=True)
+@record
 class Translate:
     offset: EcRv
     inner: "SetDescriptor"
 
 
-@record(frozen=True)
+@record
 class Intersect:
     members: tuple["SetDescriptor", ...]
 
@@ -207,7 +207,7 @@ def gauge_closed_form(s: SetDescriptor, x: EcRv) -> EcRv:
 
 # -- integer shortcuts over an element's parts (see `l0._reduced`), for the
 # questions above, the members `sampling` draws and the certificates
-# `topology` builds: every command that calls one loads this module --------
+# `_not_induced` builds: every command that calls one loads this module ----
 
 
 def _abs_tail_leq(x: EcRv, y: EcRv, f: EcRv = ONE) -> bool:

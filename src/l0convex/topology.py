@@ -106,7 +106,7 @@ def base_axioms_step(
 # -- separation and closure ------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class SeparationWitness:
     """A radius eps with point not in U(eps), from `sets.excluding_radius`."""
 
@@ -115,7 +115,7 @@ class SeparationWitness:
     excluded: bool  # re-checked: contains(U(epsilon), point) is False
 
 
-@record(frozen=True)
+@record
 class ClosureResult:
     member: bool
     separation: SeparationWitness | None = None
@@ -190,8 +190,7 @@ def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> Evidence
 class EvidenceReport:
     verdict: str  # "induced" | "not_induced"
     family: tuple[Seminorm, ...] | None
-    steps: list[EvidenceStep]
-    seed: int
+    steps: tuple[EvidenceStep, ...]
 
     @property
     def passed(self) -> bool:
@@ -239,7 +238,7 @@ def seminorm_induction_verdict(
         )
     steps.append(_hausdorff_step(base, samples, seed))
     if not degenerate:
-        return EvidenceReport("induced", unit.seminorms, steps, seed)
+        return EvidenceReport("induced", unit.seminorms, tuple(steps))
 
     all_prior = all(step.passed for step in steps)
     steps.append(
@@ -254,4 +253,4 @@ def seminorm_induction_verdict(
             passed=all_prior,
         )
     )
-    return EvidenceReport("not_induced", None, steps, seed)
+    return EvidenceReport("not_induced", None, tuple(steps))

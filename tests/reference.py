@@ -17,7 +17,7 @@ from l0convex._common import EventSet, record
 # -- pointwise order with witness events -----------------------------------
 
 
-@record(frozen=True)
+@record
 class OrderReport:
     """Pointwise comparison of two elements, with the exact witness events."""
 
@@ -49,7 +49,7 @@ def order_compare(x: l0.EcRv, y: l0.EcRv) -> OrderReport:
 # -- structural flags ------------------------------------------------------
 
 
-@record(frozen=True)
+@record
 class StructuralFlags:
     l0_convex: bool
     l0_absorbent: bool

@@ -57,6 +57,14 @@ class TestEval:
         assert code == 0
         assert out.strip() == "{|2}"
 
+    def test_glue_ec_prefix_then_singleton_tail(self, capsys):
+        """By hand: the first element on {1,2}, the second on {3}, the tail
+        element from atom 4 on."""
+        expr = "glue ec[{1:5 | 1}, {|2} | {4:7, 9:8 | 9}] singletons_from(3; {1,2})"
+        code, out, _ = run(capsys, "eval", expr)
+        assert code == 0
+        assert out.strip() == "{1:5, 2:1, 3:2, 4:7, 9:8 | 9}"
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "gauge m_plus_ball({|1}) {1:x | 0}")
         assert code == 2

@@ -1,7 +1,9 @@
 """Record classes against the stdlib `dataclasses` as the reference."""
 
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +12,13 @@ import pytest
 
 import l0convex
 from l0convex import ONE, Ball, CounterexampleFamily, Weighted
-from l0convex._common import field, record
+from l0convex._common import Ratio, record
 
-STDLIB = (dataclasses.dataclass, dataclasses.field)
-RECORD = (record, field)
+STDLIB = dataclasses.dataclass(frozen=True)
 
 
-def frozen_point(decorate, _field):
-    @decorate(frozen=True)
+def point(decorate):
+    @decorate
     class Point:
         x: int
         y: object = "origin"
@@ -29,17 +30,8 @@ def frozen_point(decorate, _field):
     return Point
 
 
-def mutable_log(decorate, _field):
+def no_fields(decorate):
     @decorate
-    class Log:
-        name: str
-        entries: list = _field(default_factory=list)
-
-    return Log
-
-
-def no_fields(decorate, _field):
-    @decorate(frozen=True)
     class Nothing:
         """No fields, like CounterexampleFamily."""
 
@@ -50,9 +42,9 @@ def no_fields(decorate, _field):
 
 
 def both(define):
-    """The same class body under the stdlib decorator and under `record`;
-    both classes have the same qualified name."""
-    return define(*STDLIB), define(*RECORD)
+    """The same class body under the frozen stdlib decorator and under
+    `record`; both classes have the same qualified name."""
+    return define(STDLIB), define(record)
 
 
 def observe(cls, *args, **kwargs):
@@ -69,7 +61,7 @@ class TestParity:
         "args, kwargs", [((3,), {}), ((3, (1, "a")), {}), ((), {"x": 0, "y": None}), ((2,), {"y": 2})]
     )
     def test_frozen_with_post_init(self, args, kwargs):
-        ref, rec = both(frozen_point)
+        ref, rec = both(point)
         assert observe(rec, *args, **kwargs) == observe(ref, *args, **kwargs)
         assert rec(*args, **kwargs) == rec(*args, **kwargs)
         assert rec(3) != rec(4) and rec(3, 1) != rec(3)
@@ -78,7 +70,7 @@ class TestParity:
             rec(-1)
 
     def test_frozen_rejects_assignment_and_deletion(self):
-        for cls in both(frozen_point):
+        for cls in both(point):
             p = cls(1)
             for name in ("x", "y", "z"):
                 with pytest.raises(AttributeError):
@@ -86,22 +78,6 @@ class TestParity:
                 with pytest.raises(AttributeError):
                     delattr(p, name)
             assert p == cls(1)
-
-    def test_mutable_with_default_factory(self):
-        ref, rec = both(mutable_log)
-        assert observe(rec, "a") == observe(ref, "a")
-        assert repr(rec("a")) == "mutable_log.<locals>.Log(name='a', entries=[])"
-        assert observe(rec, "a")[1] == "unhashable"
-        first, second = rec("a"), rec("a")
-        first.entries.append(1)
-        assert second.entries == []  # a fresh list per instance
-        assert first != second and rec("b", [1]) == rec("b", [1])
-        first.name = "renamed"
-        assert repr(first) == repr(ref("renamed", [1]))
-        assert "entries" not in vars(rec)  # the factory is no class attribute
-        for cls in (ref, rec):
-            with pytest.raises(TypeError):
-                cls(entries=[])
 
     def test_no_fields(self):
         ref, rec = both(no_fields)
@@ -118,7 +94,7 @@ class TestParity:
         ids=["missing", "too-many", "twice", "unknown", "missing-with-keyword"],
     )
     def test_bad_arguments_raise_type_error(self, args, kwargs):
-        for cls in both(frozen_point):
+        for cls in both(point):
             with pytest.raises(TypeError):
                 cls(*args, **kwargs)
 
@@ -133,10 +109,55 @@ class TestParity:
                 setattr(obj, name, ONE)
 
 
+def package_records() -> list[type]:
+    """Every class any `l0convex` module defines through `record`: its
+    `__init__` is the one closure `record` installs."""
+    made_by_record = Ratio.__init__.__code__
+    found = set()
+    for info in pkgutil.iter_modules(l0convex.__path__):
+        module = importlib.import_module(f"l0convex.{info.name}")
+        for cls in vars(module).values():
+            init = vars(cls).get("__init__") if isinstance(cls, type) else None
+            if getattr(init, "__code__", None) is made_by_record:
+                found.add(cls)
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__qualname__))
+
+
+PACKAGE_RECORDS = package_records()
+
+
+@pytest.mark.parametrize(
+    "cls", PACKAGE_RECORDS, ids=lambda cls: f"{cls.__module__[9:]}.{cls.__qualname__}"
+)
+def test_every_package_record_is_immutable(cls):
+    """Assigning or deleting any attribute of any record raises, and a
+    record hashes: no record is a mutable value."""
+    names = tuple(vars(cls).get("__annotations__", ()))
+    obj = object.__new__(cls)  # the fields set without running `__post_init__`
+    obj.__dict__.update(dict.fromkeys(names))
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+    for name in names:
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert vars(obj) == dict.fromkeys(names)
+    assert hash(obj) == hash((None,) * len(names))
+
+
+def test_every_package_record_is_scanned():
+    names = {cls.__qualname__ for cls in PACKAGE_RECORDS}
+    assert {
+        "EvidenceStep", "EvidenceReport", "Tally", "CcEntry", "CcReport", "ReversePartition",
+        "RunConfig", "Ratio", "EventSet", "Ball", "GaugeCertificate",
+    } <= names
+
+
 class TestUnsupported:
     def test_other_options_rejected(self):
-        with pytest.raises(TypeError):
-            record(eq=False)
+        for options in ({"eq": False}, {"frozen": True}):
+            with pytest.raises(TypeError):
+                record(**options)
 
     def test_base_class_rejected(self):
         class Base:
@@ -151,14 +172,14 @@ class TestUnsupported:
         for name in ("__init__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
             body = {"__annotations__": {"x": "int"}, name: lambda self, *args: None}
             with pytest.raises(TypeError, match=name):
-                record(frozen=True)(type("Own", (), body))
+                record(type("Own", (), body))
 
 
 def test_own_repr_kept():
     """A class that writes its own `__repr__` keeps it, as under `dataclasses`."""
 
-    def shown(decorate, _field):
-        @decorate(frozen=True)
+    def shown(decorate):
+        @decorate
         class Shown:
             x: int
 
