@@ -18,6 +18,7 @@ parser.  The modules that use them (`topology`, `sets`, `syntax`,
 from __future__ import annotations
 
 from math import gcd
+from types import MappingProxyType
 
 from . import seminorms, sets  # bound lazily: neither runs until a base set is built
 
@@ -295,7 +296,8 @@ NeighborhoodBase = FromSeminorms | CounterexampleFamily
 
 @record
 class EvidenceStep:
-    """One checked fact of a report."""
+    """One checked fact of a report; `inputs` is a read-only mapping over a
+    copy of the given one."""
 
     name: str
     inputs: dict
@@ -303,11 +305,17 @@ class EvidenceStep:
     observed: str
     passed: bool
 
+    def __post_init__(self):
+        self.__dict__["inputs"] = MappingProxyType(dict(self.inputs))
+
+    def __reduce__(self):  # copies and pickles rebuild through the constructor
+        return EvidenceStep, (self.name, dict(self.inputs), self.expected, self.observed, self.passed)
+
     def to_json(self) -> dict:
         """The step as a report entry."""
         return {
             "name": self.name,
-            "inputs": self.inputs,
+            "inputs": dict(self.inputs),
             "expected": self.expected,
             "observed": self.observed,
             "pass": self.passed,

@@ -91,7 +91,9 @@ def _certificate_witness(
         # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
         p, q = _abs_tail_ratio(x, s.radius)
         ratio = (tol._t, tol._d)
-        over = dict.fromkeys(map(_check_atom, probes), ratio)
+        if probes is not DEFAULT_PROBE_ATOMS:  # the defaults are valid atoms
+            probes = map(_check_atom, probes)
+        over = dict.fromkeys(probes, ratio)
         return _from_ratios(over, (p, q) if p > q else (1, 1))
     if isinstance(s, Scale):
         return _certificate_witness(s.inner, l0.reciprocal(s.factor) * x, probes, tol)

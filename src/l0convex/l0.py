@@ -175,7 +175,7 @@ def _from_ratios(overrides: dict[int, tuple[int, int]], tail: tuple[int, int]) -
     p/q of `tail`, from (integer, positive integer) pairs on valid atoms:
     one lcm over the denominators, then `_reduced`."""
     tp, tq = tail
-    d = lcm(tq, *(q for _, q in overrides.values()))
+    d = lcm(tq, *[q for _, q in overrides.values()])
     t = tp * (d // tq)
     out = {}
     for j, (p, q) in overrides.items():

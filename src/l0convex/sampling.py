@@ -4,6 +4,15 @@ Defaults follow the reproducibility contract: at most 8 overrides on
 atoms 1..16, numerators and denominators bounded by 2**16, and every
 stream derived from an explicit seed.
 
+Every value is drawn as `random.Random`'s `randint`, `sample`, `choice`
+or `random` draws it, in the same order, so a seed gives the same
+stream on every supported Python version.  An element is drawn in one
+pass of integer draws (`_draw`) and built over one lcm; a ball or M + B
+member is built from the drawn point's integer pairs, one value per
+atom, and reduced once, with no element in between.  The test reference
+`tests/reference.py` composes the same samplers from kernel operations,
+and the tests hold the two equal, draw for draw.
+
 The members of a set (`sample_member`) and the gauge/membership
 roundtrip are drawn here too: only the sampled commands call them, and
 every one of those loads this module, where `eval` and `check cc`,
@@ -17,6 +26,7 @@ import itertools
 import random
 from collections import Counter
 from functools import reduce
+from types import MappingProxyType
 
 from . import l0, seminorms, sets  # bound lazily: `sets` runs when a member is drawn
 from ._common import EvidenceStep, UsageError, record
@@ -47,12 +57,22 @@ def require_samples(samples: int) -> None:
 
 @record
 class Tally:
-    """What `tally` saw over `samples` draws."""
+    """What `tally` saw over `samples` draws.  `failures` and `example`
+    are read-only mappings over copies of the given ones."""
 
     samples: int
     failures: Counter  # check name -> the number of draws that failed it
     held: int  # the number of draws that held every check
     example: dict  # the first failing draw's example, or the last draw's
+
+    def __post_init__(self):
+        self.__dict__.update(
+            failures=MappingProxyType(self.failures.copy()),
+            example=MappingProxyType(self.example.copy()),
+        )
+
+    def __reduce__(self):  # copies and pickles rebuild through the constructor
+        return Tally, (self.samples, self.failures.copy(), self.held, self.example.copy())
 
     @property
     def passed(self) -> bool:
@@ -96,10 +116,11 @@ def tally(samples: int, draw) -> Tally:
     return Tally(samples, failures, held, example if first is None else first)
 
 
-# Every draw below reproduces a `random.Random` method on `getrandbits`:
+# Every draw below reproduces `random.Random`'s methods on `getrandbits`:
 # `_below` is `_randbelow`, and `randint`, `sample` and `choice` are it
-# plus an offset or an index.  Values and the generator's state after
-# each draw are the method's own, without its layers of calls.
+# plus an offset or an index; `_draw` runs its loop inline.  Values and
+# the generator's state after each draw are the method's own, without
+# its layers of calls.
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -112,88 +133,113 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def _ratio(rng: random.Random) -> tuple[int, int]:
-    """`(randint(-BOUND, BOUND), randint(1, BOUND))`."""
-    return _below(rng, 2 * BOUND + 1) - BOUND, _below(rng, BOUND) + 1
-
-
-def _positive_ratio(rng: random.Random) -> tuple[int, int]:
-    """`(randint(1, BOUND), randint(1, BOUND))`."""
-    return _below(rng, BOUND) + 1, _below(rng, BOUND) + 1
-
-
 def _unit_ratio(rng: random.Random) -> tuple[int, int]:
     """A ratio p/q in [0, 1]: q = randint(1, BOUND), then p = randint(0, q)."""
     d = _below(rng, BOUND) + 1
     return _below(rng, d + 1), d
 
 
-def _sign(rng: random.Random) -> int:
-    """`rng.choice((-1, 1))`."""
-    return 2 * _below(rng, 2) - 1
+def _draw(rng: random.Random, positive=False, tail=None) -> tuple:
+    """An element's draws in one pass, `_below`'s loop inlined: its
+    overrides, atom -> (numerator, denominator) in the order drawn, and
+    its tail pair.  An override equal to the tail is left out, as the
+    element leaves it out; `l0._from_ratios` builds the element.
 
-
-def _random_atoms(rng: random.Random) -> list[int]:
-    """`rng.sample(range(1, ATOM_SPAN + 1), randint(0, MAX_OVERRIDES))`.
-
-    On a population of at most 21, `sample` draws each pick from a pool
-    of the atoms not yet picked and moves the pool's last atom into the
-    vacancy; this is that loop.
+    In order: the override count `randint(0, MAX_OVERRIDES)`; its atoms,
+    `sample(range(1, ATOM_SPAN + 1), count)`, which on so small a
+    population draws each pick from a pool of the atoms not yet picked
+    and moves the pool's last atom into the vacancy; then a pair per atom
+    and one for the tail, unless `tail` gives that pair.  A numerator is
+    `randint(-BOUND, BOUND)`, or `randint(1, BOUND)` when `positive`, and
+    a denominator `randint(1, BOUND)`.
     """
     count = _below(rng, MAX_OVERRIDES + 1)
+    getrandbits = rng.getrandbits
     pool = list(range(1, ATOM_SPAN + 1))
-    picked = []
+    atoms = []
     for n in range(ATOM_SPAN, ATOM_SPAN - count, -1):
-        j = _below(rng, n)
-        picked.append(pool[j])
-        pool[j] = pool[n - 1]
-    return picked
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        atoms.append(pool[i])
+        pool[i] = pool[n - 1]
+    span, shift = (BOUND, -1) if positive else (2 * BOUND + 1, BOUND)
+    k, kq = span.bit_length(), BOUND.bit_length()
+    pairs = []
+    for _ in range(count + (tail is None)):
+        p = getrandbits(k)
+        while p >= span:
+            p = getrandbits(k)
+        q = getrandbits(kq)
+        while q >= BOUND:
+            q = getrandbits(kq)
+        pairs.append((p - shift, q + 1))
+    tp, tq = tail = pairs.pop() if tail is None else tail
+    return {j: (p, q) for j, (p, q) in zip(atoms, pairs) if p * tq != tp * q}, tail
 
 
-# The element samplers draw (numerator, denominator) pairs, not Fractions,
-# and the kernel builds the element from them over one common denominator.
+def random_ecrv(rng: random.Random) -> EcRv:
+    """Random overrides, then the tail."""
+    return l0._from_ratios(*_draw(rng))
 
 
-def random_ecrv(rng: random.Random, draw=_ratio):
-    """Random overrides, then the tail, each value drawn as a pair by `draw`."""
-    return l0._from_ratios({j: draw(rng) for j in _random_atoms(rng)}, draw(rng))
-
-
-def random_positive_ecrv(rng: random.Random):
+def random_positive_ecrv(rng: random.Random) -> EcRv:
     """An element of the strictly positive cone, e.g. a radius."""
-    return random_ecrv(rng, draw=_positive_ratio)
+    return l0._from_ratios(*_draw(rng, positive=True))
 
 
-def random_finite_support_ecrv(rng: random.Random):
+def random_finite_support_ecrv(rng: random.Random) -> EcRv:
     """A member of M: zero tail, random overrides."""
-    return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, (0, 1))
+    return l0._from_ratios(*_draw(rng, tail=(0, 1)))
 
 
-def random_nonzero_tail_ecrv(rng: random.Random):
-    """An element outside M: the tail is forced nonzero."""
-    tail = (0, 1)
-    while tail[0] == 0:
-        tail = _ratio(rng)
-    return l0._from_ratios({j: _ratio(rng) for j in _random_atoms(rng)}, tail)
+def random_nonzero_tail_ecrv(rng: random.Random) -> EcRv:
+    """An element outside M: the tail, drawn first until nonzero, then
+    random overrides."""
+    p = 0
+    while not p:  # `(randint(-BOUND, BOUND), randint(1, BOUND))`
+        p, q = _below(rng, 2 * BOUND + 1) - BOUND, _below(rng, BOUND) + 1
+    return l0._from_ratios(*_draw(rng, tail=(p, q)))
 
 
 # -- members of a set, and the gauge/membership roundtrip --------------------
 
 
 def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
-    """A random element of the set, boundary included for ball shapes."""
+    """A random element of the set, boundary included for ball shapes.
+
+    A ball or M + B member is built from the drawn point's pairs in one
+    `l0._from_ratios`, with no element in between."""
     if isinstance(s, sets.Ball):
-        x = random_ecrv(rng)
-        g = sets.gauge_closed_form(s, x)
-        if rng.random() < 0.25 and l0.classify(g).in_L0_plusplus:
-            return x * l0.reciprocal(g)  # gauge exactly one: a boundary point
-        p, q = _unit_ratio(rng)  # x scaled by p/q in [0, 1]
-        return sets._scaled(x, p, q) * l0.reciprocal(l0.ONE + g)
+        # x * (p/q) / (h + g) at each atom, for a random point x = a/b and
+        # its gauge g = c|x|/r, over the integers of the largest coefficient
+        # c and the radius r: h = 1 and a drawn p/q in [0, 1] inside, and
+        # on a quarter of the draws where g is strictly positive h = 0 and
+        # p/q = 1, the boundary point x/g of gauge exactly one
+        over, tail = _draw(rng)
+        c, r = s.coefficient, s.radius
+        nowhere_zero = tail[0] and all(a for a, _ in over.values())
+        if rng.random() < 0.25 and sets._positive(c) and nowhere_zero:
+            p = q = 1
+            h = 0
+        else:
+            (p, q), h = _unit_ratio(rng), 1
+        p, h = p * c._d, h * c._d
+
+        def at(j=None):  # x = a/b, c = k/c._d and r = m/r._d at the atom j
+            (a, b), k, m = over.get(j, tail), c._n.get(j, c._t), r._n.get(j, r._t)
+            return a * m * p, q * (h * b * m + k * abs(a) * r._d)
+
+        # x's atoms, then the coefficient's and the radius's, in the order
+        # the kernel's operations on them would keep
+        return l0._from_ratios({j: at(j) for j in {**over, **c._n, **r._n}}, at())
     if isinstance(s, sets.MPlusBall):
-        x = random_ecrv(rng)
+        # x's overrides, and in place of its tail +-p/q times the radius's tail
+        over, _ = _draw(rng)
         p, q = _unit_ratio(rng)
-        r = s.radius  # the tail is +-p/q times the radius's tail
-        return sets._with_tail(x, _sign(rng) * p * r._t, q * r._d)
+        sign = 2 * _below(rng, 2) - 1  # `choice((-1, 1))`
+        return l0._from_ratios(over, (sign * p * s.radius._t, q * s.radius._d))
     if isinstance(s, sets.Scale):
         return s.factor * sample_member(s.inner, rng)
     if isinstance(s, sets.Translate):

@@ -22,13 +22,12 @@ this module and call none of them.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .l0 import (
     EcRv,
     ZERO,
     ONE,
-    classify,
     combine,
     emax,
     divide,
@@ -52,7 +51,7 @@ class Ball:
     def __post_init__(self):
         if not self.seminorms:
             raise ValueError("Ball needs at least one seminorm")
-        if not classify(self.radius).in_L0_plusplus:
+        if not _positive(self.radius):
             raise ValueError("radius must be strictly positive everywhere")
 
     @cached_property
@@ -74,7 +73,7 @@ class MPlusBall:
     radius: EcRv
 
     def __post_init__(self):
-        if not classify(self.radius).in_L0_plusplus:
+        if not _positive(self.radius):
             raise ValueError("radius must be strictly positive everywhere")
 
 
@@ -241,9 +240,6 @@ def _single_atom(x: EcRv, j: int) -> EcRv:
     return _make(x._d // g, {j: v // g}, 0)
 
 
-def _with_tail(x: EcRv, p: int, q: int) -> EcRv:
-    """x's overrides with the tail p/q in place of its tail, for an
-    integer p and a positive integer q, not necessarily coprime."""
-    d = lcm(x._d, q)
-    scale, t = d // x._d, p * (d // q)
-    return _reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)
+def _positive(x: EcRv) -> bool:
+    """x > 0 at every atom: `classify(x).in_L0_plusplus`, without the record."""
+    return min((x._t, *x._n.values())) > 0

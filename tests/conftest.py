@@ -4,7 +4,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from l0convex import EcRv, EventSet, sampling, seminorms
-from l0convex.sampling import _below, _random_atoms, _ratio, random_ecrv
+from l0convex.sampling import _below
+from reference import _random_atoms, _ratio, random_ecrv
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 atoms = st.integers(min_value=1, max_value=16)

@@ -5,14 +5,102 @@ witness events; the property tests of `leq_everywhere` and
 `lt_everywhere` use it as their reference.  `structural_flags` derives
 from a set descriptor's shape whether it is convex, absorbent and
 balanced, and `confirm_structural_flags` samples those flags.
-`random_positive_fraction` draws a positive rational on the package's
-own draws.
+`random_positive_fraction` draws a positive rational on the same draws
+as the samplers.
+
+The composed samplers are the reference of the package's one-pass ones
+(`sampling._draw` and the members `sampling.sample_member` builds from
+its pairs).  `random_ecrv` draws the atoms (`_random_atoms`), then a
+pair per value through `draw` (`_ratio`, `_positive_ratio`,
+`sampling._unit_ratio`, ...), each value through one helper, and
+`sample_member` builds a member from kernel operations, each of which
+builds a whole element and reduces it: on a ball the point, its gauge,
+the reciprocal of the gauge or of one plus the gauge, the drawn scaling
+and the product.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from l0convex import _not_induced, l0, sampling, sets
 from l0convex._common import EventSet, record
+from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below
+
+# -- the composed samplers -------------------------------------------------
+
+
+def _ratio(rng) -> tuple[int, int]:
+    """`(randint(-BOUND, BOUND), randint(1, BOUND))`."""
+    return _below(rng, 2 * BOUND + 1) - BOUND, _below(rng, BOUND) + 1
+
+
+def _sign(rng) -> int:
+    """`rng.choice((-1, 1))`."""
+    return 2 * _below(rng, 2) - 1
+
+
+def _positive_ratio(rng) -> tuple[int, int]:
+    """`(randint(1, BOUND), randint(1, BOUND))`."""
+    return _below(rng, BOUND) + 1, _below(rng, BOUND) + 1
+
+
+def _random_atoms(rng) -> list[int]:
+    """`rng.sample(range(1, ATOM_SPAN + 1), randint(0, MAX_OVERRIDES))`.
+
+    On a population of at most 21, `sample` draws each pick from a pool
+    of the atoms not yet picked and moves the pool's last atom into the
+    vacancy; this is that loop.
+    """
+    count = _below(rng, MAX_OVERRIDES + 1)
+    pool = list(range(1, ATOM_SPAN + 1))
+    picked = []
+    for n in range(ATOM_SPAN, ATOM_SPAN - count, -1):
+        j = _below(rng, n)
+        picked.append(pool[j])
+        pool[j] = pool[n - 1]
+    return picked
+
+
+def random_ecrv(rng, draw=_ratio) -> l0.EcRv:
+    """Random overrides, then the tail, each value drawn as a pair by `draw`."""
+    return l0._from_ratios({j: draw(rng) for j in _random_atoms(rng)}, draw(rng))
+
+
+def _with_tail(x: l0.EcRv, p: int, q: int) -> l0.EcRv:
+    """x's overrides with the tail p/q in place of its tail, for an
+    integer p and a positive integer q, not necessarily coprime."""
+    d = lcm(x._d, q)
+    scale, t = d // x._d, p * (d // q)
+    return l0._reduced(d, {j: w for j, v in x._n.items() if (w := v * scale) != t}, t)
+
+
+def sample_member(s: sets.SetDescriptor, rng) -> l0.EcRv:
+    """`sampling.sample_member`, composed from kernel operations."""
+    if isinstance(s, sets.Ball):
+        x = random_ecrv(rng)
+        g = sets.gauge_closed_form(s, x)
+        if rng.random() < 0.25 and l0.classify(g).in_L0_plusplus:
+            return x * l0.reciprocal(g)  # gauge exactly one: a boundary point
+        p, q = sampling._unit_ratio(rng)  # x scaled by p/q in [0, 1]
+        return sets._scaled(x, p, q) * l0.reciprocal(l0.ONE + g)
+    if isinstance(s, sets.MPlusBall):
+        x = random_ecrv(rng)
+        p, q = sampling._unit_ratio(rng)
+        r = s.radius  # the tail is +-p/q times the radius's tail
+        return _with_tail(x, _sign(rng) * p * r._t, q * r._d)
+    if isinstance(s, sets.Scale):
+        return s.factor * sample_member(s.inner, rng)
+    if isinstance(s, sets.Translate):
+        return s.offset + sample_member(s.inner, rng)
+    candidate = sample_member(s.members[0], rng)  # an Intersect
+    for _ in range(128):
+        if sets.contains(s, candidate):
+            return candidate
+        candidate = sets._scaled(candidate, 1, 2)
+    if sets.contains(s, l0.ZERO):
+        return l0.ZERO
+    raise ValueError(f"could not sample a member of {s!r}")
+
 
 # -- pointwise order with witness events -----------------------------------
 
@@ -102,12 +190,12 @@ def confirm_structural_flags(
         checks, example = {}, {}
         if flags.l0_convex:
             x1, x2 = sampling.sample_member(s, rng), sampling.sample_member(s, rng)
-            t = sampling.random_ecrv(rng, draw=sampling._unit_ratio)  # values in [0, 1]
+            t = random_ecrv(rng, draw=sampling._unit_ratio)  # values in [0, 1]
             checks["convex"] = sets.contains(s, t * x1 + (l0.ONE - t) * x2)
             example["convex"] = (x1, x2, t)
         if flags.l0_balanced:
             x = sampling.sample_member(s, rng)
-            factor = sampling.random_ecrv(rng, draw=_balanced_ratio)
+            factor = random_ecrv(rng, draw=_balanced_ratio)
             checks["balanced"] = sets.contains(s, factor * x)
             example["balanced"] = (x, factor)
         if flags.l0_absorbent:
@@ -122,7 +210,7 @@ def confirm_structural_flags(
 def _balanced_ratio(rng) -> tuple[int, int]:
     """A ratio p/q in [-1, 1]: a balancing multiplier's value."""
     p, q = sampling._unit_ratio(rng)
-    return p * sampling._sign(rng), q
+    return p * _sign(rng), q
 
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
@@ -133,4 +221,4 @@ def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
 
 def random_positive_fraction(rng) -> Fraction:
     """`Fraction(randint(1, BOUND), randint(1, BOUND))`."""
-    return Fraction(*sampling._positive_ratio(rng))
+    return Fraction(*_positive_ratio(rng))

@@ -29,6 +29,10 @@ CASES = {
     "verify_default_seed42": "verify-counterexample --seed 42 --samples 30",
     "verify_induced_seed1": "verify-counterexample --config {cfg}/induced.cfg --seed 1 --samples 30",
     "verify_induced_seed42": "verify-counterexample --config {cfg}/induced.cfg --seed 42 --samples 30",
+    # the README's default sample count: the Ball member's boundary branch
+    # and the longer streams are pinned too
+    "verify_default_seed1_200": "verify-counterexample --seed 1 --samples 200",
+    "verify_induced_seed1_200": "verify-counterexample --config {cfg}/induced.cfg --seed 1 --samples 200",
     "verify_blind_seed1": "verify-counterexample --config {cfg}/blind.cfg --seed 1 --samples 30",
     "check_axioms_seed5": "check axioms --config {cfg}/axioms.cfg --seed 5 --samples 40",
     "check_roundtrip_seed5": "check roundtrip --config {cfg}/roundtrip.cfg --seed 5 --samples 40",

@@ -25,11 +25,11 @@ from l0convex import (
 )
 from l0convex import sampling
 from l0convex.l0 import _from_ratios, _takes_zero
-from l0convex.sets import _abs_tail_leq, _half_abs_or_one, _scaled, _single_atom, _with_tail
+from l0convex.sets import _abs_tail_leq, _half_abs_or_one, _positive, _scaled, _single_atom
 from l0convex._not_induced import _leq_at
 
 from conftest import atoms, ecrvs, events, rationals, values_upto
-from reference import order_compare
+from reference import _with_tail, order_compare
 
 OPS = {
     "add": lambda a, b: a + b,
@@ -445,7 +445,7 @@ class TestIntegerKernel:
         for k in (1, 3):  # the tail need not come reduced
             with_tail = _with_tail(x, k * c.numerator, k * c.denominator)
             assert_integer_form(with_tail)
-            assert with_tail == EcRv(x.overrides, c)  # the call sample_member makes
+            assert with_tail == EcRv(x.overrides, c)  # the composed M + B member
             scaled = _scaled(x, k * c.numerator, k * c.denominator)
             assert_integer_form(scaled)
             assert scaled == x * c
@@ -455,6 +455,7 @@ class TestIntegerKernel:
         assert readout(halved) == [abs(v) / 2 if v != 0 else 1 for v in ref_x]
         assert _abs_tail_leq(x, y) == (abs(Fraction(a[1])) <= Fraction(b[1]))
         assert _takes_zero(x) == (0 in ref_x)  # ATOMS reach past every override
+        assert _positive(x) == (min(ref_x) > 0)
         if a[1] != 0:  # x as the scale factor: |tail(y)| / |tail(x)| <= tail(c)
             assert _abs_tail_leq(y, EcRv.constant(c), x) == (
                 abs(Fraction(b[1])) / abs(Fraction(a[1])) <= c

@@ -1,19 +1,24 @@
 """The samplers' integer draws follow the streams of `random.Random`'s
-`randint`, `sample` and `choice` exactly, and the elements built from them
-are those of Fraction-based references on the stdlib draws."""
+`randint`, `sample`, `choice` and `random` exactly, and the elements built
+from them are those of Fraction-based references on the stdlib draws.  The
+one-pass members are also those that `tests/reference.py` composes from
+kernel operations, override order included."""
 
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from l0convex import concatenation, sampling
+from l0convex import CounterexampleFamily, concatenation, sampling
 from l0convex._common import UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, ZERO, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
 from l0convex.sampling import ATOM_SPAN, BOUND, MAX_OVERRIDES, _below, sample_member
-from l0convex.seminorms import Localized, Weighted
+from l0convex.seminorms import FiniteSup, Localized, Weighted
 from l0convex.sets import (
     Ball,
     Intersect,
@@ -23,8 +28,10 @@ from l0convex.sets import (
     contains,
     gauge_closed_form,
 )
+from l0convex.topology import seminorm_induction_verdict
 
-from conftest import _randint, random_seminorm
+import reference
+from conftest import _randint, blind_weight, random_event, random_seminorm
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, BOUND, 2 * BOUND + 1])
@@ -78,28 +85,48 @@ def _same_stream(ours, theirs, seeds=range(200), draws=5):
 
 
 def test_ratio_draws_match_randint():
-    _same_stream(sampling._ratio, lambda r: (r.randint(-BOUND, BOUND), r.randint(1, BOUND)))
-    _same_stream(sampling._positive_ratio, lambda r: (r.randint(1, BOUND), r.randint(1, BOUND)))
+    _same_stream(reference._ratio, lambda r: (r.randint(-BOUND, BOUND), r.randint(1, BOUND)))
+    _same_stream(reference._positive_ratio, lambda r: (r.randint(1, BOUND), r.randint(1, BOUND)))
 
 
 def test_sign_matches_choice():
-    _same_stream(sampling._sign, lambda r: r.choice((-1, 1)), draws=20)
+    _same_stream(reference._sign, lambda r: r.choice((-1, 1)), draws=20)
 
 
 def test_atoms_match_sample():
     def theirs(r):
         return r.sample(range(1, ATOM_SPAN + 1), r.randint(0, MAX_OVERRIDES))
 
-    _same_stream(sampling._random_atoms, theirs, seeds=range(400))
+    _same_stream(reference._random_atoms, theirs, seeds=range(400))
 
 
 # -- today's elements, against Fraction-based references on the stdlib draws
 
 
-def reference_random_ecrv(rng):
+def reference_overrides(rng, low=-BOUND):
     atoms = rng.sample(range(1, ATOM_SPAN + 1), rng.randint(0, MAX_OVERRIDES))
-    over = {j: Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND)) for j in atoms}
+    return {j: Fraction(rng.randint(low, BOUND), rng.randint(1, BOUND)) for j in atoms}
+
+
+def reference_random_ecrv(rng):
+    over = reference_overrides(rng)
     return EcRv(over, Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND)))
+
+
+def reference_positive_ecrv(rng):
+    over = reference_overrides(rng, low=1)
+    return EcRv(over, Fraction(rng.randint(1, BOUND), rng.randint(1, BOUND)))
+
+
+def reference_finite_support_ecrv(rng):
+    return EcRv(reference_overrides(rng), 0)
+
+
+def reference_nonzero_tail_ecrv(rng):
+    tail = 0
+    while not tail:  # the tail first, drawn again while it is zero
+        tail = Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
+    return EcRv(reference_overrides(rng), tail)
 
 
 def reference_unit_fraction(rng):
@@ -129,8 +156,31 @@ def reference_sample_member(s, rng):
     return candidate
 
 
+def in_order(sampler):
+    """`sampler`'s element and its override atoms in insertion order."""
+
+    def draw(rng):
+        x = sampler(rng)
+        return x, list(x.overrides)
+
+    return draw
+
+
 def test_random_ecrv_matches_the_reference():
-    _same_stream(sampling.random_ecrv, reference_random_ecrv, seeds=range(300))
+    _same_stream(in_order(sampling.random_ecrv), in_order(reference_random_ecrv), seeds=range(300))
+
+
+@pytest.mark.parametrize(
+    "ours, theirs",
+    [
+        (sampling.random_positive_ecrv, reference_positive_ecrv),
+        (sampling.random_finite_support_ecrv, reference_finite_support_ecrv),
+        (sampling.random_nonzero_tail_ecrv, reference_nonzero_tail_ecrv),
+    ],
+    ids=["positive", "finite_support", "nonzero_tail"],
+)
+def test_element_samplers_match_the_reference(ours, theirs):
+    _same_stream(in_order(ours), in_order(theirs), seeds=range(300))
 
 
 def _sets(rng):
@@ -157,6 +207,89 @@ def test_sample_member_matches_the_reference(shape):
         for _ in range(3):
             assert sample_member(s, ours) == reference_sample_member(s, theirs)
             assert ours.getstate() == theirs.getstate()
+
+
+# -- the one-pass members, against the members composed from kernel operations
+
+
+def _fused_shapes(rng):
+    """A set of each shape whose members `sample_member` builds in one pass,
+    or reaches through one: balls with a strictly positive coefficient (the
+    boundary branch), with zero coefficients at some atoms or in the tail,
+    and over every seminorm shape."""
+    radius = sampling.random_positive_ecrv(rng)
+    positive = Weighted(sampling.random_positive_ecrv(rng))
+    blind = Weighted(blind_weight(rng))  # zero at some atoms
+    localized = Localized(random_event(rng))  # zero off the event
+    ball = Ball((FiniteSup((positive, localized)), blind), radius)
+    m_plus = MPlusBall(radius)
+    return {
+        "ball_weighted": Ball((positive,), radius),
+        "ball_blind": Ball((blind,), radius),
+        "ball_localized": Ball((localized,), radius),
+        "ball_sup": ball,
+        "m_plus_ball": m_plus,
+        "scale": Scale(sampling.random_positive_ecrv(rng), ball),
+        "translate": Translate(sampling.random_ecrv(rng), m_plus),
+        "intersect": Intersect((m_plus, Ball((blind,), radius))),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_fused_shapes(random.Random(0))))
+def test_one_pass_members_match_the_composed_reference(shape):
+    """5,000 draws per shape, 100 on each of 50 seeded sets: the same
+    element, its overrides in the same order, and the same generator state
+    after every draw.  Where the coefficient is strictly positive, a
+    quarter of the draws take the boundary branch, of gauge exactly one."""
+    boundary = 0
+    for seed in range(50):
+        s = _fused_shapes(random.Random(seed))[shape]
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            x, y = sample_member(s, ours), reference.sample_member(s, theirs)
+            assert (x, list(x.overrides)) == (y, list(y.overrides))
+            assert ours.getstate() == theirs.getstate()
+            if shape in ("ball_weighted", "ball_sup"):
+                boundary += gauge_closed_form(s, x) == ONE
+    if shape in ("ball_weighted", "ball_sup"):
+        assert 1000 < boundary < 1500
+
+
+class Scripted(random.Random):
+    """A generator whose `getrandbits` and `random` return given values."""
+
+    def __init__(self, bits, floats=()):
+        super().__init__(0)
+        self.bits, self.floats = iter(bits), iter(floats)
+
+    def getrandbits(self, k):
+        return next(self.bits)
+
+    def random(self):
+        return next(self.floats)
+
+
+@pytest.mark.parametrize(
+    "s, floats",
+    [
+        (MPlusBall(EcRv({3: 5}, 2)), ()),
+        # the coefficient names atom 5 before atom 3, so where atom 3 goes shows
+        (Ball((Weighted(EcRv({5: 3, 3: 2}, 1)),), EcRv({3: 3}, 1)), (0.9,)),
+    ],
+    ids=["m_plus_ball", "ball"],
+)
+def test_an_override_equal_to_the_tail_is_left_out(s, floats):
+    """One override at atom 3, drawn as 2/3, and the tail 4/6: the point
+    takes its tail there, so the member's value and its place in the
+    override order are those of the tail, as in the composed member."""
+    # count 1, atom 3, the pairs (2, 3) and (4, 6), then p/q = 7/10 and a sign
+    bits = [1, 2, BOUND + 2, 2, BOUND + 4, 5, 9, 7, 1]
+    if isinstance(s, Ball):
+        bits.pop()  # a ball member draws no sign
+    ours, theirs = Scripted(bits, floats), Scripted(bits, floats)
+    x, y = sample_member(s, ours), reference.sample_member(s, theirs)
+    assert (x, list(x.overrides)) == (y, list(y.overrides))
+    assert next(ours.bits, None) is next(theirs.bits, None) is None
 
 
 def test_sample_member_of_an_intersection_no_halving_enters():
@@ -267,6 +400,41 @@ class TestTally:
         draw = self.draws([{"a": True}] * 10)
         sampling.tally(7, draw)
         assert draw() == ({"a": True}, {"call": 8})
+
+    def test_reports_cannot_be_changed_after_the_fact(self):
+        """A step's inputs and a tally's counts and example are read-only,
+        so a report prints what its checks found; the JSON entry is a dict."""
+        report = seminorm_induction_verdict(CounterexampleFamily(), seed=1, samples=2)
+        with pytest.raises(TypeError):
+            report.steps[0].inputs["samples"] = 0
+        assert report.steps[0].to_json()["inputs"]["samples"] == 2
+        assert type(report.steps[0].to_json()["inputs"]) is dict
+        result = sampling.tally(1, lambda: ({"a": True}, {"x": 1}))
+        with pytest.raises(TypeError):
+            result.failures["a"] = 5
+        with pytest.raises(TypeError):
+            result.example["x"] = 2
+        assert result.passed and result.failures == {"a": 0}
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+
+    def test_reports_copy_and_pickle(self):
+        """The read-only mappings are rebuilt through the constructors."""
+        report = seminorm_induction_verdict(CounterexampleFamily(), seed=1, samples=2)
+        result = sampling.tally(2, lambda: ({"a": True}, {"x": ONE}))
+        for value in (report, result):
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert twin == value
+        twin = pickle.loads(pickle.dumps(report))
+        assert type(twin.steps[0].inputs) is type(report.steps[0].inputs)
+        assert type(pickle.loads(pickle.dumps(result)).failures["b"]) is int  # a Counter behind it
+
+    def test_a_tally_copies_what_it_is_given(self):
+        failures, example = Counter(a=1), {"x": 1}
+        result = sampling.Tally(1, failures, 0, example)
+        failures["a"], example["x"] = 0, 2
+        assert (result.failures, result.example, result.passed) == ({"a": 1}, {"x": 1}, False)
+        assert result.failures["b"] == 0  # a Counter still, behind the view
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_fewer_than_one_sample_rejected_before_any_draw(self, samples):

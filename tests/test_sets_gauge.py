@@ -380,6 +380,16 @@ class TestCertificates:
             seen.add((x.tail < 0, abs(x.tail) < radius.tail))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_m_plus_ball_probe_atoms_are_checked_unless_default(self):
+        """The default probe atoms are valid, so only given ones are checked."""
+        from l0convex._not_induced import DEFAULT_PROBE_ATOMS
+
+        x = EcRv({1: 3}, 2)
+        given = gauge_upper_certificate(MPlusBall(ONE), x, list(DEFAULT_PROBE_ATOMS))
+        assert gauge_upper_certificate(MPlusBall(ONE), x).witness == given.witness
+        with pytest.raises(ValueError, match="atom index must be a positive integer, got 0"):
+            gauge_upper_certificate(MPlusBall(ONE), x, (1, 0))
+
 
 class TestRoundtrip:
     def test_seminorm_reproduced_exactly(self):
