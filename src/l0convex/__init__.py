@@ -32,9 +32,8 @@ _EXPORTS_BY_MODULE = {
     ),
     "_not_induced": "GaugeCertificate gauge_upper_certificate verify_certificate",
     "concatenation": (
-        "CcFailureWitness Diagonal EventuallyConstantSeq GaugeNotBelowOne "
-        "cc_failure_witness glue glue_identity_holds relative_cc_check "
-        "reverse_partition_construct"
+        "Diagonal EventuallyConstantSeq GaugeNotBelowOne cc_failure_witness glue "
+        "glue_identity_holds relative_cc_check reverse_partition_construct"
     ),
     "_cli_check": "axioms_check",
     "_library": "epslambda_membership sup_evaluate",
@@ -71,13 +70,11 @@ del _name
 
 
 def __getattr__(name: str):
-    import sys
+    from importlib import import_module
 
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = f"{__name__}.{_EXPORTS[name]}"
-    __import__(module)  # runs a lazily bound module, too
-    value = getattr(sys.modules[module], name)
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)  # runs a lazy module
     globals()[name] = value  # later lookups skip this hook
     return value
 

@@ -108,21 +108,16 @@ def _bind(cls, names, defaults, args, kwargs) -> list:
     if len(args) > len(names):
         raise TypeError(f"{where} takes {len(names)} arguments but {len(args)} were given")
     given = dict(zip(names, args))
-    for key, value in kwargs.items():
+    for key in kwargs:
         if key not in names:
             raise TypeError(f"{where} got an unexpected keyword argument {key!r}")
         if key in given:
             raise TypeError(f"{where} got multiple values for argument {key!r}")
-        given[key] = value
-    out = []
+    given = {**defaults, **given, **kwargs}
     for name in names:
-        if name in given:
-            out.append(given[name])
-        elif name in defaults:
-            out.append(defaults[name])
-        else:
+        if name not in given:
             raise TypeError(f"{where} missing required argument {name!r}")
-    return out
+    return [given[name] for name in names]
 
 
 def _frozen_setattr(self, name, value):
@@ -237,12 +232,12 @@ class EventSet:
     __invert__ = complement
 
     def union(self, other: "EventSet") -> "EventSet":
-        if not self.cofinite and not other.cofinite:
-            return EventSet(self.atoms | other.atoms, False)
-        if self.cofinite and other.cofinite:
-            return EventSet(self.atoms & other.atoms, True)
-        fin, cof = (self, other) if not self.cofinite else (other, self)
-        return EventSet(cof.atoms - fin.atoms, True)
+        a, b = self.atoms, other.atoms
+        if self.cofinite:  # excluded: what both exclude, or what self excludes outside other
+            return EventSet(a & b if other.cofinite else a - b, True)
+        if other.cofinite:
+            return EventSet(b - a, True)
+        return EventSet(a | b, False)
 
     __or__ = union
 
@@ -294,10 +289,21 @@ class CounterexampleFamily:
 NeighborhoodBase = FromSeminorms | CounterexampleFamily
 
 
+def _rebuilt(value, mapping, sequence):
+    """`value` with every mapping in it, however deep, rebuilt by `mapping`
+    and every list or tuple by `sequence`."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return mapping({k: _rebuilt(v, mapping, sequence) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return sequence([_rebuilt(v, mapping, sequence) for v in value])
+    return value
+
+
 @record
 class EvidenceStep:
-    """One checked fact of a report; `inputs` is a read-only mapping over a
-    copy of the given one."""
+    """One checked fact of a report.  `inputs` is a read-only copy of the
+    given mapping: every mapping in it, however deep, is read-only and
+    every list a tuple.  `to_json` and copies give plain dicts and lists."""
 
     name: str
     inputs: dict
@@ -306,16 +312,16 @@ class EvidenceStep:
     passed: bool
 
     def __post_init__(self):
-        self.__dict__["inputs"] = MappingProxyType(dict(self.inputs))
+        self.__dict__["inputs"] = _rebuilt(self.inputs, MappingProxyType, tuple)
 
     def __reduce__(self):  # copies and pickles rebuild through the constructor
-        return EvidenceStep, (self.name, dict(self.inputs), self.expected, self.observed, self.passed)
+        return EvidenceStep, tuple(self.to_json().values())  # the entry is in field order
 
     def to_json(self) -> dict:
         """The step as a report entry."""
         return {
             "name": self.name,
-            "inputs": dict(self.inputs),
+            "inputs": _rebuilt(self.inputs, dict, list),
             "expected": self.expected,
             "observed": self.observed,
             "pass": self.passed,

@@ -127,6 +127,8 @@ def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
 
 # -- the NotInduced steps -----------------------------------------------------
 
+_ORDER_FAMILY = (Weighted(ONE),)  # the family of the order balls B_eps
+
 
 def _sampled_step(
     name: str, samples: int, draw, expected: str, observed: str, **inputs
@@ -156,7 +158,7 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     #    sample, since the base set's gauge is the zero closed form of step 1
     def monotone():
         radius = sampling.random_positive_ecrv(rng)
-        u, inner = base.base_set(radius), Ball((Weighted(ONE),), radius)
+        u, inner = base.base_set(radius), Ball(_ORDER_FAMILY, radius)
         return {"contained": sets.contains(u, sampling.sample_member(inner, rng))}, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
@@ -164,9 +166,9 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     #    point of M lies in the closure of {0}
     def proper():
         point = sampling.random_nonzero_tail_ecrv(rng)
-        separation = topology.closure_membership(base, point).separation
+        separation = topology.closure_membership(base, point)
         inside = sampling.random_finite_support_ecrv(rng)
-        closed = topology.closure_membership(base, inside).member
+        closed = topology.closure_membership(base, inside) is None
         return {"excluded": separation.excluded, "closed": closed}, {
             "example_point": separation.point,
             "example_epsilon": separation.epsilon,
@@ -176,9 +178,9 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     # 4. gluing leaves the base sets: finitely supported pieces, escaping glue
     def escaping():
         radius = sampling.random_positive_ecrv(rng)
-        failure = concatenation.cc_failure_witness(base.base_set(radius), radius)
-        example = {"example_radius": failure.radius, "example_glue": failure.glue}
-        return {"valid": failure.valid}, example
+        entry = concatenation.cc_failure_witness(base.base_set(radius), radius)
+        example = {"example_radius": radius, "example_glue": entry.glue}
+        return {"valid": entry.counterexample}, example
 
     return [
         _sampled_step(

@@ -14,6 +14,9 @@ value the sequence carries there.  The checks are exact, not truncated.
 From the late atom on the glue identity is one comparison, and the late
 single-atom pieces are decided by membership itself: at the atoms the
 set and the value name, and at one atom past all of them.
+Every gluing question answers with one `CcEntry`: the relative check
+with one per sequence, the closure failure of M + B_eps and the reverse
+construction with the entry of a value cut into single-atom pieces.
 """
 
 from __future__ import annotations
@@ -183,73 +186,38 @@ def relative_cc_check(
     seminorm-of-glue identity: evaluating the glue equals gluing the
     evaluations along the same partition.
     """
-    entries = []
-    for seq in seqs:
-        pre_ok = _elements_in_set(s, seq, part)
-        glued = glue(seq, part)
-        inside = contains(s, glued)
-        identity_ok = None
-        if isinstance(s, Ball):
-            identity_ok = all(
-                evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part)
-                for p in s.seminorms
-            )
-        entries.append(CcEntry(seq, pre_ok, glued, inside, identity_ok))
-    return CcReport(s, tuple(entries))
+    return CcReport(s, tuple([_cc_entry(s, part, seq) for seq in seqs]))
 
 
-# -- the closure failure for M + B_eps ---------------------------------------
+def _cc_entry(s: SetDescriptor, part: Partition, seq: SequenceSpec) -> CcEntry:
+    pre_ok = _elements_in_set(s, seq, part)
+    glued = glue(seq, part)
+    inside = contains(s, glued)
+    identity_ok = None
+    if isinstance(s, Ball):
+        identity_ok = all(
+            evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part) for p in s.seminorms
+        )
+    return CcEntry(seq, pre_ok, glued, inside, identity_ok)
 
 
-@record
-class CcFailureWitness:
-    radius: EcRv
-    sequence: Diagonal
-    partition: SingletonTail
-    glue: EcRv
-    pieces_in_set: bool
-    glue_in_set: bool
+# -- single-atom pieces: the closure failure of M + B_eps, reverse construction
 
-    @property
-    def valid(self) -> bool:
-        return self.pieces_in_set and not self.glue_in_set
+_SINGLETONS = SingletonTail((), 1)  # the n-th cell is {n}
 
 
-def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcFailureWitness:
-    """The diagonal sequence of doubled-radius single-atom pieces, glued
-    against u.
+def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcEntry:
+    """The entry of the doubled radius cut into single-atom pieces.
 
     For u = M + B_eps every piece has finite support, hence lies in u,
     yet the glue is twice the radius, whose tail the set cannot absorb:
-    the one entry of the relative check on u is a counterexample.
+    the entry is a `counterexample`.
     """
-    seq = Diagonal(2 * eps)
-    part = SingletonTail((), 1)
-    (entry,) = relative_cc_check(u, part, (seq,)).entries
-    return CcFailureWitness(
-        eps, seq, part, entry.glue, entry.precondition_ok, entry.glue_in_set
-    )
+    return _cc_entry(u, _SINGLETONS, Diagonal(2 * eps))
 
 
-# -- reverse construction: from a small gauge to a gluing partition ----------
-
-
-@record
-class ReversePartition:
-    target: SetDescriptor
-    point: EcRv
-    partition: Partition
-    pieces: SequenceSpec
-    pieces_in_set: bool
-    glue_is_point: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.pieces_in_set and self.glue_is_point
-
-
-def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
-    """Cut x into its single-atom pieces, which all lie in u.
+def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> CcEntry:
+    """The entry of x cut into its single-atom pieces, which all lie in u.
 
     Requires the gauge of x strictly below one at every atom.  Every
     shape with a gauge closed form is solid, so each single-atom piece
@@ -257,10 +225,6 @@ def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> ReversePartition:
     point on one atom, and M + B_eps holds every finitely supported
     element.  Membership decides the pieces all the same.
     """
-    g = gauge_closed_form(u, x)
-    if not lt_everywhere(g, ONE):
+    if not lt_everywhere(gauge_closed_form(u, x), ONE):
         raise GaugeNotBelowOne(f"gauge of {x!r} is not < 1 everywhere")
-    part, seq = SingletonTail((), 1), Diagonal(x)
-    return ReversePartition(
-        u, x, part, seq, _elements_in_set(u, seq, part), glue(seq, part) == x
-    )
+    return _cc_entry(u, _SINGLETONS, Diagonal(x))

@@ -1,8 +1,9 @@
 """Neighborhood-base machinery and the seminorm-induction verdict.
 
-A base is anything whose `base_set(radius)` puts the radius into one
-set shape: the balls of a finite family of seminorms, or the degenerate
-sets M + B_eps whose gauges vanish identically.  The closure of {0},
+A base is anything whose `base_set(radius)` puts the radius into one set
+shape: the balls of a finite family of seminorms, or the degenerate sets
+M + B_eps whose gauges vanish identically.  The closure of {0} (a point
+outside it comes with its `SeparationWitness`, one inside with None),
 the Hausdorff property and the verdict itself are decided from that
 shape, never from the base's type.  The verdict operation builds every
 step of the verify-counterexample report, each sampled fact checked by
@@ -115,24 +116,18 @@ class SeparationWitness:
     excluded: bool  # re-checked: contains(U(epsilon), point) is False
 
 
-@record
-class ClosureResult:
-    member: bool
-    separation: SeparationWitness | None = None
-
-
-def closure_membership(base: NeighborhoodBase, x: EcRv) -> ClosureResult:
-    """Membership of x in the closure of {0} under the base.
+def closure_membership(base: NeighborhoodBase, x: EcRv) -> SeparationWitness | None:
+    """None when x lies in the closure of {0} under the base, and
+    otherwise the separation witness that keeps it out.
 
     Each base set puts its radius into one set shape, and the closure is
     what that shape holds at every radius: M for the degenerate base (as
-    is the closure of M), the family's common kernel for a seminorm
-    base.  A point outside carries a separation witness.
+    is the closure of M), the family's common kernel for a seminorm base.
     """
     eps = excluding_radius(base.base_set(ONE), x)
     if eps is None:
-        return ClosureResult(True)
-    return ClosureResult(False, SeparationWitness(x, eps, not contains(base.base_set(eps), x)))
+        return None
+    return SeparationWitness(x, eps, not contains(base.base_set(eps), x))
 
 
 # -- Hausdorff diagnosis ----------------------------------------------------
@@ -158,7 +153,7 @@ def hausdorff_report(
         y = sampling.random_ecrv(rng)
         while y == x:
             y = sampling.random_ecrv(rng)
-        separation = closure_membership(base, x - y).separation
+        separation = closure_membership(base, x - y)
         example = {"witness": None, "x": x, "y": y, "epsilon": separation.epsilon}
         return {"separated": separation.excluded}, example
 

@@ -113,11 +113,11 @@ def test_criterion_4_m_is_properly_closed():
     ok = True
     for _ in range(100):
         outside = sampling.random_nonzero_tail_ecrv(rng)
-        witness = closure_membership(base, outside).separation
+        witness = closure_membership(base, outside)
         ok = ok and witness.excluded
         ok = ok and not contains(MPlusBall(witness.epsilon), outside)
         inside = sampling.random_finite_support_ecrv(rng)
-        ok = ok and closure_membership(base, inside).member
+        ok = ok and closure_membership(base, inside) is None
     _report(4, "100 separations outside M, 100 closure hits inside M", ok)
 
 
@@ -169,8 +169,8 @@ def test_criterion_7_contrapositive_witness():
     ok = True
     for _ in range(100):
         eps = sampling.random_positive_ecrv(rng)
-        witness = cc_failure_witness(MPlusBall(eps), eps)
-        ok = ok and witness.valid
+        entry = cc_failure_witness(MPlusBall(eps), eps)
+        ok = ok and entry.counterexample
     _report(7, "100 concatenation-failure witnesses validate", ok)
 
 
@@ -184,8 +184,8 @@ def test_criterion_8_reverse_construction():
         else:
             u = Ball((Weighted(ONE),), sampling.random_positive_ecrv(rng))
             x = sample_member(u, rng) * Fraction(1, 2)  # strictly interior
-        result = reverse_partition_construct(u, x)
-        ok = ok and result.pieces_in_set and result.glue_is_point
+        entry = reverse_partition_construct(u, x)
+        ok = ok and entry.precondition_ok and entry.glue == x
     _report(8, "50 reverse constructions: every single-atom piece in the set, glue is the point", ok)
 
 

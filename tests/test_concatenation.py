@@ -32,7 +32,7 @@ from l0convex import (
 from l0convex import concatenation, sampling
 from l0convex.concatenation import _late_pieces_in_set, sequence_element
 
-from conftest import ecrvs
+from conftest import ecrvs, random_seminorm
 
 SPLIT_AT_1 = FinitePartition((EventSet.finite({1}), EventSet.cofinite_excluding({1})))
 PURE_SINGLETONS = SingletonTail((), 1)
@@ -454,20 +454,21 @@ class TestCellWalk:
 
 class TestCcFailureWitness:
     def test_unit_radius(self):
-        witness = cc_failure_witness(MPlusBall(ONE), ONE)
-        assert witness.glue == EcRv.constant(2)
-        assert witness.valid
-        assert not contains(MPlusBall(ONE), witness.glue)
+        entry = cc_failure_witness(MPlusBall(ONE), ONE)
+        assert entry.glue == EcRv.constant(2)
+        assert entry.counterexample
+        assert not contains(MPlusBall(ONE), entry.glue)
 
     def test_pointwise_radius(self):
-        witness = cc_failure_witness(MPlusBall(EcRv({1: 4}, 1)), EcRv({1: 4}, 1))
-        assert witness.glue == EcRv({1: 8}, 2)
-        assert witness.valid
+        entry = cc_failure_witness(MPlusBall(EcRv({1: 4}, 1)), EcRv({1: 4}, 1))
+        assert entry.glue == EcRv({1: 8}, 2)
+        assert entry.counterexample
 
     def test_pieces_have_finite_support(self):
-        witness = cc_failure_witness(MPlusBall(ONE), ONE)
+        entry = cc_failure_witness(MPlusBall(ONE), ONE)
+        assert entry.sequence == Diagonal(EcRv.constant(2))
         for n in range(1, 33):
-            piece = indicator_mul(witness.partition.cell(n), witness.sequence.value)
+            piece = sequence_element(entry.sequence, PURE_SINGLETONS, n)
             assert piece.tail == 0
             assert contains(MPlusBall(ONE), piece)
 
@@ -475,25 +476,33 @@ class TestCcFailureWitness:
         rng = sampling.make_rng(53)
         for _ in range(100):
             eps = sampling.random_positive_ecrv(rng)
-            assert cc_failure_witness(MPlusBall(eps), eps).valid
+            assert cc_failure_witness(MPlusBall(eps), eps).counterexample
+
+    def test_is_the_relative_check_entry(self):
+        eps = EcRv({2: 3}, Fraction(1, 2))
+        (entry,) = relative_cc_check(MPlusBall(eps), PURE_SINGLETONS, (Diagonal(2 * eps),)).entries
+        assert cc_failure_witness(MPlusBall(eps), eps) == entry
 
 
 class TestReverseConstruction:
     def test_m_plus_ball_singleton_truncations(self):
-        result = reverse_partition_construct(MPlusBall(ONE), EcRv.constant(7))
-        assert isinstance(result.partition, SingletonTail)
-        assert result.partition.cell(5) == EventSet.finite({5})
-        assert result.pieces_in_set
-        assert result.glue_is_point
-        assert result.passed
+        x = EcRv.constant(7)
+        entry = reverse_partition_construct(MPlusBall(ONE), x)
+        assert entry.sequence == Diagonal(x)
+        assert sequence_element(entry.sequence, PURE_SINGLETONS, 5) == EcRv({5: 7}, 0)
+        assert entry.precondition_ok
+        assert entry.glue == x
+        assert not entry.glue_in_set  # |tail(x)| = 7 > 1
+        assert entry.seminorm_identity_ok is None
 
     def test_ball_with_small_gauge_uses_singleton_cut(self):
         ball = Ball((Weighted(ONE),), ONE)
         x = EcRv.constant(Fraction(1, 2))
-        result = reverse_partition_construct(ball, x)
-        assert result.partition == PURE_SINGLETONS
-        assert result.pieces == Diagonal(x)
-        assert result.passed
+        entry = reverse_partition_construct(ball, x)
+        (expected,) = relative_cc_check(ball, PURE_SINGLETONS, (Diagonal(x),)).entries
+        assert entry == expected
+        assert entry.sequence == Diagonal(x)
+        assert entry.precondition_ok and entry.glue == x
 
     def test_gauge_not_below_one(self):
         ball = Ball((Weighted(ONE),), ONE)
@@ -509,5 +518,34 @@ class TestReverseConstruction:
     @given(ecrvs)
     def test_m_plus_ball_accepts_everything(self, x):
         # the degenerate gauge is zero, so the construction never refuses
-        result = reverse_partition_construct(MPlusBall(ONE), x)
-        assert result.passed
+        entry = reverse_partition_construct(MPlusBall(ONE), x)
+        assert entry.precondition_ok and entry.glue == x
+
+    def test_interior_points_of_random_balls(self):
+        """A point strictly inside a ball is the glue of its single-atom
+        pieces, which lie in the ball, and so does the glue, with the
+        seminorm-of-glue identity exact."""
+        rng = sampling.make_rng(1212)
+        for _ in range(200):
+            family = tuple(random_seminorm(rng) for _ in range(rng.randint(1, 3)))
+            ball = Ball(family, sampling.random_positive_ecrv(rng))
+            x = sampling.sample_member(ball, rng) * Fraction(1, 2)
+            entry = reverse_partition_construct(ball, x)
+            assert entry.precondition_ok and entry.glue == x, (ball, x)
+            assert entry.glue_in_set and entry.seminorm_identity_ok, (ball, x)
+
+    def test_m_plus_ball_glue_leaves_exactly_past_the_radius_tail(self):
+        """Every point of L0 cuts into pieces of M + B_r, and its glue, the
+        point itself, leaves the set exactly when |tail(x)| > tail(r)."""
+        rng = sampling.make_rng(1313)
+        seen = set()
+        for _ in range(300):
+            r = sampling.random_positive_ecrv(rng)
+            x = sampling.random_ecrv(rng)
+            entry = reverse_partition_construct(MPlusBall(r), x)
+            assert entry.precondition_ok and entry.glue == x, (r, x)
+            outside = abs(x.tail) > r.tail
+            assert entry.glue_in_set is not outside, (r, x)
+            assert entry.counterexample is outside, (r, x)
+            seen.add(outside)
+        assert seen == {True, False}

@@ -64,7 +64,7 @@ print("[%%d, [%%s]]" %% (code, ", ".join('"%%s"' %% name for name in found)))
 
 # `l0convex.__all__`, sorted: a change of the exports shows in this list.
 EXPORTS = """
-    Ball CANONICAL CcFailureWitness CounterexampleFamily Diagonal
+    Ball CANONICAL CounterexampleFamily Diagonal
     DiscreteSpace EcRv EventSet EventuallyConstantSeq EvidenceReport
     FinitePartition FiniteSup FromSeminorms GaugeCertificate
     GaugeNotBelowOne Intersect Localized MPlusBall MalformedPrefix
@@ -332,19 +332,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14917,
+    "verify-counterexample": 14724,
     "check axioms": 11555,
     "check roundtrip": 12819,
-    "check cc": 14439,
-    "check base": 11977,
+    "check cc": 14267,
+    "check base": 11954,
     "eval prob": 8332,
     "eval gauge": 10718,
     "eval contains": 10718,
     "eval seminorm": 9454,
-    "eval glue": 14052,
+    "eval glue": 13880,
     "partition": 9294,
     "partition SPEC": 9294,
-    "verify-counterexample on a seminorm base": 13156,
+    "verify-counterexample on a seminorm base": 13133,
 }
 
 

@@ -148,7 +148,7 @@ def test_every_package_record_is_immutable(cls):
 def test_every_package_record_is_scanned():
     names = {cls.__qualname__ for cls in PACKAGE_RECORDS}
     assert {
-        "EvidenceStep", "EvidenceReport", "Tally", "CcEntry", "CcReport", "ReversePartition",
+        "EvidenceStep", "EvidenceReport", "Tally", "CcEntry", "CcReport", "SeparationWitness",
         "RunConfig", "Ratio", "EventSet", "Ball", "GaugeCertificate",
     } <= names
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from l0convex import CounterexampleFamily, concatenation, sampling
-from l0convex._common import UsageError
+from l0convex._common import EvidenceStep, UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, ZERO, EcRv, classify, reciprocal
 from l0convex.measure import EventSet, SingletonTail
@@ -428,6 +428,26 @@ class TestTally:
         twin = pickle.loads(pickle.dumps(report))
         assert type(twin.steps[0].inputs) is type(report.steps[0].inputs)
         assert type(pickle.loads(pickle.dumps(result)).failures["b"]) is int  # a Counter behind it
+
+    def test_nested_step_inputs_cannot_be_changed_after_the_fact(self):
+        """Every value reachable from a step's inputs is read-only, and a
+        copy of the given ones, so a `check cc` entry cannot be forged;
+        the report entry and copies give plain dicts and lists back."""
+        given = {"entries": [{"glue": "{|1}"}], "pair": ([1], 2)}
+        step = EvidenceStep("r", given, "e", "o", True)
+        given["entries"][0]["glue"] = "changed"
+        with pytest.raises(TypeError):
+            step.inputs["entries"][0]["glue"] = "forged"
+        with pytest.raises(AttributeError):
+            step.inputs["entries"].append({"glue": "forged"})
+        with pytest.raises(AttributeError):
+            step.inputs["pair"][0].append(3)
+        plain = {"entries": [{"glue": "{|1}"}], "pair": [[1], 2]}
+        entry = step.to_json()["inputs"]
+        assert entry == plain
+        assert type(entry["entries"]) is list and type(entry["entries"][0]) is dict
+        for twin in (copy.copy(step), copy.deepcopy(step), pickle.loads(pickle.dumps(step))):
+            assert twin == step and twin.to_json()["inputs"] == plain
 
     def test_a_tally_copies_what_it_is_given(self):
         failures, example = Counter(a=1), {"x": 1}

@@ -91,30 +91,29 @@ class TestBaseAxioms:
 
 class TestSeparation:
     def test_constant_example(self):
-        witness = closure_membership(COUNTEREXAMPLE, EcRv.constant(4)).separation
+        witness = closure_membership(COUNTEREXAMPLE, EcRv.constant(4))
         assert witness.epsilon == EcRv.constant(2)
         assert witness.excluded
         assert not contains(MPlusBall(witness.epsilon), EcRv.constant(4))
 
     def test_zero_override_example(self):
-        witness = closure_membership(COUNTEREXAMPLE, EcRv({1: 0}, 1)).separation
+        witness = closure_membership(COUNTEREXAMPLE, EcRv({1: 0}, 1))
         assert witness.epsilon == EcRv({1: 1}, Fraction(1, 2))
         assert witness.excluded
 
     def test_finite_support_has_no_separation(self):
-        result = closure_membership(COUNTEREXAMPLE, EcRv({5: 9}, 0))
-        assert result.member and result.separation is None
+        assert closure_membership(COUNTEREXAMPLE, EcRv({5: 9}, 0)) is None
 
     @given(ecrvs)
     def test_every_outsider_separated(self, x):
         if classify(x).in_M:
             return
-        witness = closure_membership(COUNTEREXAMPLE, x).separation
+        witness = closure_membership(COUNTEREXAMPLE, x)
         assert classify(witness.epsilon).in_L0_plusplus
         assert witness.excluded
 
     def test_seminorm_base_outsider_separated(self):
-        witness = closure_membership(UNIT_FAMILY, EcRv({1: 0}, 4)).separation
+        witness = closure_membership(UNIT_FAMILY, EcRv({1: 0}, 4))
         assert witness.epsilon == EcRv({1: 1}, 2)
         assert witness.excluded
         assert not contains(Ball((Weighted(ONE),), witness.epsilon), EcRv({1: 0}, 4))
@@ -122,20 +121,19 @@ class TestSeparation:
 
 class TestClosure:
     def test_nonzero_point_in_closure_of_zero(self):
-        result = closure_membership(COUNTEREXAMPLE, EcRv({1: 1}, 0))
-        assert result.member
+        assert closure_membership(COUNTEREXAMPLE, EcRv({1: 1}, 0)) is None
 
     def test_outsider_excluded_with_evidence(self):
-        result = closure_membership(COUNTEREXAMPLE, ONE)
-        assert not result.member
-        assert result.separation.epsilon == EcRv.constant(Fraction(1, 2))
-        assert result.separation.excluded
+        witness = closure_membership(COUNTEREXAMPLE, ONE)
+        assert witness is not None
+        assert witness.epsilon == EcRv.constant(Fraction(1, 2))
+        assert witness.excluded
 
     def test_seminorm_base_closure_of_zero(self):
-        assert closure_membership(UNIT_FAMILY, ZERO).member
-        assert not closure_membership(UNIT_FAMILY, ONE).member
+        assert closure_membership(UNIT_FAMILY, ZERO) is None
+        assert closure_membership(UNIT_FAMILY, ONE) is not None
         degenerate = FromSeminorms((Localized(EventSet.finite({1})),))
-        assert closure_membership(degenerate, EcRv({2: 5}, 0)).member
+        assert closure_membership(degenerate, EcRv({2: 5}, 0)) is None
 
 
 def _random_seminorm(rng) -> Seminorm:
@@ -183,7 +181,7 @@ class TestHausdorff:
         report = hausdorff_report(base, samples=500, seed=3)
         assert report.example["witness"] == witness
         assert report.held == 500
-        assert closure_membership(base, witness).member
+        assert closure_membership(base, witness) is None
         step = topology._hausdorff_step(base, 30, 1)
         assert step.passed and step.inputs["witness"] == repr(witness)
 
@@ -203,7 +201,7 @@ class TestHausdorff:
             assert report.passed, family
             if witness is not None:
                 assert not witness.is_zero()
-                assert closure_membership(base, witness).member, family
+                assert closure_membership(base, witness) is None, family
             outcomes.add(witness is None)
         assert outcomes == {True, False}
 
@@ -386,10 +384,10 @@ class TestBaseOfNeitherKind:
 
     def test_closure_recheck_catches_the_unshaped_radius(self):
         # the shape of U(1) excludes 1 at radius 1/2, but U(1/2) is M + B_2
-        result = closure_membership(ReciprocalBase(), ONE)
-        assert not result.member
-        assert result.separation.epsilon == EcRv.constant(Fraction(1, 2))
-        assert not result.separation.excluded
+        witness = closure_membership(ReciprocalBase(), ONE)
+        assert witness is not None
+        assert witness.epsilon == EcRv.constant(Fraction(1, 2))
+        assert not witness.excluded
 
     def test_hausdorff_from_the_core_point(self):
         report = hausdorff_report(ReciprocalBase(), samples=5, seed=1)
