@@ -53,8 +53,9 @@ def axioms_check(
         return report
     failures = report.failures.copy()
     failures["homogeneity"] += 1
-    example = {"scalar": zero, "x": zero, "y": zero}
-    return sampling.Tally(report.samples, failures, report.held, example)
+    return sampling.Tally(
+        report.samples, failures, report.held, {"scalar": zero, "x": zero, "y": zero}
+    )
 
 
 def cmd_check(args, config: RunConfig, header: dict) -> dict:

@@ -4,7 +4,8 @@
 base is degenerate (its gauges vanish while a base set excludes 1), so
 the Induced verify and `check base` never compile it.  It holds the
 steps `gauge_degeneracy`, `gauge_monotonicity`, `proper_closed_submodule`
-and `concatenation_failure`, and the gauge certificates that the first
+and `concatenation_failure`, the report that ends them with
+`zero_family_contradiction`, and the gauge certificates that the first
 of them builds and re-checks: `GaugeCertificate`,
 `gauge_upper_certificate`, `verify_certificate`, their witness and the
 defaults `DEFAULT_TOLERANCE` and `DEFAULT_PROBE_ATOMS`.
@@ -55,7 +56,7 @@ class GaugeCertificate:
 
 
 def verify_certificate(cert: GaugeCertificate) -> bool:
-    if not l0.classify(cert.witness).in_L0_plusplus:
+    if not sets._positive(cert.witness):
         return False
     if not sets.contains(Scale(cert.witness, cert.target_set), cert.point):
         return False
@@ -141,6 +142,29 @@ def _sampled_step(
     return report.step(name, expected, observed, **inputs, **example)
 
 
+def _not_induced_report(
+    base: NeighborhoodBase, seed: int, samples: int, prior: list[EvidenceStep]
+) -> topology.EvidenceReport:
+    """The NotInduced report: the `prior` steps, the four steps of the
+    argument, the Hausdorff diagnosis and the contradiction they give."""
+    steps = [*prior, *_not_induced_steps(base, seed, samples)]
+    steps.append(topology._hausdorff_step(base, samples, seed))
+    all_prior = all(step.passed for step in steps)
+    steps.append(
+        EvidenceStep(
+            name="zero_family_contradiction",
+            inputs={},
+            expected=(
+                "any inducing family is dominated by the zero gauge, hence induces "
+                "the trivial topology, contradicting the proper closed submodule"
+            ),
+            observed="all supporting steps verified" if all_prior else "a supporting step failed",
+            passed=all_prior,
+        )
+    )
+    return topology.EvidenceReport("not_induced", None, tuple(steps))
+
+
 def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[EvidenceStep]:
     rng = sampling.make_rng(seed)
 
@@ -155,11 +179,14 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
 
     # 2. gauges shrink under inclusion: the order ball of the same radius
     #    lies in the base set; that its gauge is the larger one needs no
-    #    sample, since the base set's gauge is the zero closed form of step 1
+    #    sample, since the base set's gauge is the zero closed form of step 1.
+    #    Membership in M + B reads the tail alone, so the member's tail decides.
     def monotone():
         radius = sampling.random_positive_ecrv(rng)
         u, inner = base.base_set(radius), Ball(_ORDER_FAMILY, radius)
-        return {"contained": sets.contains(u, sampling.sample_member(inner, rng))}, {}
+        parts = sampling._member_parts(inner, rng)
+        x = topology._tail(parts) if isinstance(u, MPlusBall) else sampling._member(parts)
+        return {"contained": sets.contains(u, x)}, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
     #    each point outside M is excluded from some base set, and each

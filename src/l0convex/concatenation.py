@@ -25,7 +25,8 @@ from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO
 from ._common import EventSet, record
 from .measure import FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
-from .sets import Ball, SetDescriptor, contains, gauge_closed_form, _deciding_atoms, _single_atom
+from .sets import Ball, MPlusBall, SetDescriptor, contains, gauge_closed_form
+from .sets import _deciding_atoms, _single_atom
 
 
 class GaugeNotBelowOne(ValueError):
@@ -117,8 +118,12 @@ def _late_pieces_in_set(s: SetDescriptor, value: EcRv, start: int) -> bool:
     Swapping two atoms that neither s nor value names leaves s and value
     unchanged and swaps their two pieces, so all those pieces are inside
     or all are outside.  The pieces at the named atoms from start on and
-    the piece at one atom past all of them therefore decide every j.
+    the piece at one atom past all of them therefore decide every j.  On
+    M + B, which reads the tail alone, every piece has tail 0, and zero
+    decides them all.
     """
+    if isinstance(s, MPlusBall):
+        return contains(s, ZERO)
     return all(contains(s, _single_atom(value, j)) for j in _deciding_atoms(s, value, start))
 
 

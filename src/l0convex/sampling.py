@@ -9,9 +9,12 @@ or `random` draws it, in the same order, so a seed gives the same
 stream on every supported Python version.  An element is drawn in one
 pass of integer draws (`_draw`) and built over one lcm; a ball or M + B
 member is built from the drawn point's integer pairs, one value per
-atom, and reduced once, with no element in between.  The test reference
-`tests/reference.py` composes the same samplers from kernel operations,
-and the tests hold the two equal, draw for draw.
+atom, and reduced once, with no element in between.  Those draws are
+also available unbuilt (`_member_parts`): the atoms the member may name
+and its value at each, so a check that reads only its tail (membership
+in M + B) never builds it, and `_member` builds it for a kept example.
+The test reference `tests/reference.py` composes the same samplers from
+kernel operations, and the tests hold the two equal, draw for draw.
 
 The members of a set (`sample_member`) and the gauge/membership
 roundtrip are drawn here too: only the sampled commands call them, and
@@ -98,8 +101,11 @@ def tally(samples: int, draw) -> Tally:
 
     A draw returns its checks, a dict from each check's name to whether
     it held, and its example, a dict of the values that describe the
-    draw.  Every sampled check of the package is one call of this loop,
-    and every sampled report step is the `step` of its tally.
+    draw, or a function of no arguments that returns that dict: it is
+    called once, for the draw the tally keeps, so a draw can leave
+    unbuilt the values that no kept example reads.  Every sampled check
+    of the package is one call of this loop, and every sampled report
+    step is the `step` of its tally.
     """
     require_samples(samples)
     failures = Counter()
@@ -113,7 +119,8 @@ def tally(samples: int, draw) -> Tally:
             held += 1
         elif first is None:
             first = example
-    return Tally(samples, failures, held, example if first is None else first)
+    example = example if first is None else first
+    return Tally(samples, failures, held, example() if callable(example) else example)
 
 
 # Every draw below reproduces `random.Random`'s methods on `getrandbits`:
@@ -206,26 +213,30 @@ def random_nonzero_tail_ecrv(rng: random.Random) -> EcRv:
 # -- members of a set, and the gauge/membership roundtrip --------------------
 
 
-def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
-    """A random element of the set, boundary included for ball shapes.
-
-    A ball or M + B member is built from the drawn point's pairs in one
-    `l0._from_ratios`, with no element in between."""
+def _member_parts(s, rng):
+    """The draws of a ball or M + B member, as `sample_member` makes them:
+    the atoms the member may name, and `at(j)`, its (numerator,
+    denominator) pair at the atom j, or at its tail for no atom.  None,
+    with nothing drawn, for any other shape."""
     if isinstance(s, sets.Ball):
         # x * (p/q) / (h + g) at each atom, for a random point x = a/b and
         # its gauge g = c|x|/r, over the integers of the largest coefficient
         # c and the radius r: h = 1 and a drawn p/q in [0, 1] inside, and
         # on a quarter of the draws where g is strictly positive h = 0 and
-        # p/q = 1, the boundary point x/g of gauge exactly one
+        # p/q = 1, the boundary point x/g of gauge exactly one; p and h are
+        # taken over c's denominator
         over, tail = _draw(rng)
         c, r = s.coefficient, s.radius
-        nowhere_zero = tail[0] and all(a for a, _ in over.values())
-        if rng.random() < 0.25 and sets._positive(c) and nowhere_zero:
-            p = q = 1
-            h = 0
+        if (
+            rng.random() < 0.25
+            and sets._positive(c)
+            and tail[0]
+            and all(a for a, _ in over.values())
+        ):
+            p, q, h = c._d, 1, 0
         else:
-            (p, q), h = _unit_ratio(rng), 1
-        p, h = p * c._d, h * c._d
+            (p, q), h = _unit_ratio(rng), c._d
+            p *= c._d
 
         def at(j=None):  # x = a/b, c = k/c._d and r = m/r._d at the atom j
             (a, b), k, m = over.get(j, tail), c._n.get(j, c._t), r._n.get(j, r._t)
@@ -233,13 +244,29 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
 
         # x's atoms, then the coefficient's and the radius's, in the order
         # the kernel's operations on them would keep
-        return l0._from_ratios({j: at(j) for j in {**over, **c._n, **r._n}}, at())
+        return {**over, **c._n, **r._n}, at
     if isinstance(s, sets.MPlusBall):
         # x's overrides, and in place of its tail +-p/q times the radius's tail
         over, _ = _draw(rng)
         p, q = _unit_ratio(rng)
-        sign = 2 * _below(rng, 2) - 1  # `choice((-1, 1))`
-        return l0._from_ratios(over, (sign * p * s.radius._t, q * s.radius._d))
+        # the sign is `choice((-1, 1))`
+        tail = (2 * _below(rng, 2) - 1) * p * s.radius._t, q * s.radius._d
+        return over, lambda j=None: over.get(j, tail)
+
+
+def _member(parts):
+    """The member of `_member_parts`, reduced once."""
+    atoms, at = parts
+    return l0._from_ratios({j: at(j) for j in atoms}, at())
+
+
+def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
+    """A random element of the set, boundary included for ball shapes.
+
+    A ball or M + B member is built from the drawn point's pairs in one
+    `l0._from_ratios`, with no element in between."""
+    if parts := _member_parts(s, rng):
+        return _member(parts)
     if isinstance(s, sets.Scale):
         return s.factor * sample_member(s.inner, rng)
     if isinstance(s, sets.Translate):

@@ -11,18 +11,20 @@ one step; for a degenerate base they rule out any inducing family of
 seminorms.  Every evidence step is re-checkable from membership tests
 and order comparisons alone.
 
-The four steps of the NotInduced argument, and the gauge certificates
-that the first of them (`gauge_degeneracy`) builds, live in the private
-module `_not_induced`, which the verdict imports only on a degenerate
-base: the Induced verify and `check base` never compile them, nor do the
-commands that load `sets` for a single question (`eval`, `check cc`).
+The four steps of the NotInduced argument, the contradiction they end
+in (`zero_family_contradiction`), and the gauge certificates that the
+first of them (`gauge_degeneracy`) builds, live in the private module
+`_not_induced`, which the verdict imports only on a degenerate base: the
+Induced verify and `check base` never compile them, nor do the commands
+that load `sets` for a single question (`eval`, `check cc`).
 """
 
 from __future__ import annotations
 
-from .l0 import EcRv, ONE, classify, divide, emin, _make
+from .l0 import EcRv, ONE, divide, emin, _make, _reduced
 from .seminorms import Seminorm
-from .sets import contains, core_point, excluding_radius, gauge_closed_form, _scaled
+from .sets import MPlusBall, contains, core_point, excluding_radius, gauge_closed_form
+from .sets import _positive, _scaled
 from . import sampling
 from ._common import (  # re-exported: the records live in the leaf module
     CounterexampleFamily,
@@ -46,40 +48,55 @@ def base_axiom_witnesses(
     sample-verified through the membership test, as the checks `meet`,
     `sum` and `scaling`; the example holds their radii (`meet_witness`,
     `sum_witness`, `scaling_witness`) and the points drawn from them.
+
+    When every base set is an M + B, membership reads the tail alone, so
+    each check tests the drawn members' tails (`sampling._member_parts`)
+    as constant elements, and the members are built only for the example
+    the tally keeps.  Other base sets get whole members.
     """
     for r in (eps, delta):
-        if not classify(r).in_L0_plusplus:
+        if not _positive(r):
             raise UsageError("radii must be strictly positive everywhere")
     meet = emin(eps, delta)
     half = _scaled(eps, 1, 2)
     ratio = divide(delta, eps)
     rng = sampling.make_rng(seed)
     u_eps, u_delta = base.base_set(eps), base.base_set(delta)
-    u_meet, u_half, u_ratio = (
-        base.base_set(meet),
-        base.base_set(half),
-        base.base_set(ratio),
-    )
+    u_meet, u_half = base.base_set(meet), base.base_set(half)
+    members = u_meet, u_half, u_half, base.base_set(ratio)
+    tails = all(isinstance(u, MPlusBall) for u in (u_eps, u_delta, *members))
+
+    draw_member = sampling._member_parts if tails else sampling.sample_member
 
     def draw():
-        x = sampling.sample_member(u_meet, rng)
-        a, b = sampling.sample_member(u_half, rng), sampling.sample_member(u_half, rng)
-        y = sampling.sample_member(u_ratio, rng)
+        drawn = [draw_member(u, rng) for u in members]
+        x, a, b, y = map(_tail, drawn) if tails else drawn
+
+        def example():
+            x, a, b, y = map(sampling._member, drawn) if tails else drawn
+            return {
+                "meet_witness": meet,
+                "sum_witness": half,
+                "scaling_witness": ratio,
+                "meet_point": x,
+                "sum_points": (a, b),
+                "scaling_point": y,
+            }
+
         checks = {
             "meet": contains(u_eps, x) and contains(u_delta, x),
             "sum": contains(u_eps, a + b),
             "scaling": contains(u_delta, eps * y),
         }
-        return checks, {
-            "meet_witness": meet,
-            "sum_witness": half,
-            "scaling_witness": ratio,
-            "meet_point": x,
-            "sum_points": (a, b),
-            "scaling_point": y,
-        }
+        return checks, example
 
     return sampling.tally(samples, draw)
+
+
+def _tail(parts) -> EcRv:
+    """The tail of the member of `sampling._member_parts`, as a constant."""
+    p, q = parts[1]()
+    return _reduced(q, {}, p)
 
 
 def base_axioms_step(
@@ -221,31 +238,12 @@ def seminorm_induction_verdict(
     if degenerate:
         from . import _not_induced
 
-        steps += _not_induced._not_induced_steps(base, seed, samples)
-    else:
-        steps.append(
-            sampling.roundtrip_check(unit, samples, seed).step(
-                "gauge_membership_roundtrip",
-                "membership in a base ball agrees with gauge <= 1",
-                "{failed} mismatches",
-                ball_radius=repr(ONE),
-            )
-        )
-    steps.append(_hausdorff_step(base, samples, seed))
-    if not degenerate:
-        return EvidenceReport("induced", unit.seminorms, tuple(steps))
-
-    all_prior = all(step.passed for step in steps)
-    steps.append(
-        EvidenceStep(
-            name="zero_family_contradiction",
-            inputs={},
-            expected=(
-                "any inducing family is dominated by the zero gauge, hence induces "
-                "the trivial topology, contradicting the proper closed submodule"
-            ),
-            observed="all supporting steps verified" if all_prior else "a supporting step failed",
-            passed=all_prior,
-        )
+        return _not_induced._not_induced_report(base, seed, samples, steps)
+    roundtrip = sampling.roundtrip_check(unit, samples, seed).step(
+        "gauge_membership_roundtrip",
+        "membership in a base ball agrees with gauge <= 1",
+        "{failed} mismatches",
+        ball_radius=repr(ONE),
     )
-    return EvidenceReport("not_induced", None, tuple(steps))
+    steps += roundtrip, _hausdorff_step(base, samples, seed)
+    return EvidenceReport("induced", unit.seminorms, tuple(steps))

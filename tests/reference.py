@@ -8,6 +8,11 @@ balanced, and `confirm_structural_flags` samples those flags.
 `random_positive_fraction` draws a positive rational on the same draws
 as the samplers.
 
+`base_axiom_witnesses` builds and tests every member whole, and
+`late_pieces_in_set` builds the piece at every deciding atom: they are
+the references of the package's checks that decide membership in M + B
+by the tail alone.
+
 The composed samplers are the reference of the package's one-pass ones
 (`sampling._draw` and the members `sampling.sample_member` builds from
 its pairs).  `random_ecrv` draws the atoms (`_random_atoms`), then a
@@ -100,6 +105,45 @@ def sample_member(s: sets.SetDescriptor, rng) -> l0.EcRv:
     if sets.contains(s, l0.ZERO):
         return l0.ZERO
     raise ValueError(f"could not sample a member of {s!r}")
+
+
+# -- the composed base axioms and late pieces ------------------------------
+
+
+def base_axiom_witnesses(base, eps: l0.EcRv, delta: l0.EcRv, samples: int, seed: int):
+    """`topology.base_axiom_witnesses` with every member built whole by
+    `sample_member` above, and each inclusion tested on whole elements."""
+    meet, half, ratio = l0.emin(eps, delta), sets._scaled(eps, 1, 2), l0.divide(delta, eps)
+    rng = sampling.make_rng(seed)
+    u_eps, u_delta = base.base_set(eps), base.base_set(delta)
+    u_meet, u_half, u_ratio = base.base_set(meet), base.base_set(half), base.base_set(ratio)
+
+    def draw():
+        x = sample_member(u_meet, rng)
+        a, b = sample_member(u_half, rng), sample_member(u_half, rng)
+        y = sample_member(u_ratio, rng)
+        checks = {
+            "meet": sets.contains(u_eps, x) and sets.contains(u_delta, x),
+            "sum": sets.contains(u_eps, a + b),
+            "scaling": sets.contains(u_delta, eps * y),
+        }
+        return checks, {
+            "meet_witness": meet,
+            "sum_witness": half,
+            "scaling_witness": ratio,
+            "meet_point": x,
+            "sum_points": (a, b),
+            "scaling_point": y,
+        }
+
+    return sampling.tally(samples, draw)
+
+
+def late_pieces_in_set(s: sets.SetDescriptor, value: l0.EcRv, start: int) -> bool:
+    """`concatenation._late_pieces_in_set` on every shape alike: the piece
+    at each deciding atom, built and tested."""
+    atoms = sets._deciding_atoms(s, value, start)
+    return all(sets.contains(s, sets._single_atom(value, j)) for j in atoms)
 
 
 # -- pointwise order with witness events -----------------------------------

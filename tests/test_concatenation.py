@@ -32,6 +32,7 @@ from l0convex import (
 from l0convex import concatenation, sampling
 from l0convex.concatenation import _late_pieces_in_set, sequence_element
 
+import reference
 from conftest import ecrvs, random_seminorm
 
 SPLIT_AT_1 = FinitePartition((EventSet.finite({1}), EventSet.cofinite_excluding({1})))
@@ -292,6 +293,22 @@ class TestLatePiecesRule:
         assert outcomes == {True, False}
         if outer in COMPOSITES:
             assert inner_kinds == set(LEAVES + COMPOSITES)
+
+    def test_m_plus_ball_matches_the_deciding_atoms(self, monkeypatch):
+        """On M + B every late piece has tail 0, so zero decides them all,
+        with no piece built."""
+        rng = sampling.make_rng(67)
+        cases = []
+        for _ in range(2000):
+            s = MPlusBall(sampling.random_positive_ecrv(rng))
+            cases.append((s, sampling.random_ecrv(rng), rng.randint(1, 20)))
+        expected = [reference.late_pieces_in_set(*case) for case in cases]
+
+        def no_piece(*args):
+            raise AssertionError("a piece was built")
+
+        monkeypatch.setattr(concatenation, "_single_atom", no_piece)
+        assert [_late_pieces_in_set(*case) for case in cases] == expected
 
     @pytest.mark.parametrize(
         "s, value, expected",

@@ -37,6 +37,8 @@ CASES = {
     "check_axioms_seed5": "check axioms --config {cfg}/axioms.cfg --seed 5 --samples 40",
     "check_roundtrip_seed5": "check roundtrip --config {cfg}/roundtrip.cfg --seed 5 --samples 40",
     "check_base_seed5": "check base --config {cfg}/induced.cfg --seed 5 --samples 40",
+    # the default base at pointwise radii: eps * y has overrides where the tail decides
+    "check_base_counterexample_seed5": "check base --config {cfg}/pointwise.cfg --seed 5 --samples 40",
     "check_cc_diagonal": "check cc --config {cfg}/cc_diagonal.cfg",
     "check_cc_ball": "check cc --config {cfg}/cc_ball.cfg",
     "check_cc_diagonal_finite": "check cc --config {cfg}/cc_diagonal_finite.cfg",

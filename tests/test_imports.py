@@ -332,19 +332,19 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14724,
-    "check axioms": 11555,
-    "check roundtrip": 12819,
-    "check cc": 14267,
-    "check base": 11954,
+    "verify-counterexample": 14976,
+    "check axioms": 11602,
+    "check roundtrip": 12866,
+    "check cc": 14280,
+    "check base": 12041,
     "eval prob": 8332,
     "eval gauge": 10718,
     "eval contains": 10718,
     "eval seminorm": 9454,
-    "eval glue": 13880,
+    "eval glue": 13898,
     "partition": 9294,
     "partition SPEC": 9294,
-    "verify-counterexample on a seminorm base": 13133,
+    "verify-counterexample on a seminorm base": 13225,
 }
 
 

@@ -389,6 +389,26 @@ class TestTally:
         outcomes = [{"a": True}, {"a": False}, {"a": True}, {"a": False}]
         assert sampling.tally(4, self.draws(outcomes)).example == {"call": 2}
 
+    @pytest.mark.parametrize(
+        "outcomes, kept", [([True, False, True, False], 2), ([True, True, True], 3)]
+    )
+    def test_an_example_function_runs_once_for_the_kept_draw(self, outcomes, kept):
+        runs = []
+
+        def draw():
+            n = len(runs) + 1
+            runs.append([])
+
+            def example():
+                runs[n - 1].append(n)
+                return {"call": n}
+
+            return {"a": outcomes[n - 1]}, example
+
+        result = sampling.tally(len(outcomes), draw)
+        assert [len(r) for r in runs] == [int(n == kept) for n in range(1, len(outcomes) + 1)]
+        assert result.example == {"call": kept}
+
     def test_keeps_the_last_example_when_every_draw_held(self):
         result = sampling.tally(3, self.draws([{"a": True, "b": True}] * 3))
         assert result.passed

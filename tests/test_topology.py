@@ -37,6 +37,7 @@ from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
 from conftest import blind_weight, ecrvs
+import reference
 from reference import confirm_structural_flags, order_compare
 
 COUNTEREXAMPLE = CounterexampleFamily()
@@ -61,6 +62,42 @@ class TestBaseAxioms:
         assert report.example["sum_witness"] == half
         assert report.example["scaling_witness"] == half
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "base, eps, delta",
+        [
+            (COUNTEREXAMPLE, ONE, EcRv.constant(Fraction(1, 2))),
+            (ReciprocalBase(), ONE, EcRv.constant(Fraction(1, 2))),
+            (COUNTEREXAMPLE, EcRv({1: 4}, 1), EcRv({2: Fraction(1, 3)}, 2)),
+            (ReciprocalBase(), EcRv({3: 5, 7: Fraction(1, 9)}, 2), EcRv({1: Fraction(1, 3)}, 3)),
+            (UNIT_FAMILY, EcRv({1: 4}, 1), EcRv({2: Fraction(1, 3)}, 2)),
+        ],
+        ids=["counterexample", "inverted", "pointwise", "inverted-pointwise", "ball"],
+    )
+    def test_equals_the_composed_reference(self, base, eps, delta):
+        """The tail path on M + B (the ball base keeps whole members) gives
+        the tally of whole members tested whole: failures, `held` and the
+        kept example, which on the inverted base is the first failing
+        draw's."""
+        failures = Counter()
+        for seed in range(4):
+            report = base_axiom_witnesses(base, eps, delta, 500, seed)
+            assert report == reference.base_axiom_witnesses(base, eps, delta, 500, seed)
+            failures.update(report.failures)
+        assert (sum(failures.values()) > 0) == isinstance(base, ReciprocalBase)
+
+    def test_builds_the_members_of_the_kept_draw_only(self, monkeypatch):
+        built, member = [], sampling._member
+
+        def counting(parts):
+            built.append(parts)
+            return member(parts)
+
+        monkeypatch.setattr(sampling, "_member", counting)
+        for base in (COUNTEREXAMPLE, ReciprocalBase()):
+            built.clear()
+            base_axiom_witnesses(base, ONE, EcRv.constant(Fraction(1, 2)), 200, seed=9)
+            assert len(built) == 4  # the meet point, the two sum points and the scaled one
 
     def test_seminorm_base_equal_radii(self):
         report = base_axiom_witnesses(UNIT_FAMILY, ONE, ONE, 100, seed=5)
