@@ -62,8 +62,8 @@ def base_axiom_witnesses(
     ratio = divide(delta, eps)
     rng = sampling.make_rng(seed)
     u_eps, u_delta = base.base_set(eps), base.base_set(delta)
-    u_meet, u_half = base.base_set(meet), base.base_set(half)
-    members = u_meet, u_half, u_half, base.base_set(ratio)
+    u_half = base.base_set(half)
+    members = base.base_set(meet), u_half, u_half, base.base_set(ratio)
     tails = all(isinstance(u, MPlusBall) for u in (u_eps, u_delta, *members))
 
     draw_member = sampling._member_parts if tails else sampling.sample_member
