@@ -8,7 +8,7 @@ and `concatenation_failure`, the report that ends them with
 `zero_family_contradiction`, and the gauge certificates that the first
 of them builds and re-checks: `GaugeCertificate`,
 `gauge_upper_certificate`, `verify_certificate`, their witness and the
-defaults `DEFAULT_TOLERANCE` and `DEFAULT_PROBE_ATOMS`.
+constants they hold to, `TOLERANCE` and `PROBE_ATOMS`.
 
 The package functions it calls go through their module objects, so a
 caller that rebinds one there (`sets.contains`, say) reaches these steps.
@@ -17,24 +17,21 @@ caller that rebinds one there (`sets.contains`, say) reaches these steps.
 from __future__ import annotations
 
 from . import concatenation, l0, sampling, sets, topology
-from .l0 import EcRv, ONE, _coerce, _from_ratios, _make
+from .l0 import EcRv, ONE, _from_ratios, _make
 from .seminorms import Weighted
 from .sets import Ball, Intersect, MPlusBall, Scale, SetDescriptor, Translate, _scaled
-from ._common import EvidenceStep, NeighborhoodBase, UnsupportedShape, _check_atom
-from ._common import ratio_text, record
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections.abc import Iterable
-    from fractions import Fraction
+from ._common import EvidenceStep, NeighborhoodBase, UnsupportedShape, ratio_text, record
 
 
 # -- gauge certificates -------------------------------------------------------
 
-# The default certificate tolerance, the constant element 2**-20, and the
-# default probe atoms.
-DEFAULT_TOLERANCE = _make(2**20, {}, 1)
-DEFAULT_PROBE_ATOMS = tuple(range(1, 33))
+# The certificate tolerance, the constant element 2**-20, and the probe
+# atoms; a witness takes half the tolerance at the zero point, and an
+# M + B witness takes the tolerance itself at each probe atom.
+TOLERANCE = _make(2**20, {}, 1)
+PROBE_ATOMS = tuple(range(1, 33))
+_HALF_TOLERANCE = _scaled(TOLERANCE, 1, 2)
+_PROBE_PAIRS = dict.fromkeys(PROBE_ATOMS, (TOLERANCE._t, TOLERANCE._d))
 
 
 @record
@@ -42,17 +39,15 @@ class GaugeCertificate:
     """A re-checkable upper bound on the gauge of `point` in `target_set`.
 
     The witness is strictly positive, `point in witness * target_set`
-    holds by the membership test alone, and at every probe atom the
-    witness does not exceed the claimed bound by more than tolerance, a
-    positive constant element.
+    holds by the membership test alone, and at every atom of
+    `PROBE_ATOMS` the witness does not exceed the claimed bound by more
+    than `TOLERANCE`.
     """
 
     target_set: SetDescriptor
     point: EcRv
     witness: EcRv
-    probe_atoms: tuple[int, ...]
     claimed_bound: EcRv
-    tolerance: EcRv
 
 
 def verify_certificate(cert: GaugeCertificate) -> bool:
@@ -60,55 +55,39 @@ def verify_certificate(cert: GaugeCertificate) -> bool:
         return False
     if not sets.contains(Scale(cert.witness, cert.target_set), cert.point):
         return False
-    return _leq_at(cert.witness, cert.claimed_bound, cert.probe_atoms, cert.tolerance)
+    return _leq_at(cert.witness, cert.claimed_bound, PROBE_ATOMS, TOLERANCE)
 
 
-def gauge_upper_certificate(
-    s: SetDescriptor,
-    x: EcRv,
-    probe_atoms: Iterable[int] = DEFAULT_PROBE_ATOMS,
-    tol: EcRv | int | Fraction = DEFAULT_TOLERANCE,
-) -> GaugeCertificate:
-    """A certificate for the gauge of x in s; `tol` is a positive rational
-    or constant element, kept as a constant element."""
-    probes = tuple(probe_atoms)
-    tol = _coerce(tol)
-    if tol._n or tol._t <= 0:
-        raise ValueError("tolerance must be a positive constant")
+def gauge_upper_certificate(s: SetDescriptor, x: EcRv) -> GaugeCertificate:
+    """A certificate for the gauge of x in s."""
     bound = sets.gauge_closed_form(s, x)
-    witness = _certificate_witness(s, x, probes, tol)
-    return GaugeCertificate(s, x, witness, probes, bound, tol)
+    return GaugeCertificate(s, x, _certificate_witness(s, x), bound)
 
 
-def _certificate_witness(
-    s: SetDescriptor, x: EcRv, probes: tuple[int, ...], tol: EcRv
-) -> EcRv:
-    """The witness of a certificate for the constant tolerance `tol`."""
+def _certificate_witness(s: SetDescriptor, x: EcRv) -> EcRv:
+    """The witness of a certificate."""
     if x.is_zero():
-        return _scaled(tol, 1, 2)
+        return _HALF_TOLERANCE
     if isinstance(s, MPlusBall):
         # membership only constrains the tail; the probe atoms can sit
         # at the tolerance because finite excursions are absorbed by M
         # the tail is max(1, |tail(x)| / tail(radius)), on the integer numerators
-        p, q = _abs_tail_ratio(x, s.radius)
-        ratio = (tol._t, tol._d)
-        if probes is not DEFAULT_PROBE_ATOMS:  # the defaults are valid atoms
-            probes = map(_check_atom, probes)
-        over = dict.fromkeys(probes, ratio)
-        return _from_ratios(over, (p, q) if p > q else (1, 1))
+        r = s.radius
+        p, q = abs(x._t) * r._d, r._t * x._d
+        return _from_ratios(_PROBE_PAIRS, (p, q) if p > q else (1, 1))
     if isinstance(s, Scale):
-        return _certificate_witness(s.inner, l0.reciprocal(s.factor) * x, probes, tol)
+        return _certificate_witness(s.inner, l0.reciprocal(s.factor) * x)
     if isinstance(s, Translate) and s.offset.is_zero():
-        return _certificate_witness(s.inner, x, probes, tol)
+        return _certificate_witness(s.inner, x)
     if isinstance(s, Intersect):
         # the larger scaling holds x in every balanced member at once; on
-        # ball members this is the intersection's closed form plus tol/2
-        witness = _certificate_witness(s.members[0], x, probes, tol)
+        # ball members this is the intersection's closed form plus half the tolerance
+        witness = _certificate_witness(s.members[0], x)
         for member in s.members[1:]:
-            witness = l0.emax(witness, _certificate_witness(member, x, probes, tol))
+            witness = l0.emax(witness, _certificate_witness(member, x))
         return witness
     if isinstance(s, Ball):
-        return sets.gauge_closed_form(s, x) + _scaled(tol, 1, 2)
+        return sets.gauge_closed_form(s, x) + _HALF_TOLERANCE
     raise UnsupportedShape(f"no gauge certificate for {type(s).__name__}")
 
 
@@ -118,12 +97,6 @@ def _leq_at(x: EcRv, y: EcRv, atoms, slack: EcRv) -> bool:
     xn, yn, xt, yt = x._n, y._n, x._t, y._t
     # a/dx <= b/dy + p/q  iff  a*dy*q <= (b*q + p*dy)*dx, all denominators positive
     return all(xn.get(j, xt) * dy * q <= (yn.get(j, yt) * q + p * dy) * dx for j in atoms)
-
-
-def _abs_tail_ratio(x: EcRv, y: EcRv) -> tuple[int, int]:
-    """|tail(x)| / tail(y) as an (integer, positive integer) pair, for y
-    with a positive tail; not reduced."""
-    return abs(x._t) * y._d, y._t * x._d
 
 
 # -- the NotInduced steps -----------------------------------------------------
@@ -170,8 +143,8 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
 
     # 1. every base-set gauge collapses to zero: the certificate checks,
     #    by membership alone, a witness within tolerance of the closed form
-    #    on the default probe atoms; the witness takes the tolerance itself
-    #    (half of it at zero) there, so neither default can change the flag
+    #    on the probe atoms; the witness takes the tolerance itself (half of
+    #    it at zero) there, so neither constant can change the flag
     def degenerate():
         u = base.base_set(sampling.random_positive_ecrv(rng))
         cert = gauge_upper_certificate(u, sampling.random_ecrv(rng))
@@ -180,13 +153,13 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
     # 2. gauges shrink under inclusion: the order ball of the same radius
     #    lies in the base set; that its gauge is the larger one needs no
     #    sample, since the base set's gauge is the zero closed form of step 1.
-    #    Membership in M + B reads the tail alone, so the member's tail decides.
+    #    Every base set here is an M + B (a ball is never degenerate), whose
+    #    membership reads the tail alone, so the member's tail decides.
     def monotone():
         radius = sampling.random_positive_ecrv(rng)
-        u, inner = base.base_set(radius), Ball(_ORDER_FAMILY, radius)
-        parts = sampling._member_parts(inner, rng)
-        x = topology._tail(parts) if isinstance(u, MPlusBall) else sampling._member(parts)
-        return {"contained": sets.contains(u, x)}, {}
+        u = base.base_set(radius)
+        parts = sampling._member_parts(Ball(_ORDER_FAMILY, radius), rng)
+        return {"contained": sets.contains(u, topology._tail(parts))}, {}
 
     # 3. M is a proper closed submodule, so the topology is not trivial:
     #    each point outside M is excluded from some base set, and each
@@ -214,8 +187,8 @@ def _not_induced_steps(base: NeighborhoodBase, seed: int, samples: int) -> list[
             "gauge_degeneracy", samples, degenerate,
             "every gauge certificate verifies against the zero closed form",
             "{held}/{samples} certificates verify",
-            tolerance=ratio_text(DEFAULT_TOLERANCE._t, DEFAULT_TOLERANCE._d),
-            probe_atoms=f"{DEFAULT_PROBE_ATOMS[0]}..{DEFAULT_PROBE_ATOMS[-1]}",
+            tolerance=ratio_text(TOLERANCE._t, TOLERANCE._d),
+            probe_atoms=f"{PROBE_ATOMS[0]}..{PROBE_ATOMS[-1]}",
         ),
         _sampled_step(
             "gauge_monotonicity", samples, monotone,

@@ -9,10 +9,11 @@ or `random` draws it, in the same order, so a seed gives the same
 stream on every supported Python version.  An element is drawn in one
 pass of integer draws (`_draw`) and built over one lcm; a ball or M + B
 member is built from the drawn point's integer pairs, one value per
-atom, and reduced once, with no element in between.  Those draws are
-also available unbuilt (`_member_parts`): the atoms the member may name
-and its value at each, so a check that reads only its tail (membership
-in M + B) never builds it, and `_member` builds it for a kept example.
+atom, and reduced once, with no element in between.  Those pairs are
+also available unbuilt (`_member_parts`), in `_draw`'s form: the
+member's pair at each atom it may name and its tail pair, so a check
+that reads only its tail (membership in M + B) never builds it, and
+`l0._from_ratios` builds it for a kept example.
 The test reference `tests/reference.py` composes the same samplers from
 kernel operations, and the tests hold the two equal, draw for draw.
 
@@ -215,9 +216,9 @@ def random_nonzero_tail_ecrv(rng: random.Random) -> EcRv:
 
 def _member_parts(s, rng):
     """The draws of a ball or M + B member, as `sample_member` makes them:
-    the atoms the member may name, and `at(j)`, its (numerator,
-    denominator) pair at the atom j, or at its tail for no atom.  None,
-    with nothing drawn, for any other shape."""
+    its (numerator, denominator) pair at each atom it may name, and the
+    pair of its tail, unreduced.  None, with nothing drawn, for any other
+    shape."""
     if isinstance(s, sets.Ball):
         # x * (p/q) / (h + g) at each atom, for a random point x = a/b and
         # its gauge g = c|x|/r, over the integers of the largest coefficient
@@ -238,26 +239,19 @@ def _member_parts(s, rng):
             (p, q), h = _unit_ratio(rng), c._d
             p *= c._d
 
-        def at(j=None):  # x = a/b, c = k/c._d and r = m/r._d at the atom j
+        def at(j):  # x = a/b, c = k/c._d and r = m/r._d at the atom j, or the tail for None
             (a, b), k, m = over.get(j, tail), c._n.get(j, c._t), r._n.get(j, r._t)
             return a * m * p, q * (h * b * m + k * abs(a) * r._d)
 
         # x's atoms, then the coefficient's and the radius's, in the order
         # the kernel's operations on them would keep
-        return {**over, **c._n, **r._n}, at
+        return {j: at(j) for j in {**over, **c._n, **r._n}}, at(None)
     if isinstance(s, sets.MPlusBall):
         # x's overrides, and in place of its tail +-p/q times the radius's tail
         over, _ = _draw(rng)
         p, q = _unit_ratio(rng)
         # the sign is `choice((-1, 1))`
-        tail = (2 * _below(rng, 2) - 1) * p * s.radius._t, q * s.radius._d
-        return over, lambda j=None: over.get(j, tail)
-
-
-def _member(parts):
-    """The member of `_member_parts`, reduced once."""
-    atoms, at = parts
-    return l0._from_ratios({j: at(j) for j in atoms}, at())
+        return over, ((2 * _below(rng, 2) - 1) * p * s.radius._t, q * s.radius._d)
 
 
 def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
@@ -266,7 +260,7 @@ def sample_member(s: SetDescriptor, rng: random.Random) -> EcRv:
     A ball or M + B member is built from the drawn point's pairs in one
     `l0._from_ratios`, with no element in between."""
     if parts := _member_parts(s, rng):
-        return _member(parts)
+        return l0._from_ratios(*parts)
     if isinstance(s, sets.Scale):
         return s.factor * sample_member(s.inner, rng)
     if isinstance(s, sets.Translate):

@@ -215,7 +215,7 @@ class Parser:
 
     def base(self) -> NeighborhoodBase:
         name = self.word()
-        if name == "counterexample" and self.at_end():
+        if name == "counterexample":
             return CounterexampleFamily()
         if name != "from_seminorms":
             raise ParseError(f"unknown base {name!r}", self.line_offset + 1, 1)

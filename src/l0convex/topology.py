@@ -21,7 +21,7 @@ that load `sets` for a single question (`eval`, `check cc`).
 
 from __future__ import annotations
 
-from .l0 import EcRv, ONE, divide, emin, _make, _reduced
+from .l0 import EcRv, ONE, divide, emin, _from_ratios, _make, _reduced
 from .seminorms import Seminorm
 from .sets import MPlusBall, contains, core_point, excluding_radius, gauge_closed_form
 from .sets import _positive, _scaled
@@ -73,7 +73,7 @@ def base_axiom_witnesses(
         x, a, b, y = map(_tail, drawn) if tails else drawn
 
         def example():
-            x, a, b, y = map(sampling._member, drawn) if tails else drawn
+            x, a, b, y = (_from_ratios(*parts) for parts in drawn) if tails else drawn
             return {
                 "meet_witness": meet,
                 "sum_witness": half,
@@ -95,7 +95,7 @@ def base_axiom_witnesses(
 
 def _tail(parts) -> EcRv:
     """The tail of the member of `sampling._member_parts`, as a constant."""
-    p, q = parts[1]()
+    p, q = parts[1]
     return _reduced(q, {}, p)
 
 

@@ -259,7 +259,7 @@ def _balanced_ratio(rng) -> tuple[int, int]:
 
 def _absorbs(s: sets.SetDescriptor, x: l0.EcRv) -> bool:
     """Is x in xi*S for the closed-form certificate witness xi?"""
-    witness = _not_induced._certificate_witness(s, x, (), l0.ONE)
+    witness = _not_induced._certificate_witness(s, x)
     return sets.contains(sets.Scale(witness, s), x)
 
 

@@ -46,7 +46,7 @@ from l0convex.cli import main
 from conftest import random_seminorm
 from reference import random_positive_fraction
 
-TOL = Fraction(1, 2**20)
+TOL = Fraction(1, 2**20)  # the certificate's tolerance, on its probe atoms
 PROBES = tuple(range(1, 33))
 
 
@@ -64,7 +64,7 @@ def test_criterion_1_gauge_degeneracy():
         x = sampling.random_ecrv(rng)
         target = MPlusBall(eps)
         ok = ok and gauge_closed_form(target, x) == ZERO
-        cert = gauge_upper_certificate(target, x, PROBES, TOL)
+        cert = gauge_upper_certificate(target, x)
         ok = ok and verify_certificate(cert)
         ok = ok and all(cert.witness.value_at(j) <= TOL for j in PROBES)
         ok = ok and contains(Scale(cert.witness, target), x)

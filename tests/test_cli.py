@@ -910,7 +910,7 @@ class TestLiteralErrors:
             (("verify-counterexample",), "base", "from_seminorms[]",
              "expected a name (line 2, column 16)"),
             (("verify-counterexample",), "base", "counterexample 1",
-             "unknown base 'counterexample' (line 2, column 1)"),
+             "unexpected trailing input (line 2, column 16)"),
             (("eval", "prob {1}"), "space.explicit", '[[1 "1/2"]]',
              "expected ',' (line 2, column 5)"),
             (("eval", "prob {1}"), "space.explicit", "[[1, '1/2\"]]",

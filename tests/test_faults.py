@@ -72,7 +72,7 @@ def scaled_result(home, name, factor):
 
 
 def members_scaled(factor):
-    """`sampling._member_parts` with every numerator its `at` returns times
+    """`sampling._member_parts` with every numerator of its pairs times
     `factor`: each drawn ball or M + B member, and its tail, scaled."""
 
     def wrong_version(right, calls):
@@ -81,13 +81,8 @@ def members_scaled(factor):
             if parts is None:
                 return None
             calls.append(s)
-            atoms, at = parts
-
-            def scaled(*j):
-                p, q = at(*j)
-                return p * factor, q
-
-            return atoms, scaled
+            over, (p, q) = parts
+            return {j: (a * factor, b) for j, (a, b) in over.items()}, (p * factor, q)
 
         return wrong
 
@@ -112,8 +107,8 @@ def m_plus_ball_decided_as(shape):
 def certificate_with_half_its_tail(right, calls):
     """The `M + B` certificate witness with its tail halved."""
 
-    def wrong(s, x, probes, tol):
-        witness = right(s, x, probes, tol)
+    def wrong(s, x):
+        witness = right(s, x)
         if not isinstance(s, MPlusBall):
             return witness
         calls.append(s)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from l0convex import CounterexampleFamily, concatenation, sampling
+from l0convex import CounterexampleFamily, concatenation, l0, sampling, topology
 from l0convex._common import EvidenceStep, UsageError
 from l0convex.concatenation import Diagonal
 from l0convex.l0 import ONE, ZERO, EcRv, classify, reciprocal
@@ -253,6 +253,31 @@ def test_one_pass_members_match_the_composed_reference(shape):
                 boundary += gauge_closed_form(s, x) == ONE
     if shape in ("ball_weighted", "ball_sup"):
         assert 1000 < boundary < 1500
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        name
+        for name, s in _fused_shapes(random.Random(0)).items()
+        if isinstance(s, (Ball, MPlusBall))
+    ],
+)
+def test_member_parts_are_pairs_whose_tail_is_the_members(shape):
+    """2,000 draws per shape, 50 on each of 40 seeded sets: the parts of a
+    ball or M + B member are integer pairs and nothing callable, and the
+    tail read from them is the tail of the member they build."""
+    for seed in range(40):
+        s = _fused_shapes(random.Random(seed))[shape]
+        rng = random.Random(seed)
+        for _ in range(50):
+            parts = sampling._member_parts(s, rng)
+            over, tail = parts
+            assert type(over) is dict
+            for pair in (tail, *over.values()):
+                assert type(pair) is tuple and [type(v) for v in pair] == [int, int]
+            member = l0._from_ratios(*parts)
+            assert topology._tail(parts) == EcRv.constant(member.tail)
 
 
 class Scripted(random.Random):

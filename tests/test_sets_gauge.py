@@ -35,7 +35,8 @@ from l0convex import (
 )
 from l0convex import sampling
 from l0convex.sets import core_point, excluding_radius
-from l0convex._not_induced import GaugeCertificate, _certificate_witness
+from l0convex._not_induced import PROBE_ATOMS, GaugeCertificate, _certificate_witness
+from l0convex.syntax import parse_set
 
 from conftest import blind_weight, ecrvs, positive_ecrvs, random_seminorm
 from reference import StructuralFlags, confirm_structural_flags, order_compare, structural_flags
@@ -295,25 +296,18 @@ class TestAtomicInfimum:
 
 class TestCertificates:
     def test_m_plus_ball_example(self):
-        cert = gauge_upper_certificate(
-            MPlusBall(ONE), EcRv.constant(5), probe_atoms=(1,), tol=Fraction(1, 2**10)
-        )
-        assert cert.witness == EcRv({1: Fraction(1, 2**10)}, 5)
+        cert = gauge_upper_certificate(MPlusBall(ONE), EcRv.constant(5))
+        assert cert.witness == EcRv(dict.fromkeys(PROBE_ATOMS, TOL), 5)
         assert verify_certificate(cert)
 
     def test_ball_example(self):
-        cert = gauge_upper_certificate(
-            Ball((Weighted(ONE),), EcRv.constant(2)),
-            EcRv.constant(3),
-            probe_atoms=range(1, 9),
-            tol=TOL,
-        )
+        cert = gauge_upper_certificate(Ball((Weighted(ONE),), EcRv.constant(2)), EcRv.constant(3))
         assert cert.witness == EcRv.constant(Fraction(3, 2) + Fraction(1, 2**21))
         assert verify_certificate(cert)
 
     def test_zero_point_certificate(self):
         for target in (UNIT_BALL, MPlusBall(ONE)):
-            cert = gauge_upper_certificate(target, ZERO, probe_atoms=(1, 2), tol=TOL)
+            cert = gauge_upper_certificate(target, ZERO)
             assert cert.witness == EcRv.constant(TOL / 2)
             assert verify_certificate(cert)
 
@@ -324,12 +318,13 @@ class TestCertificates:
             cert = gauge_upper_certificate(target, x)
             assert classify(cert.witness).in_L0_plusplus
             assert contains(Scale(cert.witness, target), x)
-            for j in cert.probe_atoms:
-                assert cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + cert.tolerance.tail
+            for j in PROBE_ATOMS:
+                assert cert.witness.value_at(j) <= cert.claimed_bound.value_at(j) + TOL
 
     def test_ball_like_intersection_witness_is_the_closed_form(self):
         """On ball-like intersections the larger of the members' witnesses
-        is exactly the intersection's closed-form gauge plus tol/2."""
+        is exactly the intersection's closed-form gauge plus half the
+        tolerance."""
         rng = sampling.make_rng(29)
         for _ in range(100):
             radii = [sampling.random_positive_ecrv(rng) for _ in range(3)]
@@ -339,24 +334,37 @@ class TestCertificates:
                 Intersect((Ball((Localized(EventSet.cofinite_excluding({2})),), radii[2]),)),
             ))
             x = sampling.random_ecrv(rng)
-            for probes, tol in (((1, 2), TOL), ((), Fraction(1))):
-                witness = _certificate_witness(s, x, probes, EcRv.constant(tol))
-                assert witness == gauge_closed_form(s, x) + tol / 2
+            assert _certificate_witness(s, x) == gauge_closed_form(s, x) + TOL / 2
             assert verify_certificate(gauge_upper_certificate(s, x))
 
     def test_a_witness_that_misses_the_point_is_rejected(self):
-        cert = gauge_upper_certificate(UNIT_BALL, EcRv.constant(5), probe_atoms=(1,), tol=TOL)
+        cert = gauge_upper_certificate(UNIT_BALL, EcRv.constant(5))
         assert verify_certificate(cert)
         half = EcRv.constant(Fraction(1, 2))  # strictly positive, below the bound: 5 is not in half the ball
-        forged = GaugeCertificate(
-            cert.target_set, cert.point, half, cert.probe_atoms, cert.claimed_bound, cert.tolerance
-        )
+        forged = GaugeCertificate(cert.target_set, cert.point, half, cert.claimed_bound)
         assert not contains(Scale(half, UNIT_BALL), cert.point)
         assert not verify_certificate(forged)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            gauge_upper_certificate(UNIT_BALL, ONE, tol=Fraction(0))
+    @pytest.mark.parametrize("atom, verifies", [(32, False), (33, True)])
+    def test_a_witness_over_tolerance_is_rejected_on_the_probe_atoms_only(self, atom, verifies):
+        """A witness twice the tolerance above the zero bound fails the
+        certificate at the last probe atom and passes it one atom beyond;
+        the point stays a member either way."""
+        target, x = MPlusBall(ONE), EcRv.constant(5)
+        cert = gauge_upper_certificate(target, x)
+        raised = EcRv({**cert.witness.overrides, atom: 2 * TOL}, cert.witness.tail)
+        forged = GaugeCertificate(target, x, raised, cert.claimed_bound)
+        assert contains(Scale(raised, target), x)
+        assert verify_certificate(forged) is verifies
+
+    def test_a_translate_by_a_nonzero_offset_has_no_certificate(self):
+        """`translate({|1}; m_plus_ball({|1}))` is refused, not certified:
+        it has neither a closed form nor a witness."""
+        s = parse_set("translate({|1}; m_plus_ball({|1}))")
+        with pytest.raises(UnsupportedShape, match="for Translate"):
+            gauge_upper_certificate(s, ONE)
+        with pytest.raises(UnsupportedShape, match="no gauge certificate for Translate"):
+            _certificate_witness(s, ONE)
 
     def test_m_plus_ball_witness_matches_the_fraction_formula(self):
         """The witness tail is max(1, |tail(x)| / tail(radius)), whatever the
@@ -373,22 +381,11 @@ class TestCertificates:
         ]
         seen = set()
         for radius, x in cases:
-            for probes, tol in (((1, 2, 5), TOL), ((3,), Fraction(1, 3)), ((), Fraction(1))):
-                cert = gauge_upper_certificate(MPlusBall(radius), x, probes, tol)
-                tail = max(Fraction(1), abs(x.tail) / radius.tail)
-                assert cert.witness == EcRv(dict.fromkeys(probes, tol), tail)
+            cert = gauge_upper_certificate(MPlusBall(radius), x)
+            tail = max(Fraction(1), abs(x.tail) / radius.tail)
+            assert cert.witness == EcRv(dict.fromkeys(PROBE_ATOMS, TOL), tail)
             seen.add((x.tail < 0, abs(x.tail) < radius.tail))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-    def test_m_plus_ball_probe_atoms_are_checked_unless_default(self):
-        """The default probe atoms are valid, so only given ones are checked."""
-        from l0convex._not_induced import DEFAULT_PROBE_ATOMS
-
-        x = EcRv({1: 3}, 2)
-        given = gauge_upper_certificate(MPlusBall(ONE), x, list(DEFAULT_PROBE_ATOMS))
-        assert gauge_upper_certificate(MPlusBall(ONE), x).witness == given.witness
-        with pytest.raises(ValueError, match="atom index must be a positive integer, got 0"):
-            gauge_upper_certificate(MPlusBall(ONE), x, (1, 0))
 
 
 class TestRoundtrip:

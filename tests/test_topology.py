@@ -32,7 +32,7 @@ from l0convex import (
     sup_evaluate,
     roundtrip_check,
 )
-from l0convex import _common, _not_induced, concatenation, sampling, topology
+from l0convex import _common, _not_induced, concatenation, l0, sampling, topology
 from l0convex.seminorms import FiniteSup, Seminorm
 from l0convex.sets import core_point
 
@@ -87,13 +87,16 @@ class TestBaseAxioms:
         assert (sum(failures.values()) > 0) == isinstance(base, ReciprocalBase)
 
     def test_builds_the_members_of_the_kept_draw_only(self, monkeypatch):
-        built, member = [], sampling._member
+        """Only the kept example's members are built from their pairs, by
+        the kernel's `l0._from_ratios` as topology binds it."""
+        built, from_ratios = [], l0._from_ratios
+        assert topology._from_ratios is from_ratios
 
-        def counting(parts):
+        def counting(*parts):
             built.append(parts)
-            return member(parts)
+            return from_ratios(*parts)
 
-        monkeypatch.setattr(sampling, "_member", counting)
+        monkeypatch.setattr(topology, "_from_ratios", counting)
         for base in (COUNTEREXAMPLE, ReciprocalBase()):
             built.clear()
             base_axiom_witnesses(base, ONE, EcRv.constant(Fraction(1, 2)), 200, seed=9)
