@@ -83,12 +83,12 @@ class FullParser(syntax.Parser):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
 
-def parse_sequence(text: str, line_offset: int = 0) -> cc.SequenceSpec:
-    return syntax._parse_one("sequence", text, line_offset)
+def parse_sequence(text: str) -> cc.SequenceSpec:
+    return syntax._parse_one("sequence", text)
 
 
-def parse_partition(text: str, line_offset: int = 0):
-    return syntax._parse_one("partition", text, line_offset)
+def parse_partition(text: str):
+    return syntax._parse_one("partition", text)
 
 
 # -- canonical formatting (round-trips through the parsers) ------------------

@@ -6,10 +6,10 @@ indicator of the event for `Localized`, and the pointwise maximum of the
 members' coefficients for `FiniteSup`, since max_i(c_i * t) is
 (max_i c_i) * t for t >= 0.  Evaluation is one multiply, so homogeneity
 ||s*x|| = |s|*||x|| and the triangle inequality hold by construction.
-The randomized checker `axioms_check` exists to validate test fixtures
-and any future grammar extension, not to establish the axioms for the
-shipped shapes; it lives in `_cli_check`, with `check axioms`, the one
-command that calls it.
+The randomized checker `axioms_check` samples both axioms of one
+descriptor through `evaluate`, so it guards the grammar against a broken
+evaluator rather than establishing the axioms for the shipped shapes; it
+lives in `_cli_check`, with `check axioms`, the one command that calls it.
 """
 
 from __future__ import annotations

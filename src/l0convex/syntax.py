@@ -268,27 +268,27 @@ def _parse_one(method_name: str, text: str, line_offset: int = 0):
     return value
 
 
-def parse_rational(text: str, line_offset: int = 0) -> Fraction:
+def parse_rational(text: str) -> Fraction:
     from fractions import Fraction
 
-    value = _parse_one("rational", text, line_offset)
+    value = _parse_one("rational", text)
     return Fraction(value.numerator, value.denominator)
 
 
-def parse_ecrv(text: str, line_offset: int = 0) -> l0.EcRv:
-    return _parse_one("ecrv", text, line_offset)
+def parse_ecrv(text: str) -> l0.EcRv:
+    return _parse_one("ecrv", text)
 
 
-def parse_event(text: str, line_offset: int = 0) -> EventSet:
-    return _parse_one("event", text, line_offset)
+def parse_event(text: str) -> EventSet:
+    return _parse_one("event", text)
 
 
-def parse_seminorm(text: str, line_offset: int = 0) -> sn.Seminorm:
-    return _parse_one("seminorm", text, line_offset)
+def parse_seminorm(text: str) -> sn.Seminorm:
+    return _parse_one("seminorm", text)
 
 
-def parse_set(text: str, line_offset: int = 0) -> sd.SetDescriptor:
-    return _parse_one("set_descriptor", text, line_offset)
+def parse_set(text: str) -> sd.SetDescriptor:
+    return _parse_one("set_descriptor", text)
 
 
 # -- canonical formatting (round-trips through the parsers) ------------------

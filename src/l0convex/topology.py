@@ -150,9 +150,7 @@ def closure_membership(base: NeighborhoodBase, x: EcRv) -> SeparationWitness | N
 # -- Hausdorff diagnosis ----------------------------------------------------
 
 
-def hausdorff_report(
-    base: NeighborhoodBase, samples: int = 100, seed: int = 0
-) -> sampling.Tally:
+def hausdorff_report(base: NeighborhoodBase, samples: int, seed: int) -> sampling.Tally:
     """Not Hausdorff iff the base-set shape has a nonzero core point, which
     sampled base sets then hold; else sampled pairs are separated.  The
     example's `witness` is that core point, or None on a Hausdorff base."""
@@ -178,7 +176,7 @@ def hausdorff_report(
 
 
 def _hausdorff_step(base: NeighborhoodBase, samples: int, seed: int) -> EvidenceStep:
-    report = hausdorff_report(base, samples=samples, seed=seed)
+    report = hausdorff_report(base, samples, seed)
     witness = report.example["witness"]
     if witness is None:
         return report.step(
@@ -211,8 +209,8 @@ class EvidenceReport:
 
 def seminorm_induction_verdict(
     base: NeighborhoodBase,
-    seed: int = 0,
-    samples: int = 20,
+    seed: int,
+    samples: int,
     epsilon: EcRv | None = None,
     delta: EcRv | None = None,
 ) -> EvidenceReport:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from l0convex import _cli_eval, cli, sets
+from l0convex import _cli_eval, cli, seminorms, sets
 from l0convex.cli import main
 from l0convex.config import _KEYS, parse_config
 from l0convex.l0 import NotInvertible
@@ -171,6 +171,17 @@ class TestCheck:
         config.write_text("seminorm = sup[weighted({|1}), localized({2})]\nsamples = 200\n")
         code, out, _ = run(capsys, "check", "axioms", "--config", str(config))
         assert code == 0
+
+    def test_axioms_failing_under_a_broken_evaluator_exits_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(seminorms, "evaluate", lambda s, x: x * x)
+        config = tmp_path / "run.cfg"
+        config.write_text("seminorm = weighted({|1})\nsamples = 20\nseed = 1\n")
+        code, out, err = run(capsys, "check", "axioms", "--config", str(config))
+        assert code == 1
+        assert "FAIL  seminorm_axioms" in err
+        assert json.loads(out)["pass"] is False
 
     def test_missing_target_config_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "axioms")

@@ -29,7 +29,7 @@ from l0convex import (
     sample_member,
     sup_evaluate,
 )
-from l0convex import sampling
+from l0convex import sampling, seminorms
 from l0convex.concatenation import _late_pieces_in_set
 from l0convex.config import parse_config
 
@@ -272,15 +272,14 @@ class TestAxiomsCheck:
         assert report.passed
         assert report.failures == {"homogeneity": 0, "triangle": 0}
 
-    def test_broken_evaluator_caught_at_zero(self):
-        broken = lambda x: abs(x) + ONE
-        report = axioms_check(broken, 20, seed=7)
+    def test_broken_evaluator_caught_at_zero(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "evaluate", lambda s, x: abs(x) + ONE)
+        report = axioms_check(UNIT, 20, seed=7)
         assert report.failures["homogeneity"] > 0
-        # the origin's failure is the example: the simplest one there is
-        assert report.example == {"scalar": ZERO, "x": ZERO, "y": ZERO}
 
-    def test_squaring_breaks_the_triangle_inequality(self):
-        report = axioms_check(lambda x: x * x, 20, 1)
+    def test_squaring_breaks_the_triangle_inequality(self, monkeypatch):
+        monkeypatch.setattr(seminorms, "evaluate", lambda s, x: x * x)
+        report = axioms_check(UNIT, 20, 1)
         assert report.failures["triangle"] == 18
         assert not report.passed
         # the example is the first draw that broke a check, and it breaks this one
@@ -290,6 +289,10 @@ class TestAxiomsCheck:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             axioms_check(Zero(), 0, seed=1)
+
+    def test_a_callable_is_not_a_seminorm(self):
+        with pytest.raises(TypeError, match="not a seminorm descriptor"):
+            axioms_check(lambda x: x, 1, seed=1)
 
 
 class TestSeparatingFamily:

@@ -326,8 +326,13 @@ class TestInductionVerdict:
     def test_no_probe_knobs(self, knob):
         """The verdict takes no probe horizon or certificate tolerance: its
         steps use the library defaults."""
-        with pytest.raises(TypeError):
-            seminorm_induction_verdict(COUNTEREXAMPLE, samples=1, **{knob: 32})
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+            seminorm_induction_verdict(COUNTEREXAMPLE, seed=1, samples=1, **{knob: 32})
+
+    @pytest.mark.parametrize("check", [seminorm_induction_verdict, hausdorff_report])
+    def test_seed_and_samples_have_no_defaults(self, check):
+        with pytest.raises(TypeError, match="missing 2 required positional arguments"):
+            check(COUNTEREXAMPLE)
 
 
 class ShapeBase:
