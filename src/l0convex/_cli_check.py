@@ -36,9 +36,10 @@ def axioms_check(s: Seminorm, samples: int, seed: int) -> sampling.Tally:
 
     def draw():
         scalar, x, y = (sampling.random_ecrv(rng) for _ in range(3))
+        norm_x = ev(x)
         return {
-            "homogeneity": ev(combine("mul", scalar, x)) == combine("mul", abs(scalar), ev(x)),
-            "triangle": l0.leq_everywhere(ev(x + y), ev(x) + ev(y)),
+            "homogeneity": ev(combine("mul", scalar, x)) == combine("mul", abs(scalar), norm_x),
+            "triangle": l0.leq_everywhere(ev(x + y), norm_x + ev(y)),
         }, {"scalar": scalar, "x": x, "y": y}
 
     return sampling.tally(samples, draw)

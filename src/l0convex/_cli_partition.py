@@ -17,21 +17,10 @@ from ._common import EvidenceStep, ratio_text
 def cmd_partition(args, config: cf.RunConfig, header: dict) -> dict:
     cells = config.prefix_cells
     tail_start = args.tail_start if args.tail_start is not None else config.singletons_from
-    if args.spec is not None:
-        for flag, value in (("--from", args.tail_start), ("--cells", args.cells)):
-            if value is not None:
-                raise cf.ConfigError(
-                    f"{flag} would be ignored: the spec literal sets the partition"
-                )
-        part_spec = _syntax_extra.parse_partition(args.spec)
-        if not isinstance(part_spec, measure.SingletonTail):
-            raise cf.ConfigError("the partition builder takes a singletons_from(...) spec")
-        cells = part_spec.prefix_cells
-        tail_start = part_spec.tail_start
-    elif args.cells is not None:
+    if args.cells is not None:
         cells = syntax._parse_one("event_list", args.cells)
     if tail_start is None:
-        raise cf.ConfigError("partition needs a spec, part.singletons_from, or --from")
+        raise cf.ConfigError("partition needs part.singletons_from or --from")
     space = config.space or measure.CANONICAL
     part = measure.build_countable_partition(space, cells, tail_start)
     omega_prime = measure.EventSet.cofinite_excluding(range(1, tail_start))

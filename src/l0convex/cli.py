@@ -66,7 +66,6 @@ _READS = {
     "eval seminorm": "",
     "eval glue": "",
     "partition": "space.explicit space.tail_coefficient part.finite part.singletons_from",
-    "partition SPEC": "space.explicit space.tail_coefficient",
 }
 
 
@@ -212,8 +211,6 @@ def _load_config(args) -> tuple[RunConfig, dict]:
         run += f" {args.target}"
     elif run == "eval":
         run += f" {syntax.Parser(args.expression).word()}"  # an unknown operation reads nothing
-    elif run == "partition" and args.spec is not None:
-        run += " SPEC"  # the literal gives the whole partition
     reads = [name.lstrip("-") for name in _READS.get(run, "").split()]
     given = [flag for flag in _flags(args.command) if getattr(args, flag[2:]) is not None]
     for name in [*given, *keys]:
@@ -253,14 +250,14 @@ def cmd_verify(args, config: RunConfig, header: dict) -> dict:
 # -- entry point -------------------------------------------------------------
 
 
-# Each command's positional argument as its usage line shows it: a bare
-# name is required, a bracketed one may be left out.  `check` takes one
-# of its `_READS` targets.
+# Each command's positional argument as its usage line shows it, empty
+# where the command takes none; a command that takes one must be given
+# it.  `check` takes one of its `_READS` targets.
 _POSITIONAL = {
     "verify-counterexample": "",
     "eval": "EXPRESSION",
     "check": "TARGET",
-    "partition": "[SPEC]",
+    "partition": "",
 }
 _TARGETS = [row[6:] for row in _READS if row[:6] == "check "]
 
@@ -305,10 +302,10 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if command not in _POSITIONAL:
         _refuse(f"expected a command ({', '.join(_POSITIONAL)}), got {command!r}")
     # every attribute a handler reads; None where the command line is silent
-    names = "expression target spec tail_start cells config json seed samples"
+    names = "expression target tail_start cells config json seed samples"
     args = SimpleNamespace(command=command, **dict.fromkeys(names.split()))
     options, extras = _options(command), []
-    positional = _POSITIONAL[command].strip("[]").lower()
+    positional = _POSITIONAL[command].lower()
     words = iter(argv[1:])
     for word in words:
         flag, equals, value = word.partition("=")
@@ -332,7 +329,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             if flag in ("--from", *_flags(command)):
                 value = _integer(flag, value)
             setattr(args, options[flag], value)
-    if _POSITIONAL[command].isalpha() and getattr(args, positional) is None:
+    if positional and getattr(args, positional) is None:
         _refuse(f"the following arguments are required: {positional}")
     if extras:
         _refuse(f"unrecognized arguments: {' '.join(extras)}")

@@ -146,7 +146,6 @@ class CcEntry:
 
 @record
 class CcReport:
-    target: SetDescriptor
     entries: tuple[CcEntry, ...]
 
     @property
@@ -191,7 +190,7 @@ def relative_cc_check(
     seminorm-of-glue identity: evaluating the glue equals gluing the
     evaluations along the same partition.
     """
-    return CcReport(s, tuple([_cc_entry(s, part, seq) for seq in seqs]))
+    return CcReport(tuple([_cc_entry(s, part, seq) for seq in seqs]))
 
 
 def _cc_entry(s: SetDescriptor, part: Partition, seq: SequenceSpec) -> CcEntry:

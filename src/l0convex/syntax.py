@@ -18,10 +18,10 @@ Grammar (whitespace-insensitive):
 rationals, elements, events, seminorms, sets and bases, and
 `format_seminorm` prints a seminorm.  The sequences, partitions and
 space weights, which only gluing, partitions and a configured space
-need, are read by the subclass `_syntax_extra.FullParser`, which also
-holds `parse_sequence`, `parse_partition` and the formatters of sets,
-sequences and partitions; only a command that reads or prints such a
-literal loads it.
+need, are read by the subclass `_syntax_extra.FullParser`.  Its module,
+`_syntax_extra`, also holds `parse_sequence`, `parse_partition` and the
+formatters of sets, sequences and partitions; only a command that reads
+or prints such a literal loads it.
 
 Parsing is exact: every number becomes a `Ratio`, a numerator over a
 positive denominator in lowest terms (`parse_rational` gives it as

@@ -555,6 +555,7 @@ class TestSpaceKeys:
 INDUCED = "base = from_seminorms[weighted({|1})]\n"
 SEMINORM = "seminorm = localized({1})\n"
 CC = "set = m_plus_ball({|1})\nseq.diag = {|2}\npart.singletons_from = 1\nexpect = fail\n"
+# the partition `--from 3 --cells [{1},{2}]` builds, as its report writes it
 SPEC = "singletons_from(3; {1}, {2})"
 
 # (command line, config text, the input the error line names)
@@ -566,11 +567,6 @@ IGNORED = [
     (("check", "axioms"), SEMINORM + "epsilon = {|1}\n", "'epsilon'"),
     (("eval", "prob {1}"), "set = m_plus_ball({|1})\n", "'set'"),
     (("check", "roundtrip"), SEMINORM + "set = m_plus_ball({|1})\n", "'set'"),
-    (("partition", SPEC, "--from", "7", "--cells", "[{5}]"), "", "--from"),
-    (("partition", SPEC, "--from", "7"), "", "--from"),
-    (("partition", SPEC, "--cells", "[{5}]"), "", "--cells"),
-    (("partition", SPEC), "part.singletons_from = 7\n", "'part.singletons_from'"),
-    (("partition", SPEC), "part.finite = [{1}]\n", "'part.finite'"),
 ]
 
 # The probe horizon and the certificate tolerance are no input of any
@@ -600,7 +596,7 @@ POSITIONALS = {
     "verify-counterexample": (),
     "eval": ("prob {1}",),
     "check": ("base",),
-    "partition": (SPEC,),
+    "partition": (),
 }
 FLAG_ATTRIBUTES = {
     "--seed": "seed",
@@ -727,7 +723,7 @@ class TestCommandLine:
             (("check", "base", "--samp", "3", "--se", "2"), "--samp 3 --se 2"),
             (("check", "base", "--conf", "run.cfg"), "--conf run.cfg"),
             (("eval", "prob {1}", "--conf=run.cfg"), "--conf=run.cfg"),
-            (("partition", SPEC, "--fr", "3"), "--fr 3"),
+            (("partition", "--fr", "3"), "--fr 3"),
             (("verify-counterexample", "--sample", "3"), "--sample 3"),
         ],
     )
@@ -746,11 +742,10 @@ class TestCommandLine:
     def test_attributes(self):
         args = cli.parse_args(["partition", "--json", "out.json", "--from", "3", "--cells", "[{1}]"])
         assert vars(args) == {
-            "command": "partition", "expression": None, "target": None, "spec": None,
+            "command": "partition", "expression": None, "target": None,
             "tail_start": 3, "cells": "[{1}]", "config": None, "json": "out.json",
             "seed": None, "samples": None,
         }
-        assert cli.parse_args(["partition", SPEC]).spec == SPEC
         assert cli.parse_args(["eval", "--json", "-", "prob {1}"]).expression == "prob {1}"
 
     @pytest.mark.parametrize(
@@ -786,7 +781,7 @@ class TestCommandLine:
             "l0convex eval EXPRESSION [--config CONFIG] [--json JSON]\n"
             "l0convex check TARGET [--config CONFIG] [--json JSON] [--seed SEED]"
             " [--samples SAMPLES]\n"
-            "l0convex partition [SPEC] [--config CONFIG] [--json JSON] [--from FROM]"
+            "l0convex partition [--config CONFIG] [--json JSON] [--from FROM]"
             " [--cells CELLS]\n"
             "TARGET: axioms roundtrip cc base\n"
         )
@@ -1147,7 +1142,7 @@ class TestReportHeader:
             (("check", "axioms", "--samples", "5"), SEMINORM, {"seed", "samples"}),
             (("check", "roundtrip", "--samples", "5"), SEMINORM, {"seed", "samples"}),
             (("check", "cc"), CC, set()),
-            (("partition", SPEC), "", set()),
+            (("partition", "--from", "3", "--cells", "[{1},{2}]"), "", set()),
         ],
         ids=["verify", "verify-induced", "base", "axioms", "roundtrip", "cc", "partition"],
     )
@@ -1178,27 +1173,27 @@ class TestPartition:
         assert doc["tail_cell_masses"][0] == "1/8"
 
     def test_builder_with_spec_literal(self, capsys):
-        code, out, _ = run(capsys, "partition", "singletons_from(3; {1}, {2})")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["partition"] == "singletons_from(3; {1}, {2})"
-        assert doc["tail_mass"] == "1/4"
+        """The builder takes no partition literal: its partition comes from
+        --from and --cells or the `part.*` keys."""
+        with pytest.raises(SystemExit) as stop:
+            main(["partition", SPEC])
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out) == (2, "")
+        assert captured.err == f"l0convex: error: unrecognized arguments: {SPEC}\n"
 
     def test_spec_literal_reads_the_space(self, capsys, tmp_path):
-        """The literal refuses the `part.*` keys (see IGNORED), not the space."""
+        """The partition the flags give is built in the config's space."""
         config = tmp_path / "p.cfg"
         config.write_text("space.tail_coefficient = 1\n")
-        code, out, _ = run(capsys, "partition", SPEC, "--config", str(config))
+        argv = ("partition", "--from", "3", "--cells", "[{1},{2}]", "--config", str(config))
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["partition"] == SPEC
-
-    def test_finite_spec_rejected(self, capsys):
-        code, _, err = run(capsys, "partition", "finite[{1}, ~{1}]")
-        assert code == 2
 
     def test_missing_tail_start(self, capsys):
         code, _, err = run(capsys, "partition")
         assert code == 2
+        assert err == "error: partition needs part.singletons_from or --from\n"
 
 
 # -- the process entry: `run()` is `main()`, then a frozen heap and the exit ---

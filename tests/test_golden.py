@@ -36,6 +36,8 @@ CASES = {
     "verify_blind_seed1": "verify-counterexample --config {cfg}/blind.cfg --seed 1 --samples 30",
     "check_axioms_seed5": "check axioms --config {cfg}/axioms.cfg --seed 5 --samples 40",
     "check_roundtrip_seed5": "check roundtrip --config {cfg}/roundtrip.cfg --seed 5 --samples 40",
+    # a composite set: the Scale and Intersect formats, draws and closed forms
+    "check_roundtrip_set_seed5": "check roundtrip --config {cfg}/roundtrip_set.cfg --seed 5 --samples 40",
     "check_base_seed5": "check base --config {cfg}/induced.cfg --seed 5 --samples 40",
     # the default base at pointwise radii: eps * y has overrides where the tail decides
     "check_base_counterexample_seed5": "check base --config {cfg}/pointwise.cfg --seed 5 --samples 40",

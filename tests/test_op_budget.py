@@ -125,10 +125,10 @@ OP_BUDGET = {
     ("check-axioms", 10): {
         "getrandbits": 773,
         "random": 0,
-        "_reduced": 122,
-        "combine": 91,
+        "_reduced": 112,
+        "combine": 81,
         "lcm": 50,
-        "gcd": 122,
+        "gcd": 112,
         "records": 1,
     },
     ("check-roundtrip", 10): {
