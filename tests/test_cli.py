@@ -85,6 +85,15 @@ class TestCheck:
         assert doc["pass"] is True
         assert doc["schema"] == 3
 
+    def test_roundtrip_ball_of_two_seminorms(self, capsys, tmp_path):
+        """On a ball the roundtrip also compares the gauge with the max of
+        the family's own evaluations over the radius."""
+        config = tmp_path / "run.cfg"
+        config.write_text("set = ball(weighted({|1}), localized({2}); {|1})\n")
+        code, out, _ = run(capsys, "check", "roundtrip", "--samples", "30", "--config", str(config))
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_cc_expected_failure_exits_zero(self, capsys, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(
@@ -281,6 +290,17 @@ class TestWrongBallCoefficient:
         assert (code, json.loads(out)["pass"]) == (1, False)
 
 
+NOT_INDUCED_STEPS = [
+    "base_axioms",
+    "gauge_degeneracy",
+    "gauge_monotonicity",
+    "proper_closed_submodule",
+    "concatenation_failure",
+    "hausdorff_diagnosis",
+    "zero_family_contradiction",
+]
+
+
 class TestSinglePipeline:
     """The verify report is the library verdict's step list, one step per
     checked fact."""
@@ -288,18 +308,7 @@ class TestSinglePipeline:
     @pytest.mark.parametrize(
         "text, names",
         [
-            (
-                "",
-                [
-                    "base_axioms",
-                    "gauge_degeneracy",
-                    "gauge_monotonicity",
-                    "proper_closed_submodule",
-                    "concatenation_failure",
-                    "hausdorff_diagnosis",
-                    "zero_family_contradiction",
-                ],
-            ),
+            ("", NOT_INDUCED_STEPS),
             (
                 "base = from_seminorms[weighted({|1}), localized({2})]\n",
                 [
@@ -308,6 +317,8 @@ class TestSinglePipeline:
                     "hausdorff_diagnosis",
                 ],
             ),
+            # the default base, named
+            ("base = counterexample\n", NOT_INDUCED_STEPS),
         ],
     )
     def test_steps_are_the_library_verdict(self, capsys, tmp_path, text, names):
@@ -567,6 +578,7 @@ IGNORED = [
     (("check", "axioms"), SEMINORM + "epsilon = {|1}\n", "'epsilon'"),
     (("eval", "prob {1}"), "set = m_plus_ball({|1})\n", "'set'"),
     (("check", "roundtrip"), SEMINORM + "set = m_plus_ball({|1})\n", "'set'"),
+    (("check", "roundtrip", "--samples", "5"), SEMINORM + "set = m_plus_ball({|1})\n", "'set'"),
 ]
 
 # The probe horizon and the certificate tolerance are no input of any
@@ -942,12 +954,15 @@ class TestLiteralErrors:
              "zero denominator (line 2, column 4)"),
             (("verify-counterexample",), "seed", "1\0",
              "unexpected trailing input (line 2, column 2)"),
+            (("eval", "prob {1}"), "space.tail_coefficient", "1.0",
+             "unexpected trailing input (line 2, column 2)"),
         ],
         ids=[
             "base-name", "base-empty-family", "base-trailing-input", "space-comma",
             "space-quotes", "space-gap", "space-unclosed", "space-atom-twice",
             "element-atom-twice", "integer-underscore", "integer-plus", "integer-decimal",
             "tail-exponent", "tail-quotes", "tail-zero-denominator", "integer-nul",
+            "tail-decimal",
         ],
     )
     def test_config_value(self, capsys, tmp_path, argv, key, value, line):
