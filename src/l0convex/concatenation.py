@@ -16,14 +16,16 @@ single-atom pieces are decided by membership itself: at the atoms the
 set and the value name, and at one atom past all of them.
 Every gluing question answers with one `CcEntry`: the relative check
 with one per sequence, the closure failure of M + B_eps and the reverse
-construction with the entry of a value cut into single-atom pieces.
+construction with the entry of a value cut into single-atom pieces,
+whose walk needs no partition object: no cell one by one, late atom 1.
+So `measure` runs only when a caller's own partition is walked.
 """
 
 from __future__ import annotations
 
+from . import measure  # bound lazily: only a given partition runs it
 from .l0 import EcRv, indicator_mul, lt_everywhere, ONE, ZERO
 from ._common import EventSet, record
-from .measure import FinitePartition, Partition, SingletonTail
 from .seminorms import evaluate
 from .sets import Ball, MPlusBall, SetDescriptor, contains, gauge_closed_form
 from .sets import _deciding_atoms, _single_atom
@@ -52,15 +54,13 @@ class Diagonal:
 SequenceSpec = EventuallyConstantSeq | Diagonal
 
 
-def sequence_element(seq: SequenceSpec, part: Partition, n: int) -> EcRv:
+def sequence_element(seq: SequenceSpec, part: measure.Partition, n: int) -> EcRv:
     if isinstance(seq, EventuallyConstantSeq):
         return seq.element(n)
     return indicator_mul(part.cell(n), seq.value)
 
 
-def _cell_walk(
-    seq: SequenceSpec, part: Partition
-) -> tuple[list[tuple[EventSet, EcRv]], int | None, EcRv]:
+def _cell_walk(seq: SequenceSpec, part) -> tuple[list[tuple[EventSet, EcRv]], int | None, EcRv]:
     """The cells to compare one by one, the late atom and the late value.
 
     Each cell comes with the sequence's element on it: every cell of a
@@ -69,12 +69,15 @@ def _cell_walk(
     explicit prefix.  From the late atom on every cell is one atom {j},
     and the element on it is the late value (a tail element) or its
     piece on {j} (a diagonal).  A finite partition has no late atom.
+    None cuts a diagonal into single-atom pieces: no cell, late atom 1.
     """
     if isinstance(seq, Diagonal):
         value, explicit = seq.value, 0
     else:
         value, explicit = seq.tail_element, len(seq.prefix)
-    if isinstance(part, FinitePartition):
+    if part is None:
+        return [], 1, value
+    if isinstance(part, measure.FinitePartition):
         count, late = part.cell_count, None
     else:
         count = max(part.prefix_count, explicit)
@@ -90,7 +93,7 @@ def _from_atom(x: EcRv, late: int | None) -> EcRv:
     return indicator_mul(EventSet.cofinite_excluding(range(1, late)), x)
 
 
-def glue(seq: SequenceSpec, part: Partition) -> EcRv:
+def glue(seq: SequenceSpec, part: measure.Partition) -> EcRv:
     """Assemble the unique element agreeing with the sequence cellwise."""
     if isinstance(seq, Diagonal):
         # the n-th piece is value on the n-th cell, whatever the partition
@@ -99,7 +102,7 @@ def glue(seq: SequenceSpec, part: Partition) -> EcRv:
     return sum((indicator_mul(cell, x_n) for cell, x_n in cells), _from_atom(value, late))
 
 
-def glue_identity_holds(seq: SequenceSpec, part: Partition, x: EcRv) -> bool:
+def glue_identity_holds(seq: SequenceSpec, part: measure.Partition, x: EcRv) -> bool:
     """Exact cellwise identity: the walked cells one by one, then one
     comparison from the late atom on covering every later singleton
     cell at once."""
@@ -157,7 +160,7 @@ class CcReport:
         return all(e.seminorm_identity_ok is not False for e in self.entries)
 
 
-def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part: Partition) -> bool:
+def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part) -> bool:
     """Do the elements the glue is built from lie in s?  The element on
     each walked cell, then the late value from the late atom on: a tail
     element itself, or a diagonal's single-atom pieces.  An element on
@@ -181,7 +184,7 @@ def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:
 
 
 def relative_cc_check(
-    s: SetDescriptor, part: Partition, seqs: tuple[SequenceSpec, ...]
+    s: SetDescriptor, part: measure.Partition, seqs: tuple[SequenceSpec, ...]
 ) -> CcReport:
     """For sequences inside s, does every glue stay inside s?
 
@@ -193,21 +196,17 @@ def relative_cc_check(
     return CcReport(tuple([_cc_entry(s, part, seq) for seq in seqs]))
 
 
-def _cc_entry(s: SetDescriptor, part: Partition, seq: SequenceSpec) -> CcEntry:
-    pre_ok = _elements_in_set(s, seq, part)
+def _cc_entry(s: SetDescriptor, part, seq: SequenceSpec) -> CcEntry:
     glued = glue(seq, part)
-    inside = contains(s, glued)
     identity_ok = None
     if isinstance(s, Ball):
         identity_ok = all(
             evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part) for p in s.seminorms
         )
-    return CcEntry(seq, pre_ok, glued, inside, identity_ok)
+    return CcEntry(seq, _elements_in_set(s, seq, part), glued, contains(s, glued), identity_ok)
 
 
 # -- single-atom pieces: the closure failure of M + B_eps, reverse construction
-
-_SINGLETONS = SingletonTail((), 1)  # the n-th cell is {n}
 
 
 def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcEntry:
@@ -217,7 +216,7 @@ def cc_failure_witness(u: SetDescriptor, eps: EcRv) -> CcEntry:
     yet the glue is twice the radius, whose tail the set cannot absorb:
     the entry is a `counterexample`.
     """
-    return _cc_entry(u, _SINGLETONS, Diagonal(2 * eps))
+    return _cc_entry(u, None, Diagonal(2 * eps))
 
 
 def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> CcEntry:
@@ -231,4 +230,4 @@ def reverse_partition_construct(u: SetDescriptor, x: EcRv) -> CcEntry:
     """
     if not lt_everywhere(gauge_closed_form(u, x), ONE):
         raise GaugeNotBelowOne(f"gauge of {x!r} is not < 1 everywhere")
-    return _cc_entry(u, _SINGLETONS, Diagonal(x))
+    return _cc_entry(u, None, Diagonal(x))

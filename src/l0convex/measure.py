@@ -8,7 +8,8 @@ finite prefix follow a geometric dyadic law.
 The events themselves (`EventSet`, the full event `OMEGA`) live in
 `_common`, which every command loads, and are re-exported here: a
 seminorm, an element or a literal names events without running this
-module.  It runs where a probability or a partition is needed.
+module.  It runs where a probability or a given partition is needed,
+not for the NotInduced verify, whose gluing takes no partition object.
 """
 
 from __future__ import annotations

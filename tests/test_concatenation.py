@@ -20,6 +20,7 @@ from l0convex import (
     Translate,
     Weighted,
     ZERO,
+    Zero,
     ONE,
     cc_failure_witness,
     contains,
@@ -33,7 +34,7 @@ from l0convex import concatenation, sampling
 from l0convex.concatenation import _late_pieces_in_set, sequence_element
 
 import reference
-from conftest import ecrvs, random_seminorm
+from conftest import ecrvs, random_event, random_nonnegative_ecrv, random_seminorm
 
 SPLIT_AT_1 = FinitePartition((EventSet.finite({1}), EventSet.cofinite_excluding({1})))
 PURE_SINGLETONS = SingletonTail((), 1)
@@ -566,3 +567,44 @@ class TestReverseConstruction:
             assert entry.counterexample is outside, (r, x)
             seen.add(outside)
         assert seen == {True, False}
+
+
+class TestSingleAtomWalk:
+    """The closure failure and the reverse construction cut a value into
+    single-atom pieces without a partition object.  Their entries equal,
+    field for field, the relative check's along the walked partition
+    {1}, {2}, ..., which stays the reference of that walk."""
+
+    FIELDS = ("sequence", "precondition_ok", "glue", "glue_in_set", "seminorm_identity_ok")
+
+    def sets(self, rng):
+        """M + B_r and a ball of every seminorm shape, on one random radius."""
+        r = sampling.random_positive_ecrv(rng)
+        members = tuple(random_seminorm(rng, 0) for _ in range(2))
+        yield MPlusBall(r)
+        yield Ball((Zero(),), r)
+        yield Ball((Weighted(random_nonnegative_ecrv(rng)),), r)
+        yield Ball((Localized(random_event(rng)),), r)
+        yield Ball((FiniteSup(members),), r)
+
+    def assert_walked(self, entry, u, value):
+        (expected,) = relative_cc_check(u, PURE_SINGLETONS, (Diagonal(value),)).entries
+        for field in self.FIELDS:
+            assert getattr(entry, field) == getattr(expected, field), (u, value, field)
+
+    def test_matches_the_walked_partition(self):
+        rng = sampling.make_rng(4040)
+        outcomes = set()
+        for _ in range(30):
+            for u in self.sets(rng):
+                eps = sampling.random_positive_ecrv(rng)
+                # a spike at atom 1 puts the first piece outside a ball whose
+                # seminorm sees that atom, while the later pieces may lie inside
+                spiked = EcRv({**eps.overrides, 1: 64}, eps.tail)
+                for radius in (eps, spiked):
+                    witness = cc_failure_witness(u, radius)
+                    self.assert_walked(witness, u, 2 * radius)
+                    outcomes.add((type(u), witness.precondition_ok, witness.glue_in_set))
+                x = sampling.sample_member(u, rng) * Fraction(1, 2)
+                self.assert_walked(reverse_partition_construct(u, x), u, x)
+        assert {(Ball, True, True), (Ball, False, False), (MPlusBall, True, False)} <= outcomes

@@ -255,7 +255,7 @@ COMMANDS = {
         None,
         {
             "l0", "seminorms", "sets", "sampling", "topology", "_not_induced",
-            "concatenation", "measure",
+            "concatenation",
         },
     ),
     "check axioms": (
@@ -326,16 +326,16 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 14683,
+    "verify-counterexample": 13446,
     "check axioms": 11404,
     "check roundtrip": 12668,
-    "check cc": 14099,
+    "check cc": 14094,
     "check base": 11870,
     "eval prob": 8262,
     "eval gauge": 10648,
     "eval contains": 10648,
     "eval seminorm": 9384,
-    "eval glue": 13809,
+    "eval glue": 13804,
     "partition": 9119,
     "verify-counterexample on a seminorm base": 13109,
 }
@@ -476,6 +476,22 @@ class TestImportBudget:
         code, loaded = loaded_after(probe)
         assert code == 1
         assert loaded == {"config", "syntax", "_common"}
+
+    def test_gluing_single_atom_pieces_runs_no_measure(self):
+        """The NotInduced verdict and the closure failure of M + B_eps glue
+        single-atom pieces without a partition object: `measure` stays
+        unrun."""
+        probe = (
+            "import json, sys, types; from l0convex import CounterexampleFamily, MPlusBall, ONE; "
+            "from l0convex import cc_failure_witness, seminorm_induction_verdict; "
+            "report = seminorm_induction_verdict(CounterexampleFamily(), 1, 3); "
+            "entry = cc_failure_witness(MPlusBall(ONE), ONE); "
+            "code = int(report.verdict == 'not_induced' and report.passed"
+            " and entry.counterexample); " + LOADED
+        )
+        code, loaded = loaded_after(probe)
+        assert code == 1
+        assert "concatenation" in loaded and "measure" not in loaded
 
     def test_eval_prob(self):
         code, loaded = loaded_after(CLI, "eval", "prob {1}")
