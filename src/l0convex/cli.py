@@ -19,7 +19,8 @@ its lines and changes no exit code.
 
 from __future__ import annotations
 
-import gc
+import _thread
+import atexit
 import os
 import sys
 from types import SimpleNamespace
@@ -134,8 +135,8 @@ def _write_stdout(text: str) -> None:
     The bytes go to stdout's binary layer until every one is out: with
     PYTHONUNBUFFERED set that layer is the raw file, which may take only
     part of a write, and the text layer would drop the rest silently.
-    On a failure stdout is pointed at the null device, so the
-    interpreter's flush at exit finds nothing left to fail on.
+    On a failure stdout is pointed at the null device, so the flush at
+    exit, `run()`'s or the interpreter's, finds nothing left to fail on.
     """
     out = sys.stdout
     try:
@@ -386,18 +387,38 @@ def main(argv=None) -> int:
 
 
 def run() -> NoReturn:
-    """The process entry: `main()`, then exit with its code.
+    """The process entry: `main()`, then the end of the process with its code.
 
-    The heap is frozen first, so the interpreter's exit-time collections
-    skip every module, function and class the run loaded: once the
-    report is written nothing reads them.  Finalization still runs
-    (atexit hooks, the flush of stdout and stderr, module teardown),
-    which `os._exit` would skip.  `main()` never freezes: a caller that
-    runs it many times in one process keeps a working collector.
+    Once the report is out nothing reads the modules, functions and
+    classes the run loaded, so `run()` skips the interpreter's teardown:
+    it runs the `atexit` hooks once, flushes stdout and stderr (losing
+    what a closed or failing stderr cannot take) and ends the process
+    with `os._exit`.  It exits the normal way, by `SystemExit`, when
+    something watches the process: a tracer or a profiler
+    (`sys.settrace`, `sys.setprofile` or a `sys.monitoring` tool, as
+    coverage and cProfile attach), whose hooks and files need the full
+    exit, or a thread besides the main one, which the normal exit waits
+    for.  So it does when stdout cannot take what a hook wrote: the
+    interpreter's exit reports that, with code 120.  `main()` never
+    ends the process.
     """
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    tools = getattr(sys, "monitoring", None)  # 3.12 on, with the tool ids 0 to 5
+    if (
+        sys.gettrace() or sys.getprofile() or tools and any(map(tools.get_tool, range(6)))
+        or _thread._count()
+    ):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout and sys.stdout.flush()  # None: closed at the start
+    except OSError:
+        sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ one, the first atom from which every cell is a single atom, and the
 value the sequence carries there.  The checks are exact, not truncated.
 From the late atom on the glue identity is one comparison, and the late
 single-atom pieces are decided by membership itself: at the atoms the
-set and the value name, and at one atom past all of them.
+set and the value name, and at one atom past all of them.  A ball's
+seminorm identity is decided the same way: p of the glue against p of
+each walked cell's element, then of the late value, or of a diagonal's
+late single-atom pieces at the atoms that decide them.
 Every gluing question answers with one `CcEntry`: the relative check
 with one per sequence, the closure failure of M + B_eps and the reverse
 construction with the entry of a value cut into single-atom pieces,
@@ -102,11 +105,33 @@ def glue(seq: SequenceSpec, part: measure.Partition) -> EcRv:
     return sum((indicator_mul(cell, x_n) for cell, x_n in cells), _from_atom(value, late))
 
 
-def glue_identity_holds(seq: SequenceSpec, part: measure.Partition, x: EcRv) -> bool:
-    """Exact cellwise identity: the walked cells one by one, then one
-    comparison from the late atom on covering every later singleton
-    cell at once."""
+def glue_identity_holds(seq: SequenceSpec, part: measure.Partition, x: EcRv, ball=None) -> bool:
+    """Exact cellwise identity: x agrees with the sequence's element on
+    each walked cell, then with the late value from the late atom on,
+    one comparison covering every later singleton cell at once.
+
+    Given a `Ball`, the seminorm identity of each of its seminorms p
+    instead: p(x) agrees with p of the element on each cell, the
+    locality p(1_A y) = 1_A p(y) that makes p of a glue the glue of the
+    evaluations.  A diagonal's late cells are compared one single-atom
+    piece at a time, at the atoms that decide them (see
+    `_late_pieces_in_set`): those the ball, x or the value names from
+    the late atom on, and one past all of them.
+    """
     cells, late, value = _cell_walk(seq, part)
+    if ball is None:
+        return _agrees(x, cells, late, value)
+    if isinstance(seq, Diagonal) and late is not None:
+        atoms = {*_deciding_atoms(ball, x, late), *_deciding_atoms(ball, value, late)}
+        cells += [(EventSet.finite({j}), _single_atom(value, j)) for j in atoms]
+        late = None
+    return all(
+        _agrees(evaluate(p, x), [(c, evaluate(p, y)) for c, y in cells], late, evaluate(p, value))
+        for p in ball.seminorms
+    )
+
+
+def _agrees(x: EcRv, cells, late: int | None, value: EcRv) -> bool:
     return all(
         indicator_mul(cell, x) == indicator_mul(cell, x_n) for cell, x_n in cells
     ) and _from_atom(x, late) == _from_atom(value, late)
@@ -175,14 +200,6 @@ def _elements_in_set(s: SetDescriptor, seq: SequenceSpec, part) -> bool:
     return contains(s, value)
 
 
-def _evaluated_sequence(seq: SequenceSpec, p) -> SequenceSpec:
-    if isinstance(seq, EventuallyConstantSeq):
-        return EventuallyConstantSeq(
-            tuple(evaluate(p, x) for x in seq.prefix), evaluate(p, seq.tail_element)
-        )
-    return Diagonal(evaluate(p, seq.value))
-
-
 def relative_cc_check(
     s: SetDescriptor, part: measure.Partition, seqs: tuple[SequenceSpec, ...]
 ) -> CcReport:
@@ -190,19 +207,16 @@ def relative_cc_check(
 
     Sequences with an element outside s are precondition failures, not
     counterexamples.  For balls the check also verifies the exact
-    seminorm-of-glue identity: evaluating the glue equals gluing the
-    evaluations along the same partition.
+    seminorm-of-glue identity cell by cell (`glue_identity_holds` given
+    the ball): each seminorm of the glue agrees with the seminorm of the
+    element on every cell.
     """
     return CcReport(tuple([_cc_entry(s, part, seq) for seq in seqs]))
 
 
 def _cc_entry(s: SetDescriptor, part, seq: SequenceSpec) -> CcEntry:
     glued = glue(seq, part)
-    identity_ok = None
-    if isinstance(s, Ball):
-        identity_ok = all(
-            evaluate(p, glued) == glue(_evaluated_sequence(seq, p), part) for p in s.seminorms
-        )
+    identity_ok = glue_identity_holds(seq, part, glued, s) if isinstance(s, Ball) else None
     return CcEntry(seq, _elements_in_set(s, seq, part), glued, contains(s, glued), identity_ok)
 
 

@@ -1,10 +1,10 @@
 import contextlib
 import errno
-import gc
 import importlib
 import io
 import json
 import os
+import pstats
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +18,7 @@ from l0convex.config import _KEYS, parse_config
 from l0convex.l0 import NotInvertible
 from l0convex.topology import seminorm_induction_verdict
 import test_imports
+from test_imports import child
 
 
 def run(capsys, *argv):
@@ -1218,57 +1219,107 @@ ROOT = Path(__file__).resolve().parents[1]
 VERIFY_SEED1 = ("verify-counterexample", "--seed", "1", "--samples", "30")
 
 
-def python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """`python -c code *argv` in a fresh interpreter that finds the package."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+# Runs `cli.run()` after `setup`, with an atexit hook registered first.  On
+# stderr: `exit N` when `run()` raised SystemExit(N), which ends the process
+# the normal way, `thread` when a thread the setup started ran to its end,
+# and `atexit` each time the hook ran.
+ENTRY = """
+import atexit, sys, threading
+from l0convex import cli
+released = threading.Event()
+atexit.register(lambda: print("atexit", file=sys.stderr))
+{setup}
+try:
+    cli.run()
+except SystemExit as stop:
+    print("exit", stop.code, file=sys.stderr)
+    released.set()
+    raise
+"""
+# A thread that outlives `main()` and writes only once `run()` has raised.
+THREAD = """
+def wait():
+    released.wait()
+    print("thread", file=sys.stderr)
+threading.Thread(target=wait).start()
+"""
 
 
 class TestProcessEntry:
-    @pytest.mark.parametrize("code", [0, 1, 2, 3])
-    def test_run_freezes_after_main_then_exits_with_its_code(self, monkeypatch, code):
-        calls = []
-        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
-        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-        with pytest.raises(SystemExit) as stop:
-            cli.run()
-        assert stop.value.code == code
-        assert calls == ["main", "freeze"]
+    """`run()` ends the process with `main()`'s code once the atexit hooks
+    ran and stdout and stderr are flushed, skipping the interpreter's
+    teardown, unless a tracer, a profiler or another thread watches the
+    process; then it exits the normal way."""
 
-    def test_main_in_process_never_freezes(self, capsys):
-        before = gc.get_freeze_count()
-        code, _, _ = run(capsys, *VERIFY_SEED1)
-        assert code == 0
-        assert gc.get_freeze_count() == before
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+    def test_run_ends_the_process_with_mains_code(self, code):
+        result = child(ENTRY.format(setup=f"cli.main = lambda: {code}"))
+        assert (result.returncode, result.stderr) == (code, "atexit\n")
 
-    def test_running_as_a_module_freezes_and_prints_what_main_prints(self, capsys):
+    def test_an_atexit_hook_runs_once_after_the_report(self):
+        result = child(ENTRY.format(setup=""), "eval", "prob {1}")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1/2\n", "atexit\n")
+
+    def test_a_profiler_gets_its_stats_file(self, tmp_path):
+        stats = tmp_path / "run.prof"
+        argv = ("-m", "l0convex.cli", "eval", "prob {1}")
+        result = child(None, *argv, flags=("-m", "cProfile", "-o", str(stats)))
+        assert (result.returncode, result.stdout) == (0, "1/2\n"), result.stderr
+        functions = pstats.Stats(str(stats)).stats
+        assert any(path.endswith("cli.py") and name == "main" for path, _, name in functions)
+
+    @pytest.mark.parametrize(
+        "setup, stderr",
+        [
+            ("sys.settrace(lambda *args: None)", "exit 0\natexit\n"),
+            ("sys.setprofile(lambda *args: None)", "exit 0\natexit\n"),
+            (THREAD, "exit 0\nthread\natexit\n"),
+        ],
+        ids=["tracer", "profiler", "thread"],
+    )
+    def test_a_watched_process_exits_the_normal_way(self, setup, stderr):
+        result = child(ENTRY.format(setup=setup), "eval", "prob {1}")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1/2\n", stderr)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_hook_whose_output_cannot_go_out_gets_the_interpreters_exit(self):
+        """A hook's stdout that cannot be flushed is left to the normal
+        exit, which reports it and exits 120, as without `run()`'s own."""
+        full = "setattr(sys, 'stdout', open('/dev/full', 'w'))"  # buffered, and every write fails
+        hook = f"atexit.register(lambda: ({full}, print('late')))"
+        result = child(ENTRY.format(setup=hook), "eval", "prob {1}")
+        assert (result.returncode, result.stdout) == (120, "1/2\n")
+        assert result.stderr.startswith("atexit\nexit 0\n")
+        assert os.strerror(errno.ENOSPC) in result.stderr
+
+    def test_main_in_process_returns_its_code_and_never_ends_the_process(self):
         probe = (
-            "import contextlib, gc, io, json, runpy, sys\n"
-            "out = io.StringIO()\n"
-            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
-            "    try:\n"
-            "        runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)\n"
-            "    except SystemExit as stop:\n"
-            "        code = stop.code\n"
-            "print(json.dumps([code, gc.get_freeze_count(), out.getvalue()]))"
+            "from l0convex.cli import main\n"
+            "codes = [main(['eval', 'prob {1}']), main(['check', 'cc'])]\n"
+            "print('returned', *codes)"
         )
-        result = python(probe, *VERIFY_SEED1)
+        result = child(probe)
+        assert (result.returncode, result.stdout) == (0, "1/2\nreturned 0 2\n"), result.stderr
+
+    def test_running_as_a_module_prints_what_main_prints(self, capsys):
+        # `run()` ends the process inside the redirect: the hook reports
+        probe = (
+            "import atexit, contextlib, io, json, runpy, sys\n"
+            "out = io.StringIO()\n"
+            "atexit.register(lambda: print(json.dumps(out.getvalue()), file=sys.__stdout__, flush=True))\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+            "    runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)"
+        )
+        result = child(probe, *VERIFY_SEED1)
         assert result.returncode == 0, result.stderr
-        code, frozen, out = json.loads(result.stdout)
-        assert code == 0
-        assert frozen > 0
+        out = json.loads(result.stdout)
         _, in_process, _ = run(capsys, *VERIFY_SEED1)
         assert out == in_process
         assert out == (ROOT / "tests" / "golden" / "verify_default_seed1.json").read_text()
 
     def test_console_script_wrapper_exits_zero_with_the_verdict(self):
         wrapper = "import sys; from l0convex.cli import run; sys.exit(run())"
-        result = python(wrapper, "verify-counterexample", "--samples", "5")
+        result = child(wrapper, "verify-counterexample", "--samples", "5")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["verdict"] == "NotInduced"
         assert result.stderr.endswith("verdict: NotInduced\n")

@@ -24,6 +24,7 @@ from l0convex import (
     ONE,
     cc_failure_witness,
     contains,
+    evaluate,
     glue,
     glue_identity_holds,
     indicator_mul,
@@ -467,6 +468,35 @@ class TestCellWalk:
             assert concatenation._elements_in_set(s, seq, part) == inside, (s, seq, part)
             memberships.add(inside)
         assert identities == memberships == {True, False}
+        assert len(kinds) == 4
+
+    def test_seminorm_identity_matches_atom_by_atom_reference(self):
+        """Given a ball, `glue_identity_holds` compares p(x) with p of the
+        element on each atom's cell, at every atom, for each seminorm p."""
+        rng = sampling.make_rng(71)
+        outcomes, kinds = set(), set()
+        for i in range(400):
+            part, seq = self.case(rng, i)
+            kinds.add((type(part), type(seq)))
+            ball = random_set(rng, "ball", 1)
+            x = glue(seq, part)
+            if rng.random() < 0.5:  # off at one atom, or on the tail
+                j = rng.choice((rng.randint(1, 20), FAR))
+                x = EcRv({k: x.value_at(k) + (k == j) for k in range(1, 41)}, x.tail + (j == FAR))
+
+            def piece(j):
+                if isinstance(seq, Diagonal):
+                    return reference_piece(seq, part, j)
+                return seq.element(cell_index(part, j))
+
+            agrees = all(
+                evaluate(p, x).value_at(j) == evaluate(p, piece(j)).value_at(j)
+                for p in ball.seminorms
+                for j in (*range(1, 41), FAR)
+            )
+            assert glue_identity_holds(seq, part, x, ball) == agrees, (seq, part, x, ball)
+            outcomes.add(agrees)
+        assert outcomes == {True, False}
         assert len(kinds) == 4
 
 

@@ -5,16 +5,23 @@ and counts its calls to prove the patch was reached.  The verdict is
 the library's own, at seed 1 over 30 samples; exactly the named steps
 fail, and so does the report as a whole, and every failing step says
 so: its `observed` text differs from the one of the run without the
-fault.  Every step of each base's report is named by some row, so no
-step passes whatever the code computes.
+fault.  Every step of each base's report is named by some row, and
+every named check of each step's tally is failed by some row, so no
+step and no check passes whatever the code computes.  A last row makes
+the seminorm evaluation non-local and fails every seminorm identity of
+the ball configs of `check cc`.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from l0convex import CounterexampleFamily, FromSeminorms, _not_induced, sampling, sets
+from l0convex import CounterexampleFamily, FromSeminorms, _not_induced, concatenation
+from l0convex import sampling, sets
+from l0convex.config import parse_config
 from l0convex.l0 import ONE, EcRv
 from l0convex.measure import EventSet
 from l0convex.seminorms import Localized, Weighted
@@ -89,19 +96,33 @@ def members_scaled(factor):
     return rebound(sampling, "_member_parts", wrong_version)
 
 
-def m_plus_ball_decided_as(shape):
-    """`contains` deciding `M + B_r` as the set `shape(r)`."""
+def decided_as(kind, shape):
+    """`contains` deciding each set s of the class `kind` as `shape(s)`."""
 
     def wrong_version(right, calls):
         def wrong(s, x):
-            if isinstance(s, MPlusBall):
+            if isinstance(s, kind):
                 calls.append(s)
-                s = shape(s.radius)
+                s = shape(s)
             return right(s, x)
 
         return wrong
 
     return rebound(sets, "contains", wrong_version)
+
+
+def radius_for_points_of_m(right, calls):
+    """`excluding_radius` with the radius 1 for a nonzero point of M, which
+    every M + B holds at every radius."""
+
+    def wrong(s, x):
+        radius = right(s, x)
+        if radius is None and isinstance(s, MPlusBall) and not x.is_zero():
+            calls.append(x)
+            return ONE
+        return radius
+
+    return wrong
 
 
 def certificate_with_half_its_tail(right, calls):
@@ -129,6 +150,12 @@ FAULTS = {
         NOT_INDUCED,
         {"base_axioms", "gauge_monotonicity", "zero_family_contradiction"},
     ),
+    # membership in the ball of half the radius, its gauge left as it is
+    "ball-membership-half-radius": (
+        decided_as(Ball, lambda s: Ball(s.seminorms, s.radius * Fraction(1, 2))),
+        INDUCED,
+        {"base_axioms", "gauge_membership_roundtrip"},
+    ),
     "excluding-radius-4x-induced": (
         scaled_result(sets, "excluding_radius", 4), INDUCED, {"hausdorff_diagnosis"}
     ),
@@ -137,8 +164,13 @@ FAULTS = {
         NOT_INDUCED,
         {"proper_closed_submodule", "zero_family_contradiction"},
     ),
+    "excluding-radius-for-points-of-m": (
+        rebound(sets, "excluding_radius", radius_for_points_of_m),
+        NOT_INDUCED,
+        {"proper_closed_submodule", "zero_family_contradiction"},
+    ),
     "m-plus-ball-membership-2x": (
-        m_plus_ball_decided_as(lambda radius: MPlusBall(radius * 2)),
+        decided_as(MPlusBall, lambda s: MPlusBall(s.radius * 2)),
         NOT_INDUCED,
         {"concatenation_failure", "proper_closed_submodule", "zero_family_contradiction"},
     ),
@@ -153,7 +185,7 @@ FAULTS = {
     # late pieces by zero, which every order ball holds, and the glue
     # 2 * eps, which none holds
     "m-plus-ball-membership-as-order-ball": (
-        m_plus_ball_decided_as(lambda radius: Ball((Weighted(ONE),), radius)),
+        decided_as(MPlusBall, lambda s: Ball((Weighted(ONE),), s.radius)),
         NOT_INDUCED,
         {"gauge_monotonicity", "hausdorff_diagnosis", "zero_family_contradiction"},
     ),
@@ -182,10 +214,74 @@ def test_every_step_passes_without_a_fault(base):
     assert seminorm_induction_verdict(base, seed=1, samples=30).passed
 
 
+def verdict_and_checks(monkeypatch, base, fault=None):
+    """The verdict at seed 1 over 30 samples, with `fault` if given, and
+    each named check of its tallies with the number of draws that failed
+    it: `sampling.tally` wrapped to record every `Tally.failures`."""
+
+    def recording(right, calls):
+        def tally(samples, draw):
+            result = right(samples, draw)
+            checks.update(result.failures)  # a check that held counts 0
+            return result
+
+        return tally
+
+    checks = Counter()
+    with monkeypatch.context() as patch:
+        if fault is not None:
+            fault(patch, [])
+        rebound(sampling, "tally", recording)(patch, [])
+        report = seminorm_induction_verdict(base, seed=1, samples=30)
+    return report, checks
+
+
 @pytest.mark.parametrize("base", BASES.values(), ids=BASES)
-def test_every_step_has_a_fault_that_fails_it(base):
-    """A step that no row fails could pass whatever the code computes: a
-    new step arrives with a row, or is deleted."""
-    steps = {step.name for step in seminorm_induction_verdict(base, seed=1, samples=30).steps}
-    named = set().union(*(failing for _, row_base, failing in FAULTS.values() if row_base is base))
-    assert steps - named == set()
+def test_every_step_has_a_fault_that_fails_it(monkeypatch, base):
+    """A step, or a named check of a step's tally, that no row fails could
+    pass whatever the code computes: a new one arrives with a row, or is
+    deleted."""
+    clean, checks = verdict_and_checks(monkeypatch, base)
+    assert checks  # the wrapped tally is the one the verdict ran
+    rows = [(fault, failing) for fault, row_base, failing in FAULTS.values() if row_base is base]
+    assert {step.name for step in clean.steps} - set().union(*(f for _, f in rows)) == set()
+    failed = set()
+    for fault, _ in rows:
+        _, counts = verdict_and_checks(monkeypatch, base, fault)
+        failed.update(name for name, count in counts.items() if count)
+    assert set(checks) - failed == set()
+
+
+# -- the seminorm identity of `check cc` ---------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def off_the_cell(right, calls):
+    """p(x) + |x(1)|: a seminorm evaluation that reads x at atom 1 on every
+    cell, so that p(1_A x) = 1_A p(x) fails on each cell past atom 1."""
+
+    def wrong(p, x):
+        calls.append(x)
+        return right(p, x) + abs(x.value_at(1))
+
+    return wrong
+
+
+@pytest.mark.parametrize("name", ["cc_ball.cfg", "cc_diagonal_finite.cfg"])
+def test_a_non_local_evaluation_fails_every_seminorm_identity(monkeypatch, name):
+    """Each entry's identity is decided cell by cell, the diagonal's too:
+    an evaluation that is not local makes every one of them false."""
+    config = parse_config((GOLDEN / name).read_text())[0]
+
+    def identities():
+        report = concatenation.relative_cc_check(
+            config.set_descriptor, config.partition(), config.sequences
+        )
+        return [entry.seminorm_identity_ok for entry in report.entries]
+
+    assert set(identities()) == {True}
+    calls = []
+    rebound(concatenation, "evaluate", off_the_cell)(monkeypatch, calls)
+    assert set(identities()) == {False}
+    assert calls  # the patched function is the one the check ran

@@ -79,16 +79,22 @@ EXPORTS = """
 """
 
 
-def loaded_after(code: str, *argv: str, cwd=None, flags=()) -> tuple[int, set[str]]:
+def child(code: str, *argv: str, cwd=None, flags=()) -> subprocess.CompletedProcess:
+    """`python *flags -c code *argv` in `cwd`, in a fresh interpreter that
+    finds the package; with `code` None, `python *flags *argv`."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, *flags, "-c", code, *argv],
+    return subprocess.run(
+        [sys.executable, *flags, *(() if code is None else ("-c", code)), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         cwd=cwd,
-        check=True,
     )
+
+
+def loaded_after(code: str, *argv: str, cwd=None, flags=()) -> tuple[int, set[str]]:
+    result = child(code, *argv, cwd=cwd, flags=flags)
+    result.check_returncode()
     exit_code, modules = json.loads(result.stdout)
     return exit_code, {m.removeprefix("l0convex.") for m in modules}
 
@@ -326,18 +332,18 @@ INDUCED = (
 # when a change removes code from a row's modules; a change that raises
 # one states in CHANGES.md the counts before and after, and why.
 COMPILE_BUDGET = {
-    "verify-counterexample": 13446,
-    "check axioms": 11404,
-    "check roundtrip": 12668,
-    "check cc": 14094,
-    "check base": 11870,
-    "eval prob": 8262,
-    "eval gauge": 10648,
-    "eval contains": 10648,
-    "eval seminorm": 9384,
-    "eval glue": 13804,
-    "partition": 9119,
-    "verify-counterexample on a seminorm base": 13109,
+    "verify-counterexample": 13622,
+    "check axioms": 11503,
+    "check roundtrip": 12767,
+    "check cc": 14270,
+    "check base": 11969,
+    "eval prob": 8361,
+    "eval gauge": 10747,
+    "eval contains": 10747,
+    "eval seminorm": 9483,
+    "eval glue": 13980,
+    "partition": 9218,
+    "verify-counterexample on a seminorm base": 13208,
 }
 
 
@@ -413,21 +419,19 @@ class TestImportBudget:
     )
     def test_running_as_a_module_never_imports_the_cli_again(self, tmp_path, row):
         """Under `python -m l0convex.cli` the front end is `__main__`; a
-        handler that imported `l0convex.cli` would compile it a second time."""
+        handler that imported `l0convex.cli` would compile it a second time.
+        `run()` ends the process inside the redirect, so a hook reports."""
         argv, config, _ = COMMANDS[row]
         probe = (
-            "import contextlib, io, json, runpy, sys\n"
+            "import atexit, contextlib, io, json, runpy, sys\n"
+            "atexit.register(lambda: print(json.dumps(sorted(m for m in sys.modules"
+            " if m.startswith('l0convex.'))), file=sys.__stdout__, flush=True))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)\n"
-            "    except SystemExit as stop:\n"
-            "        code = stop.code\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('l0convex.'))]))"
+            "    runpy.run_module('l0convex.cli', run_name='__main__', alter_sys=True)"
         )
-        code, imported = loaded_after(
-            probe, *argv_with_config(tmp_path, argv, config), cwd=tmp_path
-        )
-        assert code == 0
+        result = child(probe, *argv_with_config(tmp_path, argv, config), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        imported = {m.removeprefix("l0convex.") for m in json.loads(result.stdout)}
         assert "cli" not in imported
         assert {"_cli_eval", "_cli_check", "_cli_partition"} & imported <= COMMANDS[row][2]
 
