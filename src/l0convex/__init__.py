@@ -36,7 +36,7 @@ _EXPORTS_BY_MODULE = {
         "glue_identity_holds relative_cc_check reverse_partition_construct"
     ),
     "_cli_check": "axioms_check",
-    "_library": "epslambda_membership sup_evaluate",
+    "_library": "epslambda_membership",
 }
 # export name -> the module that defines it
 _EXPORTS = {

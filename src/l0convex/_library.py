@@ -1,9 +1,10 @@
 """The (eps, lambda) neighborhoods of a seminorm family: no command reaches them.
 
-`sup_evaluate` evaluates the pointwise maximum of a seminorm family, and
 `epslambda_membership` decides membership in an (eps, lambda)
-neighborhood.  The package exports both (`l0convex.sup_evaluate`), and
-this module runs only when library code asks for one of them.
+neighborhood, from the pointwise maximum of the family,
+`seminorms.evaluate(FiniteSup(family), x)`.  The package exports it
+(`l0convex.epslambda_membership`), and this module runs only when
+library code asks for it.
 """
 
 from __future__ import annotations
@@ -13,14 +14,6 @@ from fractions import Fraction
 from . import l0, seminorms
 from ._common import EventSet
 from .measure import CANONICAL, DiscreteSpace
-
-
-def sup_evaluate(family, x: l0.EcRv) -> l0.EcRv:
-    """Pointwise maximum of a finite family of seminorms at x."""
-    family = tuple(family)
-    if not family:
-        raise ValueError("sup_evaluate needs at least one seminorm")
-    return l0.combine("mul", seminorms._sup_coefficient(family), abs(x))
 
 
 def epslambda_membership(
@@ -39,7 +32,7 @@ def epslambda_membership(
         raise ValueError("eps must be positive")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    norm = sup_evaluate(family, x)
+    norm = seminorms.evaluate(seminorms.FiniteSup(tuple(family)), x)
     overrides = norm.overrides
     below = {j for j, value in overrides.items() if value < eps}
     if norm.tail < eps:

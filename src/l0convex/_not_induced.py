@@ -121,7 +121,11 @@ def _not_induced_report(
     """The NotInduced report: the `prior` steps, the four steps of the
     argument, the Hausdorff diagnosis and the contradiction they give."""
     steps = [*prior, *_not_induced_steps(base, seed, samples)]
-    steps.append(topology._hausdorff_step(base, samples, seed))
+    step = topology._hausdorff_step(base, samples, seed)
+    if "witness" not in step.inputs:  # the argument needs M in the closure of {0}
+        expected = "a nonzero point of M lies in every sampled base set"
+        step = EvidenceStep(step.name, step.inputs, expected, step.observed, False)
+    steps.append(step)
     all_prior = all(step.passed for step in steps)
     steps.append(
         EvidenceStep(

@@ -14,6 +14,7 @@ from l0convex import (
     CounterexampleFamily,
     EcRv,
     EventSet,
+    FiniteSup,
     FinitePartition,
     FromSeminorms,
     MPlusBall,
@@ -36,7 +37,6 @@ from l0convex import (
     relative_cc_check,
     reverse_partition_construct,
     sample_member,
-    sup_evaluate,
     verify_certificate,
     EventuallyConstantSeq,
 )
@@ -222,7 +222,7 @@ def test_criterion_10_epslambda_agreement():
         eps = random_positive_fraction(rng)
         lam = Fraction(rng.randint(1, 63), 64)
         # independent oracle: enumerate atoms, add the exact geometric tail
-        norm = sup_evaluate(family, x)
+        norm = evaluate(FiniteSup(family), x)
         horizon = max([16, *norm.overrides])
         mass = sum(
             (

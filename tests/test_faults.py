@@ -7,11 +7,15 @@ fail, and so does the report as a whole, and every failing step says
 so: its `observed` text differs from the one of the run without the
 fault.  Every step of each base's report is named by some row, and
 every named check of each step's tally is failed by some row, so no
-step and no check passes whatever the code computes.  A last row makes
-the seminorm evaluation non-local and fails every seminorm identity of
-the ball configs of `check cc`.
+step and no check passes whatever the code computes.  The rows of
+`COMMAND_FAULTS` do the same for the one step of `check roundtrip` and
+of `partition`: each makes one field of its `observed` text false and
+the command exit 1, and every field is made false by some row.  A last
+row makes the seminorm evaluation non-local and fails every seminorm
+identity of the ball configs of `check cc`.
 """
 
+import json
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -20,13 +24,15 @@ from pathlib import Path
 import pytest
 
 from l0convex import CounterexampleFamily, FromSeminorms, _not_induced, concatenation
-from l0convex import sampling, sets
+from l0convex import measure, sampling, sets
 from l0convex.config import parse_config
 from l0convex.l0 import ONE, EcRv
 from l0convex.measure import EventSet
 from l0convex.seminorms import Localized, Weighted
 from l0convex.sets import Ball, MPlusBall
 from l0convex.topology import seminorm_induction_verdict
+
+from test_golden import report
 
 INDUCED = FromSeminorms((Weighted(ONE), Localized(EventSet.finite({2}))))
 NOT_INDUCED = CounterexampleFamily()
@@ -164,10 +170,12 @@ FAULTS = {
         NOT_INDUCED,
         {"proper_closed_submodule", "zero_family_contradiction"},
     ),
+    # the core point {1:1 | 0} is lost, so the diagnosis samples separated
+    # pairs, which the NotInduced argument cannot pass
     "excluding-radius-for-points-of-m": (
         rebound(sets, "excluding_radius", radius_for_points_of_m),
         NOT_INDUCED,
-        {"proper_closed_submodule", "zero_family_contradiction"},
+        {"proper_closed_submodule", "hausdorff_diagnosis", "zero_family_contradiction"},
     ),
     "m-plus-ball-membership-2x": (
         decided_as(MPlusBall, lambda s: MPlusBall(s.radius * 2)),
@@ -250,6 +258,88 @@ def test_every_step_has_a_fault_that_fails_it(monkeypatch, base):
         _, counts = verdict_and_checks(monkeypatch, base, fault)
         failed.update(name for name, count in counts.items() if count)
     assert set(checks) - failed == set()
+
+
+# -- the checks of `check roundtrip` and `partition` ---------------------------
+
+
+def ball_membership_at_radius(factor):
+    """`contains` deciding each ball at `factor` times its radius, its gauge
+    left as it is."""
+    return decided_as(Ball, lambda s: Ball(s.seminorms, s.radius * factor))
+
+
+def cell_read_as(wrong_cell):
+    """`SingletonTail.cell(n)` as `wrong_cell(part, n, right)`."""
+
+    def patch(monkeypatch, calls):
+        right = measure.SingletonTail.cell
+
+        def wrong(part, n):
+            calls.append(n)
+            return wrong_cell(part, n, right)
+
+        monkeypatch.setattr(measure.SingletonTail, "cell", wrong)
+
+    return patch
+
+
+# (fault, golden case, the field of the step's `observed` text that holds
+# on the clean run and that the fault makes false)
+COMMAND_FAULTS = {
+    "roundtrip-ball-coefficient-2x": (
+        wrong_coefficient(2), "check_roundtrip_seed5", "gauge mismatches: 0"
+    ),
+    # a point of gauge in (1, 2] is a member; every point of gauge < 1 still is
+    "roundtrip-ball-membership-double-radius": (
+        ball_membership_at_radius(2), "check_roundtrip_seed5", "membership mismatches: 0"
+    ),
+    "roundtrip-ball-membership-half-radius": (
+        ball_membership_at_radius(Fraction(1, 2)),
+        "check_roundtrip_seed5",
+        "strict-inclusion failures: 0",
+    ),
+    # each tail cell one atom late: half the mass the law asks for, never 0
+    "partition-tail-cells-one-atom-late": (
+        cell_read_as(lambda part, n, right: right(part, n + (n > part.prefix_count))),
+        "partition_from3",
+        "law holds: True",
+    ),
+    "partition-prefix-cells-empty": (
+        cell_read_as(
+            lambda part, n, right: EventSet.empty() if n <= part.prefix_count else right(part, n)
+        ),
+        "partition_from3",
+        "all cells positive: True",
+    ),
+}
+
+
+def observed(case: str) -> tuple[int, str]:
+    """The exit code of `main()` on the golden case, and its one step's
+    `observed` text."""
+    code, text = report(case)
+    return code, json.loads(text)["steps"][0]["observed"]
+
+
+@pytest.mark.parametrize("fault, case, field", COMMAND_FAULTS.values(), ids=COMMAND_FAULTS)
+def test_command_fault_makes_its_field_false(monkeypatch, fault, case, field):
+    code, clean = observed(case)
+    assert code == 0 and field in clean
+    calls = []
+    fault(monkeypatch, calls)
+    code, text = observed(case)
+    assert calls  # the patched function is the one the command ran
+    assert code == 1
+    assert field not in text, text
+
+
+@pytest.mark.parametrize("case", sorted({case for _, case, _ in COMMAND_FAULTS.values()}))
+def test_every_command_field_has_a_fault_that_fails_it(case):
+    """Each field that a clean run of the command reports true is made
+    false by some row."""
+    fields = observed(case)[1].split(", ")
+    assert set(fields) == {field for _, c, field in COMMAND_FAULTS.values() if c == case}
 
 
 # -- the seminorm identity of `check cc` ---------------------------------------

@@ -27,7 +27,6 @@ from l0convex import (
     indicator_mul,
     leq_everywhere,
     sample_member,
-    sup_evaluate,
 )
 from l0convex import sampling, seminorms
 from l0convex.concatenation import _late_pieces_in_set
@@ -121,7 +120,7 @@ class TestCoefficientKernel:
         for _ in range(20):
             x = sampling.random_ecrv(rng)
             expected = FiniteSup(INDUCED_FAMILY)
-            assert sup_evaluate(INDUCED_FAMILY, x) == reference_evaluate(expected, x)
+            assert evaluate(expected, x) == reference_evaluate(expected, x)
 
     def test_ball_gauge_matches_reference(self):
         rng, balls = random_balls(13, 40)
@@ -226,7 +225,7 @@ class TestCoefficient:
         with pytest.raises(TypeError, match="not a seminorm descriptor"):
             evaluate(FiniteSup((UNIT, object())), ONE)
         with pytest.raises(ValueError):
-            sup_evaluate((), ONE)
+            FiniteSup(())
 
 
 class TestLocalization:
@@ -257,7 +256,6 @@ class TestFiniteSup:
         sup = evaluate(FiniteSup(members), x)
         for m in members:
             assert leq_everywhere(evaluate(m, x), sup)
-        assert sup_evaluate(members, x) == sup
 
 
 class TestAxiomsCheck:
@@ -299,5 +297,5 @@ class TestSeparatingFamily:
     @given(ecrvs)
     def test_unit_weight_separates(self, x):
         # the sup over the single-member family vanishes only at zero
-        if sup_evaluate((UNIT,), x) == ZERO:
+        if evaluate(FiniteSup((UNIT,)), x) == ZERO:
             assert x == ZERO

@@ -8,6 +8,7 @@ from l0convex import (
     Ball,
     EcRv,
     EventSet,
+    FiniteSup,
     Intersect,
     Localized,
     MPlusBall,
@@ -30,7 +31,6 @@ from l0convex import (
     reciprocal,
     roundtrip_check,
     sample_member,
-    sup_evaluate,
     verify_certificate,
 )
 from l0convex import sampling
@@ -134,11 +134,11 @@ class TestContains:
         for _ in range(300):
             family = tuple(random_seminorm(rng) for _ in range(rng.randint(1, 3)))
             ball = Ball(family, sampling.random_positive_ecrv(rng))
-            assert ball.coefficient == sup_evaluate(family, ONE)
+            assert ball.coefficient == evaluate(FiniteSup(family), ONE)
             assert ball.coefficient is ball.coefficient
             x = sampling.random_ecrv(rng)
             if rng.random() < 0.5:  # near the boundary: x scaled to the largest seminorm
-                x = divide(x, emax(sup_evaluate(family, ONE), ONE))
+                x = divide(x, emax(evaluate(FiniteSup(family), ONE), ONE))
             inside = all(leq_everywhere(evaluate(p, x), ball.radius) for p in family)
             assert contains(ball, x) == inside
             outcomes.add(inside)
@@ -442,7 +442,7 @@ def blind_part(s, x):
     """x cut down to where the shape of s cannot see it."""
     if isinstance(s, MPlusBall):
         return EcRv(x.overrides, 0)
-    c = sup_evaluate(s.seminorms, ONE)  # the largest coefficient
+    c = evaluate(FiniteSup(s.seminorms), ONE)  # the largest coefficient
     zeros = {j for j, v in c.overrides.items() if v == 0}
     if c.tail == 0:
         return indicator_mul(EventSet.cofinite_excluding(set(c.overrides) - zeros), x)

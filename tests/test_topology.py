@@ -28,8 +28,8 @@ from l0convex import (
     contains,
     epslambda_membership,
     hausdorff_report,
+    evaluate,
     seminorm_induction_verdict,
-    sup_evaluate,
     roundtrip_check,
 )
 from l0convex import _common, _not_induced, concatenation, l0, sampling, topology
@@ -234,7 +234,7 @@ class TestHausdorff:
             family = tuple(_random_seminorm(rng) for _ in range(rng.randint(1, 3)))
             base = FromSeminorms(family)
             report = hausdorff_report(base, samples=3, seed=i)
-            separates = classify(sup_evaluate(family, ONE)).in_L0_plusplus
+            separates = classify(evaluate(FiniteSup(family), ONE)).in_L0_plusplus
             witness = report.example["witness"]
             assert (witness is None) == separates, family
             assert witness == core_point(base.base_set(ONE)), family
@@ -249,7 +249,7 @@ class TestHausdorff:
         # a family blind beyond atom 1 cannot separate points that agree there
         family = FromSeminorms((Localized(EventSet.finite({1})),))
         d = EcRv({2: 1}, 0)
-        assert sup_evaluate(family.family, d) == ZERO
+        assert evaluate(FiniteSup(family.family), d) == ZERO
         rng = sampling.make_rng(19)
         for _ in range(100):
             radius = sampling.random_positive_ecrv(rng)
@@ -280,7 +280,7 @@ class TestEpsLambda:
     def test_matches_direct_probability(self, x):
         family = (Weighted(ONE), Localized(EventSet.finite({2, 3})))
         eps, lam = Fraction(7, 8), Fraction(1, 3)
-        norm = sup_evaluate(family, x)
+        norm = evaluate(FiniteSup(family), x)
         event = order_compare(norm, EcRv.constant(eps)).strict_set
         expected = CANONICAL.probability(event) > 1 - lam
         assert epslambda_membership(family, eps, lam, x) == expected
